@@ -1,12 +1,9 @@
 """Integration kernels for the coupled-mode systems.
 
-The right-hand sides and the adaptive Dormand-Prince 5(4) stepper are
-written once as plain Python/NumPy and compiled with numba when it is
-available.  Setting the environment variable ``TWPASIM_NO_NUMBA`` to a
-non-empty value other than ``0`` selects the pure-NumPy path instead.
-Both variants are importable (``integrate_numpy`` / ``integrate_numba``)
-so they can be benchmarked against each other; ``integrate`` is the
-active one.
+The right-hand sides ``_rhs_4wm`` / ``_rhs_3wm`` and the adaptive
+Dormand-Prince 5(4) stepper ``integrate`` are plain Python/NumPy.  A
+right-hand side has the signature ``rhs(x, y, p, out)`` and writes
+dy/dx into ``out``; ``integrate`` takes it as its first argument.
 
 Parameter packing (float64 arrays, built in :mod:`twpasim.cme`):
 
@@ -30,18 +27,11 @@ three-wave system, state [A_s, A_ip, A_2ip, A_s+ip, A_s+2ip]::
    11 da = 2k_ip-k_2ip  12 db = k_su-k_ip-k_s  13 dc = k_su2-k_ip-k_su
 """
 
-import os
-import types
-import warnings
-
 import numpy as np
 
 STATUS_OK = 0
 STATUS_MAX_STEPS = 1
 STATUS_STEP_UNDERFLOW = 2
-
-KIND_4WM = 0
-KIND_3WM = 1
 
 
 def _rhs_4wm(x, y, p, out):
@@ -121,7 +111,11 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0,
                                 22.0 / 525.0, -1.0 / 40.0)
 
 
-def _rk45_core(kind, y0, p, x_eval, rtol, atol, max_steps):
+def integrate(rhs, y0, p, x_eval, rtol, atol, max_steps):
+    """Integrate dy/dx = rhs(x, y, p) from x_eval[0], sampling y at every
+    x_eval point.  Returns ``(samples, status)`` with samples of shape
+    (len(x_eval), len(y0)) and one of the ``STATUS_*`` codes; on failure
+    the samples past the last reached point stay zero."""
     n = y0.shape[0]
     n_out = x_eval.shape[0]
     out = np.zeros((n_out, n), dtype=np.complex128)
@@ -156,52 +150,31 @@ def _rk45_core(kind, y0, p, x_eval, rtol, atol, max_steps):
             else:
                 h_try = h
 
-            if kind == KIND_4WM:
-                _RHS4(x, y, p, k1)
-            else:
-                _RHS3(x, y, p, k1)
+            rhs(x, y, p, k1)
             for j in range(n):
                 yt[j] = y[j] + h_try * _A21 * k1[j]
-            if kind == KIND_4WM:
-                _RHS4(x + _C2 * h_try, yt, p, k2)
-            else:
-                _RHS3(x + _C2 * h_try, yt, p, k2)
+            rhs(x + _C2 * h_try, yt, p, k2)
             for j in range(n):
                 yt[j] = y[j] + h_try * (_A31 * k1[j] + _A32 * k2[j])
-            if kind == KIND_4WM:
-                _RHS4(x + _C3 * h_try, yt, p, k3)
-            else:
-                _RHS3(x + _C3 * h_try, yt, p, k3)
+            rhs(x + _C3 * h_try, yt, p, k3)
             for j in range(n):
                 yt[j] = y[j] + h_try * (_A41 * k1[j] + _A42 * k2[j]
                                         + _A43 * k3[j])
-            if kind == KIND_4WM:
-                _RHS4(x + _C4 * h_try, yt, p, k4)
-            else:
-                _RHS3(x + _C4 * h_try, yt, p, k4)
+            rhs(x + _C4 * h_try, yt, p, k4)
             for j in range(n):
                 yt[j] = y[j] + h_try * (_A51 * k1[j] + _A52 * k2[j]
                                         + _A53 * k3[j] + _A54 * k4[j])
-            if kind == KIND_4WM:
-                _RHS4(x + _C5 * h_try, yt, p, k5)
-            else:
-                _RHS3(x + _C5 * h_try, yt, p, k5)
+            rhs(x + _C5 * h_try, yt, p, k5)
             for j in range(n):
                 yt[j] = y[j] + h_try * (_A61 * k1[j] + _A62 * k2[j]
                                         + _A63 * k3[j] + _A64 * k4[j]
                                         + _A65 * k5[j])
-            if kind == KIND_4WM:
-                _RHS4(x + _C6 * h_try, yt, p, k6)
-            else:
-                _RHS3(x + _C6 * h_try, yt, p, k6)
+            rhs(x + _C6 * h_try, yt, p, k6)
             for j in range(n):
                 y5[j] = y[j] + h_try * (_B1 * k1[j] + _B3 * k3[j]
                                         + _B4 * k4[j] + _B5 * k5[j]
                                         + _B6 * k6[j])
-            if kind == KIND_4WM:
-                _RHS4(x + h_try, y5, p, k7)
-            else:
-                _RHS3(x + h_try, y5, p, k7)
+            rhs(x + h_try, y5, p, k7)
 
             # scaled RMS of the embedded 4th/5th-order difference
             err_sq = 0.0
@@ -246,46 +219,3 @@ def _rk45_core(kind, y0, p, x_eval, rtol, atol, max_steps):
         out[i_out] = y
     return out, STATUS_OK
 
-
-def _rebind(func, mapping):
-    g = dict(func.__globals__)
-    g.update(mapping)
-    return types.FunctionType(func.__code__, g, func.__name__,
-                              func.__defaults__, func.__closure__)
-
-
-integrate_numpy = _rebind(_rk45_core, {"_RHS4": _rhs_4wm, "_RHS3": _rhs_3wm})
-
-_env = os.environ.get("TWPASIM_NO_NUMBA", "").strip()
-NUMBA_DISABLED = _env not in ("", "0")
-
-integrate_numba = None
-HAS_NUMBA = False
-if not NUMBA_DISABLED:
-    try:
-        import numba
-
-        _rhs4_nb = numba.njit(cache=True, nogil=True)(_rhs_4wm)
-        _rhs3_nb = numba.njit(cache=True, nogil=True)(_rhs_3wm)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            integrate_numba = numba.njit(cache=True, nogil=True)(
-                _rebind(_rk45_core, {"_RHS4": _rhs4_nb, "_RHS3": _rhs3_nb}))
-        HAS_NUMBA = True
-    except ImportError:
-        pass
-
-integrate = integrate_numba if HAS_NUMBA else integrate_numpy
-BACKEND = "numba" if HAS_NUMBA else "numpy"
-
-
-def warm_up():
-    """Trigger kernel compilation (no-op on the NumPy path)."""
-    y4 = np.zeros(6, dtype=np.complex128)
-    y4[0] = 1e-6
-    p4 = np.zeros(27)
-    integrate(KIND_4WM, y4, p4, np.array([0.0, 1.0]), 1e-8, 1e-12, 1000)
-    y3 = np.zeros(5, dtype=np.complex128)
-    y3[0] = 1e-6
-    p3 = np.zeros(14)
-    integrate(KIND_3WM, y3, p3, np.array([0.0, 1.0]), 1e-8, 1e-12, 1000)

@@ -3,7 +3,6 @@
 Usage::
 
     twpasim <task> --config <path> [--out <path>] [--format csv|json]
-            [--threads N]
 
 The config is a flat ``key = value`` text file ('#' starts a comment).
 Frequencies are in Hz, powers in dBm, flux in flux quanta; see the README
@@ -22,8 +21,7 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,14 +90,6 @@ _TASK_REQUIRED = {
 @dataclass
 class RunConfig:
     values: dict
-    source_text: str
-    threads: int = 1
-
-    def __getattr__(self, name):
-        try:
-            return self.values[name.replace("__", "-")]
-        except KeyError:
-            raise AttributeError(name) from None
 
     def __getitem__(self, key):
         return self.values[key]
@@ -120,7 +110,7 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def validate(config_text: str, threads: int = 1) -> RunConfig:
+def validate(config_text: str) -> RunConfig:
     """Parse and validate a config, applying defaults.
 
     Raises :class:`ConfigError` carrying (line, message) diagnostics for
@@ -190,6 +180,15 @@ def validate(config_text: str, threads: int = 1) -> RunConfig:
         if key in values and values[key] is not None and values[key] < 1:
             diags.append((seen.get(key, ("", 0))[1],
                           f"'{key}' must be >= 1"))
+    # gain_spectrum / isolation_spectrum take a strictly increasing grid
+    lo = values.get("signal_freq_min_hz", -math.inf)
+    hi = values.get("signal_freq_max_hz", math.inf)
+    if (values.get("task") in ("gain", "isolation")
+            and values.get("signal_points", 0) > 1 and lo >= hi):
+        line = max(seen.get(k, ("", 0))[1]
+                   for k in ("signal_freq_min_hz", "signal_freq_max_hz"))
+        diags.append((line, "signal_freq_min_hz must be below "
+                            "signal_freq_max_hz when signal_points > 1"))
 
     if diags:
         raise ConfigError(sorted(diags))
@@ -197,7 +196,7 @@ def validate(config_text: str, threads: int = 1) -> RunConfig:
              len(values))
     for k in sorted(values):
         log.debug("  %s = %r", k, values[k])
-    return RunConfig(values=values, source_text=config_text, threads=threads)
+    return RunConfig(values=values)
 
 
 def _device(cfg: RunConfig):
@@ -234,14 +233,6 @@ _CELL_COLUMNS = ["flux_phi0", "phi_star_rad", "alpha_tilde", "beta_tilde",
                  "impedance_ohm", "g3_rad_s", "g4_rad_s", "beta", "gamma"]
 
 
-def _map_grid(fn, grid, threads):
-    """Apply fn over grid preserving order; optional thread pool."""
-    if threads <= 1:
-        return [fn(g) for g in grid]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, grid))
-
-
 def _task_cell_params(cfg: RunConfig):
     spec, coeffs, _, _, _ = _device(cfg)
     fp = coeffs.flux
@@ -268,7 +259,7 @@ def _task_dispersion(cfg: RunConfig):
         except TwpaError:
             return [w / (2 * math.pi), math.nan, math.nan, math.nan]
 
-    rows = _map_grid(point, omegas, cfg.threads)
+    rows = [point(w) for w in omegas]
     cols = ["freq_hz", "k_rad_per_cell", "loss_k_per_cell",
             "transmission_db"]
     return cols, rows, {}
@@ -287,13 +278,9 @@ def _task_phase_mismatch(cfg: RunConfig):
     _, _, medium, beta, gamma = _device(cfg)
     pump = ToneConfig(freq=2 * math.pi * cfg["pump_freq_hz"],
                       power_dbm=cfg["pump_power_dbm"])
-    omegas = _signal_grid(cfg)
-
-    def point(w):
-        return [w / (2 * math.pi)] + _breakdown_or_nan(
-            medium, beta, gamma, w, pump, cfg["amp_scale"])
-
-    rows = _map_grid(point, omegas, cfg.threads)
+    rows = [[w / (2 * math.pi)] + _breakdown_or_nan(
+        medium, beta, gamma, w, pump, cfg["amp_scale"])
+        for w in _signal_grid(cfg)]
     cols = ["freq_hz", "dk_dispersion_rad_per_cell", "dk_kerr_rad_per_cell",
             "dk_dynamic_rad_per_cell", "dk_total_rad_per_cell"]
     return cols, rows, {}
@@ -304,17 +291,13 @@ def _task_gain(cfg: RunConfig):
     pump = ToneConfig(freq=2 * math.pi * cfg["pump_freq_hz"],
                       power_dbm=cfg["pump_power_dbm"])
     omegas = _signal_grid(cfg)
-
-    def point(w):
-        spec_one = gain_spectrum(medium, pump, [w], cfg["signal_power_dbm"],
-                                 beta=beta, gamma=gamma,
-                                 amp_scale=cfg["amp_scale"],
-                                 rtol=cfg["solver_rtol"])
-        dk = _breakdown_or_nan(medium, beta, gamma, w, pump,
-                               cfg["amp_scale"])[3]
-        return [w / (2 * math.pi), float(spec_one.gain_db[0]), dk]
-
-    rows = _map_grid(point, omegas, cfg.threads)
+    spec = gain_spectrum(medium, pump, omegas, cfg["signal_power_dbm"],
+                         beta=beta, gamma=gamma, amp_scale=cfg["amp_scale"],
+                         rtol=cfg["solver_rtol"])
+    rows = [[w / (2 * math.pi), float(g),
+             _breakdown_or_nan(medium, beta, gamma, w, pump,
+                               cfg["amp_scale"])[3]]
+            for w, g in zip(omegas, spec.gain_db)]
     return ["freq_hz", "gain_db", "dk_total_rad_per_cell"], rows, {}
 
 
@@ -324,16 +307,12 @@ def _task_isolation(cfg: RunConfig):
                       power_dbm=cfg["iso_pump_power_dbm"],
                       direction="backward")
     omegas = _signal_grid(cfg)
-
-    def point(w):
-        spec_one = isolation_spectrum(medium, pump, [w],
-                                      cfg["signal_power_dbm"], beta=beta,
-                                      amp_scale=cfg["amp_scale"],
-                                      rtol=cfg["solver_rtol"])
-        return [w / (2 * math.pi), float(spec_one.gain_db[0]),
-                float(spec_one.upconverted_fraction[0])]
-
-    rows = _map_grid(point, omegas, cfg.threads)
+    spec = isolation_spectrum(medium, pump, omegas, cfg["signal_power_dbm"],
+                              beta=beta, amp_scale=cfg["amp_scale"],
+                              rtol=cfg["solver_rtol"])
+    rows = [[w / (2 * math.pi), float(g), float(u)]
+            for w, g, u in zip(omegas, spec.gain_db,
+                               spec.upconverted_fraction)]
     return ["freq_hz", "isolation_db", "upconverted_fraction"], rows, {}
 
 
@@ -396,8 +375,8 @@ def run(cfg: RunConfig, out_path=None, out_format=None) -> str:
     """Execute the configured task and write the artifact file.
 
     Returns the output path.  Output is deterministic for identical
-    configs: rows follow grid order regardless of thread count and
-    floats are rendered at the configured precision.
+    configs: rows follow grid order and floats are rendered at the
+    configured precision.
     """
     task = cfg["task"]
     cols, rows, meta = _TASK_FN[task](cfg)
@@ -449,7 +428,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=None)
     parser.add_argument("--format", choices=("csv", "json"), default=None)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
 
     try:
@@ -459,7 +437,7 @@ def main(argv=None) -> int:
         return _error_exit(2, "config", [[0, f"cannot read config: {exc}"]])
 
     try:
-        cfg = validate(text, threads=max(args.threads, 1))
+        cfg = validate(text)
         if cfg["task"] != args.task:
             return _error_exit(2, "config", [[0,
                 f"config task '{cfg['task']}' does not match command "

@@ -230,14 +230,14 @@ def _pack_3wm(m: MediumParams, modes: ModeSet3WM, beta: float) -> np.ndarray:
     return p
 
 
-def _run_kernel(kind: int, y0: np.ndarray, p: np.ndarray, x_eval: np.ndarray,
+def _run_kernel(rhs, y0: np.ndarray, p: np.ndarray, x_eval: np.ndarray,
                 rtol: float) -> np.ndarray:
     amp_ref = float(np.max(np.abs(y0)))
     atol = rtol * max(amp_ref, 1e-30) * 1e-6
     # blowing-up runs are detected and reported via the status code; the
     # overflow on the way there is not an anomaly worth warning about
     with np.errstate(over="ignore", invalid="ignore"):
-        traj, status = _kernels.integrate(kind, y0, p, x_eval, rtol, atol,
+        traj, status = _kernels.integrate(rhs, y0, p, x_eval, rtol, atol,
                                           _MAX_STEPS)
     if status == _kernels.STATUS_MAX_STEPS:
         raise StepFailure(f"step budget of {_MAX_STEPS} exhausted")
@@ -268,7 +268,7 @@ def integrate_4wm(m: MediumParams, modes: ModeSet4WM, beta: float,
     n_samples = max(int(n_samples), _MIN_SAMPLES)
     x_eval = np.linspace(0.0, x_span, n_samples)
     p = _pack_4wm(m, modes, beta, gamma, pump_depletion)
-    traj = _run_kernel(_kernels.KIND_4WM, modes.amplitudes, p, x_eval, rtol)
+    traj = _run_kernel(_kernels._rhs_4wm, modes.amplitudes, p, x_eval, rtol)
     return Trajectory(x=x_eval, amplitudes=traj,
                       frequencies=modes.frequencies, medium=m)
 
@@ -285,7 +285,7 @@ def integrate_3wm(m: MediumParams, modes: ModeSet3WM, beta: float,
     n_samples = max(int(n_samples), _MIN_SAMPLES)
     x_eval = np.linspace(0.0, x_span, n_samples)
     p = _pack_3wm(m, modes, beta)
-    traj = _run_kernel(_kernels.KIND_3WM, modes.amplitudes, p, x_eval, rtol)
+    traj = _run_kernel(_kernels._rhs_3wm, modes.amplitudes, p, x_eval, rtol)
     return Trajectory(x=x_eval, amplitudes=traj,
                       frequencies=modes.frequencies, medium=m)
 

@@ -3,12 +3,6 @@ import pytest
 
 from twpasim import (MediumParams, SnailSpec, cell_coefficients,
                      equilibrium_phase)
-from twpasim import _kernels
-
-
-def pytest_configure(config):
-    # compile (or load cached) kernels once so per-test timings are clean
-    _kernels.warm_up()
 
 
 @pytest.fixture(scope="session")

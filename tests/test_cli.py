@@ -68,6 +68,20 @@ class TestValidate:
             validate("task = noise-fit\nnoise_data_path = /nope.csv\n"
                      "bandwidth_hz = 1e6\n")
 
+    @pytest.mark.parametrize("task", ["gain", "isolation"])
+    def test_non_increasing_signal_grid_rejected(self, task):
+        text = (f"task = {task}\npump_freq_hz = 9.2e9\n"
+                f"pump_power_dbm = -78\niso_pump_freq_hz = 12.2e9\n"
+                f"iso_pump_power_dbm = -74\nsignal_freq_min_hz = 8e9\n"
+                f"signal_freq_max_hz = 7e9\nsignal_points = 8\n")
+        with pytest.raises(ConfigError) as exc:
+            validate(text)
+        assert exc.value.diagnostics == [
+            (7, "signal_freq_min_hz must be below signal_freq_max_hz "
+                "when signal_points > 1")]
+        # a single point needs no ordering
+        validate(text.replace("signal_points = 8", "signal_points = 1"))
+
 
 class TestRun:
     def read_csv(self, path):
@@ -117,13 +131,23 @@ class TestRun:
         assert (tmp_path / "a.csv").read_bytes() == \
             (tmp_path / "b.csv").read_bytes()
 
-    def test_thread_count_does_not_change_output(self, tmp_path):
-        cfg1 = validate(GAIN_CFG, threads=1)
-        cfg4 = validate(GAIN_CFG, threads=4)
-        run(cfg1, out_path=str(tmp_path / "t1.csv"))
-        run(cfg4, out_path=str(tmp_path / "t4.csv"))
-        assert (tmp_path / "t1.csv").read_bytes() == \
-            (tmp_path / "t4.csv").read_bytes()
+    def test_gap_rows_stay_nan_in_grid_order(self, tmp_path):
+        """Above 2 * pump the idler frequency is negative: those points
+        become NaN rows in place, and the run still succeeds."""
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text("task = gain\nflux = 0.35\npump_freq_hz = 9.2e9\n"
+                            "pump_power_dbm = -78\n"
+                            "signal_freq_min_hz = 17e9\n"
+                            "signal_freq_max_hz = 20e9\nsignal_points = 4\n"
+                            "solver_rtol = 1e-8\n"
+                            f"out_path = {tmp_path / 'g.csv'}\n")
+        assert main(["gain", "--config", str(cfg_path)]) == 0
+        cols, rows = self.read_csv(tmp_path / "g.csv")
+        np.testing.assert_array_equal(rows[:, 0], [17e9, 18e9, 19e9, 20e9])
+        vals = rows[:, [cols.index("gain_db"),
+                        cols.index("dk_total_rad_per_cell")]]
+        assert np.all(np.isfinite(vals[:2]))
+        assert np.all(np.isnan(vals[2:]))
 
     def test_csv_round_trip_precision(self, tmp_path):
         text = GAIN_CFG + "precision = 9\n"

@@ -1,6 +1,6 @@
-"""Backend checks: the numba kernels and the pure-NumPy fallback must be
-interchangeable, and the adaptive stepper must agree with an external
-integrator."""
+"""Stepper checks: the adaptive Dormand-Prince integrator must agree with
+an external integrator on both coupled-mode systems and report its
+failure modes."""
 
 import math
 
@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from twpasim import ModeSet4WM, ToneConfig, amplitude_from_dbm
+from twpasim import ModeSet3WM, ModeSet4WM, amplitude_from_dbm
 from twpasim import _kernels
-from twpasim.cme import _pack_4wm
+from twpasim.cme import _pack_3wm, _pack_4wm
 from twpasim.errors import StepFailure
 
 
@@ -24,39 +24,32 @@ def _standard_setup(medium):
     return modes.amplitudes, p
 
 
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba backend disabled")
-def test_numba_and_numpy_paths_agree(medium_035):
-    y0, p = _standard_setup(medium_035)
-    x_eval = np.linspace(0.0, 700.0, 65)
-    ya, sa = _kernels.integrate_numba(_kernels.KIND_4WM, y0, p, x_eval,
-                                      1e-10, 1e-20, 2_000_000)
-    yb, sb = _kernels.integrate_numpy(_kernels.KIND_4WM, y0, p, x_eval,
-                                      1e-10, 1e-20, 2_000_000)
-    assert sa == sb == _kernels.STATUS_OK
-    np.testing.assert_allclose(ya, yb, rtol=1e-12, atol=1e-18)
+def _upconversion_setup(medium):
+    """Backward 12.2 GHz pump at -74 dBm upconverting a 6 GHz signal."""
+    a_p = amplitude_from_dbm(medium, 2 * math.pi * 12.2e9, -74.0, 1.55)
+    a_s = amplitude_from_dbm(medium, 2 * math.pi * 6e9, -130.0, 1.55)
+    modes = ModeSet3WM.initial(2 * math.pi * 6e9, 2 * math.pi * 12.2e9,
+                               a_s, a_p)
+    return modes.amplitudes, _pack_3wm(medium, modes, beta=0.104388)
 
 
-def test_active_backend_matches_env():
-    assert _kernels.BACKEND in ("numba", "numpy")
-    if _kernels.HAS_NUMBA:
-        assert _kernels.integrate is _kernels.integrate_numba
-    else:
-        assert _kernels.integrate is _kernels.integrate_numpy
-
-
-def test_agrees_with_scipy_reference(medium_035):
+@pytest.mark.parametrize("rhs_kernel, setup", [
+    (_kernels._rhs_4wm, _standard_setup),
+    (_kernels._rhs_3wm, _upconversion_setup),
+], ids=["4wm", "3wm"])
+def test_agrees_with_scipy_reference(medium_035, rhs_kernel, setup):
     """The same packed system integrated by scipy's DOP853."""
-    y0, p = _standard_setup(medium_035)
+    y0, p = setup(medium_035)
 
     def rhs(x, y):
-        out = np.empty(6, dtype=np.complex128)
-        _kernels._rhs_4wm(x, y, p, out)
+        out = np.empty(y.shape[0], dtype=np.complex128)
+        rhs_kernel(x, y, p, out)
         return out
 
     ref = solve_ivp(rhs, (0.0, 700.0), y0, method="DOP853", rtol=1e-11,
                     atol=1e-11 * abs(y0).max() * 1e-6)
     x_eval = np.array([0.0, 700.0])
-    mine, status = _kernels.integrate(_kernels.KIND_4WM, y0, p, x_eval,
+    mine, status = _kernels.integrate(rhs_kernel, y0, p, x_eval,
                                       1e-11, 1e-11 * abs(y0).max() * 1e-6,
                                       2_000_000)
     assert status == _kernels.STATUS_OK
@@ -66,7 +59,7 @@ def test_agrees_with_scipy_reference(medium_035):
 def test_step_budget_exhaustion_is_reported(medium_035):
     y0, p = _standard_setup(medium_035)
     x_eval = np.linspace(0.0, 700.0, 65)
-    _, status = _kernels.integrate(_kernels.KIND_4WM, y0, p, x_eval,
+    _, status = _kernels.integrate(_kernels._rhs_4wm, y0, p, x_eval,
                                    1e-10, 1e-20, 10)
     assert status == _kernels.STATUS_MAX_STEPS
 
@@ -85,7 +78,7 @@ def test_step_failure_surfaces_as_typed_error(medium_035):
 def test_trajectory_endpoints_and_sampling(medium_035):
     y0, p = _standard_setup(medium_035)
     x_eval = np.linspace(0.0, 700.0, 129)
-    y, status = _kernels.integrate(_kernels.KIND_4WM, y0, p, x_eval,
+    y, status = _kernels.integrate(_kernels._rhs_4wm, y0, p, x_eval,
                                    1e-10, 1e-20, 2_000_000)
     assert status == _kernels.STATUS_OK
     assert y.shape == (129, 6)
