@@ -27,7 +27,8 @@ import numpy as np
 
 from . import __version__
 from . import constants
-from .cme import gain_spectrum, isolation_spectrum, saturation_curve
+from .cme import (RTOL_RANGE, gain_spectrum, isolation_spectrum,
+                  saturation_curve)
 from .errors import ConfigError, TwpaError
 from .medium import MediumParams, linear_transmission_db, loss_wavevector, wavevector
 from .noisecal import fit_output_line, read_noise_records
@@ -171,6 +172,18 @@ def validate(config_text: str) -> RunConfig:
                               f"noise_data_path does not exist: "
                               f"{values['noise_data_path']}"))
 
+    rtol_lo, rtol_hi = RTOL_RANGE
+    for key, value in values.items():
+        if key not in seen or _SCHEMA[key][0] is not float:
+            continue
+        line = seen[key][1]
+        if not math.isfinite(value):
+            diags.append((line, f"'{key}' must be finite, got {value!r}"))
+        elif key.endswith("_hz") and value <= 0:
+            diags.append((line, f"'{key}' must be positive, got {value!r}"))
+        elif key == "solver_rtol" and not rtol_lo <= value <= rtol_hi:
+            diags.append((line, f"'solver_rtol' must lie in "
+                                f"[{rtol_lo:g}, {rtol_hi:g}]"))
     if values.get("format") not in ("csv", "json"):
         diags.append((seen.get("format", ("", 0))[1],
                       f"format must be csv or json, got "
@@ -286,6 +299,12 @@ def _task_phase_mismatch(cfg: RunConfig):
     return cols, rows, {}
 
 
+def _gap_metadata(spec) -> dict:
+    """Why each NaN row of a spectrum is NaN, in grid order."""
+    return {"gaps": [{"freq_hz": w / (2 * math.pi), "error": err}
+                     for _, w, err in spec.gaps]}
+
+
 def _task_gain(cfg: RunConfig):
     _, _, medium, beta, gamma = _device(cfg)
     pump = ToneConfig(freq=2 * math.pi * cfg["pump_freq_hz"],
@@ -298,7 +317,8 @@ def _task_gain(cfg: RunConfig):
              _breakdown_or_nan(medium, beta, gamma, w, pump,
                                cfg["amp_scale"])[3]]
             for w, g in zip(omegas, spec.gain_db)]
-    return ["freq_hz", "gain_db", "dk_total_rad_per_cell"], rows, {}
+    return (["freq_hz", "gain_db", "dk_total_rad_per_cell"], rows,
+            _gap_metadata(spec))
 
 
 def _task_isolation(cfg: RunConfig):
@@ -313,7 +333,8 @@ def _task_isolation(cfg: RunConfig):
     rows = [[w / (2 * math.pi), float(g), float(u)]
             for w, g, u in zip(omegas, spec.gain_db,
                                spec.upconverted_fraction)]
-    return ["freq_hz", "isolation_db", "upconverted_fraction"], rows, {}
+    return (["freq_hz", "isolation_db", "upconverted_fraction"], rows,
+            _gap_metadata(spec))
 
 
 def _task_saturation(cfg: RunConfig):

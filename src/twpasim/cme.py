@@ -13,7 +13,10 @@ cell index x:
   and doubly-upconverted signal, with the second-order couplings only.
 
 The derivation of every coupling coefficient from the wave equation of
-the line is spelled out in ``docs/cme_reduction.md``.
+the line is spelled out in ``docs/cme_reduction.md``.  Each system has
+one owner here: ``_rhs_4wm`` / ``_rhs_3wm`` compute its coefficients as
+named values and return the right-hand side that
+:func:`twpasim._kernels.integrate` steps.
 
 Photon bookkeeping uses the flux ``n_m = k_m * (1 - omega_m^2/omegaJ^2)
 * |A_m|^2``; with this normalization the lossless couplings conserve the
@@ -29,12 +32,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import AbovePlasmaCutoff, StepFailure
+from .errors import StepFailure, TwpaError
 from .medium import (MediumParams, amplitude_from_dbm, omega_tilde,
                      wavevector)
 from .phasematch import ToneConfig, idler_frequency
 
 PLASMA_GUARD_3WM = 0.95  # harder guard: upconversion modes approach omegaJ
+RTOL_RANGE = (1e-12, 1e-6)  # accepted integrator tolerances
 
 _MAX_STEPS = 2_000_000
 _MIN_SAMPLES = 65
@@ -154,102 +158,143 @@ class GainSpectrum:
             raise ValueError("gain must be finite (or NaN at gap points)")
 
 
-def _check_guard(m: MediumParams, freqs, guard: float) -> None:
-    for w in freqs:
-        if w <= 0 or w >= guard * m.omegaJ:
-            raise AbovePlasmaCutoff(
-                f"mode at {w / (2 * math.pi) / 1e9:.3f} GHz violates the "
-                f"{guard:.2f} * omegaJ guard "
-                f"({guard * m.omegaJ / (2 * math.pi) / 1e9:.3f} GHz)")
+def _rhs_4wm(m: MediumParams, modes: ModeSet4WM, beta: float, gamma: float,
+             pump_depletion: bool):
+    """Six-mode right-hand side ``rhs(x, y, out)`` with its coefficients
+    bound (``docs/cme_reduction.md``); y is [s, ap, i, 2ap, s+ap, i+ap].
 
-
-def _pack_4wm(m: MediumParams, modes: ModeSet4WM, beta: float,
-              gamma: float, pump_depletion: bool) -> np.ndarray:
-    w = modes.frequencies
-    k = np.array([wavevector(m, wi, guard=1.0) for wi in w])
-    wt = np.array([omega_tilde(m, wi) for wi in w])
-    kpp = k * m.tan_delta / 2.0
+    Every mode must sit below ``PLASMA_GUARD * omegaJ``.
+    """
+    k = np.array([wavevector(m, w) for w in modes.frequencies])
+    wt = np.array([omega_tilde(m, w) for w in modes.frequencies])
+    kpp_s, kpp_ap, kpp_i, kpp_2ap, kpp_su, kpp_iu = k * m.tan_delta / 2.0
     ks, kap, ki, k2, ksu, kiu = k
-    ws, wap, wi_, w2, wsu, wiu = wt
+    ts, tap, ti, t2, tsu, tiu = wt
 
-    p = np.empty(27)
-    p[0] = 6.0 * gamma * ks / (8.0 * ws)
-    p[1] = 3.0 * gamma / (8.0 * ws * ks) * (2.0 * kap - ki) * kap**2 * ki
-    p[2] = beta * (kap - ksu) * kap * ksu / (2.0 * ks * ws)
-    p[3] = kpp[0]
-    p[4] = beta * (kap - k2) * k2 / (2.0 * wap)
-    p[5] = 3.0 * gamma * kap / (8.0 * wap)
-    p[6] = (6.0 * gamma / (8.0 * wap) * ks * ki * (ks + ki - kap)
-            if pump_depletion else 0.0)
-    p[7] = kpp[1]
-    p[8] = 6.0 * gamma * ki / (8.0 * wi_)
-    p[9] = 3.0 * gamma / (8.0 * wi_ * ki) * (2.0 * kap - ks) * kap**2 * ks
-    p[10] = beta * (kap - kiu) * kiu * kap / wi_
-    p[11] = kpp[2]
-    p[12] = beta * kap**3 / (2.0 * k2 * w2)
-    p[13] = 3.0 * gamma * k2 / (8.0 * w2)
-    p[14] = kpp[3]
-    p[15] = beta * (ks + kap) * kap * ks / (2.0 * ksu * wsu)
-    p[16] = 6.0 * gamma * ksu / (8.0 * wsu)
-    p[17] = kpp[4]
-    p[18] = beta * (kap + ki) * kap * ki / (2.0 * kiu * wiu)
-    p[19] = 6.0 * gamma * kiu / (8.0 * wiu)
-    p[20] = kpp[5]
-    p[21] = kap**2
-    p[22] = k2**2
-    p[23] = 2.0 * kap - ki - ks
-    p[24] = ksu - kap - ks
-    p[25] = 2.0 * kap - k2
-    p[26] = kiu - kap - ki
-    return p
+    cs_k = 6.0 * gamma * ks / (8.0 * ts)
+    cs_pair = 3.0 * gamma / (8.0 * ts * ks) * (2.0 * kap - ki) * kap**2 * ki
+    cs_up = beta * (kap - ksu) * kap * ksu / (2.0 * ks * ts)
+    cap_shg = beta * (kap - k2) * k2 / (2.0 * tap)
+    cap_kerr = 3.0 * gamma * kap / (8.0 * tap)
+    cap_dep = (6.0 * gamma / (8.0 * tap) * ks * ki * (ks + ki - kap)
+               if pump_depletion else 0.0)
+    ci_k = 6.0 * gamma * ki / (8.0 * ti)
+    ci_pair = 3.0 * gamma / (8.0 * ti * ki) * (2.0 * kap - ks) * kap**2 * ks
+    ci_up = beta * (kap - kiu) * kiu * kap / ti
+    c2_src = beta * kap**3 / (2.0 * k2 * t2)
+    c2_kerr = 3.0 * gamma * k2 / (8.0 * t2)
+    csu_src = beta * (ks + kap) * kap * ks / (2.0 * ksu * tsu)
+    csu_kerr = 6.0 * gamma * ksu / (8.0 * tsu)
+    ciu_src = beta * (kap + ki) * kap * ki / (2.0 * kiu * tiu)
+    ciu_kerr = 6.0 * gamma * kiu / (8.0 * tiu)
+    kap_sq = kap**2
+    k2_sq = k2**2
+    d1 = 2.0 * kap - ki - ks
+    d2 = ksu - kap - ks
+    d3 = 2.0 * kap - k2
+    d4 = kiu - kap - ki
+
+    def rhs(x, y, out):
+        a_s, a_p, a_i, a_2, a_su, a_iu = y
+        pump2 = kap_sq * (a_p.real * a_p.real + a_p.imag * a_p.imag)
+        sh2 = k2_sq * (a_2.real * a_2.real + a_2.imag * a_2.imag)
+        cross = pump2 + sh2
+
+        e1 = np.exp(1j * d1 * x)
+        e2 = np.exp(1j * d2 * x)
+        e3 = np.exp(1j * d3 * x)
+        e4 = np.exp(1j * d4 * x)
+
+        out[0] = (1j * cs_k * cross * a_s
+                  + 1j * cs_pair * a_p * a_p * np.conj(a_i) * e1
+                  + cs_up * a_su * np.conj(a_p) * e2
+                  - kpp_s * a_s)
+        out[1] = (cap_shg * np.conj(a_p) * a_2 * np.conj(e3)
+                  + 1j * cap_kerr * (pump2 + 2.0 * sh2) * a_p
+                  + 1j * cap_dep * a_s * a_i * np.conj(a_p) * np.conj(e1)
+                  - kpp_ap * a_p)
+        out[2] = (1j * ci_k * cross * a_i
+                  + 1j * ci_pair * a_p * a_p * np.conj(a_s) * e1
+                  + ci_up * a_iu * np.conj(a_p) * e4
+                  - kpp_i * a_i)
+        out[3] = (c2_src * a_p * a_p * e3
+                  + 1j * c2_kerr * (2.0 * pump2 + sh2) * a_2
+                  - kpp_2ap * a_2)
+        out[4] = (csu_src * a_s * a_p * np.conj(e2)
+                  + 1j * csu_kerr * cross * a_su
+                  - kpp_su * a_su)
+        out[5] = (ciu_src * a_i * a_p * np.conj(e4)
+                  + 1j * ciu_kerr * cross * a_iu
+                  - kpp_iu * a_iu)
+
+    return rhs
 
 
-def _pack_3wm(m: MediumParams, modes: ModeSet3WM, beta: float) -> np.ndarray:
-    w = modes.frequencies
-    k = np.array([wavevector(m, wi, guard=1.0) for wi in w])
-    wt = np.array([omega_tilde(m, wi) for wi in w])
-    kpp = k * m.tan_delta / 2.0
+def _rhs_3wm(m: MediumParams, modes: ModeSet3WM, beta: float):
+    """Five-mode upconversion right-hand side ``rhs(x, y, out)`` with its
+    coefficients bound; y is [s, ip, 2ip, s+ip, s+2ip].
+
+    Every mode must sit below ``PLASMA_GUARD_3WM * omegaJ``.
+    """
+    k = np.array([wavevector(m, w, guard=PLASMA_GUARD_3WM)
+                  for w in modes.frequencies])
+    wt = np.array([omega_tilde(m, w) for w in modes.frequencies])
+    kpp_s, kpp_ip, kpp_2ip, kpp_su, kpp_su2 = k * m.tan_delta / 2.0
     ks, kip, k2, ksu, ksu2 = k
-    ws, wip, w2, wsu, wsu2 = wt
+    ts, tip, t2, tsu, tsu2 = wt
 
-    p = np.empty(14)
-    p[0] = beta * (kip - ksu) * kip * ksu / (2.0 * ks * ws)
-    p[1] = kpp[0]
-    p[2] = beta * (kip - k2) * k2 / (2.0 * wip)
-    p[3] = kpp[1]
-    p[4] = beta * kip**3 / (2.0 * k2 * w2)
-    p[5] = kpp[2]
-    p[6] = beta * (ks + kip) * kip * ks / (2.0 * ksu * wsu)
-    p[7] = beta * (kip - ksu2) * kip * ksu2 / (2.0 * ksu * wsu)
-    p[8] = kpp[3]
-    p[9] = beta * (ksu + kip) * kip * ksu / (2.0 * ksu2 * wsu2)
-    p[10] = kpp[4]
-    p[11] = 2.0 * kip - k2
-    p[12] = ksu - kip - ks
-    p[13] = ksu2 - kip - ksu
-    return p
+    cs_up = beta * (kip - ksu) * kip * ksu / (2.0 * ks * ts)
+    cip_shg = beta * (kip - k2) * k2 / (2.0 * tip)
+    c2_src = beta * kip**3 / (2.0 * k2 * t2)
+    csu_src = beta * (ks + kip) * kip * ks / (2.0 * ksu * tsu)
+    csu_up = beta * (kip - ksu2) * kip * ksu2 / (2.0 * ksu * tsu)
+    csu2_src = beta * (ksu + kip) * kip * ksu / (2.0 * ksu2 * tsu2)
+    da = 2.0 * kip - k2
+    db = ksu - kip - ks
+    dc = ksu2 - kip - ksu
+
+    def rhs(x, y, out):
+        a_s, a_ip, a_2, a_su, a_su2 = y
+        f1 = np.exp(1j * da * x)
+        f2 = np.exp(1j * db * x)
+        f3 = np.exp(1j * dc * x)
+
+        out[0] = cs_up * a_su * np.conj(a_ip) * f2 - kpp_s * a_s
+        out[1] = cip_shg * np.conj(a_ip) * a_2 * np.conj(f1) - kpp_ip * a_ip
+        out[2] = c2_src * a_ip * a_ip * f1 - kpp_2ip * a_2
+        out[3] = (csu_src * a_s * a_ip * np.conj(f2)
+                  + csu_up * a_su2 * np.conj(a_ip) * f3
+                  - kpp_su * a_su)
+        out[4] = csu2_src * a_su * a_ip * np.conj(f3) - kpp_su2 * a_su2
+
+    return rhs
 
 
-def _run_kernel(rhs, y0: np.ndarray, p: np.ndarray, x_eval: np.ndarray,
-                rtol: float) -> np.ndarray:
-    amp_ref = float(np.max(np.abs(y0)))
-    atol = rtol * max(amp_ref, 1e-30) * 1e-6
+def _validate_rtol(rtol: float) -> None:
+    lo, hi = RTOL_RANGE
+    if not (lo <= rtol <= hi):
+        raise ValueError(f"rtol must lie in [{lo:g}, {hi:g}]")
+
+
+def _propagate(m: MediumParams, modes, rhs, x_span: float | None,
+               rtol: float, n_samples: int) -> Trajectory:
+    if x_span is None:
+        x_span = float(m.N)
+    x_eval = np.linspace(0.0, x_span, max(int(n_samples), _MIN_SAMPLES))
+    y0 = modes.amplitudes
+    atol = rtol * max(float(np.max(np.abs(y0))), 1e-30) * 1e-6
     # blowing-up runs are detected and reported via the status code; the
     # overflow on the way there is not an anomaly worth warning about
     with np.errstate(over="ignore", invalid="ignore"):
-        traj, status = _kernels.integrate(rhs, y0, p, x_eval, rtol, atol,
+        traj, status = _kernels.integrate(rhs, y0, x_eval, rtol, atol,
                                           _MAX_STEPS)
     if status == _kernels.STATUS_MAX_STEPS:
         raise StepFailure(f"step budget of {_MAX_STEPS} exhausted")
     if status == _kernels.STATUS_STEP_UNDERFLOW:
         raise StepFailure("step size underflow or non-finite state "
                           "(stiff or blowing-up run)")
-    return traj
-
-
-def _validate_rtol(rtol: float) -> None:
-    if not (1e-12 <= rtol <= 1e-6):
-        raise ValueError("rtol must lie in [1e-12, 1e-6]")
+    return Trajectory(x=x_eval, amplitudes=traj,
+                      frequencies=modes.frequencies, medium=m)
 
 
 def integrate_4wm(m: MediumParams, modes: ModeSet4WM, beta: float,
@@ -262,15 +307,8 @@ def integrate_4wm(m: MediumParams, modes: ModeSet4WM, beta: float,
     on the pump; disabling it reproduces the stiff-pump variant.
     """
     _validate_rtol(rtol)
-    _check_guard(m, modes.frequencies, guard=0.98)
-    if x_span is None:
-        x_span = float(m.N)
-    n_samples = max(int(n_samples), _MIN_SAMPLES)
-    x_eval = np.linspace(0.0, x_span, n_samples)
-    p = _pack_4wm(m, modes, beta, gamma, pump_depletion)
-    traj = _run_kernel(_kernels._rhs_4wm, modes.amplitudes, p, x_eval, rtol)
-    return Trajectory(x=x_eval, amplitudes=traj,
-                      frequencies=modes.frequencies, medium=m)
+    rhs = _rhs_4wm(m, modes, beta, gamma, pump_depletion)
+    return _propagate(m, modes, rhs, x_span, rtol, n_samples)
 
 
 def integrate_3wm(m: MediumParams, modes: ModeSet3WM, beta: float,
@@ -279,15 +317,8 @@ def integrate_3wm(m: MediumParams, modes: ModeSet3WM, beta: float,
     """Integrate the five-mode upconversion system (second-order
     couplings only).  All five modes must sit below 0.95 * omegaJ."""
     _validate_rtol(rtol)
-    _check_guard(m, modes.frequencies, guard=PLASMA_GUARD_3WM)
-    if x_span is None:
-        x_span = float(m.N)
-    n_samples = max(int(n_samples), _MIN_SAMPLES)
-    x_eval = np.linspace(0.0, x_span, n_samples)
-    p = _pack_3wm(m, modes, beta)
-    traj = _run_kernel(_kernels._rhs_3wm, modes.amplitudes, p, x_eval, rtol)
-    return Trajectory(x=x_eval, amplitudes=traj,
-                      frequencies=modes.frequencies, medium=m)
+    rhs = _rhs_3wm(m, modes, beta)
+    return _propagate(m, modes, rhs, x_span, rtol, n_samples)
 
 
 def _gain_db_from(traj: Trajectory) -> float:
@@ -303,8 +334,9 @@ def gain_spectrum(m: MediumParams, pump: ToneConfig, signal_omegas,
                   pump_depletion: bool = True) -> GainSpectrum:
     """Small-signal gain over a signal frequency grid [rad/s].
 
-    Per-point failures (plasma guard, stiff runs) are recorded as gaps
-    with NaN gain rather than aborting the sweep.
+    Per-point domain failures (``TwpaError``: plasma guard, negative
+    idler, stiff runs) are recorded as gaps with NaN gain rather than
+    aborting the sweep; any other exception propagates.
     """
     omegas = np.asarray(signal_omegas, dtype=float)
     a_p = amplitude_from_dbm(m, pump.freq, pump.power_dbm, amp_scale)
@@ -318,7 +350,7 @@ def gain_spectrum(m: MediumParams, pump: ToneConfig, signal_omegas,
                                  n_samples=n_samples,
                                  pump_depletion=pump_depletion)
             gain[idx] = _gain_db_from(traj)
-        except Exception as exc:  # noqa: BLE001 - recorded per point
+        except TwpaError as exc:
             gaps.append((idx, float(ws), f"{type(exc).__name__}: {exc}"))
     meta = {"pump": pump, "amp_scale": amp_scale, "beta": beta,
             "gamma": gamma, "signal_power_dbm": signal_power_dbm}
@@ -379,8 +411,8 @@ def isolation_spectrum(m: MediumParams, ip_pump: ToneConfig, signal_omegas,
     Returns transmission in dB (negative = isolation) and the photon
     fraction upconverted to ``omega_s + omega_ip`` and
     ``omega_s + 2 omega_ip``, referenced to the signal input.  Grid
-    points whose mode ladder violates the 0.95 * omegaJ guard become
-    gaps.
+    points that fail with a ``TwpaError`` (e.g. a mode ladder above the
+    0.95 * omegaJ guard) become gaps.
     """
     omegas = np.asarray(signal_omegas, dtype=float)
     a_p = amplitude_from_dbm(m, ip_pump.freq, ip_pump.power_dbm, amp_scale)
@@ -395,7 +427,7 @@ def isolation_spectrum(m: MediumParams, ip_pump: ToneConfig, signal_omegas,
             gain[idx] = _gain_db_from(traj)
             n = traj.photon_flux()
             upfrac[idx] = (n[-1, 3] + n[-1, 4]) / n[0, 0]
-        except Exception as exc:  # noqa: BLE001
+        except TwpaError as exc:
             gaps.append((idx, float(ws), f"{type(exc).__name__}: {exc}"))
     meta = {"pump": ip_pump, "amp_scale": amp_scale, "beta": beta,
             "signal_power_dbm": signal_power_dbm}

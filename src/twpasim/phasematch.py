@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .errors import NegativeIdler, NotFound, SmallDenominator
+from .errors import NegativeIdler, NotFound, SmallDenominator, TwpaError
 from .medium import (MediumParams, amplitude_from_dbm, loss_wavevector,
                      omega_tilde, wavevector)
 
@@ -223,7 +223,7 @@ def find_matched_pump(m: MediumParams, beta: float, gamma: float,
         pump = ToneConfig(freq=omega_ap, power_dbm=pump_power_dbm)
         try:
             return abs(dk_total(m, beta, gamma, signal, pump, amp_scale).dk_total)
-        except Exception:
+        except TwpaError:
             return math.inf
 
     grid = np.linspace(lo, hi, grid_points)

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from twpasim import cme
 from twpasim import (MediumParams, ModeSet3WM, ModeSet4WM, SnailSpec,
                      ToneConfig, amplitude_from_dbm, cell_coefficients,
                      dk_total, dynamic_etas, equilibrium_phase,
@@ -347,9 +348,9 @@ def test_criterion_10_system_noise_round_trip():
            f"(tol 1e-9)", t0)
 
 
-def _rk4_oracle_gain(m, beta, gamma, amp_scale, ws, wap, p_pump_dbm,
-                     p_sig_dbm, steps=100_000):
-    """Fixed-step classical RK4 on an independently transcribed system."""
+def oracle_rhs_4wm(m, beta, gamma, ws, wap):
+    """The six-mode system of docs/cme_reduction.md, transcribed
+    independently of twpasim.cme: returns ``rhs(x, y) -> dy/dx``."""
     wi = 2 * wap - ws
     w = [ws, wap, wi, 2 * wap, ws + wap, wi + wap]
     k = [wavevector(m, x) for x in w]
@@ -394,6 +395,44 @@ def _rk4_oracle_gain(m, beta, gamma, amp_scale, ws, wap, p_pump_dbm,
                - kpp[5] * Av)
         return (dAs, dAp, dAi, dA2, dAu, dAv)
 
+    return rhs
+
+
+def oracle_rhs_3wm(m, beta, ws, wip):
+    """The five-mode upconversion system of docs/cme_reduction.md,
+    transcribed independently of twpasim.cme."""
+    w = [ws, wip, 2 * wip, ws + wip, ws + 2 * wip]
+    k = [wavevector(m, x) for x in w]
+    wt = [omega_tilde(m, x) for x in w]
+    kpp = [x * m.tan_delta / 2 for x in k]
+    ks, kp, k2, ku, kw = k
+    ts, tp, t2, tu, tw = wt
+
+    def rhs(x, y):
+        As, Ap, A2, Au, Aw = y
+        fa = cmath.exp(1j * (2 * kp - k2) * x)
+        fb = cmath.exp(1j * (ku - kp - ks) * x)
+        fc = cmath.exp(1j * (kw - kp - ku) * x)
+        dAs = (beta * (kp - ku) * kp * ku / (2 * ks * ts)
+               * Au * Ap.conjugate() * fb - kpp[0] * As)
+        dAp = (beta * (kp - k2) * k2 / (2 * tp)
+               * Ap.conjugate() * A2 * fa.conjugate() - kpp[1] * Ap)
+        dA2 = beta * kp ** 3 / (2 * k2 * t2) * Ap * Ap * fa - kpp[2] * A2
+        dAu = (beta * (ks + kp) * kp * ks / (2 * ku * tu)
+               * As * Ap * fb.conjugate()
+               + beta * (kp - kw) * kp * kw / (2 * ku * tu)
+               * Aw * Ap.conjugate() * fc - kpp[3] * Au)
+        dAw = (beta * (ku + kp) * kp * ku / (2 * kw * tw)
+               * Au * Ap * fc.conjugate() - kpp[4] * Aw)
+        return (dAs, dAp, dA2, dAu, dAw)
+
+    return rhs
+
+
+def _rk4_oracle_gain(m, beta, gamma, amp_scale, ws, wap, p_pump_dbm,
+                     p_sig_dbm, steps=100_000):
+    """Fixed-step classical RK4 on an independently transcribed system."""
+    rhs = oracle_rhs_4wm(m, beta, gamma, ws, wap)
     a_p = amplitude_from_dbm(m, wap, p_pump_dbm, amp_scale)
     a_s = amplitude_from_dbm(m, ws, p_sig_dbm, amp_scale)
     y = (complex(a_s), complex(a_p), 0j, 0j, 0j, 0j)
@@ -424,3 +463,35 @@ def test_criterion_11_solver_convergence(medium_035):
     report(11, "solver convergence", ok,
            f"adaptive {adaptive:.6f} dB vs 1e5-step RK4 oracle "
            f"{oracle:.6f} dB; |diff| = {err:.2e} dB (tol 1e-4)", t0)
+
+
+W_IP = 2 * math.pi * 12.2e9
+
+
+@pytest.mark.parametrize("system", ["4wm", "3wm"])
+def test_rhs_matches_transcribed_oracle(medium_035, system):
+    """Pointwise check of the integrated right-hand sides against the
+    transcriptions above at seeded random states: a mistyped coupling
+    coefficient shows up here without any integration."""
+    m = medium_035
+    if system == "4wm":
+        ws, wap = 2 * math.pi * 7.6e9, W_AP
+        modes = ModeSet4WM.initial(ws, wap, 0.0, 0.0)
+        rhs = cme._rhs_4wm(m, modes, BETA_FIT, GAMMA_FIT,
+                           pump_depletion=True)
+        oracle = oracle_rhs_4wm(m, BETA_FIT, GAMMA_FIT, ws, wap)
+        scale = amplitude_from_dbm(m, wap, -78.0, AMP_SCALE_FIT)
+    else:
+        ws, wip = 2 * math.pi * 6e9, W_IP
+        modes = ModeSet3WM.initial(ws, wip, 0.0, 0.0)
+        rhs = cme._rhs_3wm(m, modes, BETA_FIT)
+        oracle = oracle_rhs_3wm(m, BETA_FIT, ws, wip)
+        scale = amplitude_from_dbm(m, wip, -74.0, AMP_SCALE_FIT)
+    n = modes.amplitudes.size
+    rng = np.random.default_rng(20240)
+    for _ in range(5):
+        x = rng.uniform(0.0, m.N)
+        y = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        out = np.empty(n, dtype=np.complex128)
+        rhs(x, y, out)
+        np.testing.assert_allclose(out, oracle(x, tuple(y)), rtol=1e-12)

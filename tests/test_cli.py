@@ -82,6 +82,32 @@ class TestValidate:
         # a single point needs no ordering
         validate(text.replace("signal_points = 8", "signal_points = 1"))
 
+    @pytest.mark.parametrize("task, line, message", [
+        ("gain", "signal_freq_max_hz = nan",
+         "'signal_freq_max_hz' must be finite, got nan"),
+        ("gain", "signal_freq_hz = inf",
+         "'signal_freq_hz' must be finite, got inf"),
+        ("gain", "flux = -inf", "'flux' must be finite, got -inf"),
+        ("gain", "signal_freq_min_hz = -8e9",
+         "'signal_freq_min_hz' must be positive, got -8000000000.0"),
+        ("dispersion", "signal_freq_min_hz = 0",
+         "'signal_freq_min_hz' must be positive, got 0.0"),
+        ("gain", "bandwidth_hz = -1e6",
+         "'bandwidth_hz' must be positive, got -1000000.0"),
+        ("gain", "solver_rtol = 1e-3",
+         "'solver_rtol' must lie in [1e-12, 1e-06]"),
+        ("isolation", "solver_rtol = 1e-13",
+         "'solver_rtol' must lie in [1e-12, 1e-06]"),
+    ], ids=["nan", "inf", "minus-inf", "negative-hz", "zero-hz",
+            "negative-bandwidth", "loose-rtol", "tight-rtol"])
+    def test_bad_number_rejected_on_its_line(self, task, line, message):
+        text = (f"task = {task}\npump_freq_hz = 9.2e9\n"
+                f"pump_power_dbm = -78\niso_pump_freq_hz = 12.2e9\n"
+                f"iso_pump_power_dbm = -74\n{line}\n")
+        with pytest.raises(ConfigError) as exc:
+            validate(text)
+        assert exc.value.diagnostics == [(text.count("\n"), message)]
+
 
 class TestRun:
     def read_csv(self, path):
@@ -149,6 +175,14 @@ class TestRun:
         assert np.all(np.isfinite(vals[:2]))
         assert np.all(np.isnan(vals[2:]))
 
+        # the JSON metadata says why each NaN row is NaN
+        json_path = tmp_path / "g.json"
+        assert main(["gain", "--config", str(cfg_path), "--format", "json",
+                     "--out", str(json_path)]) == 0
+        gaps = json.loads(json_path.read_text())["metadata"]["gaps"]
+        assert [g["freq_hz"] for g in gaps] == pytest.approx([19e9, 20e9])
+        assert all(g["error"].startswith("NegativeIdler: ") for g in gaps)
+
     def test_csv_round_trip_precision(self, tmp_path):
         text = GAIN_CFG + "precision = 9\n"
         cfg = validate(text)
@@ -171,6 +205,7 @@ class TestRun:
         assert doc["constants"]["phi0"] == 2.067833848e-15
         got = np.array(doc["rows"], dtype=float)
         np.testing.assert_allclose(got, rows, rtol=1e-10)
+        assert doc["metadata"] == {"gaps": []}
 
     def test_tunability_bands_shift_with_pump(self, tmp_path):
         """Three pump frequencies move the gain band monotonically."""

@@ -5,10 +5,11 @@ import pytest
 from scipy.stats import spearmanr
 
 from twpasim import (MediumParams, ModeSet3WM, ModeSet4WM, ToneConfig,
-                     amplitude_from_dbm, gain_spectrum, integrate_3wm,
-                     integrate_4wm, isolation_spectrum,
+                     amplitude_from_dbm, fit_couplings, gain_spectrum,
+                     integrate_3wm, integrate_4wm, isolation_spectrum,
                      linear_transmission_db, saturation_curve)
-from twpasim.errors import AbovePlasmaCutoff
+from twpasim import cme
+from twpasim.errors import AbovePlasmaCutoff, StepFailure
 
 W_AP = 2 * math.pi * 9.2e9
 W_S = 2 * math.pi * 7.6e9
@@ -145,6 +146,63 @@ class TestGainSpectrum:
         spec = gain_spectrum(medium_035, ToneConfig(2 * math.pi * 33e9,
                                                     -78.0), grid)
         assert len(spec.gaps) == len(grid)
+
+
+class TestPerPointFailures:
+    """Spectra record domain errors (``TwpaError``) as gaps; anything
+    else is a bug or a bad argument and propagates."""
+
+    W_IP = 2 * math.pi * 12.2e9
+
+    @staticmethod
+    def _broken(*args, **kwargs):
+        raise TypeError("bug in the integrator call")
+
+    def test_gain_programming_error_propagates(self, medium_035,
+                                               monkeypatch):
+        monkeypatch.setattr(cme, "integrate_4wm", self._broken)
+        with pytest.raises(TypeError, match="bug in the integrator"):
+            gain_spectrum(medium_035, ToneConfig(W_AP, -78.0), [W_S], **FIT)
+
+    def test_isolation_programming_error_propagates(self, medium_035,
+                                                    monkeypatch):
+        monkeypatch.setattr(cme, "integrate_3wm", self._broken)
+        with pytest.raises(TypeError, match="bug in the integrator"):
+            isolation_spectrum(medium_035,
+                               ToneConfig(self.W_IP, -74.0, "backward"),
+                               [W_S], beta=FIT["beta"])
+
+    def test_out_of_range_rtol_raises(self, medium_035):
+        with pytest.raises(ValueError, match="rtol"):
+            gain_spectrum(medium_035, ToneConfig(W_AP, -78.0), [W_S],
+                          rtol=1e-3, **FIT)
+        with pytest.raises(ValueError, match="rtol"):
+            isolation_spectrum(medium_035,
+                               ToneConfig(self.W_IP, -74.0, "backward"),
+                               [W_S], beta=FIT["beta"], rtol=1e-3)
+
+
+class TestFitCouplings:
+    GRID = 2 * math.pi * np.array([6.0e9, 7.6e9])
+
+    def test_recovers_synthesized_couplings(self, medium_035):
+        pump = ToneConfig(W_AP, -78.0)
+        target = gain_spectrum(medium_035, pump, self.GRID, rtol=1e-8,
+                               **FIT).gain_db
+        best = fit_couplings(medium_035, pump, self.GRID, target,
+                             beta_grid=[0.05, FIT["beta"]],
+                             gamma_grid=[FIT["gamma"]],
+                             amp_scale_grid=[1.4, FIT["amp_scale"]],
+                             rtol=1e-8)
+        assert best == (FIT["beta"], FIT["gamma"], FIT["amp_scale"], 0.0)
+
+    def test_all_gap_grid_raises(self, medium_035):
+        # every mode ladder of a 33 GHz pump violates the plasma guard
+        grid = np.sort([W_S, 2 * math.pi * 0.05e9])
+        with pytest.raises(StepFailure):
+            fit_couplings(medium_035, ToneConfig(2 * math.pi * 33e9, -78.0),
+                          grid, [10.0, 10.0], beta_grid=[0.0],
+                          gamma_grid=[0.0], amp_scale_grid=[1.0])
 
 
 class TestSaturation:

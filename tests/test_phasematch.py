@@ -212,3 +212,17 @@ class TestFindMatchedPump:
             find_matched_pump(medium_zero_flux, 0.0, 0.0, W_S, -78.0,
                               (2 * math.pi * 11e9, 2 * math.pi * 12e9),
                               threshold=1e-9)
+
+    def test_programming_error_propagates(self, medium_035, monkeypatch):
+        """Only domain errors mark a grid point invalid; a TypeError in
+        the objective is a bug and must not become an inf."""
+        import twpasim.phasematch as pm
+
+        def broken(*args, **kwargs):
+            raise TypeError("bug in the objective")
+
+        monkeypatch.setattr(pm, "dk_total", broken)
+        with pytest.raises(TypeError, match="bug in the objective"):
+            find_matched_pump(medium_035, self.FIT["beta"],
+                              self.FIT["gamma"], W_S, -78.0, self.BAND,
+                              amp_scale=self.FIT["amp_scale"])
