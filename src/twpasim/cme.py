@@ -15,7 +15,7 @@ cell index x:
 The derivation of every coupling coefficient from the wave equation of
 the line is spelled out in ``docs/cme_reduction.md``.  Each system has
 one owner here: ``_rhs_4wm`` / ``_rhs_3wm`` compute its coefficients as
-named values and return the right-hand side that
+named values and return the right-hand side ``rhs(x, y) -> dy/dx`` that
 :func:`twpasim._kernels.integrate` steps.
 
 Photon bookkeeping uses the flux ``n_m = k_m * (1 - omega_m^2/omegaJ^2)
@@ -160,8 +160,9 @@ class GainSpectrum:
 
 def _rhs_4wm(m: MediumParams, modes: ModeSet4WM, beta: float, gamma: float,
              pump_depletion: bool):
-    """Six-mode right-hand side ``rhs(x, y, out)`` with its coefficients
-    bound (``docs/cme_reduction.md``); y is [s, ap, i, 2ap, s+ap, i+ap].
+    """Six-mode right-hand side ``rhs(x, y) -> dy/dx`` with its
+    coefficients bound (``docs/cme_reduction.md``); y is
+    [s, ap, i, 2ap, s+ap, i+ap].
 
     Every mode must sit below ``PLASMA_GUARD * omegaJ``.
     """
@@ -194,7 +195,7 @@ def _rhs_4wm(m: MediumParams, modes: ModeSet4WM, beta: float, gamma: float,
     d3 = 2.0 * kap - k2
     d4 = kiu - kap - ki
 
-    def rhs(x, y, out):
+    def rhs(x, y):
         a_s, a_p, a_i, a_2, a_su, a_iu = y
         pump2 = kap_sq * (a_p.real * a_p.real + a_p.imag * a_p.imag)
         sh2 = k2_sq * (a_2.real * a_2.real + a_2.imag * a_2.imag)
@@ -205,34 +206,36 @@ def _rhs_4wm(m: MediumParams, modes: ModeSet4WM, beta: float, gamma: float,
         e3 = np.exp(1j * d3 * x)
         e4 = np.exp(1j * d4 * x)
 
-        out[0] = (1j * cs_k * cross * a_s
-                  + 1j * cs_pair * a_p * a_p * np.conj(a_i) * e1
-                  + cs_up * a_su * np.conj(a_p) * e2
-                  - kpp_s * a_s)
-        out[1] = (cap_shg * np.conj(a_p) * a_2 * np.conj(e3)
-                  + 1j * cap_kerr * (pump2 + 2.0 * sh2) * a_p
-                  + 1j * cap_dep * a_s * a_i * np.conj(a_p) * np.conj(e1)
-                  - kpp_ap * a_p)
-        out[2] = (1j * ci_k * cross * a_i
-                  + 1j * ci_pair * a_p * a_p * np.conj(a_s) * e1
-                  + ci_up * a_iu * np.conj(a_p) * e4
-                  - kpp_i * a_i)
-        out[3] = (c2_src * a_p * a_p * e3
-                  + 1j * c2_kerr * (2.0 * pump2 + sh2) * a_2
-                  - kpp_2ap * a_2)
-        out[4] = (csu_src * a_s * a_p * np.conj(e2)
-                  + 1j * csu_kerr * cross * a_su
-                  - kpp_su * a_su)
-        out[5] = (ciu_src * a_i * a_p * np.conj(e4)
-                  + 1j * ciu_kerr * cross * a_iu
-                  - kpp_iu * a_iu)
+        return np.array([
+            (1j * cs_k * cross * a_s
+             + 1j * cs_pair * a_p * a_p * np.conj(a_i) * e1
+             + cs_up * a_su * np.conj(a_p) * e2
+             - kpp_s * a_s),
+            (cap_shg * np.conj(a_p) * a_2 * np.conj(e3)
+             + 1j * cap_kerr * (pump2 + 2.0 * sh2) * a_p
+             + 1j * cap_dep * a_s * a_i * np.conj(a_p) * np.conj(e1)
+             - kpp_ap * a_p),
+            (1j * ci_k * cross * a_i
+             + 1j * ci_pair * a_p * a_p * np.conj(a_s) * e1
+             + ci_up * a_iu * np.conj(a_p) * e4
+             - kpp_i * a_i),
+            (c2_src * a_p * a_p * e3
+             + 1j * c2_kerr * (2.0 * pump2 + sh2) * a_2
+             - kpp_2ap * a_2),
+            (csu_src * a_s * a_p * np.conj(e2)
+             + 1j * csu_kerr * cross * a_su
+             - kpp_su * a_su),
+            (ciu_src * a_i * a_p * np.conj(e4)
+             + 1j * ciu_kerr * cross * a_iu
+             - kpp_iu * a_iu),
+        ])
 
     return rhs
 
 
 def _rhs_3wm(m: MediumParams, modes: ModeSet3WM, beta: float):
-    """Five-mode upconversion right-hand side ``rhs(x, y, out)`` with its
-    coefficients bound; y is [s, ip, 2ip, s+ip, s+2ip].
+    """Five-mode upconversion right-hand side ``rhs(x, y) -> dy/dx`` with
+    its coefficients bound; y is [s, ip, 2ip, s+ip, s+2ip].
 
     Every mode must sit below ``PLASMA_GUARD_3WM * omegaJ``.
     """
@@ -253,19 +256,21 @@ def _rhs_3wm(m: MediumParams, modes: ModeSet3WM, beta: float):
     db = ksu - kip - ks
     dc = ksu2 - kip - ksu
 
-    def rhs(x, y, out):
+    def rhs(x, y):
         a_s, a_ip, a_2, a_su, a_su2 = y
         f1 = np.exp(1j * da * x)
         f2 = np.exp(1j * db * x)
         f3 = np.exp(1j * dc * x)
 
-        out[0] = cs_up * a_su * np.conj(a_ip) * f2 - kpp_s * a_s
-        out[1] = cip_shg * np.conj(a_ip) * a_2 * np.conj(f1) - kpp_ip * a_ip
-        out[2] = c2_src * a_ip * a_ip * f1 - kpp_2ip * a_2
-        out[3] = (csu_src * a_s * a_ip * np.conj(f2)
-                  + csu_up * a_su2 * np.conj(a_ip) * f3
-                  - kpp_su * a_su)
-        out[4] = csu2_src * a_su * a_ip * np.conj(f3) - kpp_su2 * a_su2
+        return np.array([
+            cs_up * a_su * np.conj(a_ip) * f2 - kpp_s * a_s,
+            cip_shg * np.conj(a_ip) * a_2 * np.conj(f1) - kpp_ip * a_ip,
+            c2_src * a_ip * a_ip * f1 - kpp_2ip * a_2,
+            (csu_src * a_s * a_ip * np.conj(f2)
+             + csu_up * a_su2 * np.conj(a_ip) * f3
+             - kpp_su * a_su),
+            csu2_src * a_su * a_ip * np.conj(f3) - kpp_su2 * a_su2,
+        ])
 
     return rhs
 

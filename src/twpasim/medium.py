@@ -92,10 +92,17 @@ def amplitude_from_dbm(m: MediumParams, omega: float, power_dbm: float,
     quantum ``PHI0 / 2 pi`` converts it to the phase units used by the
     coupled-mode equations.  ``amp_scale`` is a single dimensionless
     calibration factor applied to every converted amplitude.
+
+    Raises ``ValueError`` when the amplitude is not positive, e.g. for a
+    power so low that it underflows to zero: gains are ratios to it.
     """
     from .constants import PHI0
     p_watt = 1e-3 * 10.0 ** (power_dbm / 10.0)
-    return amp_scale * (2.0 * math.pi / PHI0) * math.sqrt(2.0 * m.Z * p_watt) / omega
+    amp = amp_scale * (2.0 * math.pi / PHI0) * math.sqrt(2.0 * m.Z * p_watt) / omega
+    if not amp > 0:
+        raise ValueError(f"power {power_dbm:g} dBm gives the non-positive "
+                         f"amplitude {amp:g}")
+    return amp
 
 
 def power_dbm_from_amplitude(m: MediumParams, omega: float, amplitude: float,

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from twpasim.cli import main, run, validate
+from twpasim.cli import _SCHEMA, TASKS, main, run, validate
 from twpasim.errors import ConfigError
 
 GAIN_CFG = """
@@ -107,6 +108,21 @@ class TestValidate:
         with pytest.raises(ConfigError) as exc:
             validate(text)
         assert exc.value.diagnostics == [(text.count("\n"), message)]
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.lists(st.one_of(
+        st.text(),
+        st.builds("{} = {}".format, st.sampled_from(sorted(_SCHEMA)),
+                  st.one_of(st.text(), st.sampled_from(TASKS),
+                            st.floats().map(repr), st.integers().map(str))),
+    ), max_size=12).map("\n".join))
+    def test_arbitrary_text_raises_only_config_error(self, text):
+        """Any other exception would escape ``main`` as a traceback
+        instead of exit 2 with line diagnostics."""
+        try:
+            validate(text)
+        except ConfigError:
+            pass
 
 
 class TestRun:
@@ -281,6 +297,24 @@ class TestMainExitCodes:
         assert main(["noise-fit", "--config", str(cfg_path)]) == 3
         doc = json.loads(capsys.readouterr().err.strip())
         assert doc["error"] == "SingularFit"
+
+    @pytest.mark.parametrize("task, lines", [
+        ("gain", "signal_power_dbm = -4000\nsignal_points = 2"),
+        ("saturation", "signal_freq_hz = 7.6e9\n"
+                       "signal_power_min_dbm = -4000"),
+    ])
+    def test_underflowing_signal_power_exit_three(self, tmp_path, capsys,
+                                                  task, lines):
+        out = tmp_path / "o.csv"
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(f"task = {task}\nflux = 0.35\n"
+                            f"pump_freq_hz = 9.2e9\npump_power_dbm = -78\n"
+                            f"{lines}\nout_path = {out}\n")
+        assert main([task, "--config", str(cfg_path)]) == 3
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc == {"error": "ValueError", "detail": "power -4000 dBm "
+                       "gives the non-positive amplitude 0"}
+        assert not out.exists()
 
     def test_missing_config_exit_two(self):
         assert main(["gain", "--config", "/does/not/exist.cfg"]) == 2

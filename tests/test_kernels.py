@@ -37,17 +37,11 @@ def _upconversion_setup(medium):
                          ids=["4wm", "3wm"])
 def test_agrees_with_scipy_reference(medium_035, setup):
     """The same right-hand side integrated by scipy's DOP853."""
-    y0, rhs_kernel = setup(medium_035)
-
-    def rhs(x, y):
-        out = np.empty(y.shape[0], dtype=np.complex128)
-        rhs_kernel(x, y, out)
-        return out
-
+    y0, rhs = setup(medium_035)
     ref = solve_ivp(rhs, (0.0, 700.0), y0, method="DOP853", rtol=1e-11,
                     atol=1e-11 * abs(y0).max() * 1e-6)
     x_eval = np.array([0.0, 700.0])
-    mine, status = _kernels.integrate(rhs_kernel, y0, x_eval,
+    mine, status = _kernels.integrate(rhs, y0, x_eval,
                                       1e-11, 1e-11 * abs(y0).max() * 1e-6,
                                       2_000_000)
     assert status == _kernels.STATUS_OK
@@ -81,3 +75,50 @@ def test_trajectory_endpoints_and_sampling(medium_035):
     assert y.shape == (129, 6)
     np.testing.assert_array_equal(y[0], y0)
     assert np.all(np.isfinite(y.view(float)))
+
+
+def test_tableau_order_conditions():
+    """Each row of _A sums to its node, the fifth-order weights integrate
+    x^q exactly for q = 0..4 and the error weights cancel on a constant."""
+    A, B, C, E = _kernels._A, _kernels._B, _kernels._C, _kernels._E
+    np.testing.assert_allclose(A.sum(axis=1), C, rtol=0, atol=1e-14)
+    assert abs(B.sum() - 1.0) <= 1e-14
+    assert abs(E.sum()) <= 1e-14
+    for q in range(5):
+        assert abs(np.sum(B * C**q) - 1.0 / (q + 1)) <= 1e-14
+
+
+def test_non_finite_state_is_a_step_underflow():
+    """Past x = 1 every step is non-finite and shrinks until it underflows;
+    the samples up to x = 1 are filled and the later ones stay zero."""
+    def rhs(x, y):
+        return np.full_like(y, np.nan) if x > 1.0 else -y
+
+    y0 = np.array([1.0 + 0.0j, 2.0j])
+    x_eval = np.linspace(0.0, 2.0, 9)
+    y, status = _kernels.integrate(rhs, y0, x_eval, 1e-10, 1e-12, 100_000)
+    assert status == _kernels.STATUS_STEP_UNDERFLOW
+    reached = x_eval <= 1.0
+    np.testing.assert_allclose(y[reached],
+                               np.exp(-x_eval[reached])[:, None] * y0,
+                               rtol=1e-8)
+    assert np.all(y[~reached] == 0.0)
+
+
+def test_last_stage_is_reused_as_first_stage(medium_035):
+    """First same as last: no (x, y) is evaluated twice, neither across an
+    accepted step nor on the retry after a rejection, so a run costs one
+    evaluation plus six per attempted step."""
+    y0, rhs = _standard_setup(medium_035)
+    calls = []
+
+    def recording(x, y):
+        calls.append((float(x), y.tobytes()))
+        return rhs(x, y)
+
+    x_eval = np.linspace(0.0, 700.0, 65)
+    _, status = _kernels.integrate(recording, y0, x_eval, 1e-10,
+                                   1e-10 * abs(y0).max() * 1e-6, 2_000_000)
+    assert status == _kernels.STATUS_OK
+    assert len(calls) % 6 == 1
+    assert len(set(calls)) == len(calls)
