@@ -21,7 +21,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from . import __version__
 from . import constants
 from .cme import (RTOL_RANGE, gain_spectrum, isolation_spectrum,
                   saturation_curve)
-from .errors import ConfigError, TwpaError
+from .errors import ConfigError, TwpaError, sweep
 from .medium import MediumParams, linear_transmission_db, loss_wavevector, wavevector
 from .noisecal import fit_output_line, read_noise_records
 from .phasematch import ToneConfig, dk_total
@@ -88,20 +87,6 @@ _TASK_REQUIRED = {
 }
 
 
-@dataclass
-class RunConfig:
-    values: dict
-
-    def __getitem__(self, key):
-        return self.values[key]
-
-    @property
-    def config_hash(self) -> str:
-        canonical = "\n".join(
-            f"{k}={self.values[k]!r}" for k in sorted(self.values))
-        return hashlib.sha256(canonical.encode()).hexdigest()
-
-
 def _parse_bool(text: str) -> bool:
     t = text.strip().lower()
     if t in ("true", "yes", "on", "1"):
@@ -111,8 +96,8 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def validate(config_text: str) -> RunConfig:
-    """Parse and validate a config, applying defaults.
+def validate(config_text: str) -> dict:
+    """Parse and validate a config; returns its values, defaults applied.
 
     Raises :class:`ConfigError` carrying (line, message) diagnostics for
     every problem found.
@@ -209,10 +194,10 @@ def validate(config_text: str) -> RunConfig:
              len(values))
     for k in sorted(values):
         log.debug("  %s = %r", k, values[k])
-    return RunConfig(values=values)
+    return values
 
 
-def _device(cfg: RunConfig):
+def _device(cfg: dict):
     spec = SnailSpec(I0=cfg["critical_current_a"],
                      r=cfg["asymmetry_ratio"],
                      Cg=cfg["ground_capacitance_f"],
@@ -229,7 +214,7 @@ def _device(cfg: RunConfig):
     return spec, coeffs, medium, beta, gamma
 
 
-def _signal_grid(cfg: RunConfig) -> np.ndarray:
+def _signal_grid(cfg: dict) -> np.ndarray:
     return 2.0 * math.pi * np.linspace(cfg["signal_freq_min_hz"],
                                        cfg["signal_freq_max_hz"],
                                        cfg["signal_points"])
@@ -246,13 +231,13 @@ _CELL_COLUMNS = ["flux_phi0", "phi_star_rad", "alpha_tilde", "beta_tilde",
                  "impedance_ohm", "g3_rad_s", "g4_rad_s", "beta", "gamma"]
 
 
-def _task_cell_params(cfg: RunConfig):
+def _task_cell_params(cfg: dict):
     spec, coeffs, _, _, _ = _device(cfg)
     fp = coeffs.flux
     return _CELL_COLUMNS, [_cell_row(cfg["flux"], fp, coeffs)], {}
 
 
-def _task_flux_sweep(cfg: RunConfig):
+def _task_flux_sweep(cfg: dict):
     spec, _, _, _, _ = _device(cfg)
     grid = np.linspace(cfg["flux_min"], cfg["flux_max"], cfg["flux_points"])
     coeffs = flux_sweep(spec, grid, cfg["consistent_derivatives"])
@@ -260,52 +245,53 @@ def _task_flux_sweep(cfg: RunConfig):
     return _CELL_COLUMNS, rows, {}
 
 
-def _task_dispersion(cfg: RunConfig):
+def _gap_metadata(gaps) -> dict:
+    """Why each NaN row of a frequency grid is NaN, in grid order."""
+    return {"gaps": [{"freq_hz": w / (2 * math.pi), "error": err}
+                     for _, w, err in gaps]}
+
+
+def _grid_rows(omegas, *columns) -> list:
+    table = np.column_stack(columns).tolist()
+    return [[w / (2 * math.pi)] + row for w, row in zip(omegas, table)]
+
+
+def _task_dispersion(cfg: dict):
     _, _, medium, _, _ = _device(cfg)
     omegas = _signal_grid(cfg)
 
     def point(w):
-        try:
-            return [w / (2 * math.pi), wavevector(medium, w),
-                    loss_wavevector(medium, w),
-                    linear_transmission_db(medium, w)]
-        except TwpaError:
-            return [w / (2 * math.pi), math.nan, math.nan, math.nan]
+        return (wavevector(medium, w), loss_wavevector(medium, w),
+                linear_transmission_db(medium, w))
 
-    rows = [point(w) for w in omegas]
+    values, gaps = sweep(point, omegas, width=3)
     cols = ["freq_hz", "k_rad_per_cell", "loss_k_per_cell",
             "transmission_db"]
-    return cols, rows, {}
+    return cols, _grid_rows(omegas, values), _gap_metadata(gaps)
 
 
-def _breakdown_or_nan(medium, beta, gamma, w, pump, amp_scale):
-    try:
-        bd = dk_total(medium, beta, gamma,
-                      ToneConfig(freq=w, power_dbm=-200.0), pump, amp_scale)
-        return [bd.dk_dispersion, bd.dk_kerr, bd.dk_dynamic, bd.dk_total]
-    except TwpaError:
-        return [math.nan] * 4
+def _breakdown(cfg: dict, medium, beta, gamma, pump, omegas):
+    """The phase-mismatch breakdown of a weak signal, swept over omegas."""
+    def point(w):
+        bd = dk_total(medium, beta, gamma, ToneConfig(w, -200.0), pump,
+                      cfg["amp_scale"])
+        return bd.dk_dispersion, bd.dk_kerr, bd.dk_dynamic, bd.dk_total
+
+    return sweep(point, omegas, width=4)
 
 
-def _task_phase_mismatch(cfg: RunConfig):
+def _task_phase_mismatch(cfg: dict):
     _, _, medium, beta, gamma = _device(cfg)
     pump = ToneConfig(freq=2 * math.pi * cfg["pump_freq_hz"],
                       power_dbm=cfg["pump_power_dbm"])
-    rows = [[w / (2 * math.pi)] + _breakdown_or_nan(
-        medium, beta, gamma, w, pump, cfg["amp_scale"])
-        for w in _signal_grid(cfg)]
+    omegas = _signal_grid(cfg)
+    values, gaps = _breakdown(cfg, medium, beta, gamma, pump, omegas)
     cols = ["freq_hz", "dk_dispersion_rad_per_cell", "dk_kerr_rad_per_cell",
             "dk_dynamic_rad_per_cell", "dk_total_rad_per_cell"]
-    return cols, rows, {}
+    return cols, _grid_rows(omegas, values), _gap_metadata(gaps)
 
 
-def _gap_metadata(spec) -> dict:
-    """Why each NaN row of a spectrum is NaN, in grid order."""
-    return {"gaps": [{"freq_hz": w / (2 * math.pi), "error": err}
-                     for _, w, err in spec.gaps]}
-
-
-def _task_gain(cfg: RunConfig):
+def _task_gain(cfg: dict):
     _, _, medium, beta, gamma = _device(cfg)
     pump = ToneConfig(freq=2 * math.pi * cfg["pump_freq_hz"],
                       power_dbm=cfg["pump_power_dbm"])
@@ -313,15 +299,14 @@ def _task_gain(cfg: RunConfig):
     spec = gain_spectrum(medium, pump, omegas, cfg["signal_power_dbm"],
                          beta=beta, gamma=gamma, amp_scale=cfg["amp_scale"],
                          rtol=cfg["solver_rtol"])
-    rows = [[w / (2 * math.pi), float(g),
-             _breakdown_or_nan(medium, beta, gamma, w, pump,
-                               cfg["amp_scale"])[3]]
-            for w, g in zip(omegas, spec.gain_db)]
-    return (["freq_hz", "gain_db", "dk_total_rad_per_cell"], rows,
-            _gap_metadata(spec))
+    dk, _ = _breakdown(cfg, medium, beta, gamma, pump, omegas)
+    # the gaps listed are the gain column's
+    return (["freq_hz", "gain_db", "dk_total_rad_per_cell"],
+            _grid_rows(omegas, spec.gain_db, dk[:, 3]),
+            _gap_metadata(spec.gaps))
 
 
-def _task_isolation(cfg: RunConfig):
+def _task_isolation(cfg: dict):
     _, _, medium, beta, _ = _device(cfg)
     pump = ToneConfig(freq=2 * math.pi * cfg["iso_pump_freq_hz"],
                       power_dbm=cfg["iso_pump_power_dbm"],
@@ -330,14 +315,12 @@ def _task_isolation(cfg: RunConfig):
     spec = isolation_spectrum(medium, pump, omegas, cfg["signal_power_dbm"],
                               beta=beta, amp_scale=cfg["amp_scale"],
                               rtol=cfg["solver_rtol"])
-    rows = [[w / (2 * math.pi), float(g), float(u)]
-            for w, g, u in zip(omegas, spec.gain_db,
-                               spec.upconverted_fraction)]
-    return (["freq_hz", "isolation_db", "upconverted_fraction"], rows,
-            _gap_metadata(spec))
+    return (["freq_hz", "isolation_db", "upconverted_fraction"],
+            _grid_rows(omegas, spec.gain_db, spec.upconverted_fraction),
+            _gap_metadata(spec.gaps))
 
 
-def _task_saturation(cfg: RunConfig):
+def _task_saturation(cfg: dict):
     _, _, medium, beta, gamma = _device(cfg)
     pump = ToneConfig(freq=2 * math.pi * cfg["pump_freq_hz"],
                       power_dbm=cfg["pump_power_dbm"])
@@ -354,7 +337,7 @@ def _task_saturation(cfg: RunConfig):
     return ["signal_power_dbm", "gain_db"], rows, meta
 
 
-def _task_noise_fit(cfg: RunConfig):
+def _task_noise_fit(cfg: dict):
     data = read_noise_records(cfg["noise_data_path"])
     fit = fit_output_line(data, cfg["bandwidth_hz"])
     m = fit.model
@@ -392,7 +375,7 @@ def _round(value, precision: int):
     return value
 
 
-def run(cfg: RunConfig, out_path=None, out_format=None) -> str:
+def run(cfg: dict, out_path=None, out_format=None) -> str:
     """Execute the configured task and write the artifact file.
 
     Returns the output path.  Output is deterministic for identical
@@ -414,8 +397,9 @@ def run(cfg: RunConfig, out_path=None, out_format=None) -> str:
         doc = {
             "task": task,
             "version": __version__,
-            "config_hash": cfg.config_hash,
-            "config": {k: cfg.values[k] for k in sorted(cfg.values)},
+            "config_hash": hashlib.sha256("\n".join(
+                f"{k}={cfg[k]!r}" for k in sorted(cfg)).encode()).hexdigest(),
+            "config": {k: cfg[k] for k in sorted(cfg)},
             "constants": {
                 "h": constants.H, "hbar": constants.HBAR,
                 "e": constants.E_CHARGE, "k_b": constants.K_B,
@@ -468,9 +452,7 @@ def main(argv=None) -> int:
 
     try:
         run(cfg, out_path=args.out, out_format=args.format)
-    except TwpaError as exc:
-        return _error_exit(3, type(exc).__name__, str(exc))
-    except (ValueError, OSError) as exc:
+    except (TwpaError, ValueError, OSError) as exc:
         return _error_exit(3, type(exc).__name__, str(exc))
     return 0
 

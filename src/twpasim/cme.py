@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import StepFailure, TwpaError
+from .errors import StepFailure, sweep
 from .medium import (MediumParams, amplitude_from_dbm, omega_tilde,
                      wavevector)
 from .phasematch import ToneConfig, idler_frequency
@@ -137,9 +137,10 @@ class GainSpectrum:
     """Gain (or isolation) versus signal frequency.
 
     ``gain_db`` is 20 log10 |A_s(N)/A_s(0)| so that 0 dB is a lossless
-    line.  Failed grid points are recorded in ``gaps`` with their error
-    text and carry NaN gain.  For isolation runs ``upconverted_fraction``
-    holds the photon fraction moved out of the signal frequency.
+    line.  Failed grid points carry NaN gain and are recorded in ``gaps``
+    as ``(index, omega, "Type: message")``.  For isolation runs
+    ``upconverted_fraction`` holds the photon fraction moved out of the
+    signal frequency.
     """
 
     omega: np.ndarray
@@ -281,11 +282,9 @@ def _validate_rtol(rtol: float) -> None:
         raise ValueError(f"rtol must lie in [{lo:g}, {hi:g}]")
 
 
-def _propagate(m: MediumParams, modes, rhs, x_span: float | None,
-               rtol: float, n_samples: int) -> Trajectory:
-    if x_span is None:
-        x_span = float(m.N)
-    x_eval = np.linspace(0.0, x_span, max(int(n_samples), _MIN_SAMPLES))
+def _propagate(m: MediumParams, modes, rhs, rtol: float,
+               n_samples: int) -> Trajectory:
+    x_eval = np.linspace(0.0, float(m.N), max(int(n_samples), _MIN_SAMPLES))
     y0 = modes.amplitudes
     atol = rtol * max(float(np.max(np.abs(y0))), 1e-30) * 1e-6
     # blowing-up runs are detected and reported via the status code; the
@@ -303,27 +302,28 @@ def _propagate(m: MediumParams, modes, rhs, x_span: float | None,
 
 
 def integrate_4wm(m: MediumParams, modes: ModeSet4WM, beta: float,
-                  gamma: float, x_span: float | None = None,
-                  rtol: float = 1e-10, n_samples: int = 257,
+                  gamma: float, rtol: float = 1e-10, n_samples: int = 257,
                   pump_depletion: bool = True) -> Trajectory:
-    """Integrate the six-mode system from x=0 to ``x_span`` (default N).
+    """Integrate the six-mode system over the line, x = 0 to N, sampled
+    at ``max(n_samples, 65)`` evenly spaced points.
 
     ``pump_depletion`` keeps the four-wave backaction of signal and idler
-    on the pump; disabling it reproduces the stiff-pump variant.
+    on the pump; disabling it reproduces the stiff-pump variant.  A mode
+    past the plasma guard or a failed run raises a ``TwpaError``.
     """
     _validate_rtol(rtol)
     rhs = _rhs_4wm(m, modes, beta, gamma, pump_depletion)
-    return _propagate(m, modes, rhs, x_span, rtol, n_samples)
+    return _propagate(m, modes, rhs, rtol, n_samples)
 
 
 def integrate_3wm(m: MediumParams, modes: ModeSet3WM, beta: float,
-                  x_span: float | None = None, rtol: float = 1e-10,
-                  n_samples: int = 257) -> Trajectory:
+                  rtol: float = 1e-10, n_samples: int = 257) -> Trajectory:
     """Integrate the five-mode upconversion system (second-order
-    couplings only).  All five modes must sit below 0.95 * omegaJ."""
+    couplings only) over the line, x = 0 to N.  All five modes must sit
+    below 0.95 * omegaJ."""
     _validate_rtol(rtol)
     rhs = _rhs_3wm(m, modes, beta)
-    return _propagate(m, modes, rhs, x_span, rtol, n_samples)
+    return _propagate(m, modes, rhs, rtol, n_samples)
 
 
 def _gain_db_from(traj: Trajectory) -> float:
@@ -335,31 +335,26 @@ def _gain_db_from(traj: Trajectory) -> float:
 def gain_spectrum(m: MediumParams, pump: ToneConfig, signal_omegas,
                   signal_power_dbm: float = -130.0, beta: float = 0.0,
                   gamma: float = 0.0, amp_scale: float = 1.0,
-                  rtol: float = 1e-10, n_samples: int = _MIN_SAMPLES,
-                  pump_depletion: bool = True) -> GainSpectrum:
-    """Small-signal gain over a signal frequency grid [rad/s].
-
-    Per-point domain failures (``TwpaError``: plasma guard, negative
-    idler, stiff runs) are recorded as gaps with NaN gain rather than
-    aborting the sweep; any other exception propagates.
+                  rtol: float = 1e-10) -> GainSpectrum:
+    """Small-signal gain, with pump depletion, over a signal frequency
+    grid [rad/s].  A point that fails with a ``TwpaError`` (plasma guard,
+    negative idler, stiff run) is a NaN gap, by :func:`errors.sweep`.
     """
     omegas = np.asarray(signal_omegas, dtype=float)
     a_p = amplitude_from_dbm(m, pump.freq, pump.power_dbm, amp_scale)
-    gain = np.full(omegas.shape, np.nan)
-    gaps = []
-    for idx, ws in enumerate(omegas):
+
+    def point(ws):
         a_s = amplitude_from_dbm(m, ws, signal_power_dbm, amp_scale)
-        try:
-            modes = ModeSet4WM.initial(ws, pump.freq, a_s, a_p)
-            traj = integrate_4wm(m, modes, beta, gamma, rtol=rtol,
-                                 n_samples=n_samples,
-                                 pump_depletion=pump_depletion)
-            gain[idx] = _gain_db_from(traj)
-        except TwpaError as exc:
-            gaps.append((idx, float(ws), f"{type(exc).__name__}: {exc}"))
+        modes = ModeSet4WM.initial(ws, pump.freq, a_s, a_p)
+        traj = integrate_4wm(m, modes, beta, gamma, rtol=rtol,
+                             n_samples=_MIN_SAMPLES)
+        return _gain_db_from(traj)
+
+    gain, gaps = sweep(point, omegas)
     meta = {"pump": pump, "amp_scale": amp_scale, "beta": beta,
             "gamma": gamma, "signal_power_dbm": signal_power_dbm}
-    return GainSpectrum(omega=omegas, gain_db=gain, metadata=meta, gaps=gaps)
+    return GainSpectrum(omega=omegas, gain_db=gain[:, 0], metadata=meta,
+                        gaps=gaps)
 
 
 @dataclass
@@ -417,27 +412,23 @@ def isolation_spectrum(m: MediumParams, ip_pump: ToneConfig, signal_omegas,
     fraction upconverted to ``omega_s + omega_ip`` and
     ``omega_s + 2 omega_ip``, referenced to the signal input.  Grid
     points that fail with a ``TwpaError`` (e.g. a mode ladder above the
-    0.95 * omegaJ guard) become gaps.
+    0.95 * omegaJ guard) become gaps, by :func:`errors.sweep`.
     """
     omegas = np.asarray(signal_omegas, dtype=float)
     a_p = amplitude_from_dbm(m, ip_pump.freq, ip_pump.power_dbm, amp_scale)
-    gain = np.full(omegas.shape, np.nan)
-    upfrac = np.full(omegas.shape, np.nan)
-    gaps = []
-    for idx, ws in enumerate(omegas):
+
+    def point(ws):
         a_s = amplitude_from_dbm(m, ws, signal_power_dbm, amp_scale)
-        try:
-            modes = ModeSet3WM.initial(ws, ip_pump.freq, a_s, a_p)
-            traj = integrate_3wm(m, modes, beta, rtol=rtol)
-            gain[idx] = _gain_db_from(traj)
-            n = traj.photon_flux()
-            upfrac[idx] = (n[-1, 3] + n[-1, 4]) / n[0, 0]
-        except TwpaError as exc:
-            gaps.append((idx, float(ws), f"{type(exc).__name__}: {exc}"))
+        modes = ModeSet3WM.initial(ws, ip_pump.freq, a_s, a_p)
+        traj = integrate_3wm(m, modes, beta, rtol=rtol)
+        n = traj.photon_flux()
+        return _gain_db_from(traj), (n[-1, 3] + n[-1, 4]) / n[0, 0]
+
+    values, gaps = sweep(point, omegas, width=2)
     meta = {"pump": ip_pump, "amp_scale": amp_scale, "beta": beta,
             "signal_power_dbm": signal_power_dbm}
-    return GainSpectrum(omega=omegas, gain_db=gain, metadata=meta,
-                        upconverted_fraction=upfrac, gaps=gaps)
+    return GainSpectrum(omega=omegas, gain_db=values[:, 0], metadata=meta,
+                        upconverted_fraction=values[:, 1], gaps=gaps)
 
 
 def fit_couplings(m: MediumParams, pump: ToneConfig, signal_omegas,

@@ -1,4 +1,6 @@
-"""Exception types raised by the simulation modules."""
+"""Domain error types, and :func:`sweep`, which turns them into gaps."""
+
+import numpy as np
 
 
 class TwpaError(Exception):
@@ -55,3 +57,21 @@ class ConfigError(TwpaError):
         self.diagnostics = list(diagnostics)
         super().__init__("; ".join(f"line {ln}: {msg}" if ln else msg
                                    for ln, msg in self.diagnostics))
+
+
+def sweep(fn, points, width=1):
+    """Evaluate ``fn`` at every grid point; returns ``(values, gaps)``.
+
+    Row ``i`` of the ``(n, width)`` float array ``values`` is
+    ``fn(points[i])``.  A point whose ``fn`` raises a :class:`TwpaError`
+    keeps a NaN row and is recorded in ``gaps``, in grid order, as
+    ``(index, point, "Type: message")``; any other exception propagates.
+    """
+    values = np.full((len(points), width), np.nan)
+    gaps = []
+    for idx, point in enumerate(points):
+        try:
+            values[idx] = fn(point)
+        except TwpaError as exc:
+            gaps.append((idx, float(point), f"{type(exc).__name__}: {exc}"))
+    return values, gaps

@@ -93,15 +93,19 @@ def amplitude_from_dbm(m: MediumParams, omega: float, power_dbm: float,
     coupled-mode equations.  ``amp_scale`` is a single dimensionless
     calibration factor applied to every converted amplitude.
 
-    Raises ``ValueError`` when the amplitude is not positive, e.g. for a
-    power so low that it underflows to zero: gains are ratios to it.
+    Raises ``ValueError`` naming the power when the amplitude underflows
+    to zero or overflows to infinity: gains are ratios to it.
     """
     from .constants import PHI0
-    p_watt = 1e-3 * 10.0 ** (power_dbm / 10.0)
+    try:
+        # a Python float overflows with an error, never a NumPy warning
+        p_watt = 1e-3 * 10.0 ** (float(power_dbm) / 10.0)
+    except OverflowError:
+        p_watt = math.inf
     amp = amp_scale * (2.0 * math.pi / PHI0) * math.sqrt(2.0 * m.Z * p_watt) / omega
-    if not amp > 0:
-        raise ValueError(f"power {power_dbm:g} dBm gives the non-positive "
-                         f"amplitude {amp:g}")
+    if not 0 < amp < math.inf:
+        raise ValueError(f"power {power_dbm:g} dBm gives the amplitude "
+                         f"{amp:g}, which is not finite and positive")
     return amp
 
 

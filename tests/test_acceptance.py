@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from twpasim import cme
+from twpasim import _kernels, cme
 from twpasim import (MediumParams, ModeSet3WM, ModeSet4WM, SnailSpec,
                      ToneConfig, amplitude_from_dbm, cell_coefficients,
                      dk_total, dynamic_etas, equilibrium_phase,
@@ -494,3 +494,39 @@ def test_rhs_matches_transcribed_oracle(medium_035, system):
         y = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         np.testing.assert_allclose(rhs(x, y), oracle(x, tuple(y)),
                                    rtol=1e-12)
+
+
+@pytest.mark.parametrize("pump_dbm", [-76.0, -74.0, -72.0])
+def test_upconversion_two_mode_closed_form(pump_dbm):
+    """Closed-form oracle for the isolation path.  On a lossless line,
+    with the 2ip and s+2ip rows of the transcribed upconversion system
+    zeroed, the pump stays constant and s <-> s+ip is a two-mode frequency
+    converter: |A_s(x)/A_s(0)|^2 = 1 - (kappa/g)^2 sin^2(g x), with
+    kappa^2 = -cs_up * csu_src * |A_ip|^2 and g^2 = kappa^2 + (db/2)^2."""
+    _, m = medium_at(device(tan_delta=0.0), 0.35)
+    ws, wip = 2 * math.pi * 6e9, 2 * math.pi * 10e9
+    oracle = oracle_rhs_3wm(m, BETA_FIT, ws, wip)
+    keep = np.array([1.0, 1.0, 0.0, 1.0, 0.0])
+
+    def rhs(x, y):
+        return keep * np.array(oracle(x, tuple(y)))
+
+    a_ip = amplitude_from_dbm(m, wip, pump_dbm, AMP_SCALE_FIT)
+    a_s = amplitude_from_dbm(m, ws, -130.0, AMP_SCALE_FIT)
+    x = np.linspace(0.0, m.N, 257)
+    rtol = 1e-11
+    y, status = _kernels.integrate(
+        rhs, np.array([a_s, a_ip, 0, 0, 0], dtype=complex), x, rtol,
+        rtol * a_ip * 1e-6, 2_000_000)
+    assert status == _kernels.STATUS_OK
+
+    ks, kip, ksu = (wavevector(m, w) for w in (ws, wip, ws + wip))
+    cs_up = BETA_FIT * (kip - ksu) * kip * ksu / (2 * ks * omega_tilde(m, ws))
+    csu_src = (BETA_FIT * (ks + kip) * kip * ks
+               / (2 * ksu * omega_tilde(m, ws + wip)))
+    kappa_sq = -cs_up * csu_src * a_ip ** 2
+    g = math.sqrt(kappa_sq + ((ksu - kip - ks) / 2) ** 2)
+    closed = 1 - kappa_sq / g ** 2 * np.sin(g * x) ** 2
+    assert kappa_sq / g ** 2 > 0.9  # nearly phase matched: deep conversion
+    np.testing.assert_allclose(np.abs(y[:, 0] / a_s) ** 2, closed,
+                               rtol=0, atol=1e-9)

@@ -173,31 +173,41 @@ class TestRun:
         assert (tmp_path / "a.csv").read_bytes() == \
             (tmp_path / "b.csv").read_bytes()
 
-    def test_gap_rows_stay_nan_in_grid_order(self, tmp_path):
-        """Above 2 * pump the idler frequency is negative: those points
-        become NaN rows in place, and the run still succeeds."""
+    @pytest.mark.parametrize("task, lines, freqs, n_ok, error", [
+        # above 2 * pump the idler frequency is negative
+        ("gain", "pump_freq_hz = 9.2e9\npump_power_dbm = -78\n"
+                 "signal_freq_min_hz = 17e9\nsignal_freq_max_hz = 20e9\n"
+                 "signal_points = 4\nsolver_rtol = 1e-8",
+         [17e9, 18e9, 19e9, 20e9], 2, "NegativeIdler"),
+        # 70 GHz is above 0.98 of the 68.4 GHz plasma frequency
+        ("dispersion", "signal_freq_min_hz = 60e9\n"
+                       "signal_freq_max_hz = 70e9\nsignal_points = 3",
+         [60e9, 65e9, 70e9], 2, "AbovePlasmaCutoff"),
+        ("phase-mismatch", "pump_freq_hz = 9.2e9\npump_power_dbm = -78\n"
+                           "signal_freq_min_hz = 16e9\n"
+                           "signal_freq_max_hz = 20e9\nsignal_points = 3",
+         [16e9, 18e9, 20e9], 2, "NegativeIdler"),
+    ], ids=["gain", "dispersion", "phase-mismatch"])
+    def test_gap_rows_stay_nan_in_grid_order(self, tmp_path, task, lines,
+                                             freqs, n_ok, error):
+        """Grid points outside the model's validity window become NaN
+        rows in place, and the run still succeeds."""
         cfg_path = tmp_path / "c.cfg"
-        cfg_path.write_text("task = gain\nflux = 0.35\npump_freq_hz = 9.2e9\n"
-                            "pump_power_dbm = -78\n"
-                            "signal_freq_min_hz = 17e9\n"
-                            "signal_freq_max_hz = 20e9\nsignal_points = 4\n"
-                            "solver_rtol = 1e-8\n"
+        cfg_path.write_text(f"task = {task}\nflux = 0.35\n{lines}\n"
                             f"out_path = {tmp_path / 'g.csv'}\n")
-        assert main(["gain", "--config", str(cfg_path)]) == 0
+        assert main([task, "--config", str(cfg_path)]) == 0
         cols, rows = self.read_csv(tmp_path / "g.csv")
-        np.testing.assert_array_equal(rows[:, 0], [17e9, 18e9, 19e9, 20e9])
-        vals = rows[:, [cols.index("gain_db"),
-                        cols.index("dk_total_rad_per_cell")]]
-        assert np.all(np.isfinite(vals[:2]))
-        assert np.all(np.isnan(vals[2:]))
+        np.testing.assert_array_equal(rows[:, 0], freqs)
+        assert np.all(np.isfinite(rows[:n_ok, 1:]))
+        assert np.all(np.isnan(rows[n_ok:, 1:]))
 
         # the JSON metadata says why each NaN row is NaN
         json_path = tmp_path / "g.json"
-        assert main(["gain", "--config", str(cfg_path), "--format", "json",
+        assert main([task, "--config", str(cfg_path), "--format", "json",
                      "--out", str(json_path)]) == 0
         gaps = json.loads(json_path.read_text())["metadata"]["gaps"]
-        assert [g["freq_hz"] for g in gaps] == pytest.approx([19e9, 20e9])
-        assert all(g["error"].startswith("NegativeIdler: ") for g in gaps)
+        assert [g["freq_hz"] for g in gaps] == pytest.approx(freqs[n_ok:])
+        assert all(g["error"].startswith(f"{error}: ") for g in gaps)
 
     def test_csv_round_trip_precision(self, tmp_path):
         text = GAIN_CFG + "precision = 9\n"
@@ -302,9 +312,15 @@ class TestMainExitCodes:
         ("gain", "signal_power_dbm = -4000\nsignal_points = 2"),
         ("saturation", "signal_freq_hz = 7.6e9\n"
                        "signal_power_min_dbm = -4000"),
+        ("gain", "signal_power_dbm = 4000\nsignal_points = 2"),
+        ("saturation", "signal_freq_hz = 7.6e9\n"
+                       "signal_power_min_dbm = 4000\n"
+                       "signal_power_max_dbm = 5000"),
     ])
     def test_underflowing_signal_power_exit_three(self, tmp_path, capsys,
                                                   task, lines):
+        """A power whose amplitude underflows to 0 or overflows to inf is
+        a typed exit 3 naming it, not a traceback."""
         out = tmp_path / "o.csv"
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text(f"task = {task}\nflux = 0.35\n"
@@ -312,8 +328,11 @@ class TestMainExitCodes:
                             f"{lines}\nout_path = {out}\n")
         assert main([task, "--config", str(cfg_path)]) == 3
         doc = json.loads(capsys.readouterr().err.strip())
-        assert doc == {"error": "ValueError", "detail": "power -4000 dBm "
-                       "gives the non-positive amplitude 0"}
+        amplitude = "0" if "-4000" in lines else "inf"
+        power = "-4000" if "-4000" in lines else "4000"
+        assert doc == {"error": "ValueError", "detail": f"power {power} dBm "
+                       f"gives the amplitude {amplitude}, which is not "
+                       f"finite and positive"}
         assert not out.exists()
 
     def test_missing_config_exit_two(self):

@@ -9,7 +9,7 @@ from twpasim import (MediumParams, ModeSet3WM, ModeSet4WM, ToneConfig,
                      integrate_3wm, integrate_4wm, isolation_spectrum,
                      linear_transmission_db, saturation_curve)
 from twpasim import cme
-from twpasim.errors import AbovePlasmaCutoff, StepFailure
+from twpasim.errors import AbovePlasmaCutoff, NegativeIdler, StepFailure
 
 W_AP = 2 * math.pi * 9.2e9
 W_S = 2 * math.pi * 7.6e9
@@ -37,7 +37,7 @@ class TestModeSets:
         assert w[4] == W_S + 2 * W_AP
 
     def test_negative_idler_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(NegativeIdler):
             ModeSet4WM.initial(2.5 * W_AP, W_AP, 1e-6, 1.0)
 
     def test_plasma_guard_on_upconverted_modes(self, medium_035):

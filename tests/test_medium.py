@@ -116,10 +116,14 @@ class TestAmplitudeConversion:
         a2 = amplitude_from_dbm(m, w, -78.0 + 20 * math.log10(2))
         assert a2 == pytest.approx(2 * a1, rel=1e-12)
 
-    def test_underflowing_power_rejected(self, medium_zero_flux):
-        # 1e-403 W underflows to 0, which would make every gain 0/0
-        with pytest.raises(ValueError, match="power -4000 dBm"):
-            amplitude_from_dbm(medium_zero_flux, 2 * math.pi * 7e9, -4000.0)
+    @pytest.mark.parametrize("power", [-4000.0, 4000.0, np.float64(4000.0)],
+                             ids=["underflow", "overflow", "overflow-numpy"])
+    def test_underflowing_power_rejected(self, medium_zero_flux, power):
+        # 1e-403 W underflows to 0, which would make every gain 0/0; 1e397 W
+        # overflows a Python float with an OverflowError and a NumPy one
+        # with a RuntimeWarning (an error under this suite's filter)
+        with pytest.raises(ValueError, match=f"power {power:g} dBm"):
+            amplitude_from_dbm(medium_zero_flux, 2 * math.pi * 7e9, power)
 
 
 class TestValidation:
