@@ -1,4 +1,4 @@
-"""Adaptive Dormand-Prince 5(4) stepper for the coupled-mode systems.
+"""Adaptive Dormand-Prince 8(5,3) stepper for the coupled-mode systems.
 
 ``integrate`` is plain NumPy on whole state arrays.  It takes the
 right-hand side as its first argument: a callable ``rhs(x, y)`` that
@@ -6,10 +6,14 @@ returns dy/dx as a new array shaped like ``y`` (the ``solve_ivp``
 convention).  The right-hand sides themselves are built, with their
 coefficients, in :mod:`twpasim.cme`.
 
-The seven stages of a step are the rows of one ``(7, n)`` array.  The
-last stage of an accepted step is dy/dx at the new point, so it is
-reused as the first stage of the next step ("first same as last") and
-each attempted step costs six right-hand-side evaluations.
+The method is DOP853 (Hairer, Norsett & Wanner, *Solving Ordinary
+Differential Equations I*, 2nd ed., 1993, section II.10): twelve stages
+give an eighth-order solution, and a combined fifth- and third-order
+estimate of its error drives the step size.  The thirteen stages of a
+step (the twelve plus dy/dx at the new point) are the rows of one
+``(13, n)`` array.  The last one is reused as the first stage of the
+next step ("first same as last"), so each attempted step costs twelve
+right-hand-side evaluations.
 """
 
 import numpy as np
@@ -19,25 +23,103 @@ STATUS_MAX_STEPS = 1
 STATUS_STEP_UNDERFLOW = 2
 
 
-# Dormand-Prince 5(4) tableau: stage s (0..5) is evaluated at x + _C[s]*h
-# from y + h * (_A[s, :s] @ k[:s]); the fifth-order solution weights the
-# first six stages by _B, and _E weights all seven stages (the last one
-# taken at the fifth-order solution) into the embedded error estimate.
-_C = np.array([0.0, 0.2, 0.3, 0.8, 8.0 / 9.0, 1.0])
-_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0],
-    [0.2, 0.0, 0.0, 0.0, 0.0],
-    [3.0 / 40.0, 9.0 / 40.0, 0.0, 0.0, 0.0],
-    [44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0, 0.0, 0.0],
-    [19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0,
-     -212.0 / 729.0, 0.0],
-    [9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
-     -5103.0 / 18656.0],
+# Dormand-Prince 8(5,3) tableau: stage s (0..11) is evaluated at
+# x + _C[s]*h from y + h * (_A[s, :s] @ k[:s]); the eighth-order solution
+# weights the twelve stages by _B, and _E5 / _E3 weight all thirteen
+# stages (the last one, taken at the new point, with weight 0) into the
+# fifth- and third-order error estimates.
+_C = np.array([
+    0.0,
+    0.526001519587677318785587544488e-01,
+    0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510,
+    0.281649658092772603273242802490,
+    0.333333333333333333333333333333,
+    0.25,
+    0.307692307692307692307692307692,
+    0.651282051282051282051282051282,
+    0.6,
+    0.857142857142857142857142857142,
+    1.0,
 ])
-_B = np.array([35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0,
-               -2187.0 / 6784.0, 11.0 / 84.0])
-_E = np.array([71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
-               -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0])
+_A = np.zeros((12, 12))
+_A[1, :1] = [5.26001519587677318785587544488e-2]
+_A[2, :2] = [1.97250569845378994544595329183e-2,
+             5.91751709536136983633785987549e-2]
+_A[3, :3] = [2.95875854768068491816892993775e-2, 0.0,
+             8.87627564304205475450678981324e-2]
+_A[4, :4] = [2.41365134159266685502369798665e-1, 0.0,
+             -8.84549479328286085344864962717e-1,
+             9.24834003261792003115737966543e-1]
+_A[5, :5] = [3.7037037037037037037037037037e-2, 0.0, 0.0,
+             1.70828608729473871279604482173e-1,
+             1.25467687566822425016691814123e-1]
+_A[6, :6] = [3.7109375e-2, 0.0, 0.0,
+             1.70252211019544039314978060272e-1,
+             6.02165389804559606850219397283e-2,
+             -1.7578125e-2]
+_A[7, :7] = [3.70920001185047927108779319836e-2, 0.0, 0.0,
+             1.70383925712239993810214054705e-1,
+             1.07262030446373284651809199168e-1,
+             -1.53194377486244017527936158236e-2,
+             8.27378916381402288758473766002e-3]
+_A[8, :8] = [6.24110958716075717114429577812e-1, 0.0, 0.0,
+             -3.36089262944694129406857109825,
+             -8.68219346841726006818189891453e-1,
+             2.75920996994467083049415600797e1,
+             2.01540675504778934086186788979e1,
+             -4.34898841810699588477366255144e1]
+_A[9, :9] = [4.77662536438264365890433908527e-1, 0.0, 0.0,
+             -2.48811461997166764192642586468,
+             -5.90290826836842996371446475743e-1,
+             2.12300514481811942347288949897e1,
+             1.52792336328824235832596922938e1,
+             -3.32882109689848629194453265587e1,
+             -2.03312017085086261358222928593e-2]
+_A[10, :10] = [-9.3714243008598732571704021658e-1, 0.0, 0.0,
+               5.18637242884406370830023853209,
+               1.09143734899672957818500254654,
+               -8.14978701074692612513997267357,
+               -1.85200656599969598641566180701e1,
+               2.27394870993505042818970056734e1,
+               2.49360555267965238987089396762,
+               -3.0467644718982195003823669022]
+_A[11, :11] = [2.27331014751653820792359768449, 0.0, 0.0,
+               -1.05344954667372501984066689879e1,
+               -2.00087205822486249909675718444,
+               -1.79589318631187989172765950534e1,
+               2.79488845294199600508499808837e1,
+               -2.85899827713502369474065508674,
+               -8.87285693353062954433549289258,
+               1.23605671757943030647266201528e1,
+               6.43392746015763530355970484046e-1]
+_B = np.array([
+    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+    4.45031289275240888144113950566,
+    1.89151789931450038304281599044,
+    -5.8012039600105847814672114227,
+    3.1116436695781989440891606237e-1,
+    -1.52160949662516078556178806805e-1,
+    2.01365400804030348374776537501e-1,
+    4.47106157277725905176885569043e-2,
+])
+_E5 = np.array([
+    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+    -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952,
+    0.1664377182454986536961530415e+1,
+    -0.3503288487499736816886487290,
+    0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1,
+    -0.2235530786388629525884427845e-1,
+    0.0,
+])
+# eighth-order minus third-order weights; the third-order solution
+# differs from _B in stages 0, 8 and 11 only
+_E3 = np.append(_B, 0.0)
+_E3[0] -= 0.244094488188976377952755905512
+_E3[8] -= 0.733846688281611857341361741547
+_E3[11] -= 0.220588235294117647058823529412e-1
 
 
 def integrate(rhs, y0, x_eval, rtol, atol, max_steps):
@@ -46,8 +128,9 @@ def integrate(rhs, y0, x_eval, rtol, atol, max_steps):
     (len(x_eval), len(y0)) and one of the ``STATUS_*`` codes; on failure
     the samples past the last reached point stay zero."""
     n_out = x_eval.shape[0]
-    out = np.zeros((n_out, y0.shape[0]), dtype=np.complex128)
-    k = np.empty((7, y0.shape[0]), dtype=np.complex128)
+    n = y0.shape[0]
+    out = np.zeros((n_out, n), dtype=np.complex128)
+    k = np.empty((13, n), dtype=np.complex128)
 
     y = y0
     x = x_eval[0]
@@ -55,7 +138,10 @@ def integrate(rhs, y0, x_eval, rtol, atol, max_steps):
 
     span = x_eval[n_out - 1] - x_eval[0]
     h = span * 1e-3
-    h_min = span * 1e-14
+    # well below any regular step (0.3-5 cells), and high enough that a
+    # stiff run that stays finite gives up quickly instead of creeping
+    # through the whole step budget
+    h_min = span * 1e-10
     steps = 0
 
     k[0] = rhs(x, y)
@@ -67,24 +153,29 @@ def integrate(rhs, y0, x_eval, rtol, atol, max_steps):
             steps += 1
             h_try = min(h, x_next - x)
 
-            for s in range(1, 6):
+            for s in range(1, 12):
                 k[s] = rhs(x + _C[s] * h_try, y + h_try * (_A[s, :s] @ k[:s]))
-            y5 = y + h_try * (_B @ k[:6])
-            k[6] = rhs(x + h_try, y5)
+            y8 = y + h_try * (_B @ k[:12])
+            k[12] = rhs(x + h_try, y8)
 
-            # scaled RMS of the embedded 4th/5th-order difference
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-            err = np.sqrt(np.mean((np.abs(h_try * (_E @ k)) / scale) ** 2))
+            # DOP853's combined norm of the 5th- and 3rd-order estimates
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y8))
+            e5 = np.sum((np.abs(_E5 @ k) / scale) ** 2)
+            e3 = np.sum((np.abs(_E3 @ k) / scale) ** 2)
+            if e5 == 0.0 and e3 == 0.0:
+                err = 0.0
+            else:
+                err = h_try * e5 / np.sqrt((e5 + 0.01 * e3) * n)
 
             finite = np.isfinite(err)
             if finite and err <= 1.0:
                 x = x + h_try
-                y = y5
-                k[0] = k[6]
-                fac = 5.0 if err == 0.0 else 0.9 * err ** -0.2
+                y = y8
+                k[0] = k[12]
+                fac = 5.0 if err == 0.0 else 0.9 * err ** -0.125
                 h = h_try * min(max(fac, 0.2), 5.0)
             else:
-                h = h_try * (max(0.9 * err ** -0.2, 0.1) if finite else 0.1)
+                h = h_try * (max(0.9 * err ** -0.125, 0.1) if finite else 0.1)
                 if h < h_min:
                     return out, STATUS_STEP_UNDERFLOW
         out[i_out] = y

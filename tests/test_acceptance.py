@@ -5,6 +5,7 @@ Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
 import cmath
+import dataclasses
 import math
 import time
 
@@ -530,3 +531,38 @@ def test_upconversion_two_mode_closed_form(pump_dbm):
     assert kappa_sq / g ** 2 > 0.9  # nearly phase matched: deep conversion
     np.testing.assert_allclose(np.abs(y[:, 0] / a_s) ** 2, closed,
                                rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("pump_dbm", [-80.0, -78.0])
+@pytest.mark.parametrize("f_s", [6e9, 7.6e9, 8.5e9, 11e9])
+def test_parametric_gain_closed_form(medium_035, f_s, pump_dbm):
+    """Closed-form oracle for the gain path (Yaakobi et al., PRB 87,
+    144301, 2013).  On a lossless line with beta = 0 and no depletion the
+    pump only picks up a Kerr phase and the signal gain is
+    G = |cosh(gN) + i (Delta/2g) sinh(gN)|^2, with P = kap^2 |A_p|^2,
+    Delta = d1 + 2 cap_kerr P - (cs_k + ci_k) P and
+    g^2 = cs_pair ci_pair |A_p|^4 - (Delta/2)^2 (coefficients named as
+    in cme._rhs_4wm).  Here g^2 < 0, so cosh and sinh turn into cos and
+    sin: the mismatch only just outweighs the pair coupling."""
+    m = dataclasses.replace(medium_035, tan_delta=0.0)
+    ws = 2 * math.pi * f_s
+    a_p = amplitude_from_dbm(m, W_AP, pump_dbm, AMP_SCALE_FIT)
+    a_s = amplitude_from_dbm(m, ws, -130.0, AMP_SCALE_FIT)
+    modes = ModeSet4WM.initial(ws, W_AP, a_s, a_p)
+    traj = integrate_4wm(m, modes, beta=0.0, gamma=GAMMA_FIT, rtol=1e-11,
+                         pump_depletion=False)
+    gain_db = 20 * math.log10(abs(traj.amplitudes[-1, 0]) / a_s)
+
+    ks, kap, ki = (wavevector(m, w) for w in modes.frequencies[:3])
+    ts, tap, ti = (omega_tilde(m, w) for w in modes.frequencies[:3])
+    cs_k = 6 * GAMMA_FIT * ks / (8 * ts)
+    cs_pair = 3 * GAMMA_FIT / (8 * ts * ks) * (2 * kap - ki) * kap**2 * ki
+    cap_kerr = 3 * GAMMA_FIT * kap / (8 * tap)
+    ci_k = 6 * GAMMA_FIT * ki / (8 * ti)
+    ci_pair = 3 * GAMMA_FIT / (8 * ti * ki) * (2 * kap - ks) * kap**2 * ks
+    p = kap**2 * a_p**2
+    delta = 2 * kap - ki - ks + 2 * cap_kerr * p - (cs_k + ci_k) * p
+    g = cmath.sqrt(cs_pair * ci_pair * a_p**4 - (delta / 2) ** 2)
+    closed = abs(cmath.cosh(g * m.N)
+                 + 1j * delta / (2 * g) * cmath.sinh(g * m.N)) ** 2
+    assert abs(gain_db - 10 * math.log10(closed)) <= 1e-8

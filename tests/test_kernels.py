@@ -1,16 +1,16 @@
-"""Stepper checks: the adaptive Dormand-Prince integrator must agree with
-an external integrator on both coupled-mode systems and report its
-failure modes."""
+"""Stepper checks: the adaptive Dormand-Prince 8(5,3) integrator must
+agree with an external integrator on both coupled-mode systems, carry
+the published tableau and report its failure modes."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from twpasim import ModeSet3WM, ModeSet4WM, amplitude_from_dbm
 from twpasim import _kernels
-from twpasim.cme import _rhs_3wm, _rhs_4wm
+from twpasim.cme import _MAX_STEPS, _rhs_3wm, _rhs_4wm
 from twpasim.errors import StepFailure
 
 
@@ -61,9 +61,38 @@ def test_step_failure_surfaces_as_typed_error(medium_035):
     a = amplitude_from_dbm(medium_035, 2 * math.pi * 9.2e9, -78.0)
     modes = ModeSet4WM.initial(2 * math.pi * 7.6e9, 2 * math.pi * 9.2e9,
                                1e-6, a)
-    # absurd coupling makes the run blow up to non-finite values
+    # absurd coupling makes the run stiff: it goes non-finite or its step
+    # falls below the floor
     with pytest.raises(StepFailure):
         integrate_4wm(medium_035, modes, beta=0.0, gamma=1e12, rtol=1e-8)
+
+
+def test_stiff_run_underflows_within_a_thousand_calls(medium_035):
+    """The absurd-coupling run above, handed straight to the stepper with
+    the production step budget, stays finite at tiny steps; the step
+    floor must end it as an underflow instead of letting it creep
+    through the budget."""
+    a = amplitude_from_dbm(medium_035, 2 * math.pi * 9.2e9, -78.0)
+    modes = ModeSet4WM.initial(2 * math.pi * 7.6e9, 2 * math.pi * 9.2e9,
+                               1e-6, a)
+    rhs = _rhs_4wm(medium_035, modes, beta=0.0, gamma=1e12,
+                   pump_depletion=True)
+    calls = 0
+
+    def counting(x, y):
+        nonlocal calls
+        calls += 1
+        # fail here rather than wait minutes for the budget to run out
+        assert calls <= 1000, "stiff run still stepping after 1000 calls"
+        return rhs(x, y)
+
+    y0 = modes.amplitudes
+    x_eval = np.linspace(0.0, float(medium_035.N), 257)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, status = _kernels.integrate(counting, y0, x_eval, 1e-8,
+                                       1e-8 * abs(y0).max() * 1e-6,
+                                       _MAX_STEPS)
+    assert status == _kernels.STATUS_STEP_UNDERFLOW
 
 
 def test_trajectory_endpoints_and_sampling(medium_035):
@@ -78,14 +107,23 @@ def test_trajectory_endpoints_and_sampling(medium_035):
 
 
 def test_tableau_order_conditions():
-    """Each row of _A sums to its node, the fifth-order weights integrate
-    x^q exactly for q = 0..4 and the error weights cancel on a constant."""
-    A, B, C, E = _kernels._A, _kernels._B, _kernels._C, _kernels._E
+    """Each row of _A sums to its node, the eighth-order weights integrate
+    x^q exactly for q = 0..7 and both error weights cancel on a
+    constant."""
+    A, B, C = _kernels._A, _kernels._B, _kernels._C
     np.testing.assert_allclose(A.sum(axis=1), C, rtol=0, atol=1e-14)
     assert abs(B.sum() - 1.0) <= 1e-14
-    assert abs(E.sum()) <= 1e-14
-    for q in range(5):
+    assert abs(_kernels._E5.sum()) <= 1e-14
+    assert abs(_kernels._E3.sum()) <= 1e-14
+    for q in range(8):
         assert abs(np.sum(B * C**q) - 1.0 / (q + 1)) <= 1e-14
+
+
+def test_tableau_matches_scipy_dop853():
+    """The transcribed constants are scipy's DOP853 tableau, bit for bit."""
+    for name in ("A", "B", "C", "E3", "E5"):
+        np.testing.assert_array_equal(getattr(_kernels, "_" + name),
+                                      getattr(DOP853, name), err_msg=name)
 
 
 def test_non_finite_state_is_a_step_underflow():
@@ -108,7 +146,7 @@ def test_non_finite_state_is_a_step_underflow():
 def test_last_stage_is_reused_as_first_stage(medium_035):
     """First same as last: no (x, y) is evaluated twice, neither across an
     accepted step nor on the retry after a rejection, so a run costs one
-    evaluation plus six per attempted step."""
+    evaluation plus twelve per attempted step."""
     y0, rhs = _standard_setup(medium_035)
     calls = []
 
@@ -120,5 +158,5 @@ def test_last_stage_is_reused_as_first_stage(medium_035):
     _, status = _kernels.integrate(recording, y0, x_eval, 1e-10,
                                    1e-10 * abs(y0).max() * 1e-6, 2_000_000)
     assert status == _kernels.STATUS_OK
-    assert len(calls) % 6 == 1
+    assert len(calls) % 12 == 1
     assert len(set(calls)) == len(calls)
