@@ -178,15 +178,15 @@ def validate(config_text: str) -> dict:
         if key in values and values[key] is not None and values[key] < 1:
             diags.append((seen.get(key, ("", 0))[1],
                           f"'{key}' must be >= 1"))
-    # gain_spectrum / isolation_spectrum take a strictly increasing grid
-    lo = values.get("signal_freq_min_hz", -math.inf)
-    hi = values.get("signal_freq_max_hz", math.inf)
-    if (values.get("task") in ("gain", "isolation")
-            and values.get("signal_points", 0) > 1 and lo >= hi):
-        line = max(seen.get(k, ("", 0))[1]
-                   for k in ("signal_freq_min_hz", "signal_freq_max_hz"))
-        diags.append((line, "signal_freq_min_hz must be below "
-                            "signal_freq_max_hz when signal_points > 1"))
+    # the spectra and saturation_curve take strictly increasing grids
+    for tasks, n, lo, hi in ((("gain", "isolation"), "signal_points",
+                              "signal_freq_min_hz", "signal_freq_max_hz"),
+                             (("saturation",), "signal_power_points",
+                              "signal_power_min_dbm", "signal_power_max_dbm")):
+        if (values.get("task") in tasks and values.get(n, 0) > 1
+                and values.get(lo, -math.inf) >= values.get(hi, math.inf)):
+            line = max(seen.get(k, ("", 0))[1] for k in (lo, hi))
+            diags.append((line, f"{lo} must be below {hi} when {n} > 1"))
 
     if diags:
         raise ConfigError(sorted(diags))
@@ -232,9 +232,8 @@ _CELL_COLUMNS = ["flux_phi0", "phi_star_rad", "alpha_tilde", "beta_tilde",
 
 
 def _task_cell_params(cfg: dict):
-    spec, coeffs, _, _, _ = _device(cfg)
-    fp = coeffs.flux
-    return _CELL_COLUMNS, [_cell_row(cfg["flux"], fp, coeffs)], {}
+    _, coeffs, _, _, _ = _device(cfg)
+    return _CELL_COLUMNS, [_cell_row(cfg["flux"], coeffs.flux, coeffs)], {}
 
 
 def _task_flux_sweep(cfg: dict):

@@ -41,7 +41,6 @@ PLASMA_GUARD_3WM = 0.95  # harder guard: upconversion modes approach omegaJ
 RTOL_RANGE = (1e-12, 1e-6)  # accepted integrator tolerances
 
 _MAX_STEPS = 2_000_000
-_MIN_SAMPLES = 65
 
 
 @dataclass
@@ -284,7 +283,9 @@ def _validate_rtol(rtol: float) -> None:
 
 def _propagate(m: MediumParams, modes, rhs, rtol: float,
                n_samples: int) -> Trajectory:
-    x_eval = np.linspace(0.0, float(m.N), max(int(n_samples), _MIN_SAMPLES))
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
+    x_eval = np.linspace(0.0, float(m.N), n_samples)
     y0 = modes.amplitudes
     atol = rtol * max(float(np.max(np.abs(y0))), 1e-30) * 1e-6
     # blowing-up runs are detected and reported via the status code; the
@@ -305,7 +306,7 @@ def integrate_4wm(m: MediumParams, modes: ModeSet4WM, beta: float,
                   gamma: float, rtol: float = 1e-10, n_samples: int = 257,
                   pump_depletion: bool = True) -> Trajectory:
     """Integrate the six-mode system over the line, x = 0 to N, sampled
-    at ``max(n_samples, 65)`` evenly spaced points.
+    at ``n_samples`` evenly spaced points (at least 2).
 
     ``pump_depletion`` keeps the four-wave backaction of signal and idler
     on the pump; disabling it reproduces the stiff-pump variant.  A mode
@@ -337,17 +338,16 @@ def gain_spectrum(m: MediumParams, pump: ToneConfig, signal_omegas,
                   gamma: float = 0.0, amp_scale: float = 1.0,
                   rtol: float = 1e-10) -> GainSpectrum:
     """Small-signal gain, with pump depletion, over a signal frequency
-    grid [rad/s].  A point that fails with a ``TwpaError`` (plasma guard,
-    negative idler, stiff run) is a NaN gap, by :func:`errors.sweep`.
-    """
+    grid [rad/s]; each point integrates straight to x = N.  A point that
+    fails with a ``TwpaError`` (plasma guard, negative idler, stiff run)
+    is a NaN gap, by :func:`errors.sweep`."""
     omegas = np.asarray(signal_omegas, dtype=float)
     a_p = amplitude_from_dbm(m, pump.freq, pump.power_dbm, amp_scale)
 
     def point(ws):
         a_s = amplitude_from_dbm(m, ws, signal_power_dbm, amp_scale)
         modes = ModeSet4WM.initial(ws, pump.freq, a_s, a_p)
-        traj = integrate_4wm(m, modes, beta, gamma, rtol=rtol,
-                             n_samples=_MIN_SAMPLES)
+        traj = integrate_4wm(m, modes, beta, gamma, rtol=rtol, n_samples=2)
         return _gain_db_from(traj)
 
     gain, gaps = sweep(point, omegas)
@@ -369,10 +369,9 @@ def saturation_curve(m: MediumParams, pump: ToneConfig, omega_s: float,
                      power_grid_dbm, beta: float = 0.0, gamma: float = 0.0,
                      amp_scale: float = 1.0, rtol: float = 1e-10
                      ) -> SaturationResult:
-    """Gain versus signal power with full pump depletion.
-
-    Reports the 1 dB compression input power (linear interpolation on the
-    grid) if the curve crosses it.
+    """Gain versus signal power with full pump depletion; each power
+    integrates straight to x = N.  Reports the 1 dB compression input
+    power (linear interpolation on the grid) if the curve crosses it.
     """
     powers = np.asarray(power_grid_dbm, dtype=float)
     if np.any(np.diff(powers) <= 0):
@@ -382,21 +381,17 @@ def saturation_curve(m: MediumParams, pump: ToneConfig, omega_s: float,
     for idx, p_dbm in enumerate(powers):
         a_s = amplitude_from_dbm(m, omega_s, p_dbm, amp_scale)
         modes = ModeSet4WM.initial(omega_s, pump.freq, a_s, a_p)
-        traj = integrate_4wm(m, modes, beta, gamma, rtol=rtol,
-                             pump_depletion=True)
+        traj = integrate_4wm(m, modes, beta, gamma, rtol=rtol, n_samples=2)
         gain[idx] = _gain_db_from(traj)
 
     g0 = gain[0]
     comp = None
     below = np.where(gain <= g0 - 1.0)[0]
-    if below.size:
+    if below.size:  # never at index 0, where the gain is g0 itself
         j = below[0]
-        if j == 0:
-            comp = float(powers[0])
-        else:
-            g1, g2 = gain[j - 1], gain[j]
-            frac = (g0 - 1.0 - g1) / (g2 - g1)
-            comp = float(powers[j - 1] + frac * (powers[j] - powers[j - 1]))
+        g1, g2 = gain[j - 1], gain[j]
+        frac = (g0 - 1.0 - g1) / (g2 - g1)
+        comp = float(powers[j - 1] + frac * (powers[j] - powers[j - 1]))
     return SaturationResult(power_dbm=powers, gain_db=gain,
                             small_signal_gain_db=float(g0),
                             compression_1db_dbm=comp)
@@ -410,17 +405,17 @@ def isolation_spectrum(m: MediumParams, ip_pump: ToneConfig, signal_omegas,
 
     Returns transmission in dB (negative = isolation) and the photon
     fraction upconverted to ``omega_s + omega_ip`` and
-    ``omega_s + 2 omega_ip``, referenced to the signal input.  Grid
-    points that fail with a ``TwpaError`` (e.g. a mode ladder above the
-    0.95 * omegaJ guard) become gaps, by :func:`errors.sweep`.
-    """
+    ``omega_s + 2 omega_ip``, referenced to the signal input.  Each point
+    integrates straight to x = N.  Grid points that fail with a
+    ``TwpaError`` (e.g. a mode ladder above the 0.95 * omegaJ guard)
+    become gaps, by :func:`errors.sweep`."""
     omegas = np.asarray(signal_omegas, dtype=float)
     a_p = amplitude_from_dbm(m, ip_pump.freq, ip_pump.power_dbm, amp_scale)
 
     def point(ws):
         a_s = amplitude_from_dbm(m, ws, signal_power_dbm, amp_scale)
         modes = ModeSet3WM.initial(ws, ip_pump.freq, a_s, a_p)
-        traj = integrate_3wm(m, modes, beta, rtol=rtol)
+        traj = integrate_3wm(m, modes, beta, rtol=rtol, n_samples=2)
         n = traj.photon_flux()
         return _gain_db_from(traj), (n[-1, 3] + n[-1, 4]) / n[0, 0]
 

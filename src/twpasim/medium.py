@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .constants import PHI0
 from .errors import AbovePlasmaCutoff
 from .unitcell import CellCoefficients, SnailSpec
 
@@ -96,7 +97,6 @@ def amplitude_from_dbm(m: MediumParams, omega: float, power_dbm: float,
     Raises ``ValueError`` naming the power when the amplitude underflows
     to zero or overflows to infinity: gains are ratios to it.
     """
-    from .constants import PHI0
     try:
         # a Python float overflows with an error, never a NumPy warning
         p_watt = 1e-3 * 10.0 ** (float(power_dbm) / 10.0)
@@ -112,7 +112,6 @@ def amplitude_from_dbm(m: MediumParams, omega: float, power_dbm: float,
 def power_dbm_from_amplitude(m: MediumParams, omega: float, amplitude: float,
                              amp_scale: float = 1.0) -> float:
     """Inverse of :func:`amplitude_from_dbm` (amplitude in phase units)."""
-    from .constants import PHI0
     flux_amp = (amplitude / amp_scale) * PHI0 / (2.0 * math.pi)
     p_watt = (omega * flux_amp) ** 2 / (2.0 * m.Z)
     return 10.0 * math.log10(p_watt / 1e-3)

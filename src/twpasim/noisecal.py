@@ -219,7 +219,10 @@ def read_noise_records(path) -> NoiseMeasurement:
         has_weight = len(cols) == 4 and cols[3] == "weight"
         if len(cols) > 3 and not has_weight:
             raise ValueError(f"unexpected extra columns in '{header}'")
-        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+        records = [ln for ln in fh if ln.split("#", 1)[0].strip()]
+    if not records:
+        raise ValueError(f"{path} holds no records after the header")
+    rows = np.loadtxt(records, delimiter=",", ndmin=2)
     want = 4 if has_weight else 3
     if rows.shape[1] != want:
         raise ValueError(f"expected {want} columns, got {rows.shape[1]}")

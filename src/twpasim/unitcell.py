@@ -127,6 +127,11 @@ def _residual_derivative(phi: float, r: float, phi_ext_rad: float) -> float:
     return r * math.cos(phi) + math.cos((phi - phi_ext_rad) / 3.0) / 3.0
 
 
+def _gamma_t(r: float, phi_star: float, phi_ext_rad: float) -> float:
+    arg = (phi_star - phi_ext_rad) / 3.0
+    return (r * math.cos(phi_star) + math.cos(arg) / 27.0) / 6.0
+
+
 def _newton_polish(phi: float, r: float, phi_ext_rad: float) -> float:
     for _ in range(_NEWTON_MAX_ITER):
         f = _current_residual(phi, r, phi_ext_rad)
@@ -202,7 +207,7 @@ def cell_coefficients(spec: SnailSpec, fp: FluxPoint,
     inner = math.cos(arg) / 3.0 if consistent_derivatives else math.cos(arg)
     alpha = r * math.cos(ps) + inner
     beta_t = 0.5 * (r * math.sin(ps) + math.sin(arg) / 9.0)
-    gamma_t = (r * math.cos(ps) + math.cos(arg) / 27.0) / 6.0
+    gamma_t = _gamma_t(r, ps, fp.phi_ext_rad)
 
     if alpha <= 0.0:
         raise NonPositiveInductance(
@@ -270,11 +275,10 @@ def kerr_free_flux(spec: SnailSpec, scan_points: int = 2001) -> float:
 
     def gamma_t_at(flux_rad: float, phi_guess: float, prev_rad: float):
         phi = _continue_equilibrium(spec.r, prev_rad, phi_guess, flux_rad)
-        arg = (phi - flux_rad) / 3.0
-        return (spec.r * math.cos(phi) + math.cos(arg) / 27.0) / 6.0, phi
+        return _gamma_t(spec.r, phi, flux_rad), phi
 
     prev_rad, prev_phi = 0.0, 0.0
-    prev_g = (spec.r + 1.0 / 27.0) / 6.0  # gamma_t at zero flux
+    prev_g = _gamma_t(spec.r, 0.0, 0.0)
     bracket = None
     for f in grid[1:]:
         rad = _TWO_PI * f

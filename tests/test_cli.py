@@ -83,6 +83,19 @@ class TestValidate:
         # a single point needs no ordering
         validate(text.replace("signal_points = 8", "signal_points = 1"))
 
+    def test_decreasing_power_grid_rejected(self):
+        text = ("task = saturation\npump_freq_hz = 9.2e9\n"
+                "pump_power_dbm = -78\nsignal_freq_hz = 7.6e9\n"
+                "signal_power_max_dbm = -100\nsignal_power_min_dbm = -90\n"
+                "signal_power_points = 3\n")
+        with pytest.raises(ConfigError) as exc:
+            validate(text)
+        assert exc.value.diagnostics == [
+            (6, "signal_power_min_dbm must be below signal_power_max_dbm "
+                "when signal_power_points > 1")]
+        validate(text.replace("signal_power_points = 3",
+                              "signal_power_points = 1"))
+
     @pytest.mark.parametrize("task, line, message", [
         ("gain", "signal_freq_max_hz = nan",
          "'signal_freq_max_hz' must be finite, got nan"),

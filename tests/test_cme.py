@@ -88,10 +88,15 @@ class TestFourWaveMixing:
         power = n @ ms.frequencies
         assert abs(power[-1] - power[0]) / power[0] < 1e-6
 
-    def test_trajectory_sampling_floor(self, medium_035):
+    def test_trajectory_sampled_where_asked(self, medium_035):
         ms = ModeSet4WM.initial(W_S, W_AP, 1e-6, 0.5)
+        traj = integrate_4wm(medium_035, ms, 0.02, 0.01, n_samples=2)
+        np.testing.assert_array_equal(traj.x, [0.0, medium_035.N])
+        assert traj.amplitudes.shape == (2, 6)
         traj = integrate_4wm(medium_035, ms, 0.02, 0.01, n_samples=10)
-        assert traj.x.size >= 64
+        assert traj.x.size == 10
+        with pytest.raises(ValueError, match="n_samples"):
+            integrate_4wm(medium_035, ms, 0.02, 0.01, n_samples=1)
 
 
 FIT = dict(beta=0.104388, gamma=0.122339, amp_scale=1.55)
@@ -146,6 +151,58 @@ class TestGainSpectrum:
         spec = gain_spectrum(medium_035, ToneConfig(2 * math.pi * 33e9,
                                                     -78.0), grid)
         assert len(spec.gaps) == len(grid)
+
+
+class TestEndpointSampling:
+    """Every spectrum point integrates straight to x = N: it asks the
+    stepper for the two ends of the line only, and the endpoint it gets
+    is the one a densely sampled run reaches."""
+
+    GRID = 2 * math.pi * np.array([6.0e9, 7.6e9])
+    W_IP = 2 * math.pi * 12.2e9
+
+    @pytest.mark.parametrize("task", ["gain", "saturation", "isolation"])
+    def test_spectra_ask_for_two_samples(self, medium_035, monkeypatch,
+                                         task):
+        integrate = cme._kernels.integrate
+        sample_counts = []
+
+        def recording(rhs, y0, x_eval, *args):
+            sample_counts.append(len(x_eval))
+            return integrate(rhs, y0, x_eval, *args)
+
+        monkeypatch.setattr(cme._kernels, "integrate", recording)
+        pump = ToneConfig(W_AP, -78.0)
+        if task == "gain":
+            gain_spectrum(medium_035, pump, self.GRID, **FIT)
+        elif task == "saturation":
+            saturation_curve(medium_035, pump, W_S, [-130.0, -120.0], **FIT)
+        else:
+            isolation_spectrum(medium_035,
+                               ToneConfig(self.W_IP, -74.0, "backward"),
+                               self.GRID, beta=FIT["beta"],
+                               amp_scale=FIT["amp_scale"])
+        assert sample_counts == [2, 2]
+
+    def test_4wm_endpoint_matches_dense_run(self, medium_035):
+        a_p = amplitude_from_dbm(medium_035, W_AP, -78.0, FIT["amp_scale"])
+        a_s = amplitude_from_dbm(medium_035, W_S, -130.0, FIT["amp_scale"])
+        ms = ModeSet4WM.initial(W_S, W_AP, a_s, a_p)
+        gains = [cme._gain_db_from(integrate_4wm(
+            medium_035, ms, FIT["beta"], FIT["gamma"], n_samples=n))
+            for n in (2, 257)]
+        assert abs(gains[1]) > 10.0  # the point amplifies
+        assert gains[0] == pytest.approx(gains[1], abs=1e-8)
+
+    def test_3wm_endpoint_matches_dense_run(self, medium_035):
+        w_s = 2 * math.pi * 6.0e9
+        a_p = amplitude_from_dbm(medium_035, self.W_IP, -74.0,
+                                 FIT["amp_scale"])
+        a_s = amplitude_from_dbm(medium_035, w_s, -130.0, FIT["amp_scale"])
+        ms = ModeSet3WM.initial(w_s, self.W_IP, a_s, a_p)
+        gains = [cme._gain_db_from(integrate_3wm(
+            medium_035, ms, FIT["beta"], n_samples=n)) for n in (2, 257)]
+        assert gains[0] == pytest.approx(gains[1], abs=1e-8)
 
 
 class TestPerPointFailures:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -190,3 +191,15 @@ class TestRecordIO:
         path.write_text("frequency,temp,power\n1,2,3\n")
         with pytest.raises(ValueError):
             read_noise_records(path)
+
+    @pytest.mark.parametrize("body", ["", "\n# no data yet\n"],
+                             ids=["empty", "comment"])
+    def test_header_only_rejected_without_warning(self, tmp_path, body):
+        path = tmp_path / "noise.csv"
+        path.write_text("freq_hz,temp_k,power_w\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no records after the "
+                                                 "header") as exc:
+                read_noise_records(path)
+        assert str(path) in str(exc.value)
