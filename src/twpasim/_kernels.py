@@ -1,6 +1,7 @@
 """Adaptive Dormand-Prince 8(5,3) stepper for the coupled-mode systems.
 
-``integrate`` is plain NumPy on whole state arrays.  It takes the
+``integrate`` combines the stages as NumPy arrays and keeps the step
+control (position, step size, error norm) in Python floats.  It takes the
 right-hand side as its first argument: a callable ``rhs(x, y)`` that
 returns dy/dx as a new array shaped like ``y`` (the ``solve_ivp``
 convention).  The right-hand sides themselves are built, with their
@@ -15,6 +16,8 @@ step (the twelve plus dy/dx at the new point) are the rows of one
 next step ("first same as last"), so each attempted step costs twelve
 right-hand-side evaluations.
 """
+
+import math
 
 import numpy as np
 
@@ -121,22 +124,31 @@ _E3[0] -= 0.244094488188976377952755905512
 _E3[8] -= 0.733846688281611857341361741547
 _E3[11] -= 0.220588235294117647058823529412e-1
 
+# What the stepper reads on every step: the nodes as Python floats and
+# every weight row as complex.  ``@`` casts a real row to complex against
+# the complex stages anyway, so the products carry the same bits, without
+# a cast per stage.
+_C_NODES = _C.tolist()
+_A_ROWS = [_A[s, :s].astype(np.complex128) for s in range(12)]
+_B_ROW, _E5_ROW, _E3_ROW = (w.astype(np.complex128) for w in (_B, _E5, _E3))
+
 
 def integrate(rhs, y0, x_eval, rtol, atol, max_steps):
     """Integrate dy/dx = rhs(x, y) from x_eval[0], sampling y at every
     x_eval point.  Returns ``(samples, status)`` with samples of shape
     (len(x_eval), len(y0)) and one of the ``STATUS_*`` codes; on failure
     the samples past the last reached point stay zero."""
-    n_out = x_eval.shape[0]
+    xs = x_eval.tolist()
+    n_out = len(xs)
     n = y0.shape[0]
     out = np.zeros((n_out, n), dtype=np.complex128)
     k = np.empty((13, n), dtype=np.complex128)
 
     y = y0
-    x = x_eval[0]
+    x = xs[0]
     out[0] = y
 
-    span = x_eval[n_out - 1] - x_eval[0]
+    span = xs[-1] - xs[0]
     h = span * 1e-3
     # well below any regular step (0.3-5 cells), and high enough that a
     # stiff run that stays finite gives up quickly instead of creeping
@@ -146,7 +158,7 @@ def integrate(rhs, y0, x_eval, rtol, atol, max_steps):
 
     k[0] = rhs(x, y)
     for i_out in range(1, n_out):
-        x_next = x_eval[i_out]
+        x_next = xs[i_out]
         while x < x_next:
             if steps >= max_steps:
                 return out, STATUS_MAX_STEPS
@@ -154,20 +166,22 @@ def integrate(rhs, y0, x_eval, rtol, atol, max_steps):
             h_try = min(h, x_next - x)
 
             for s in range(1, 12):
-                k[s] = rhs(x + _C[s] * h_try, y + h_try * (_A[s, :s] @ k[:s]))
-            y8 = y + h_try * (_B @ k[:12])
+                k[s] = rhs(x + _C_NODES[s] * h_try,
+                           y + h_try * (_A_ROWS[s] @ k[:s]))
+            y8 = y + h_try * (_B_ROW @ k[:12])
             k[12] = rhs(x + h_try, y8)
 
-            # DOP853's combined norm of the 5th- and 3rd-order estimates
+            # DOP853's combined norm of the 5th- and 3rd-order estimates,
+            # 0 where its denominator vanishes (as in scipy; a Python
+            # float would raise).  np.add.reduce is np.sum without the
+            # cost of its Python wrapper.
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y8))
-            e5 = np.sum((np.abs(_E5 @ k) / scale) ** 2)
-            e3 = np.sum((np.abs(_E3 @ k) / scale) ** 2)
-            if e5 == 0.0 and e3 == 0.0:
-                err = 0.0
-            else:
-                err = h_try * e5 / np.sqrt((e5 + 0.01 * e3) * n)
+            e5 = float(np.add.reduce((np.abs(_E5_ROW @ k) / scale) ** 2))
+            e3 = float(np.add.reduce((np.abs(_E3_ROW @ k) / scale) ** 2))
+            denom = (e5 + 0.01 * e3) * n
+            err = 0.0 if denom == 0.0 else h_try * e5 / math.sqrt(denom)
 
-            finite = np.isfinite(err)
+            finite = math.isfinite(err)
             if finite and err <= 1.0:
                 x = x + h_try
                 y = y8

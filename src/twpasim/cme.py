@@ -26,13 +26,14 @@ O(dk) otherwise), which the test suite verifies rather than assumes.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
-from .errors import StepFailure, sweep
+from .errors import DomainError, StepFailure, sweep
 from .medium import (MediumParams, amplitude_from_dbm, omega_tilde,
                      wavevector)
 from .phasematch import ToneConfig, idler_frequency
@@ -58,9 +59,11 @@ class ModeSet4WM:
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
         if self.amplitudes.shape != (6,):
-            raise ValueError("expected 6 mode amplitudes")
+            raise DomainError("expected 6 mode amplitudes")
         if not np.all(np.isfinite(self.amplitudes)):
-            raise ValueError("amplitudes must be finite")
+            raise DomainError("amplitudes must be finite")
+        if not (self.omega_s > 0 and self.omega_ap > 0):
+            raise DomainError("frequencies must be positive")
         idler_frequency(self.omega_s, self.omega_ap)
 
     @property
@@ -90,11 +93,11 @@ class ModeSet3WM:
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
         if self.amplitudes.shape != (5,):
-            raise ValueError("expected 5 mode amplitudes")
+            raise DomainError("expected 5 mode amplitudes")
         if not np.all(np.isfinite(self.amplitudes)):
-            raise ValueError("amplitudes must be finite")
-        if self.omega_s <= 0 or self.omega_ip <= 0:
-            raise ValueError("frequencies must be positive")
+            raise DomainError("amplitudes must be finite")
+        if not (self.omega_s > 0 and self.omega_ip > 0):
+            raise DomainError("frequencies must be positive")
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -168,9 +171,13 @@ def _rhs_4wm(m: MediumParams, modes: ModeSet4WM, beta: float, gamma: float,
     """
     k = np.array([wavevector(m, w) for w in modes.frequencies])
     wt = np.array([omega_tilde(m, w) for w in modes.frequencies])
-    kpp_s, kpp_ap, kpp_i, kpp_2ap, kpp_su, kpp_iu = k * m.tan_delta / 2.0
-    ks, kap, ki, k2, ksu, kiu = k
-    ts, tap, ti, t2, tsu, tiu = wt
+    # Python floats throughout: on six modes NumPy's per-call overhead,
+    # not the arithmetic, would set the cost of every evaluation
+    kpp_s, kpp_ap, kpp_i, kpp_2ap, kpp_su, kpp_iu = (
+        k * m.tan_delta / 2.0).tolist()
+    ks, kap, ki, k2, ksu, kiu = k.tolist()
+    ts, tap, ti, t2, tsu, tiu = wt.tolist()
+    beta, gamma = float(beta), float(gamma)
 
     cs_k = 6.0 * gamma * ks / (8.0 * ts)
     cs_pair = 3.0 * gamma / (8.0 * ts * ks) * (2.0 * kap - ki) * kap**2 * ki
@@ -196,36 +203,37 @@ def _rhs_4wm(m: MediumParams, modes: ModeSet4WM, beta: float, gamma: float,
     d4 = kiu - kap - ki
 
     def rhs(x, y):
-        a_s, a_p, a_i, a_2, a_su, a_iu = y
+        a_s, a_p, a_i, a_2, a_su, a_iu = y.tolist()
+        a_pc = a_p.conjugate()
         pump2 = kap_sq * (a_p.real * a_p.real + a_p.imag * a_p.imag)
         sh2 = k2_sq * (a_2.real * a_2.real + a_2.imag * a_2.imag)
         cross = pump2 + sh2
 
-        e1 = np.exp(1j * d1 * x)
-        e2 = np.exp(1j * d2 * x)
-        e3 = np.exp(1j * d3 * x)
-        e4 = np.exp(1j * d4 * x)
+        e1 = cmath.exp(1j * d1 * x)
+        e2 = cmath.exp(1j * d2 * x)
+        e3 = cmath.exp(1j * d3 * x)
+        e4 = cmath.exp(1j * d4 * x)
 
         return np.array([
             (1j * cs_k * cross * a_s
-             + 1j * cs_pair * a_p * a_p * np.conj(a_i) * e1
-             + cs_up * a_su * np.conj(a_p) * e2
+             + 1j * cs_pair * a_p * a_p * a_i.conjugate() * e1
+             + cs_up * a_su * a_pc * e2
              - kpp_s * a_s),
-            (cap_shg * np.conj(a_p) * a_2 * np.conj(e3)
+            (cap_shg * a_pc * a_2 * e3.conjugate()
              + 1j * cap_kerr * (pump2 + 2.0 * sh2) * a_p
-             + 1j * cap_dep * a_s * a_i * np.conj(a_p) * np.conj(e1)
+             + 1j * cap_dep * a_s * a_i * a_pc * e1.conjugate()
              - kpp_ap * a_p),
             (1j * ci_k * cross * a_i
-             + 1j * ci_pair * a_p * a_p * np.conj(a_s) * e1
-             + ci_up * a_iu * np.conj(a_p) * e4
+             + 1j * ci_pair * a_p * a_p * a_s.conjugate() * e1
+             + ci_up * a_iu * a_pc * e4
              - kpp_i * a_i),
             (c2_src * a_p * a_p * e3
              + 1j * c2_kerr * (2.0 * pump2 + sh2) * a_2
              - kpp_2ap * a_2),
-            (csu_src * a_s * a_p * np.conj(e2)
+            (csu_src * a_s * a_p * e2.conjugate()
              + 1j * csu_kerr * cross * a_su
              - kpp_su * a_su),
-            (ciu_src * a_i * a_p * np.conj(e4)
+            (ciu_src * a_i * a_p * e4.conjugate()
              + 1j * ciu_kerr * cross * a_iu
              - kpp_iu * a_iu),
         ])
@@ -242,9 +250,11 @@ def _rhs_3wm(m: MediumParams, modes: ModeSet3WM, beta: float):
     k = np.array([wavevector(m, w, guard=PLASMA_GUARD_3WM)
                   for w in modes.frequencies])
     wt = np.array([omega_tilde(m, w) for w in modes.frequencies])
-    kpp_s, kpp_ip, kpp_2ip, kpp_su, kpp_su2 = k * m.tan_delta / 2.0
-    ks, kip, k2, ksu, ksu2 = k
-    ts, tip, t2, tsu, tsu2 = wt
+    kpp_s, kpp_ip, kpp_2ip, kpp_su, kpp_su2 = (
+        k * m.tan_delta / 2.0).tolist()
+    ks, kip, k2, ksu, ksu2 = k.tolist()
+    ts, tip, t2, tsu, tsu2 = wt.tolist()
+    beta = float(beta)
 
     cs_up = beta * (kip - ksu) * kip * ksu / (2.0 * ks * ts)
     cip_shg = beta * (kip - k2) * k2 / (2.0 * tip)
@@ -257,19 +267,20 @@ def _rhs_3wm(m: MediumParams, modes: ModeSet3WM, beta: float):
     dc = ksu2 - kip - ksu
 
     def rhs(x, y):
-        a_s, a_ip, a_2, a_su, a_su2 = y
-        f1 = np.exp(1j * da * x)
-        f2 = np.exp(1j * db * x)
-        f3 = np.exp(1j * dc * x)
+        a_s, a_ip, a_2, a_su, a_su2 = y.tolist()
+        a_ipc = a_ip.conjugate()
+        f1 = cmath.exp(1j * da * x)
+        f2 = cmath.exp(1j * db * x)
+        f3 = cmath.exp(1j * dc * x)
 
         return np.array([
-            cs_up * a_su * np.conj(a_ip) * f2 - kpp_s * a_s,
-            cip_shg * np.conj(a_ip) * a_2 * np.conj(f1) - kpp_ip * a_ip,
+            cs_up * a_su * a_ipc * f2 - kpp_s * a_s,
+            cip_shg * a_ipc * a_2 * f1.conjugate() - kpp_ip * a_ip,
             c2_src * a_ip * a_ip * f1 - kpp_2ip * a_2,
-            (csu_src * a_s * a_ip * np.conj(f2)
-             + csu_up * a_su2 * np.conj(a_ip) * f3
+            (csu_src * a_s * a_ip * f2.conjugate()
+             + csu_up * a_su2 * a_ipc * f3
              - kpp_su * a_su),
-            csu2_src * a_su * a_ip * np.conj(f3) - kpp_su2 * a_su2,
+            csu2_src * a_su * a_ip * f3.conjugate() - kpp_su2 * a_su2,
         ])
 
     return rhs

@@ -7,6 +7,12 @@ class TwpaError(Exception):
     """Base class for all domain errors."""
 
 
+class DomainError(TwpaError, ValueError):
+    """An input outside the model's domain: a non-positive frequency, or
+    a mode state of the wrong shape or with non-finite amplitudes.  It is
+    also a ``ValueError``, so callers that catch that keep working."""
+
+
 class NonConvergence(TwpaError):
     """Equilibrium-phase root finding did not converge (pathological
     asymmetry ratio, typically near the hysteretic regime)."""

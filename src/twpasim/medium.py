@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import PHI0
-from .errors import AbovePlasmaCutoff
+from .errors import AbovePlasmaCutoff, DomainError
 from .unitcell import CellCoefficients, SnailSpec
 
 PLASMA_GUARD = 0.98
@@ -48,7 +48,7 @@ class MediumParams:
 
 def _check_omega(m: MediumParams, omega: float, guard: float) -> None:
     if not omega > 0:
-        raise ValueError(f"omega must be positive, got {omega}")
+        raise DomainError(f"omega must be positive, got {omega}")
     if omega >= guard * m.omegaJ:
         raise AbovePlasmaCutoff(
             f"omega/2pi = {omega / (2 * math.pi) / 1e9:.3f} GHz is at or above "

@@ -349,9 +349,12 @@ def test_criterion_10_system_noise_round_trip():
            f"(tol 1e-9)", t0)
 
 
-def oracle_rhs_4wm(m, beta, gamma, ws, wap):
+def oracle_rhs_4wm(m, beta, gamma, ws, wap, pump_depletion=True):
     """The six-mode system of docs/cme_reduction.md, transcribed
-    independently of twpasim.cme: returns ``rhs(x, y) -> dy/dx``."""
+    independently of twpasim.cme: returns ``rhs(x, y) -> dy/dx``.
+    Without ``pump_depletion`` the signal-idler backaction term of the
+    pump equation is dropped."""
+    dep = 1 if pump_depletion else 0
     wi = 2 * wap - ws
     w = [ws, wap, wi, 2 * wap, ws + wap, wi + wap]
     k = [wavevector(m, x) for x in w]
@@ -376,7 +379,7 @@ def oracle_rhs_4wm(m, beta, gamma, ws, wap):
         dAp = (beta * (kp - k2) * k2 / (2 * tp)
                * Ap.conjugate() * A2 * e3.conjugate()
                + 1j * 3 * gamma * kp / (8 * tp) * (p2 + 2 * s2) * Ap
-               + 1j * 6 * gamma / (8 * tp) * ks * ki * (ks + ki - kp)
+               + dep * 1j * 6 * gamma / (8 * tp) * ks * ki * (ks + ki - kp)
                * As * Ai * Ap.conjugate() * e1.conjugate() - kpp[1] * Ap)
         dAi = (1j * 6 * gamma * ki / (8 * ti) * (p2 + s2) * Ai
                + 1j * 3 * gamma / (8 * ti * ki) * (2 * kp - ks) * kp * kp
@@ -469,18 +472,21 @@ def test_criterion_11_solver_convergence(medium_035):
 W_IP = 2 * math.pi * 12.2e9
 
 
-@pytest.mark.parametrize("system", ["4wm", "3wm"])
+@pytest.mark.parametrize("system", ["4wm", "3wm", "4wm-no-depletion"])
 def test_rhs_matches_transcribed_oracle(medium_035, system):
     """Pointwise check of the integrated right-hand sides against the
     transcriptions above at seeded random states: a mistyped coupling
-    coefficient shows up here without any integration."""
+    coefficient shows up here without any integration.  Each state is
+    also evaluated at a NumPy position, as ``solve_ivp`` passes it."""
     m = medium_035
-    if system == "4wm":
+    if system.startswith("4wm"):
+        depletion = system == "4wm"
         ws, wap = 2 * math.pi * 7.6e9, W_AP
         modes = ModeSet4WM.initial(ws, wap, 0.0, 0.0)
         rhs = cme._rhs_4wm(m, modes, BETA_FIT, GAMMA_FIT,
-                           pump_depletion=True)
-        oracle = oracle_rhs_4wm(m, BETA_FIT, GAMMA_FIT, ws, wap)
+                           pump_depletion=depletion)
+        oracle = oracle_rhs_4wm(m, BETA_FIT, GAMMA_FIT, ws, wap,
+                                pump_depletion=depletion)
         scale = amplitude_from_dbm(m, wap, -78.0, AMP_SCALE_FIT)
     else:
         ws, wip = 2 * math.pi * 6e9, W_IP
@@ -495,6 +501,8 @@ def test_rhs_matches_transcribed_oracle(medium_035, system):
         y = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         np.testing.assert_allclose(rhs(x, y), oracle(x, tuple(y)),
                                    rtol=1e-12)
+        np.testing.assert_allclose(rhs(np.float64(x), y),
+                                   oracle(x, tuple(y)), rtol=1e-12)
 
 
 @pytest.mark.parametrize("pump_dbm", [-76.0, -74.0, -72.0])

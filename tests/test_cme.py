@@ -9,7 +9,8 @@ from twpasim import (MediumParams, ModeSet3WM, ModeSet4WM, ToneConfig,
                      integrate_3wm, integrate_4wm, isolation_spectrum,
                      linear_transmission_db, saturation_curve)
 from twpasim import cme
-from twpasim.errors import AbovePlasmaCutoff, NegativeIdler, StepFailure
+from twpasim.errors import (AbovePlasmaCutoff, DomainError, NegativeIdler,
+                            StepFailure)
 
 W_AP = 2 * math.pi * 9.2e9
 W_S = 2 * math.pi * 7.6e9
@@ -39,6 +40,31 @@ class TestModeSets:
     def test_negative_idler_rejected(self):
         with pytest.raises(NegativeIdler):
             ModeSet4WM.initial(2.5 * W_AP, W_AP, 1e-6, 1.0)
+
+    # a malformed state is a DomainError, which callers catching
+    # ValueError still catch
+    @pytest.mark.parametrize("cls,n", [(ModeSet4WM, 6), (ModeSet3WM, 5)],
+                             ids=["4wm", "3wm"])
+    def test_wrong_mode_count_is_a_domain_error(self, cls, n):
+        with pytest.raises(DomainError, match=f"expected {n} mode"):
+            cls(W_S, W_AP, np.zeros(n - 1))
+
+    @pytest.mark.parametrize("cls,n", [(ModeSet4WM, 6), (ModeSet3WM, 5)],
+                             ids=["4wm", "3wm"])
+    def test_non_finite_amplitude_is_a_domain_error(self, cls, n):
+        amplitudes = np.zeros(n, dtype=complex)
+        amplitudes[1] = complex(math.inf, 0.0)
+        with pytest.raises(DomainError, match="must be finite"):
+            cls(W_S, W_AP, amplitudes)
+
+    @pytest.mark.parametrize("cls", [ModeSet4WM, ModeSet3WM],
+                             ids=["4wm", "3wm"])
+    @pytest.mark.parametrize("omegas", [(0.0, W_AP), (W_S, -W_AP)],
+                             ids=["signal", "pump"])
+    def test_nonpositive_frequency_is_a_domain_error(self, cls, omegas):
+        with pytest.raises(ValueError, match="must be positive") as info:
+            cls.initial(*omegas, 1e-6, 1.0)
+        assert isinstance(info.value, DomainError)
 
     def test_plasma_guard_on_upconverted_modes(self, medium_035):
         # i+ap exceeds 0.98 omegaJ for a far-detuned signal

@@ -6,7 +6,7 @@ import pytest
 from twpasim import (MediumParams, amplitude_from_dbm,
                      linear_transmission_db, loss_wavevector,
                      power_dbm_from_amplitude, wavevector)
-from twpasim.errors import AbovePlasmaCutoff
+from twpasim.errors import AbovePlasmaCutoff, DomainError, sweep
 
 
 class TestWavevector:
@@ -38,6 +38,21 @@ class TestWavevector:
     def test_rejects_nonpositive_frequency(self, medium_zero_flux):
         with pytest.raises(ValueError):
             wavevector(medium_zero_flux, 0.0)
+
+    @pytest.mark.parametrize("omega", [0.0, -1e9, math.nan])
+    def test_nonpositive_frequency_is_a_domain_error(self, medium_zero_flux,
+                                                     omega):
+        with pytest.raises(DomainError, match="omega must be positive"):
+            wavevector(medium_zero_flux, omega)
+
+    def test_nonpositive_frequency_is_a_sweep_gap(self, medium_zero_flux):
+        w = 2 * math.pi * 7e9
+        values, gaps = sweep(lambda x: wavevector(medium_zero_flux, x),
+                             [-w, w])
+        assert math.isnan(values[0, 0])
+        assert values[1, 0] == wavevector(medium_zero_flux, w)
+        assert gaps == [(0, -w, f"DomainError: omega must be positive, "
+                                f"got {-w}")]
 
     def test_strictly_increasing_and_convex(self, medium_zero_flux):
         m = medium_zero_flux
