@@ -13,8 +13,7 @@ from .phasematch import (ToneConfig, PhaseMismatchBreakdown, DynamicEtas,
                          find_matched_pump, attenuated_pump_amplitude)
 from .cme import (ModeSet4WM, ModeSet3WM, Trajectory, GainSpectrum,
                   SaturationResult, integrate_4wm, integrate_3wm,
-                  gain_spectrum, saturation_curve, isolation_spectrum,
-                  fit_couplings)
+                  gain_spectrum, saturation_curve, isolation_spectrum)
 from .noisecal import (NoiseMeasurement, NoiseChainModel, NoiseFitResult,
                        source_noise, fit_output_line, system_noise,
                        sql_reference, read_noise_records)
@@ -31,7 +30,7 @@ __all__ = [
     "attenuated_pump_amplitude",
     "ModeSet4WM", "ModeSet3WM", "Trajectory", "GainSpectrum",
     "SaturationResult", "integrate_4wm", "integrate_3wm", "gain_spectrum",
-    "saturation_curve", "isolation_spectrum", "fit_couplings",
+    "saturation_curve", "isolation_spectrum",
     "NoiseMeasurement", "NoiseChainModel", "NoiseFitResult", "source_noise",
     "fit_output_line", "system_noise", "sql_reference", "read_noise_records",
     "errors",

@@ -2,19 +2,29 @@
 
 ``integrate`` combines the stages as NumPy arrays and keeps the step
 control (position, step size, error norm) in Python floats.  It takes the
-right-hand side as its first argument: a callable ``rhs(x, y)`` that
-returns dy/dx as a new array shaped like ``y`` (the ``solve_ivp``
-convention).  The right-hand sides themselves are built, with their
-coefficients, in :mod:`twpasim.cme`.
+right-hand side as its first argument, a callable ``rhs(x, y)``: ``y`` is
+a complex array that is valid only during the call (the stepper reuses
+its memory), and ``rhs`` returns dy/dx as any sequence of ``len(y)``
+numbers, a list or an array.  The right-hand sides themselves are built,
+with their coefficients, in :mod:`twpasim.cme`.
 
 The method is DOP853 (Hairer, Norsett & Wanner, *Solving Ordinary
 Differential Equations I*, 2nd ed., 1993, section II.10): twelve stages
 give an eighth-order solution, and a combined fifth- and third-order
-estimate of its error drives the step size.  The thirteen stages of a
-step (the twelve plus dy/dx at the new point) are the rows of one
-``(13, n)`` array.  The last one is reused as the first stage of the
-next step ("first same as last"), so each attempted step costs twelve
-right-hand-side evaluations.
+estimate of its error drives the step size.  The last stage, dy/dx at
+the new point, is reused as the first stage of the next step ("first
+same as last"), so each attempted step costs twelve right-hand-side
+evaluations.
+
+On five or six modes NumPy's fixed cost per call, not the arithmetic,
+sets the price of a stage, so the tableau is augmented to make each
+stage one call.  The state and the thirteen stages are the rows of one
+``(14, n)`` array ``z = [y, k_0 .. k_12]``; the weights are one
+``(13, 13)`` array whose column 0 is 1 and whose other columns are
+``h * [A; B]``, refreshed once per attempted step.  A stage's input
+``y + h * (A[s, :s] @ k[:s])`` is then ``w[s, :s+1] @ z[:s+1]``, the
+eighth-order solution is ``w[12] @ z[:13]``, and both error estimates
+are one product ``[E5; E3] @ k``.
 """
 
 import math
@@ -125,27 +135,39 @@ _E3[8] -= 0.733846688281611857341361741547
 _E3[11] -= 0.220588235294117647058823529412e-1
 
 # What the stepper reads on every step: the nodes as Python floats and
-# every weight row as complex.  ``@`` casts a real row to complex against
-# the complex stages anyway, so the products carry the same bits, without
-# a cast per stage.
+# the augmented tableau (module docstring) as complex, because np.dot
+# would otherwise cast a real weight row against the complex stages on
+# every call.
 _C_NODES = _C.tolist()
-_A_ROWS = [_A[s, :s].astype(np.complex128) for s in range(12)]
-_B_ROW, _E5_ROW, _E3_ROW = (w.astype(np.complex128) for w in (_B, _E5, _E3))
+_AB = np.vstack([_A, _B]).astype(np.complex128)
+_E53 = np.vstack([_E5, _E3]).astype(np.complex128)
 
 
 def integrate(rhs, y0, x_eval, rtol, atol, max_steps):
     """Integrate dy/dx = rhs(x, y) from x_eval[0], sampling y at every
     x_eval point.  Returns ``(samples, status)`` with samples of shape
     (len(x_eval), len(y0)) and one of the ``STATUS_*`` codes; on failure
-    the samples past the last reached point stay zero."""
+    the samples past the last reached point stay zero.
+
+    ``rhs(x, y)`` gets a complex array that is valid only during the
+    call and returns dy/dx as any sequence of len(y0) numbers.  ``y0``
+    itself is never written."""
     xs = x_eval.tolist()
     n_out = len(xs)
     n = y0.shape[0]
     out = np.zeros((n_out, n), dtype=np.complex128)
-    k = np.empty((13, n), dtype=np.complex128)
+    z = np.empty((14, n), dtype=np.complex128)
+    w = np.zeros((13, 13), dtype=np.complex128)
+    w[:, 0] = 1.0
+    hw = w[:, 1:]
+    # views built once: stage s reads rows[s] against heads[s]
+    rows = [w[s, :s + 1] for s in range(13)]
+    heads = [z[:s + 1] for s in range(13)]
+    ks = z[1:]
+    y = z[0]
 
-    y = y0
     x = xs[0]
+    y[:] = y0
     out[0] = y
 
     span = xs[-1] - xs[0]
@@ -156,7 +178,7 @@ def integrate(rhs, y0, x_eval, rtol, atol, max_steps):
     h_min = span * 1e-10
     steps = 0
 
-    k[0] = rhs(x, y)
+    z[1] = rhs(x, y)
     for i_out in range(1, n_out):
         x_next = xs[i_out]
         while x < x_next:
@@ -164,28 +186,29 @@ def integrate(rhs, y0, x_eval, rtol, atol, max_steps):
                 return out, STATUS_MAX_STEPS
             steps += 1
             h_try = min(h, x_next - x)
+            np.multiply(_AB, h_try, out=hw)
 
             for s in range(1, 12):
-                k[s] = rhs(x + _C_NODES[s] * h_try,
-                           y + h_try * (_A_ROWS[s] @ k[:s]))
-            y8 = y + h_try * (_B_ROW @ k[:12])
-            k[12] = rhs(x + h_try, y8)
+                z[s + 1] = rhs(x + _C_NODES[s] * h_try,
+                               np.dot(rows[s], heads[s]))
+            y8 = np.dot(rows[12], heads[12])
+            z[13] = rhs(x + h_try, y8)
 
             # DOP853's combined norm of the 5th- and 3rd-order estimates,
             # 0 where its denominator vanishes (as in scipy; a Python
             # float would raise).  np.add.reduce is np.sum without the
             # cost of its Python wrapper.
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y8))
-            e5 = float(np.add.reduce((np.abs(_E5_ROW @ k) / scale) ** 2))
-            e3 = float(np.add.reduce((np.abs(_E3_ROW @ k) / scale) ** 2))
+            e5, e3 = np.add.reduce(
+                (np.abs(np.dot(_E53, ks)) / scale) ** 2, axis=1).tolist()
             denom = (e5 + 0.01 * e3) * n
             err = 0.0 if denom == 0.0 else h_try * e5 / math.sqrt(denom)
 
             finite = math.isfinite(err)
             if finite and err <= 1.0:
                 x = x + h_try
-                y = y8
-                k[0] = k[12]
+                y[:] = y8
+                z[1] = z[13]
                 fac = 5.0 if err == 0.0 else 0.9 * err ** -0.125
                 h = h_try * min(max(fac, 0.2), 5.0)
             else:

@@ -9,7 +9,9 @@ Frequencies are in Hz, powers in dBm, flux in flux quanta; see the README
 for the full key table and per-task output columns.  Exit codes: 0 on
 success, 2 on a configuration error, 3 on a numeric/model error.  The
 environment variable ``TWPASIM_LOG`` (debug/info/warning) controls log
-verbosity.
+verbosity; at ``info`` the log on stderr gives the seconds spent parsing
+the config, running the task (device setup and integration), formatting
+and writing the artifact, which itself does not change.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import logging
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -382,7 +385,10 @@ def run(cfg: dict, out_path=None, out_format=None) -> str:
     configured precision.
     """
     task = cfg["task"]
+    t0 = time.perf_counter()
     cols, rows, meta = _TASK_FN[task](cfg)
+    t1 = time.perf_counter()
+    log.info("ran task %s in %.3f s", task, t1 - t0)
     fmt = out_format or cfg["format"]
     path = out_path or cfg["out_path"] or f"{task}.{fmt}"
     prec = cfg["precision"]
@@ -411,9 +417,11 @@ def run(cfg: dict, out_path=None, out_format=None) -> str:
         payload = json.dumps(doc, indent=1, sort_keys=True,
                              allow_nan=True) + "\n"
 
+    t2 = time.perf_counter()
+    log.info("formatted %d rows as %s in %.3f s", len(rows), fmt, t2 - t1)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(payload)
-    log.info("wrote %d rows to %s", len(rows), path)
+    log.info("wrote %s in %.3f s", path, time.perf_counter() - t2)
     return path
 
 
@@ -424,8 +432,10 @@ def _error_exit(code: int, kind: str, payload) -> int:
 
 def main(argv=None) -> int:
     level = os.environ.get("TWPASIM_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(name)s %(levelname)s %(message)s")
+    logging.basicConfig(format="%(name)s %(levelname)s %(message)s")
+    # on the package logger, so the setting holds even where the root
+    # logger was configured before (an embedding program, pytest)
+    log.setLevel(getattr(logging, level, logging.WARNING))
 
     parser = argparse.ArgumentParser(prog="twpasim", description=__doc__)
     parser.add_argument("task", choices=TASKS)
@@ -440,6 +450,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         return _error_exit(2, "config", [[0, f"cannot read config: {exc}"]])
 
+    t0 = time.perf_counter()
     try:
         cfg = validate(text)
         if cfg["task"] != args.task:
@@ -448,6 +459,7 @@ def main(argv=None) -> int:
                 f"'{args.task}'"]])
     except ConfigError as exc:
         return _error_exit(2, "config", exc.diagnostics)
+    log.info("parsed config in %.3f s", time.perf_counter() - t0)
 
     try:
         run(cfg, out_path=args.out, out_format=args.format)

@@ -197,10 +197,11 @@ def _rhs_4wm(m: MediumParams, modes: ModeSet4WM, beta: float, gamma: float,
     ciu_kerr = 6.0 * gamma * kiu / (8.0 * tiu)
     kap_sq = kap**2
     k2_sq = k2**2
-    d1 = 2.0 * kap - ki - ks
-    d2 = ksu - kap - ks
-    d3 = 2.0 * kap - k2
-    d4 = kiu - kap - ki
+    # 1j * d, formed once: cmath.exp(1j * d * x) evaluates it first anyway
+    jd1 = 1j * (2.0 * kap - ki - ks)
+    jd2 = 1j * (ksu - kap - ks)
+    jd3 = 1j * (2.0 * kap - k2)
+    jd4 = 1j * (kiu - kap - ki)
 
     def rhs(x, y):
         a_s, a_p, a_i, a_2, a_su, a_iu = y.tolist()
@@ -209,12 +210,12 @@ def _rhs_4wm(m: MediumParams, modes: ModeSet4WM, beta: float, gamma: float,
         sh2 = k2_sq * (a_2.real * a_2.real + a_2.imag * a_2.imag)
         cross = pump2 + sh2
 
-        e1 = cmath.exp(1j * d1 * x)
-        e2 = cmath.exp(1j * d2 * x)
-        e3 = cmath.exp(1j * d3 * x)
-        e4 = cmath.exp(1j * d4 * x)
+        e1 = cmath.exp(jd1 * x)
+        e2 = cmath.exp(jd2 * x)
+        e3 = cmath.exp(jd3 * x)
+        e4 = cmath.exp(jd4 * x)
 
-        return np.array([
+        return [
             (1j * cs_k * cross * a_s
              + 1j * cs_pair * a_p * a_p * a_i.conjugate() * e1
              + cs_up * a_su * a_pc * e2
@@ -236,7 +237,7 @@ def _rhs_4wm(m: MediumParams, modes: ModeSet4WM, beta: float, gamma: float,
             (ciu_src * a_i * a_p * e4.conjugate()
              + 1j * ciu_kerr * cross * a_iu
              - kpp_iu * a_iu),
-        ])
+        ]
 
     return rhs
 
@@ -262,18 +263,18 @@ def _rhs_3wm(m: MediumParams, modes: ModeSet3WM, beta: float):
     csu_src = beta * (ks + kip) * kip * ks / (2.0 * ksu * tsu)
     csu_up = beta * (kip - ksu2) * kip * ksu2 / (2.0 * ksu * tsu)
     csu2_src = beta * (ksu + kip) * kip * ksu / (2.0 * ksu2 * tsu2)
-    da = 2.0 * kip - k2
-    db = ksu - kip - ks
-    dc = ksu2 - kip - ksu
+    jda = 1j * (2.0 * kip - k2)
+    jdb = 1j * (ksu - kip - ks)
+    jdc = 1j * (ksu2 - kip - ksu)
 
     def rhs(x, y):
         a_s, a_ip, a_2, a_su, a_su2 = y.tolist()
         a_ipc = a_ip.conjugate()
-        f1 = cmath.exp(1j * da * x)
-        f2 = cmath.exp(1j * db * x)
-        f3 = cmath.exp(1j * dc * x)
+        f1 = cmath.exp(jda * x)
+        f2 = cmath.exp(jdb * x)
+        f3 = cmath.exp(jdc * x)
 
-        return np.array([
+        return [
             cs_up * a_su * a_ipc * f2 - kpp_s * a_s,
             cip_shg * a_ipc * a_2 * f1.conjugate() - kpp_ip * a_ip,
             c2_src * a_ip * a_ip * f1 - kpp_2ip * a_2,
@@ -281,7 +282,7 @@ def _rhs_3wm(m: MediumParams, modes: ModeSet3WM, beta: float):
              + csu_up * a_su2 * a_ipc * f3
              - kpp_su * a_su),
             csu2_src * a_su * a_ip * f3.conjugate() - kpp_su2 * a_su2,
-        ])
+        ]
 
     return rhs
 
@@ -436,31 +437,3 @@ def isolation_spectrum(m: MediumParams, ip_pump: ToneConfig, signal_omegas,
     return GainSpectrum(omega=omegas, gain_db=values[:, 0], metadata=meta,
                         upconverted_fraction=values[:, 1], gaps=gaps)
 
-
-def fit_couplings(m: MediumParams, pump: ToneConfig, signal_omegas,
-                  target_gain_db, beta_grid, gamma_grid, amp_scale_grid,
-                  signal_power_dbm: float = -130.0, rtol: float = 1e-8):
-    """Grid-search fit of (beta, gamma, amp_scale) to a target spectrum.
-
-    Minimizes the L2 distance between the simulated and target gain
-    (NaN targets and gap points are ignored).  Returns
-    ``(beta, gamma, amp_scale, l2)``.
-    """
-    target = np.asarray(target_gain_db, dtype=float)
-    best = (None, None, None, math.inf)
-    for b in beta_grid:
-        for g in gamma_grid:
-            for a in amp_scale_grid:
-                spec = gain_spectrum(m, pump, signal_omegas,
-                                     signal_power_dbm, beta=b, gamma=g,
-                                     amp_scale=a, rtol=rtol)
-                mask = np.isfinite(spec.gain_db) & np.isfinite(target)
-                if not np.any(mask):
-                    continue
-                l2 = float(np.sqrt(np.mean(
-                    (spec.gain_db[mask] - target[mask]) ** 2)))
-                if l2 < best[3]:
-                    best = (float(b), float(g), float(a), l2)
-    if best[0] is None:
-        raise StepFailure("no grid combination produced a valid spectrum")
-    return best

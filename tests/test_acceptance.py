@@ -26,8 +26,8 @@ from twpasim.noisecal import (NoiseChainModel, NoiseMeasurement,
                               fit_output_line, source_noise, system_noise)
 
 # fitted couplings and amplitude calibration for the gain-shape operating
-# point (flux 0.35, pump 9.2 GHz at -78 dBm); obtained with the grid
-# fitter against the target shape and frozen here
+# point (flux 0.35, pump 9.2 GHz at -78 dBm); obtained by a grid search
+# against the target shape (docs/model.md) and frozen here
 BETA_FIT = 0.104388
 GAMMA_FIT = 0.122339
 AMP_SCALE_FIT = 1.55

@@ -1,5 +1,7 @@
 import json
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -286,6 +288,35 @@ class TestRun:
                                    rtol=1e-9)
         np.testing.assert_allclose(rows[:, cols.index("n_out_photons")],
                                    10.0, rtol=1e-9)
+
+
+class TestLogging:
+    def test_info_times_each_layer_and_leaves_the_artifact(
+            self, tmp_path, monkeypatch, caplog):
+        """TWPASIM_LOG=info logs the parse, task, format and write times;
+        the artifact is the same bytes as at the default level."""
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(GAIN_CFG)
+        artifacts, messages = {}, {}
+        # warning last: main leaves the package logger at that level
+        for level in ("info", "warning"):
+            monkeypatch.setenv("TWPASIM_LOG", level)
+            caplog.clear()
+            out = tmp_path / f"{level}.json"
+            assert main(["gain", "--config", str(cfg_path), "--out",
+                         str(out), "--format", "json"]) == 0
+            artifacts[level] = out.read_bytes()
+            messages[level] = [r.getMessage() for r in caplog.records
+                               if r.name == "twpasim"
+                               and r.levelno == logging.INFO]
+        assert artifacts["info"] == artifacts["warning"]
+        assert messages["warning"] == []
+        for pattern in (r"parsed config in \d+\.\d{3} s",
+                        r"ran task gain in \d+\.\d{3} s",
+                        r"formatted 7 rows as json in \d+\.\d{3} s",
+                        r"wrote .*info\.json in \d+\.\d{3} s"):
+            assert any(re.fullmatch(pattern, m)
+                       for m in messages["info"]), pattern
 
 
 class TestMainExitCodes:

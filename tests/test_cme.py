@@ -2,15 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import spearmanr
 
 from twpasim import (MediumParams, ModeSet3WM, ModeSet4WM, ToneConfig,
-                     amplitude_from_dbm, fit_couplings, gain_spectrum,
+                     amplitude_from_dbm, gain_spectrum,
                      integrate_3wm, integrate_4wm, isolation_spectrum,
                      linear_transmission_db, saturation_curve)
 from twpasim import cme
-from twpasim.errors import (AbovePlasmaCutoff, DomainError, NegativeIdler,
-                            StepFailure)
+from twpasim.errors import AbovePlasmaCutoff, DomainError, NegativeIdler
 
 W_AP = 2 * math.pi * 9.2e9
 W_S = 2 * math.pi * 7.6e9
@@ -104,6 +104,31 @@ class TestFourWaveMixing:
         assert dns > 10 * n[0, 0]  # substantial amplification happened
         assert abs(dns - dni) / dns < 1e-6
         assert abs(dnp + 2 * dns) / (2 * dns) < 1e-6
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(f_s=st.floats(8.0e9, 9.15e9), p_dbm=st.floats(-82.0, -76.0),
+           gamma=st.floats(0.02, 0.1))
+    def test_manley_rowe_random_draws(self, linear_dispersion_medium, f_s,
+                                      p_dbm, gamma):
+        """The pair relations of test_manley_rowe_lossless, to criterion
+        3's 1e-6, for any signal, pump power and coupling that amplify.
+        The pump relation takes dn_ap as a difference of two fluxes
+        10^4-10^5 times n_s(0), so it is only resolved once the signal
+        has at least doubled."""
+        m = linear_dispersion_medium
+        ws = 2 * math.pi * f_s
+        a_p = amplitude_from_dbm(m, W_AP, p_dbm, amp_scale=2.8)
+        a_s = amplitude_from_dbm(m, ws, -120.0)
+        ms = ModeSet4WM.initial(ws, W_AP, a_s, a_p)
+        traj = integrate_4wm(m, ms, beta=0.0, gamma=gamma, rtol=1e-11,
+                             n_samples=2)
+        n = traj.photon_flux()
+        dns = n[-1, 0] - n[0, 0]
+        dni = n[-1, 2] - n[0, 2]
+        dnp = n[-1, 1] - n[0, 1]
+        assume(dns >= n[0, 0])
+        assert abs(dns - dni) / abs(dns) <= 1e-6
+        assert abs(dnp + 2 * dns) / abs(2 * dns) <= 1e-6
 
     def test_energy_audit_lossless(self, linear_dispersion_medium):
         m = linear_dispersion_medium
@@ -265,29 +290,6 @@ class TestPerPointFailures:
                                [W_S], beta=FIT["beta"], rtol=1e-3)
 
 
-class TestFitCouplings:
-    GRID = 2 * math.pi * np.array([6.0e9, 7.6e9])
-
-    def test_recovers_synthesized_couplings(self, medium_035):
-        pump = ToneConfig(W_AP, -78.0)
-        target = gain_spectrum(medium_035, pump, self.GRID, rtol=1e-8,
-                               **FIT).gain_db
-        best = fit_couplings(medium_035, pump, self.GRID, target,
-                             beta_grid=[0.05, FIT["beta"]],
-                             gamma_grid=[FIT["gamma"]],
-                             amp_scale_grid=[1.4, FIT["amp_scale"]],
-                             rtol=1e-8)
-        assert best == (FIT["beta"], FIT["gamma"], FIT["amp_scale"], 0.0)
-
-    def test_all_gap_grid_raises(self, medium_035):
-        # every mode ladder of a 33 GHz pump violates the plasma guard
-        grid = np.sort([W_S, 2 * math.pi * 0.05e9])
-        with pytest.raises(StepFailure):
-            fit_couplings(medium_035, ToneConfig(2 * math.pi * 33e9, -78.0),
-                          grid, [10.0, 10.0], beta_grid=[0.0],
-                          gamma_grid=[0.0], amp_scale_grid=[1.0])
-
-
 class TestSaturation:
     def test_small_signal_flat_and_knee_monotone(self, medium_035):
         pump = ToneConfig(W_AP, -78.0)
@@ -340,6 +342,23 @@ class TestThreeWaveMixing:
         assert abs(family[-1] - family[0]) / family[0] < 1e-6
         # the run actually converts photons
         assert n[-1, 3] + n[-1, 4] > 0.1 * family[0]
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(f_s=st.floats(2.0e9, 10.0e9), p_dbm=st.floats(-82.0, -73.0),
+           beta=st.floats(0.01, 0.1))
+    def test_signal_family_conservation_random_draws(
+            self, linear_dispersion_medium, f_s, p_dbm, beta):
+        """n_s + n_{s+ip} + n_{s+2ip} is conserved to 1e-6 for any signal,
+        pump power and coupling."""
+        m = linear_dispersion_medium
+        ws = 2 * math.pi * f_s
+        a_p = amplitude_from_dbm(m, self.W_IP, p_dbm, amp_scale=1.5)
+        a_s = amplitude_from_dbm(m, ws, -120.0)
+        ms = ModeSet3WM.initial(ws, self.W_IP, a_s, a_p)
+        traj = integrate_3wm(m, ms, beta=beta, rtol=1e-11, n_samples=2)
+        n = traj.photon_flux()
+        family = n[:, 0] + n[:, 3] + n[:, 4]
+        assert abs(family[-1] - family[0]) / family[0] <= 1e-6
 
     def test_fraction_bookkeeping_lossless(self, linear_dispersion_medium):
         spec = isolation_spectrum(linear_dispersion_medium,

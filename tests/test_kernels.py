@@ -126,6 +126,45 @@ def test_tableau_matches_scipy_dop853():
                                       getattr(DOP853, name), err_msg=name)
 
 
+def test_augmented_tableau_matches_scipy_dop853():
+    """The weight matrices the stepper scales by h each step are scipy's
+    stacked [A; B] and [E5; E3], bit for bit, with zero imaginary part."""
+    for name, rows in (("_AB", ("A", "B")), ("_E53", ("E5", "E3"))):
+        weights = getattr(_kernels, name)
+        np.testing.assert_array_equal(
+            weights.real, np.vstack([getattr(DOP853, r) for r in rows]),
+            err_msg=name)
+        assert not weights.imag.any(), name
+
+
+@pytest.mark.parametrize("setup", [_standard_setup, _upconversion_setup],
+                         ids=["4wm", "3wm"])
+def test_rhs_may_return_a_list_or_an_array(medium_035, setup):
+    """The stepper copies whatever sequence rhs returns into its stage
+    buffer, so a list and an ndarray of the same numbers give the same
+    samples to the bit."""
+    y0, rhs = setup(medium_035)
+    x_eval = np.linspace(0.0, 700.0, 5)
+    atol = 1e-10 * abs(y0).max() * 1e-6
+    runs = [_kernels.integrate(wrap, y0, x_eval, 1e-10, atol, 2_000_000)
+            for wrap in (lambda x, y: list(rhs(x, y)),
+                         lambda x, y: np.array(rhs(x, y)))]
+    for samples, status in runs:
+        assert status == _kernels.STATUS_OK
+    np.testing.assert_array_equal(runs[0][0], runs[1][0])
+
+
+def test_caller_state_is_never_written(medium_035):
+    """The stepper keeps its state in its own buffer: y0 keeps its values
+    through a whole run."""
+    y0, rhs = _standard_setup(medium_035)
+    before = y0.copy()
+    _, status = _kernels.integrate(rhs, y0, np.array([0.0, 700.0]), 1e-10,
+                                   1e-20, 2_000_000)
+    assert status == _kernels.STATUS_OK
+    np.testing.assert_array_equal(y0, before)
+
+
 def test_non_finite_state_is_a_step_underflow():
     """Past x = 1 every step is non-finite and shrinks until it underflows;
     the samples up to x = 1 are filled and the later ones stay zero."""
