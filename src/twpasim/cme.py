@@ -202,6 +202,11 @@ def _rhs_4wm(m: MediumParams, modes: ModeSet4WM, beta: float, gamma: float,
     jd2 = 1j * (ksu - kap - ks)
     jd3 = 1j * (2.0 * kap - k2)
     jd4 = 1j * (kiu - kap - ki)
+    # likewise 1j * c for each imaginary coupling: 1j * c * u is (1j * c) * u
+    jcs_k, jcs_pair = 1j * cs_k, 1j * cs_pair
+    jcap_kerr, jcap_dep = 1j * cap_kerr, 1j * cap_dep
+    jci_k, jci_pair = 1j * ci_k, 1j * ci_pair
+    jc2_kerr, jcsu_kerr, jciu_kerr = 1j * c2_kerr, 1j * csu_kerr, 1j * ciu_kerr
 
     def rhs(x, y):
         a_s, a_p, a_i, a_2, a_su, a_iu = y.tolist()
@@ -216,26 +221,26 @@ def _rhs_4wm(m: MediumParams, modes: ModeSet4WM, beta: float, gamma: float,
         e4 = cmath.exp(jd4 * x)
 
         return [
-            (1j * cs_k * cross * a_s
-             + 1j * cs_pair * a_p * a_p * a_i.conjugate() * e1
+            (jcs_k * cross * a_s
+             + jcs_pair * a_p * a_p * a_i.conjugate() * e1
              + cs_up * a_su * a_pc * e2
              - kpp_s * a_s),
             (cap_shg * a_pc * a_2 * e3.conjugate()
-             + 1j * cap_kerr * (pump2 + 2.0 * sh2) * a_p
-             + 1j * cap_dep * a_s * a_i * a_pc * e1.conjugate()
+             + jcap_kerr * (pump2 + 2.0 * sh2) * a_p
+             + jcap_dep * a_s * a_i * a_pc * e1.conjugate()
              - kpp_ap * a_p),
-            (1j * ci_k * cross * a_i
-             + 1j * ci_pair * a_p * a_p * a_s.conjugate() * e1
+            (jci_k * cross * a_i
+             + jci_pair * a_p * a_p * a_s.conjugate() * e1
              + ci_up * a_iu * a_pc * e4
              - kpp_i * a_i),
             (c2_src * a_p * a_p * e3
-             + 1j * c2_kerr * (2.0 * pump2 + sh2) * a_2
+             + jc2_kerr * (2.0 * pump2 + sh2) * a_2
              - kpp_2ap * a_2),
             (csu_src * a_s * a_p * e2.conjugate()
-             + 1j * csu_kerr * cross * a_su
+             + jcsu_kerr * cross * a_su
              - kpp_su * a_su),
             (ciu_src * a_i * a_p * e4.conjugate()
-             + 1j * ciu_kerr * cross * a_iu
+             + jciu_kerr * cross * a_iu
              - kpp_iu * a_iu),
         ]
 

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import NegativeIdler, NotFound, SmallDenominator, TwpaError
 from .medium import (MediumParams, amplitude_from_dbm, loss_wavevector,
@@ -214,6 +213,10 @@ def find_matched_pump(m: MediumParams, beta: float, gamma: float,
         If no valid point exists or the best |dk_total| exceeds
         ``threshold`` [rad/cell].
     """
+    # imported here, its only use: loading scipy.optimize costs every
+    # `import twpasim` and every CLI run ~0.7 s that they never need
+    from scipy.optimize import minimize_scalar
+
     lo, hi = float(search_band[0]), float(search_band[1])
     if not (0 < lo < hi):
         raise ValueError("search band must satisfy 0 < lo < hi")

@@ -1,7 +1,11 @@
 import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,6 +321,30 @@ class TestLogging:
                         r"wrote .*info\.json in \d+\.\d{3} s"):
             assert any(re.fullmatch(pattern, m)
                        for m in messages["info"]), pattern
+
+
+class TestColdStart:
+    def test_cli_run_loads_no_scipy(self, tmp_path):
+        """A fresh interpreter that imports the package and runs a gain
+        task never loads scipy: only find_matched_pump needs it."""
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text("task = gain\nflux = 0.35\npump_freq_hz = 9.2e9\n"
+                            "pump_power_dbm = -78\nsignal_points = 2\n"
+                            f"out_path = {tmp_path / 'o.csv'}\n")
+        script = (
+            "import sys\n"
+            "import twpasim, twpasim.cli\n"
+            "assert twpasim.cli.main(['gain', '--config', sys.argv[1]]) == 0\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", script, str(cfg_path)],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        assert (tmp_path / "o.csv").read_text().count("\n") == 3
 
 
 class TestMainExitCodes:

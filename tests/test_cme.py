@@ -382,6 +382,25 @@ class TestThreeWaveMixing:
         rho = spearmanr(depths, fracs).statistic
         assert rho > 0.9
 
+    def test_isolation_independent_of_signal_power(self, medium_035,
+                                                   cell_035):
+        """The pump pair (ip, 2ip) does not feel the signal chain and the
+        chain is linear given the pump, so transmission and upconverted
+        fraction do not depend on the signal power."""
+        pump = ToneConfig(2 * math.pi * 12.2e9, -74.0, "backward")
+        grid = 2 * math.pi * np.linspace(4e9, 9e9, 11)
+        ref, *others = [isolation_spectrum(medium_035, pump, grid, p,
+                                           beta=cell_035.beta)
+                        for p in (-130.0, -150.0, -95.0)]
+        # the grid converts photons, so the fraction is not trivially 0
+        assert np.max(ref.upconverted_fraction) > 0.05
+        for spec in others:
+            np.testing.assert_allclose(spec.gain_db, ref.gain_db,
+                                       rtol=0, atol=1e-9)
+            np.testing.assert_allclose(spec.upconverted_fraction,
+                                       ref.upconverted_fraction,
+                                       rtol=0, atol=1e-10)
+
     def test_hard_plasma_guard(self, medium_035):
         # s+2ip at 7 + 2*31 = 69 GHz exceeds 0.95 * omegaJ = 65 GHz
         ms = ModeSet3WM.initial(2 * math.pi * 7e9, 2 * math.pi * 31e9,
