@@ -10,8 +10,9 @@ for the full key table and per-task output columns.  Exit codes: 0 on
 success, 2 on a configuration error, 3 on a numeric/model error.  The
 environment variable ``TWPASIM_LOG`` (debug/info/warning) controls log
 verbosity; at ``info`` the log on stderr gives the seconds spent parsing
-the config, running the task (device setup and integration), formatting
-and writing the artifact, which itself does not change.
+the config, setting up the device, running the task (device setup
+included), formatting and writing the artifact, which itself does not
+change.
 """
 
 from __future__ import annotations
@@ -31,10 +32,11 @@ from . import __version__
 from . import constants
 from .cme import (RTOL_RANGE, gain_spectrum, isolation_spectrum,
                   saturation_curve)
-from .errors import ConfigError, TwpaError, sweep
-from .medium import MediumParams, linear_transmission_db, loss_wavevector, wavevector
+from .errors import ConfigError, TwpaError, describe
+from .medium import (MediumParams, band_error, in_band, linear_transmission_db,
+                     loss_wavevector, wavevector)
 from .noisecal import fit_output_line, read_noise_records
-from .phasematch import ToneConfig, dk_total
+from .phasematch import ToneConfig, breakdown_grid
 from .unitcell import SnailSpec, cell_coefficients, equilibrium_phase, flux_sweep
 
 log = logging.getLogger("twpasim")
@@ -201,6 +203,7 @@ def validate(config_text: str) -> dict:
 
 
 def _device(cfg: dict):
+    t0 = time.perf_counter()
     spec = SnailSpec(I0=cfg["critical_current_a"],
                      r=cfg["asymmetry_ratio"],
                      Cg=cfg["ground_capacitance_f"],
@@ -214,6 +217,7 @@ def _device(cfg: dict):
         else coeffs.beta
     gamma = cfg["gamma_override"] if cfg["gamma_override"] is not None \
         else coeffs.gamma
+    log.info("set up the device in %.3f s", time.perf_counter() - t0)
     return spec, coeffs, medium, beta, gamma
 
 
@@ -261,25 +265,25 @@ def _grid_rows(omegas, *columns) -> list:
 def _task_dispersion(cfg: dict):
     _, _, medium, _, _ = _device(cfg)
     omegas = _signal_grid(cfg)
-
-    def point(w):
-        return (wavevector(medium, w), loss_wavevector(medium, w),
-                linear_transmission_db(medium, w))
-
-    values, gaps = sweep(point, omegas, width=3)
+    ok = in_band(medium, omegas)
+    w = omegas[ok]
+    values = np.full((omegas.size, 3), np.nan)
+    values[ok] = np.column_stack([wavevector(medium, w),
+                                  loss_wavevector(medium, w),
+                                  linear_transmission_db(medium, w)])
+    gaps = [(j, float(omegas[j]), describe(band_error(medium, omegas[j])))
+            for j in np.flatnonzero(~ok)]
     cols = ["freq_hz", "k_rad_per_cell", "loss_k_per_cell",
             "transmission_db"]
     return cols, _grid_rows(omegas, values), _gap_metadata(gaps)
 
 
 def _breakdown(cfg: dict, medium, beta, gamma, pump, omegas):
-    """The phase-mismatch breakdown of a weak signal, swept over omegas."""
-    def point(w):
-        bd = dk_total(medium, beta, gamma, ToneConfig(w, -200.0), pump,
-                      cfg["amp_scale"])
-        return bd.dk_dispersion, bd.dk_kerr, bd.dk_dynamic, bd.dk_total
-
-    return sweep(point, omegas, width=4)
+    """The phase-mismatch breakdown of a weak signal over omegas, in one
+    pass, and its gaps."""
+    values, errors = breakdown_grid(medium, beta, gamma, omegas, pump.freq,
+                                    pump.power_dbm, cfg["amp_scale"])
+    return values, [(j, float(omegas[j]), describe(exc)) for j, exc in errors]
 
 
 def _task_phase_mismatch(cfg: dict):

@@ -65,6 +65,11 @@ class ConfigError(TwpaError):
                                    for ln, msg in self.diagnostics))
 
 
+def describe(exc: TwpaError) -> str:
+    """A gap's reason: ``"Type: message"``."""
+    return f"{type(exc).__name__}: {exc}"
+
+
 def sweep(fn, points, width=1):
     """Evaluate ``fn`` at every grid point; returns ``(values, gaps)``.
 
@@ -79,5 +84,5 @@ def sweep(fn, points, width=1):
         try:
             values[idx] = fn(point)
         except TwpaError as exc:
-            gaps.append((idx, float(point), f"{type(exc).__name__}: {exc}"))
+            gaps.append((idx, float(point), describe(exc)))
     return values, gaps

@@ -6,13 +6,16 @@ length enters only through the cell count.  The dispersion relation
     k(omega) = omega / (omega0 * sqrt(1 - omega^2 / omegaJ^2))
 
 diverges at the plasma frequency; a hard guard at ``PLASMA_GUARD * omegaJ``
-turns the silent blowup into a typed error.
+turns the silent blowup into a typed error.  The frequency arguments may
+be floats or NumPy arrays: one formula serves a point and a grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .constants import PHI0
 from .errors import AbovePlasmaCutoff, DomainError
@@ -46,20 +49,36 @@ class MediumParams:
                    tan_delta=spec.tan_delta, N=spec.N)
 
 
-def _check_omega(m: MediumParams, omega: float, guard: float) -> None:
+def in_band(m: MediumParams, omega, guard: float = PLASMA_GUARD):
+    """Where the dispersion relation holds, ``0 < omega < guard * omegaJ``:
+    a bool for a float, a boolean mask for an array."""
+    return (omega > 0) & (omega < guard * m.omegaJ)
+
+
+def band_error(m: MediumParams, omega, guard: float = PLASMA_GUARD):
+    """The error :func:`wavevector` raises at ``omega`` (for an array, at
+    its first frequency outside the band), or None inside the band."""
+    inside = np.ravel(in_band(m, omega, guard))
+    if inside.all():
+        return None
+    omega = np.ravel(omega)[inside.argmin()].item()
     if not omega > 0:
-        raise DomainError(f"omega must be positive, got {omega}")
-    if omega >= guard * m.omegaJ:
-        raise AbovePlasmaCutoff(
-            f"omega/2pi = {omega / (2 * math.pi) / 1e9:.3f} GHz is at or above "
-            f"{guard:.2f} * omegaJ/2pi = "
-            f"{guard * m.omegaJ / (2 * math.pi) / 1e9:.3f} GHz")
+        return DomainError(f"omega must be positive, got {omega}")
+    return AbovePlasmaCutoff(
+        f"omega/2pi = {omega / (2 * math.pi) / 1e9:.3f} GHz is at or above "
+        f"{guard:.2f} * omegaJ/2pi = "
+        f"{guard * m.omegaJ / (2 * math.pi) / 1e9:.3f} GHz")
 
 
 def wavevector(m: MediumParams, omega: float, guard: float = PLASMA_GUARD) -> float:
     """Wavevector [rad/cell] at angular frequency ``omega`` [rad/s]."""
-    _check_omega(m, omega, guard)
-    return omega / (m.omega0 * math.sqrt(1.0 - (omega / m.omegaJ) ** 2))
+    error = band_error(m, omega, guard)
+    if error is not None:
+        raise error
+    k = omega / (m.omega0 * np.sqrt(1.0 - (omega / m.omegaJ) ** 2))
+    # a float for a float: NumPy scalars would slow every scalar caller's
+    # arithmetic several times over
+    return k if np.ndim(k) else float(k)
 
 
 def omega_tilde(m: MediumParams, omega: float) -> float:
@@ -95,7 +114,8 @@ def amplitude_from_dbm(m: MediumParams, omega: float, power_dbm: float,
     calibration factor applied to every converted amplitude.
 
     Raises ``ValueError`` naming the power when the amplitude underflows
-    to zero or overflows to infinity: gains are ratios to it.
+    to zero or overflows to infinity (for an array of frequencies, at the
+    first that does): gains are ratios to it.
     """
     try:
         # a Python float overflows with an error, never a NumPy warning
@@ -103,9 +123,11 @@ def amplitude_from_dbm(m: MediumParams, omega: float, power_dbm: float,
     except OverflowError:
         p_watt = math.inf
     amp = amp_scale * (2.0 * math.pi / PHI0) * math.sqrt(2.0 * m.Z * p_watt) / omega
-    if not 0 < amp < math.inf:
+    amps = np.ravel(amp)
+    bad = amps[~((amps > 0) & (amps < math.inf))]
+    if bad.size:
         raise ValueError(f"power {power_dbm:g} dBm gives the amplitude "
-                         f"{amp:g}, which is not finite and positive")
+                         f"{bad[0]:g}, which is not finite and positive")
     return amp
 
 

@@ -11,6 +11,13 @@ term from the phase backaction of non-phase-matched second-harmonic and
 upconversion processes.  The dynamic expressions are perturbative: they
 assume each auxiliary process stays far from phase matching
 (|dk_aux| much larger than the induced phase rates).
+
+Each term is written once, on floats and arrays alike.  The one-point
+functions (:func:`dk_total`, :func:`dk_dispersion`, :func:`kerr_etas`,
+:func:`dynamic_etas`) evaluate it on floats and raise a point's error;
+:func:`breakdown_grid` evaluates it over a whole grid of signal or pump
+frequencies in one array pass and returns each failing point's error
+instead, so a grid row is a gap exactly where :func:`dk_total` raises.
 """
 
 from __future__ import annotations
@@ -21,10 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeIdler, NotFound, SmallDenominator, TwpaError
-from .medium import (MediumParams, amplitude_from_dbm, loss_wavevector,
+from .medium import (MediumParams, amplitude_from_dbm, band_error, in_band,
                      omega_tilde, wavevector)
 
 EPSILON_DK = 1e-4  # rad/cell; below this the perturbative formulas are invalid
+_AUX_NAMES = ("2ap", "s+ap", "i+ap")  # the auxiliary modes, in check order
 
 
 @dataclass(frozen=True)
@@ -68,19 +76,122 @@ class DynamicEtas:
     valid: bool
 
 
-def idler_frequency(omega_s: float, omega_ap: float) -> float:
+def _frequencies(omega_s, omega_ap):
+    """The modes of a (signal, pump) point, in check order: pump, signal,
+    idler, then the auxiliary modes ``2 omega_ap``, ``omega_s + omega_ap``
+    and ``omega_i + omega_ap``.  Floats or arrays."""
     omega_i = 2.0 * omega_ap - omega_s
+    return (omega_ap, omega_s, omega_i, 2.0 * omega_ap, omega_s + omega_ap,
+            omega_i + omega_ap)
+
+
+def idler_frequency(omega_s: float, omega_ap: float) -> float:
+    omega_i = _frequencies(omega_s, omega_ap)[2]
     if omega_i <= 0:
         raise NegativeIdler(
             f"2*omega_ap - omega_s = {omega_i:.4g} rad/s is not positive")
     return omega_i
 
 
+def _point_error(m: MediumParams, w) -> TwpaError:
+    """Why one point's array of mode frequencies is outside the model: the
+    pump's plasma guard, then a negative idler, then the other modes'
+    guards in order."""
+    error = band_error(m, w[0])
+    if error is None:
+        try:
+            idler_frequency(w[1], w[0])
+        except NegativeIdler as exc:
+            return exc
+        error = band_error(m, w[1:])
+    return error
+
+
+def _point(m: MediumParams, omega_s: float, omega_ap: float, n_modes: int):
+    """Wavevectors and plasma factors of one point's first ``n_modes``
+    modes, as lists of floats; raises the point's error."""
+    w = np.array(_frequencies(omega_s, omega_ap)[:n_modes])
+    if not in_band(m, w).all():
+        raise _point_error(m, w)
+    return wavevector(m, w).tolist(), omega_tilde(m, w).tolist()
+
+
+def _grid(m: MediumParams, omega_s, omega_ap):
+    """The six modes of a grid of points, broadcast together.
+
+    Returns ``(ok, errors, k, wt)``: ``ok`` marks the points where every
+    mode is inside the dispersion band and the idler is positive,
+    ``errors`` maps every other point's index to its error, and ``k`` and
+    ``wt`` hold the wavevectors and plasma factors of the ``ok`` points,
+    one row per mode.
+    """
+    w = np.array(np.broadcast_arrays(*_frequencies(
+        np.asarray(omega_s, float), np.asarray(omega_ap, float))))
+    w = w.reshape(len(w), -1)
+    ok = in_band(m, w).all(axis=0)
+    errors = {j: _point_error(m, w[:, j])
+              for j in np.flatnonzero(~ok).tolist()}
+    w = w[:, ok]
+    return ok, errors, wavevector(m, w), omega_tilde(m, w)
+
+
+# The arithmetic below takes the wavevectors ``k`` and plasma factors
+# ``wt`` of the modes in _frequencies order, each a float (one point) or
+# an array (a grid).
+
+
+def _mismatch(x):
+    """The four-wave-mixing combination ``2 x_ap - x_s - x_i`` of values
+    given in the order pump, signal, idler."""
+    return 2.0 * x[0] - x[1] - x[2]
+
+
+def _kerr(gamma: float, k, wt, a2):
+    """Kerr phase rates (eta_ap, eta_s, eta_i); see :func:`kerr_etas`."""
+    return ((3.0 * gamma / (8.0 * wt[0]) * k[0]**3 * a2,)
+            + tuple(6.0 * gamma / (8.0 * wt[j]) * k[0]**2 * k[j] * a2
+                    for j in (1, 2)))
+
+
+def _aux_mismatch(k):
+    """Mismatches of the auxiliary processes, in _AUX_NAMES order:
+    ``2 k_ap - k_2ap`` and ``k_ap + k_m - k_{m+ap}`` for m = s, i."""
+    return ((2.0 * k[0] - k[3],)
+            + tuple(k[0] + k[j] - k[j + 3] for j in (1, 2)))
+
+
+def _small(dk, epsilon_dk: float) -> list:
+    """Whether each auxiliary mismatch is at or below ``epsilon_dk``."""
+    return [abs(d) <= epsilon_dk for d in dk]
+
+
+def _small_denominator(r: int, dk: float, epsilon_dk: float):
+    return SmallDenominator(
+        f"|dk_{_AUX_NAMES[r]}| = {abs(dk):.3g} rad/cell <= {epsilon_dk:.3g}; "
+        "the perturbative dynamic-phase formula does not apply")
+
+
+def _dynamic(beta: float, k, wt, dk, a2):
+    """Dynamic phase rates (eta_ap, eta_s, eta_i), for auxiliary
+    mismatches ``dk`` above the small-denominator threshold."""
+    return ((eta_pump_dynamic(beta, k[0], k[3], wt[0], wt[3], dk[0], a2),)
+            + tuple(eta_mode_dynamic(beta, k[0], k[j], k[j + 3], wt[j],
+                                     wt[j + 3], dk[j], a2)
+                    for j in (1, 2)))
+
+
+def _components(gamma: float, k, wt, amp, eta_dyn):
+    """Dispersion, Kerr, dynamic and total mismatch [rad/cell]."""
+    d_disp = _mismatch(k)
+    d_kerr = _mismatch(_kerr(gamma, k, wt, amp * amp))
+    d_dyn = _mismatch(eta_dyn)
+    return d_disp, d_kerr, d_dyn, d_disp + d_kerr + d_dyn
+
+
 def dk_dispersion(m: MediumParams, omega_s: float, omega_ap: float) -> float:
     """Linear mismatch ``2 k_ap - k_s - k_i`` [rad/cell]."""
-    omega_i = idler_frequency(omega_s, omega_ap)
-    return (2.0 * wavevector(m, omega_ap) - wavevector(m, omega_s)
-            - wavevector(m, omega_i))
+    k, _ = _point(m, omega_s, omega_ap, 3)
+    return _mismatch(k)
 
 
 def kerr_etas(m: MediumParams, gamma: float, omega_s: float, omega_ap: float,
@@ -90,18 +201,13 @@ def kerr_etas(m: MediumParams, gamma: float, omega_s: float, omega_ap: float,
     eta_{s,i} = (6 gamma / 8 wt_{s,i}) k_ap^2 k_{s,i} |A_ap|^2 and
     eta_ap    = (3 gamma / 8 wt_ap)   k_ap^3         |A_ap|^2, with
     wt_m = 1 - omega_m^2/omegaJ^2.  The Kerr mismatch is
-    ``2 eta_ap - eta_s - eta_i``.
+    ``2 eta_ap - eta_s - eta_i``.  A negative or NaN ``pump_amp`` raises
+    ``ValueError``.
     """
-    if pump_amp < 0:
-        raise ValueError("pump_amp must be >= 0")
-    omega_i = idler_frequency(omega_s, omega_ap)
-    k_s = wavevector(m, omega_s)
-    k_i = wavevector(m, omega_i)
-    k_ap = wavevector(m, omega_ap)
-    a2 = pump_amp * pump_amp
-    eta_s = 6.0 * gamma / (8.0 * omega_tilde(m, omega_s)) * k_ap**2 * k_s * a2
-    eta_i = 6.0 * gamma / (8.0 * omega_tilde(m, omega_i)) * k_ap**2 * k_i * a2
-    eta_ap = 3.0 * gamma / (8.0 * omega_tilde(m, omega_ap)) * k_ap**3 * a2
+    if not pump_amp >= 0:
+        raise ValueError(f"pump_amp must be >= 0, got {pump_amp}")
+    k, wt = _point(m, omega_s, omega_ap, 3)
+    eta_ap, eta_s, eta_i = _kerr(gamma, k, wt, pump_amp * pump_amp)
     return eta_s, eta_i, eta_ap
 
 
@@ -120,6 +226,21 @@ def eta_mode_dynamic(beta: float, k_ap: float, k_m: float, k_up: float,
             / (4.0 * wt_m * wt_up * dk_up))
 
 
+def _dynamic_etas(beta: float, k, wt, pump_amp: float,
+                  epsilon_dk: float) -> DynamicEtas:
+    if beta == 0.0 or pump_amp == 0.0:
+        # every rate is identically zero; the denominators never enter
+        return DynamicEtas(0.0, 0.0, 0.0, valid=True)
+    dk = _aux_mismatch(k)
+    small = _small(dk, epsilon_dk)
+    if any(small):
+        r = small.index(True)
+        raise _small_denominator(r, dk[r], epsilon_dk)
+    eta = _dynamic(beta, k, wt, dk, pump_amp * pump_amp)
+    valid = all(abs(d) > 10.0 * abs(e) for d, e in zip(dk, eta))
+    return DynamicEtas(*eta, valid=valid)
+
+
 def dynamic_etas(m: MediumParams, beta: float, omega_s: float, omega_ap: float,
                  pump_amp: float, epsilon_dk: float = EPSILON_DK) -> DynamicEtas:
     """Dynamic (second-harmonic/upconversion-induced) phase rates.
@@ -127,41 +248,17 @@ def dynamic_etas(m: MediumParams, beta: float, omega_s: float, omega_ap: float,
     Auxiliary modes at ``2 omega_ap``, ``omega_s + omega_ap`` and
     ``omega_i + omega_ap`` must sit below the plasma guard and be
     detuned: SmallDenominator is raised if any auxiliary mismatch
-    magnitude is at or below ``epsilon_dk``.
+    magnitude is at or below ``epsilon_dk``.  A negative or NaN
+    ``pump_amp`` raises ``ValueError``.
     """
-    if pump_amp < 0:
-        raise ValueError("pump_amp must be >= 0")
-    omega_i = idler_frequency(omega_s, omega_ap)
-    w = {"s": omega_s, "ap": omega_ap, "i": omega_i,
-         "2ap": 2.0 * omega_ap, "su": omega_s + omega_ap,
-         "iu": omega_i + omega_ap}
-    k = {name: wavevector(m, om) for name, om in w.items()}
-    wt = {name: omega_tilde(m, om) for name, om in w.items()}
+    if not pump_amp >= 0:
+        raise ValueError(f"pump_amp must be >= 0, got {pump_amp}")
+    k, wt = _point(m, omega_s, omega_ap, 6)
+    return _dynamic_etas(beta, k, wt, pump_amp, epsilon_dk)
 
-    dk_2ap = 2.0 * k["ap"] - k["2ap"]
-    dk_su = k["ap"] + k["s"] - k["su"]
-    dk_iu = k["ap"] + k["i"] - k["iu"]
-    if beta == 0.0 or pump_amp == 0.0:
-        # every rate is identically zero; the denominators never enter
-        return DynamicEtas(0.0, 0.0, 0.0, valid=True)
-    for name, dk in (("2ap", dk_2ap), ("s+ap", dk_su), ("i+ap", dk_iu)):
-        if abs(dk) <= epsilon_dk:
-            raise SmallDenominator(
-                f"|dk_{name}| = {abs(dk):.3g} rad/cell <= {epsilon_dk:.3g}; "
-                "the perturbative dynamic-phase formula does not apply")
 
-    a2 = pump_amp * pump_amp
-    eta_ap = eta_pump_dynamic(beta, k["ap"], k["2ap"], wt["ap"], wt["2ap"],
-                              dk_2ap, a2)
-    eta_s = eta_mode_dynamic(beta, k["ap"], k["s"], k["su"], wt["s"], wt["su"],
-                             dk_su, a2)
-    eta_i = eta_mode_dynamic(beta, k["ap"], k["i"], k["iu"], wt["i"], wt["iu"],
-                             dk_iu, a2)
-    valid = (abs(dk_2ap) > 10.0 * abs(eta_ap)
-             and abs(dk_su) > 10.0 * abs(eta_s)
-             and abs(dk_iu) > 10.0 * abs(eta_i))
-    return DynamicEtas(eta_ap_dyn=eta_ap, eta_s_dyn=eta_s, eta_i_dyn=eta_i,
-                       valid=valid)
+def _attenuate(m: MediumParams, a0, k_ap):
+    return a0 * np.exp(-k_ap * m.tan_delta * m.N / 4.0)
 
 
 def attenuated_pump_amplitude(m: MediumParams, pump: ToneConfig,
@@ -173,8 +270,7 @@ def attenuated_pump_amplitude(m: MediumParams, pump: ToneConfig,
     integrator applies the exact per-cell loss instead.
     """
     a0 = amplitude_from_dbm(m, pump.freq, pump.power_dbm, amp_scale)
-    k_ap = wavevector(m, pump.freq)
-    return a0 * math.exp(-k_ap * m.tan_delta * m.N / 4.0)
+    return float(_attenuate(m, a0, wavevector(m, pump.freq)))
 
 
 def dk_total(m: MediumParams, beta: float, gamma: float, signal: ToneConfig,
@@ -184,17 +280,55 @@ def dk_total(m: MediumParams, beta: float, gamma: float, signal: ToneConfig,
 
     The pump amplitude entering the Kerr and dynamic terms carries the
     line-averaged attenuation factor (see
-    :func:`attenuated_pump_amplitude`).
+    :func:`attenuated_pump_amplitude`).  Raises, checking in this order:
+    ``ValueError`` for a pump amplitude that is not finite and positive;
+    AbovePlasmaCutoff for the pump; NegativeIdler; AbovePlasmaCutoff for
+    the signal, the idler and the auxiliary modes ``2 omega_ap``,
+    ``omega_s + omega_ap`` and ``omega_i + omega_ap`` (also when ``beta``
+    is zero); and, when ``beta`` and the pump are non-zero,
+    SmallDenominator.  :func:`breakdown_grid` is the same arithmetic over
+    a grid.
     """
     amp = attenuated_pump_amplitude(m, pump, amp_scale)
-    d_disp = dk_dispersion(m, signal.freq, pump.freq)
-    eta_s, eta_i, eta_ap = kerr_etas(m, gamma, signal.freq, pump.freq, amp)
-    d_kerr = 2.0 * eta_ap - eta_s - eta_i
-    de = dynamic_etas(m, beta, signal.freq, pump.freq, amp, epsilon_dk)
-    d_dyn = 2.0 * de.eta_ap_dyn - de.eta_s_dyn - de.eta_i_dyn
-    return PhaseMismatchBreakdown(dk_dispersion=d_disp, dk_kerr=d_kerr,
-                                  dk_dynamic=d_dyn,
-                                  dk_total=d_disp + d_kerr + d_dyn)
+    k, wt = _point(m, signal.freq, pump.freq, 6)
+    de = _dynamic_etas(beta, k, wt, amp, epsilon_dk)
+    return PhaseMismatchBreakdown(*_components(
+        gamma, k, wt, amp, (de.eta_ap_dyn, de.eta_s_dyn, de.eta_i_dyn)))
+
+
+def breakdown_grid(m: MediumParams, beta: float, gamma: float, omega_s,
+                   omega_ap, pump_power_dbm: float, amp_scale: float = 1.0,
+                   epsilon_dk: float = EPSILON_DK):
+    """:func:`dk_total` over a grid of signal and pump frequencies [rad/s],
+    broadcast together, in one array pass.
+
+    Returns ``(values, errors)``.  ``values`` is an ``(n, 4)`` array whose
+    columns are the dispersion, Kerr, dynamic and total mismatch
+    [rad/cell].  A point where :func:`dk_total` raises a TwpaError keeps
+    a NaN row, and ``errors`` lists each such point as ``(index, error)``,
+    in grid order.  A pump amplitude that is not finite and positive
+    raises ``ValueError``, as it does from :func:`dk_total`.
+    """
+    a0 = amplitude_from_dbm(m, omega_ap, pump_power_dbm, amp_scale)
+    ok, errors, k, wt = _grid(m, omega_s, omega_ap)
+    rows = np.flatnonzero(ok)
+    amp = _attenuate(m, np.broadcast_to(a0, ok.shape)[ok], k[0])
+    dk = np.array(_aux_mismatch(k))
+    small = np.array(_small(dk, epsilon_dk))
+    # as in _dynamic_etas: without beta or pump every rate is zero
+    live = (beta != 0.0) & (amp != 0.0)
+    bad = live & small.any(axis=0)
+    for j in np.flatnonzero(bad).tolist():
+        r = int(small[:, j].argmax())
+        errors[int(rows[j])] = _small_denominator(r, dk[r, j], epsilon_dk)
+    use = live & ~bad
+    eta_dyn = np.zeros_like(dk)
+    eta_dyn[:, use] = _dynamic(beta, k[:, use], wt[:, use], dk[:, use],
+                               amp[use] * amp[use])
+    values = np.full((ok.size, 4), np.nan)
+    values[rows[~bad]] = np.column_stack(
+        _components(gamma, k, wt, amp, eta_dyn))[~bad]
+    return values, sorted(errors.items())
 
 
 def find_matched_pump(m: MediumParams, beta: float, gamma: float,
@@ -203,12 +337,18 @@ def find_matched_pump(m: MediumParams, beta: float, gamma: float,
                       threshold: float = 1e-3, grid_points: int = 241):
     """Pump frequency in ``search_band`` [rad/s] minimizing |dk_total|.
 
-    Returns ``(omega_ap, dk_at_min)``.  Grid search plus a bounded local
-    refinement; grid points whose mismatch formulas are invalid
-    (plasma guard, small denominators, negative idler) are skipped.
+    Returns ``(omega_ap, dk_at_min)``.  A grid of ``grid_points`` pump
+    frequencies spanning the band, evaluated in one pass by
+    :func:`breakdown_grid`, then a bounded local refinement of
+    :func:`dk_total` between the best grid point's neighbours; grid
+    points whose mismatch formulas are invalid (plasma guard, small
+    denominators, negative idler) are skipped.
 
     Raises
     ------
+    ValueError
+        If the band is not ``0 < lo < hi`` with ``hi`` finite, or
+        ``grid_points`` is below 2 (one point cannot bracket a minimum).
     NotFound
         If no valid point exists or the best |dk_total| exceeds
         ``threshold`` [rad/cell].
@@ -218,8 +358,10 @@ def find_matched_pump(m: MediumParams, beta: float, gamma: float,
     from scipy.optimize import minimize_scalar
 
     lo, hi = float(search_band[0]), float(search_band[1])
-    if not (0 < lo < hi):
-        raise ValueError("search band must satisfy 0 < lo < hi")
+    if not (0 < lo < hi < math.inf):
+        raise ValueError("search band must satisfy 0 < lo < hi < inf")
+    if grid_points < 2:
+        raise ValueError("grid_points must be >= 2")
     signal = ToneConfig(freq=omega_s, power_dbm=-200.0)
 
     def objective(omega_ap: float) -> float:
@@ -230,7 +372,10 @@ def find_matched_pump(m: MediumParams, beta: float, gamma: float,
             return math.inf
 
     grid = np.linspace(lo, hi, grid_points)
-    vals = np.array([objective(w) for w in grid])
+    values, errors = breakdown_grid(m, beta, gamma, omega_s, grid,
+                                    pump_power_dbm, amp_scale)
+    vals = np.abs(values[:, 3])
+    vals[[j for j, _ in errors]] = math.inf
     if not np.any(np.isfinite(vals)):
         raise NotFound("no valid pump frequency in the search band")
     ibest = int(np.argmin(vals))

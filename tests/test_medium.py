@@ -7,6 +7,7 @@ from twpasim import (MediumParams, amplitude_from_dbm,
                      linear_transmission_db, loss_wavevector,
                      power_dbm_from_amplitude, wavevector)
 from twpasim.errors import AbovePlasmaCutoff, DomainError, sweep
+from twpasim.medium import band_error, in_band
 
 
 class TestWavevector:
@@ -61,6 +62,35 @@ class TestWavevector:
         dk = np.diff(k)
         assert np.all(dk > 0)
         assert np.all(np.diff(dk) > 0)
+
+
+class TestArrays:
+    """One formula serves a point and a grid."""
+
+    def test_grid_matches_points(self, medium_zero_flux):
+        m = medium_zero_flux
+        w = 2 * math.pi * np.linspace(0.5e9, 66e9, 301)
+        for fn in (wavevector, loss_wavevector, linear_transmission_db):
+            np.testing.assert_allclose(fn(m, w), [fn(m, x) for x in w],
+                                       rtol=1e-15, atol=0)
+        np.testing.assert_allclose(amplitude_from_dbm(m, w, -78.0),
+                                   [amplitude_from_dbm(m, x, -78.0)
+                                    for x in w], rtol=0, atol=0)
+
+    def test_band_mask_and_first_error(self, medium_035):
+        m = medium_035  # plasma guard at 67.075 GHz
+        w = 2 * math.pi * np.array([5e9, 70e9, -1e9, 80e9])
+        np.testing.assert_array_equal(in_band(m, w),
+                                      [True, False, False, False])
+        assert band_error(m, w[0]) is None
+        # the first frequency outside the band, in array order
+        for order, kind, text in (([0, 1, 2], AbovePlasmaCutoff, "70.000"),
+                                  ([0, 2, 1], DomainError, "positive")):
+            error = band_error(m, w[order])
+            assert type(error) is kind and text in str(error)
+            with pytest.raises(kind, match=text):
+                wavevector(m, w[order])
+        assert str(band_error(m, w[1])) == str(band_error(m, w[1:]))
 
 
 class TestLoss:

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twpasim import (MediumParams, ToneConfig, amplitude_from_dbm,
-                     dk_dispersion, dk_total, dynamic_etas,
-                     find_matched_pump, kerr_etas, wavevector)
+                     cell_coefficients, dk_dispersion, dk_total,
+                     dynamic_etas, equilibrium_phase, find_matched_pump,
+                     kerr_etas, wavevector)
 from twpasim.errors import (AbovePlasmaCutoff, NegativeIdler, NotFound,
-                            SmallDenominator)
-from twpasim.phasematch import (attenuated_pump_amplitude, eta_mode_dynamic,
+                            SmallDenominator, TwpaError, describe)
+from twpasim.phasematch import (EPSILON_DK, attenuated_pump_amplitude,
+                                breakdown_grid, eta_mode_dynamic,
                                 eta_pump_dynamic)
 
 W_S = 2 * math.pi * 7e9
@@ -74,7 +77,18 @@ class TestKerrEtas:
         assert dk_kerr == pytest.approx(-2 * expected_ap, rel=1e-14)
 
 
+    @pytest.mark.parametrize("amp", [-0.5, math.nan])
+    def test_rejects_negative_or_nan_amplitude(self, medium_035, amp):
+        with pytest.raises(ValueError, match="pump_amp must be >= 0"):
+            kerr_etas(medium_035, 0.05, W_S, W_AP, amp)
+
+
 class TestDynamicEtas:
+    @pytest.mark.parametrize("amp", [-0.5, math.nan])
+    def test_rejects_negative_or_nan_amplitude(self, medium_035, amp):
+        with pytest.raises(ValueError, match="pump_amp must be >= 0"):
+            dynamic_etas(medium_035, 0.05, W_S, W_AP, amp)
+
     def test_zero_beta_gives_zeros(self, medium_035):
         de = dynamic_etas(medium_035, 0.0, W_S, W_AP, 1.0)
         assert (de.eta_ap_dyn, de.eta_s_dyn, de.eta_i_dyn) == (0.0, 0.0, 0.0)
@@ -206,6 +220,39 @@ class TestFindMatchedPump:
         assert 9.0 <= f_ghz <= 10.0
         assert dk < 1e-6
 
+    # find_matched_pump with the device couplings at -78 dBm over
+    # (f_s + 0.5 GHz, 16 GHz), recorded when every grid point was a
+    # separate dk_total call
+    PINNED = [(0.25, 4.0e9, 38602639206.136284),
+              (0.35, 6.0e9, 49094718425.28586),
+              (0.40, 7.5e9, 56327464679.60012),
+              (0.45, 5.0e9, 40927766814.68323)]
+
+    @pytest.mark.parametrize("flux, f_s, omega_ap", PINNED)
+    def test_pinned_matched_pumps(self, device_spec, flux, f_s, omega_ap):
+        c = cell_coefficients(device_spec,
+                              equilibrium_phase(device_spec, flux))
+        m = MediumParams.from_cell(device_spec, c)
+        w, dk = find_matched_pump(m, c.beta, c.gamma, 2 * math.pi * f_s,
+                                  -78.0, (2 * math.pi * (f_s + 0.5e9),
+                                          2 * math.pi * 16e9))
+        assert w == pytest.approx(omega_ap, rel=1e-9)
+        assert dk < 1e-9
+
+    @pytest.mark.parametrize("grid_points", [1, 0])
+    def test_grid_of_fewer_than_two_points_rejected(self, medium_035,
+                                                    grid_points):
+        # one point is the band edge, which the refinement cannot leave
+        with pytest.raises(ValueError, match="grid_points must be >= 2"):
+            find_matched_pump(medium_035, 0.0, 0.0, W_S, -78.0, self.BAND,
+                              grid_points=grid_points)
+
+    @pytest.mark.parametrize("band", [(W_AP, math.inf), (W_AP, W_AP),
+                                      (0.0, W_AP)])
+    def test_band_must_be_finite_and_increasing(self, medium_035, band):
+        with pytest.raises(ValueError, match="search band"):
+            find_matched_pump(medium_035, 0.0, 0.0, W_S, -78.0, band)
+
     def test_not_found_when_threshold_tight(self, medium_zero_flux):
         # beta = gamma = 0: |dk_total| = |dk_dispersion| > 0 off degeneracy
         with pytest.raises(NotFound):
@@ -226,3 +273,98 @@ class TestFindMatchedPump:
             find_matched_pump(medium_035, self.FIT["beta"],
                               self.FIT["gamma"], W_S, -78.0, self.BAND,
                               amp_scale=self.FIT["amp_scale"])
+
+
+def _one_point_rows(m, beta, gamma, omega_s, omega_ap, p_dbm, amp_scale,
+                    epsilon_dk):
+    """dk_total at every point of a broadcast grid: (values, gaps)."""
+    values, gaps = [], []
+    for j, (ws, wp) in enumerate(np.broadcast(omega_s, omega_ap)):
+        try:
+            bd = dk_total(m, beta, gamma, ToneConfig(ws, -200.0),
+                          ToneConfig(wp, p_dbm), amp_scale, epsilon_dk)
+            values.append([bd.dk_dispersion, bd.dk_kerr, bd.dk_dynamic,
+                           bd.dk_total])
+        except TwpaError as exc:
+            values.append([math.nan] * 4)
+            gaps.append((j, describe(exc)))
+    return np.array(values), gaps
+
+
+class TestBreakdownGrid:
+    """The one-pass grid against the one-point dk_total, point by point."""
+
+    GHZ = 2 * math.pi * 1e9
+    # (swept axis, the other tone's frequency, swept band), all in GHz;
+    # the plasma guard is at 67.1 GHz.  A 30 GHz pump puts the s+ap and
+    # i+ap guards and the negative idler on the signal grid; a 45 GHz pump
+    # the signal guard (above 67 GHz) with 2ap-guard rows below it; the
+    # paper pump, with epsilon_dk up to 3e-2, SmallDenominator rows; a
+    # pump sweep at a 6 GHz signal the pump guard, the idler guard and
+    # the negative idler
+    SCENARIOS = [("signal", 30.0, (10.0, 70.0)),
+                 ("signal", 45.0, (60.0, 75.0)),
+                 ("signal", 9.2, (2.0, 16.5)),
+                 ("pump", 6.0, (2.0, 70.0))]
+
+    def grid(self, axis, fixed, band, n, shift=0.0):
+        swept = self.GHZ * np.linspace(band[0] + shift, band[1] + shift, n)
+        fixed = self.GHZ * (fixed + shift / 4)
+        return (swept, fixed) if axis == "signal" else (fixed, swept)
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(scenario=st.sampled_from(SCENARIOS),
+           shift=st.floats(-1.0, 1.0), n=st.integers(1, 60),
+           beta=st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
+           gamma=st.floats(0.0, 0.3), p_dbm=st.floats(-95.0, -70.0),
+           amp_scale=st.floats(0.5, 2.0),
+           epsilon_dk=st.one_of(st.just(EPSILON_DK),
+                                st.floats(1e-4, 3e-2)))
+    def test_matches_one_point_path(self, medium_035, scenario, shift, n,
+                                    beta, gamma, p_dbm, amp_scale,
+                                    epsilon_dk):
+        omega_s, omega_ap = self.grid(*scenario, n, shift)
+        args = (medium_035, beta, gamma, omega_s, omega_ap, p_dbm,
+                amp_scale, epsilon_dk)
+        values, errors = breakdown_grid(*args)
+        expected, gaps = _one_point_rows(*args)
+        assert [(j, describe(exc)) for j, exc in errors] == gaps
+        assert np.array_equal(np.isnan(values), np.isnan(expected))
+        finite = ~np.isnan(expected)
+        scale = np.max(np.abs(np.where(finite, expected, 0.0)), axis=0)
+        assert np.all(np.abs(values - expected)[finite]
+                      <= np.broadcast_to(1e-12 * scale, finite.shape)[finite])
+
+    @pytest.mark.parametrize("axis, fixed, swept, message", [
+        ("signal", 30.0, 38.0, "AbovePlasmaCutoff: omega/2pi = 68.000 GHz"),
+        ("signal", 30.0, 20.0, "AbovePlasmaCutoff: omega/2pi = 70.000 GHz"),
+        ("signal", 30.0, 61.0, "NegativeIdler: "),
+        ("signal", 45.0, 68.0, "AbovePlasmaCutoff: omega/2pi = 68.000 GHz"),
+        ("signal", 45.0, 62.0, "AbovePlasmaCutoff: omega/2pi = 90.000 GHz"),
+        ("pump", 6.0, 68.0, "AbovePlasmaCutoff: omega/2pi = 68.000 GHz"),
+        ("pump", 6.0, 40.0, "AbovePlasmaCutoff: omega/2pi = 74.000 GHz"),
+        ("pump", 6.0, 2.5, "NegativeIdler: "),
+        ("signal", 9.2, 2.0, "SmallDenominator: |dk_s+ap| = 0.00265 "),
+        ("signal", 9.2, 16.5, "SmallDenominator: |dk_i+ap| = 0.0025 "),
+    ])
+    def test_gap_names_the_first_failing_check(self, medium_035, axis,
+                                                fixed, swept, message):
+        """A failing row says what the one-point path raises: the pump
+        guard, then a negative idler, then the signal, idler, 2ap, s+ap
+        and i+ap guards, then SmallDenominator."""
+        omega_s, omega_ap = self.grid(axis, fixed, (swept, 50.0), 2)
+        values, errors = breakdown_grid(medium_035, 0.1, 0.1, omega_s,
+                                        omega_ap, -78.0, epsilon_dk=3e-3)
+        assert errors[0][0] == 0 and np.all(np.isnan(values[0]))
+        assert describe(errors[0][1]).startswith(message)
+        with pytest.raises(TwpaError) as info:
+            dk_total(medium_035, 0.1, 0.1,
+                     ToneConfig(np.ravel(omega_s)[0], -200.0),
+                     ToneConfig(np.ravel(omega_ap)[0], -78.0),
+                     epsilon_dk=3e-3)
+        assert describe(info.value) == describe(errors[0][1])
+
+    def test_unrepresentable_pump_amplitude_raises(self, medium_035):
+        with pytest.raises(ValueError, match="power -4000 dBm"):
+            breakdown_grid(medium_035, 0.1, 0.1, W_S, np.array([W_AP, W_S]),
+                           -4000.0)
