@@ -25,6 +25,7 @@ import math
 import os
 import sys
 import time
+from itertools import chain
 
 import numpy as np
 
@@ -179,10 +180,14 @@ def validate(config_text: str) -> dict:
                       f"format must be csv or json, got "
                       f"{values.get('format')!r}"))
     for key in ("signal_points", "signal_power_points", "flux_points",
-                "precision", "cells"):
+                "cells"):
         if key in values and values[key] is not None and values[key] < 1:
             diags.append((seen.get(key, ("", 0))[1],
                           f"'{key}' must be >= 1"))
+    # 17 significant digits round-trip any double; more print noise
+    if "precision" in values and not 1 <= values["precision"] <= 17:
+        diags.append((seen["precision"][1],
+                      "'precision' must lie in [1, 17]"))
     # the spectra and saturation_curve take strictly increasing grids
     for tasks, n, lo, hi in ((("gain", "isolation"), "signal_points",
                               "signal_freq_min_hz", "signal_freq_max_hz"),
@@ -369,16 +374,29 @@ _TASK_FN = {
 }
 
 
-def _fmt(value, precision: int) -> str:
-    if isinstance(value, float):
-        return f"{value:.{precision}g}"
-    return str(value)
+# stands in for the rows while the rest of a JSON artifact is encoded; with
+# sorted keys only "task" and "version", both from fixed vocabularies, come
+# after "rows", so the last occurrence of its encoding is the rows' slot
+_ROWS_SLOT = "<rows>"
 
 
-def _round(value, precision: int):
-    if isinstance(value, float) and math.isfinite(value):
-        return float(f"{value:.{precision}g}")
-    return value
+def _json_rows(values: tuple, ncols: int, precision: int) -> str:
+    """A flattened table of floats as ``json.dumps(indent=1)`` writes the
+    ``rows`` value of an artifact, each float first rounded to
+    ``precision`` significant digits (NaN and inf stay as they are).
+
+    The whole table is rounded by one ``%``-format and rendered by one
+    call of json's C encoder, which writes floats with ``float.__repr__``,
+    ``NaN`` and ``Infinity`` as the indenting encoder does; one more
+    ``%``-format lays the tokens out with that encoder's separators.
+    """
+    if not values:
+        return "[]"
+    rounded = map(float, ((f"%.{precision}g " * len(values)) % values).split())
+    tokens = json.dumps(list(rounded))[1:-1].split(", ")
+    row = ",\n   ".join(["%s"] * ncols)
+    rows = "\n  ],\n  [\n   ".join([row] * (len(values) // ncols))
+    return f"[\n  [\n   {rows}\n  ]\n ]" % tuple(tokens)
 
 
 def run(cfg: dict, out_path=None, out_format=None) -> str:
@@ -386,7 +404,12 @@ def run(cfg: dict, out_path=None, out_format=None) -> str:
 
     Returns the output path.  Output is deterministic for identical
     configs: rows follow grid order and floats are rendered at the
-    configured precision.
+    configured precision.  Each table is rendered whole, in one pass, and
+    the bytes are those of rendering value by value: a CSV value is
+    ``f"{v:.{precision}g}"``, and the JSON document is
+    ``json.dumps(doc, indent=1, sort_keys=True, allow_nan=True)`` with each
+    finite row value replaced by ``float(f"{v:.{precision}g}")``
+    (``tests/test_cli.py`` keeps that rule as its oracle).
     """
     task = cfg["task"]
     t0 = time.perf_counter()
@@ -396,12 +419,12 @@ def run(cfg: dict, out_path=None, out_format=None) -> str:
     fmt = out_format or cfg["format"]
     path = out_path or cfg["out_path"] or f"{task}.{fmt}"
     prec = cfg["precision"]
+    # every row value is a float (Python or NumPy float64)
+    values = tuple(chain.from_iterable(rows))
 
     if fmt == "csv":
-        lines = [",".join(cols)]
-        for row in rows:
-            lines.append(",".join(_fmt(v, prec) for v in row))
-        payload = "\n".join(lines) + "\n"
+        row = ",".join([f"%.{prec}g"] * len(cols)) + "\n"
+        payload = ",".join(cols) + "\n" + (row * len(rows)) % values
     else:
         doc = {
             "task": task,
@@ -415,11 +438,12 @@ def run(cfg: dict, out_path=None, out_format=None) -> str:
                 "phi0": constants.PHI0, "r_q": constants.R_Q,
             },
             "columns": cols,
-            "rows": [[_round(v, prec) for v in row] for row in rows],
+            "rows": _ROWS_SLOT,
             "metadata": meta,
         }
-        payload = json.dumps(doc, indent=1, sort_keys=True,
-                             allow_nan=True) + "\n"
+        text = json.dumps(doc, indent=1, sort_keys=True, allow_nan=True)
+        head, _, tail = text.rpartition(json.dumps(_ROWS_SLOT))
+        payload = head + _json_rows(values, len(cols), prec) + tail + "\n"
 
     t2 = time.perf_counter()
     log.info("formatted %d rows as %s in %.3f s", len(rows), fmt, t2 - t1)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import math
@@ -6,11 +7,13 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twpasim import __version__, cli, constants
 from twpasim.cli import _SCHEMA, TASKS, main, run, validate
 from twpasim.errors import ConfigError
 
@@ -127,6 +130,18 @@ class TestValidate:
         with pytest.raises(ConfigError) as exc:
             validate(text)
         assert exc.value.diagnostics == [(text.count("\n"), message)]
+
+    @pytest.mark.parametrize("precision", ["0", "18", "30", "3000000000"])
+    def test_precision_outside_1_to_17_rejected(self, precision):
+        """17 significant digits round-trip any double: more digits are
+        noise of the binary expansion, and a huge precision would only
+        fail after the whole task had run."""
+        with pytest.raises(ConfigError) as exc:
+            validate(f"task = cell-params\nprecision = {precision}\n")
+        assert exc.value.diagnostics == [
+            (2, "'precision' must lie in [1, 17]")]
+        for ok in ("1", "17"):
+            validate(f"task = cell-params\nprecision = {ok}\n")
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(st.lists(st.one_of(
@@ -301,6 +316,135 @@ class TestRun:
                                    10.0, rtol=1e-9)
 
 
+def _per_value_artifact(cfg, cols, rows, meta, fmt) -> str:
+    """The artifact text rendered value by value: the reference for
+    ``run``'s one-pass rendering of whole tables."""
+    prec = cfg["precision"]
+
+    def fmt_value(value):
+        if isinstance(value, float):
+            return f"{value:.{prec}g}"
+        return str(value)
+
+    def round_value(value):
+        if isinstance(value, float) and math.isfinite(value):
+            return float(f"{value:.{prec}g}")
+        return value
+
+    if fmt == "csv":
+        lines = [",".join(cols)]
+        for row in rows:
+            lines.append(",".join(fmt_value(v) for v in row))
+        return "\n".join(lines) + "\n"
+    doc = {
+        "task": cfg["task"],
+        "version": __version__,
+        "config_hash": hashlib.sha256("\n".join(
+            f"{k}={cfg[k]!r}" for k in sorted(cfg)).encode()).hexdigest(),
+        "config": {k: cfg[k] for k in sorted(cfg)},
+        "constants": {
+            "h": constants.H, "hbar": constants.HBAR,
+            "e": constants.E_CHARGE, "k_b": constants.K_B,
+            "phi0": constants.PHI0, "r_q": constants.R_Q,
+        },
+        "columns": cols,
+        "rows": [[round_value(v) for v in row] for row in rows],
+        "metadata": meta,
+    }
+    return json.dumps(doc, indent=1, sort_keys=True, allow_nan=True) + "\n"
+
+
+NOISE_RECORDS = Path(__file__).resolve().parents[1] / "configs" / \
+    "noise_records_example.csv"
+
+# random tables for the writer: every kind of float, as Python floats and
+# as NumPy float64 values
+_SPECIAL = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+            -2.2250738585072014e-308, 1.7976931348623157e308, 1e300, -1e-300,
+            0.1, 1 / 3, 123456789012345678.0]
+_FLOAT = st.one_of(st.floats(), st.sampled_from(_SPECIAL),
+                   st.floats(min_value=-1e-290, max_value=1e-290))
+_VALUE = st.one_of(_FLOAT, _FLOAT.map(np.float64))
+
+
+@st.composite
+def _tables(draw):
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(_VALUE, min_size=ncols, max_size=ncols),
+                         max_size=8))
+    return [f"c{j}" for j in range(ncols)], rows
+
+
+class TestWriter:
+    """``run`` writes, byte for byte, what rendering each value on its own
+    gives (``_per_value_artifact``)."""
+
+    def assert_written_as_per_value(self, cfg, path, fmt):
+        cols, rows, meta = cli._TASK_FN[cfg["task"]](cfg)
+        run(cfg, out_path=str(path), out_format=fmt)
+        assert path.read_text(encoding="utf-8") == \
+            _per_value_artifact(cfg, cols, rows, meta, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("task, lines", [
+        ("cell-params", "flux = 0.19"),
+        ("flux-sweep", "flux_points = 5\nprecision = 17"),
+        ("dispersion", "flux = 0.35\nsignal_freq_min_hz = 60e9\n"
+                       "signal_freq_max_hz = 70e9\nsignal_points = 3"),
+        # gap grids: at 38 and 39 GHz the signal plus pump mode is above
+        # the plasma cutoff, and above 18.4 GHz the idler is negative
+        ("phase-mismatch", "flux = 0.35\npump_freq_hz = 30e9\n"
+                           "pump_power_dbm = -78\n"
+                           "signal_freq_min_hz = 35e9\n"
+                           "signal_freq_max_hz = 39e9\nsignal_points = 5"),
+        ("gain", "flux = 0.35\npump_freq_hz = 9.2e9\npump_power_dbm = -78\n"
+                 "signal_freq_min_hz = 17e9\nsignal_freq_max_hz = 20e9\n"
+                 "signal_points = 3\nsolver_rtol = 1e-8\nprecision = 5"),
+        ("isolation", "flux = 0.35\niso_pump_freq_hz = 12.2e9\n"
+                      "iso_pump_power_dbm = -74\nsignal_points = 2\n"
+                      "solver_rtol = 1e-8"),
+        ("saturation", "flux = 0.35\npump_freq_hz = 9.2e9\n"
+                       "pump_power_dbm = -78\nsignal_freq_hz = 7.6e9\n"
+                       "signal_power_points = 2\nsolver_rtol = 1e-8"),
+        ("noise-fit", f"noise_data_path = {NOISE_RECORDS}\n"
+                      f"bandwidth_hz = 1e6\nprecision = 1"),
+    ], ids=["cell-params", "flux-sweep", "dispersion", "phase-mismatch-gaps",
+            "gain-gaps", "isolation", "saturation", "noise-fit"])
+    def test_every_task_matches_per_value_rendering(self, tmp_path, task,
+                                                    lines, fmt):
+        cfg = validate(f"task = {task}\n{lines}\n")
+        self.assert_written_as_per_value(cfg, tmp_path / f"a.{fmt}", fmt)
+        if task == "phase-mismatch" and fmt == "json":
+            doc = json.loads((tmp_path / "a.json").read_text())
+            assert len(doc["metadata"]["gaps"]) == 2
+
+    def test_config_string_equal_to_the_rows_slot(self, tmp_path,
+                                                  monkeypatch):
+        """A config string whose encoding is the rows placeholder's, which
+        is encoded before the rows, is left as it is."""
+        monkeypatch.chdir(tmp_path)
+        cfg = validate(f"task = cell-params\nout_path = {cli._ROWS_SLOT}\n"
+                       f"format = json\n")
+        cols, rows, meta = cli._TASK_FN["cell-params"](cfg)
+        path = Path(run(cfg))
+        text = path.read_text(encoding="utf-8")
+        assert text == _per_value_artifact(cfg, cols, rows, meta, "json")
+        assert json.loads(text)["config"]["out_path"] == cli._ROWS_SLOT
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(table=_tables(), precision=st.integers(1, 17))
+    def test_random_tables_match_per_value_rendering(self, tmp_path_factory,
+                                                     table, precision):
+        cols, rows = table
+        cfg = validate(f"task = cell-params\nprecision = {precision}\n")
+        out = tmp_path_factory.getbasetemp() / "writer"
+        out.mkdir(exist_ok=True)
+        with mock.patch.dict(cli._TASK_FN,
+                             {"cell-params": lambda cfg: (cols, rows, {})}):
+            for fmt in ("csv", "json"):
+                self.assert_written_as_per_value(cfg, out / f"t.{fmt}", fmt)
+
+
 class TestLogging:
     def test_info_times_each_layer_and_leaves_the_artifact(
             self, tmp_path, monkeypatch, caplog):
@@ -414,6 +558,18 @@ class TestMainExitCodes:
         assert doc == {"error": "ValueError", "detail": f"power {power} dBm "
                        f"gives the amplitude {amplitude}, which is not "
                        f"finite and positive"}
+        assert not out.exists()
+
+    def test_huge_precision_exit_two_before_running(self, tmp_path,
+                                                     capsys):
+        out = tmp_path / "o.csv"
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(GAIN_CFG + f"precision = 3000000000\n"
+                                       f"out_path = {out}\n")
+        assert main(["gain", "--config", str(cfg_path)]) == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc == {"error": "config", "detail": [
+            [GAIN_CFG.count("\n") + 1, "'precision' must lie in [1, 17]"]]}
         assert not out.exists()
 
     def test_missing_config_exit_two(self):
