@@ -6,7 +6,8 @@ right-hand side as its first argument, a callable ``rhs(x, y)``: ``y`` is
 a complex array that is valid only during the call (the stepper reuses
 its memory), and ``rhs`` returns dy/dx as any sequence of ``len(y)``
 numbers, a list or an array.  The right-hand sides themselves are built,
-with their coefficients, in :mod:`twpasim.cme`.
+with their coefficients, in :mod:`twpasim.cme`.  A run that cannot be
+completed raises ``StepFailure`` and returns no partial samples.
 
 The method is DOP853 (Hairer, Norsett & Wanner, *Solving Ordinary
 Differential Equations I*, 2nd ed., 1993, section II.10): twelve stages
@@ -31,9 +32,7 @@ import math
 
 import numpy as np
 
-STATUS_OK = 0
-STATUS_MAX_STEPS = 1
-STATUS_STEP_UNDERFLOW = 2
+from .errors import StepFailure
 
 
 # Dormand-Prince 8(5,3) tableau: stage s (0..11) is evaluated at
@@ -145,9 +144,10 @@ _E53 = np.vstack([_E5, _E3]).astype(np.complex128)
 
 def integrate(rhs, y0, x_eval, rtol, atol, max_steps):
     """Integrate dy/dx = rhs(x, y) from x_eval[0], sampling y at every
-    x_eval point.  Returns ``(samples, status)`` with samples of shape
-    (len(x_eval), len(y0)) and one of the ``STATUS_*`` codes; on failure
-    the samples past the last reached point stay zero.
+    x_eval point; returns the samples, of shape (len(x_eval), len(y0)).
+    Raises ``StepFailure``, keeping no partial samples, when ``max_steps``
+    attempted steps do not reach the end or the step falls below its
+    floor (a stiff run, or a non-finite state).
 
     ``rhs(x, y)`` gets a complex array that is valid only during the
     call and returns dy/dx as any sequence of len(y0) numbers.  ``y0``
@@ -183,7 +183,7 @@ def integrate(rhs, y0, x_eval, rtol, atol, max_steps):
         x_next = xs[i_out]
         while x < x_next:
             if steps >= max_steps:
-                return out, STATUS_MAX_STEPS
+                raise StepFailure(f"step budget of {max_steps} exhausted")
             steps += 1
             h_try = min(h, x_next - x)
             np.multiply(_AB, h_try, out=hw)
@@ -214,6 +214,7 @@ def integrate(rhs, y0, x_eval, rtol, atol, max_steps):
             else:
                 h = h_try * (max(0.9 * err ** -0.125, 0.1) if finite else 0.1)
                 if h < h_min:
-                    return out, STATUS_STEP_UNDERFLOW
+                    raise StepFailure("step size underflow or non-finite "
+                                      "state (stiff or blowing-up run)")
         out[i_out] = y
-    return out, STATUS_OK
+    return out

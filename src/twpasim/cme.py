@@ -16,7 +16,8 @@ The derivation of every coupling coefficient from the wave equation of
 the line is spelled out in ``docs/cme_reduction.md``.  Each system has
 one owner here: ``_rhs_4wm`` / ``_rhs_3wm`` compute its coefficients as
 named values and return the right-hand side ``rhs(x, y) -> dy/dx`` that
-:func:`twpasim._kernels.integrate` steps.
+:func:`twpasim._kernels.integrate` steps (raising ``StepFailure``); the
+six-mode ladder, band checks and mismatches come from ``phasematch``.
 
 Photon bookkeeping uses the flux ``n_m = k_m * (1 - omega_m^2/omegaJ^2)
 * |A_m|^2``; with this normalization the lossless couplings conserve the
@@ -33,15 +34,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, StepFailure, sweep
+from .errors import DomainError, sweep
 from .medium import (MediumParams, amplitude_from_dbm, omega_tilde,
                      wavevector)
-from .phasematch import ToneConfig, idler_frequency
+from .phasematch import (ToneConfig, _aux_mismatch, _frequencies, _mismatch,
+                         _point, idler_frequency)
 
 PLASMA_GUARD_3WM = 0.95  # harder guard: upconversion modes approach omegaJ
 RTOL_RANGE = (1e-12, 1e-6)  # accepted integrator tolerances
 
 _MAX_STEPS = 2_000_000
+
+
+def _increasing(grid, name: str) -> np.ndarray:
+    """``grid`` as floats; ``ValueError`` naming it unless increasing."""
+    values = np.asarray(grid, dtype=float)
+    if np.any(np.diff(values) <= 0):
+        raise ValueError(f"{name} grid must be strictly increasing")
+    return values
 
 
 @dataclass
@@ -68,9 +78,8 @@ class ModeSet4WM:
 
     @property
     def frequencies(self) -> np.ndarray:
-        ws, wap = self.omega_s, self.omega_ap
-        wi = 2.0 * wap - ws
-        return np.array([ws, wap, wi, 2.0 * wap, ws + wap, wi + wap])
+        wap, ws, *rest = _frequencies(self.omega_s, self.omega_ap)
+        return np.array([ws, wap, *rest])
 
     @classmethod
     def initial(cls, omega_s: float, omega_ap: float, a_s: complex,
@@ -128,9 +137,8 @@ class Trajectory:
 
     def photon_flux(self) -> np.ndarray:
         """k * (1 - w^2/wJ^2) * |A|^2 per mode and sample."""
-        k = np.array([wavevector(self.medium, w, guard=1.0)
-                      for w in self.frequencies])
-        wt = np.array([omega_tilde(self.medium, w) for w in self.frequencies])
+        k = wavevector(self.medium, self.frequencies, guard=1.0)
+        wt = omega_tilde(self.medium, self.frequencies)
         return k * wt * np.abs(self.amplitudes) ** 2
 
 
@@ -152,12 +160,9 @@ class GainSpectrum:
     gaps: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.omega = np.asarray(self.omega, dtype=float)
+        self.omega = _increasing(self.omega, "frequency")
         self.gain_db = np.asarray(self.gain_db, dtype=float)
-        if np.any(np.diff(self.omega) <= 0):
-            raise ValueError("frequency grid must be strictly increasing")
-        ok = np.isnan(self.gain_db) | np.isfinite(self.gain_db)
-        if not np.all(ok):
+        if np.isinf(self.gain_db).any():
             raise ValueError("gain must be finite (or NaN at gap points)")
 
 
@@ -167,16 +172,15 @@ def _rhs_4wm(m: MediumParams, modes: ModeSet4WM, beta: float, gamma: float,
     coefficients bound (``docs/cme_reduction.md``); y is
     [s, ap, i, 2ap, s+ap, i+ap].
 
-    Every mode must sit below ``PLASMA_GUARD * omegaJ``.
+    A mode past ``PLASMA_GUARD * omegaJ`` raises, in ``_point``'s order.
     """
-    k = np.array([wavevector(m, w) for w in modes.frequencies])
-    wt = np.array([omega_tilde(m, w) for w in modes.frequencies])
-    # Python floats throughout: on six modes NumPy's per-call overhead,
-    # not the arithmetic, would set the cost of every evaluation
-    kpp_s, kpp_ap, kpp_i, kpp_2ap, kpp_su, kpp_iu = (
-        k * m.tan_delta / 2.0).tolist()
-    ks, kap, ki, k2, ksu, kiu = k.tolist()
-    ts, tap, ti, t2, tsu, tiu = wt.tolist()
+    # Python floats from _point's pump-first lists: on six modes NumPy's
+    # per-call overhead, not the arithmetic, would set every evaluation's cost
+    k, wt = _point(m, modes.omega_s, modes.omega_ap, 6)
+    kap, ks, ki, k2, ksu, kiu = k
+    tap, ts, ti, t2, tsu, tiu = wt
+    kpp_ap, kpp_s, kpp_i, kpp_2ap, kpp_su, kpp_iu = (
+        kj * m.tan_delta / 2.0 for kj in k)
     beta, gamma = float(beta), float(gamma)
 
     cs_k = 6.0 * gamma * ks / (8.0 * ts)
@@ -197,11 +201,10 @@ def _rhs_4wm(m: MediumParams, modes: ModeSet4WM, beta: float, gamma: float,
     ciu_kerr = 6.0 * gamma * kiu / (8.0 * tiu)
     kap_sq = kap**2
     k2_sq = k2**2
-    # 1j * d, formed once: cmath.exp(1j * d * x) evaluates it first anyway
-    jd1 = 1j * (2.0 * kap - ki - ks)
-    jd2 = 1j * (ksu - kap - ks)
-    jd3 = 1j * (2.0 * kap - k2)
-    jd4 = 1j * (kiu - kap - ki)
+    # 1j * d, formed once: cmath.exp(1j * d * x) evaluates it first anyway.
+    # The s+ap and i+ap phases run opposite to their auxiliary mismatches.
+    d_2ap, d_su, d_iu = _aux_mismatch(k)
+    jd1, jd2, jd3, jd4 = 1j * _mismatch(k), -1j * d_su, 1j * d_2ap, -1j * d_iu
     # likewise 1j * c for each imaginary coupling: 1j * c * u is (1j * c) * u
     jcs_k, jcs_pair = 1j * cs_k, 1j * cs_pair
     jcap_kerr, jcap_dep = 1j * cap_kerr, 1j * cap_dep
@@ -253,9 +256,8 @@ def _rhs_3wm(m: MediumParams, modes: ModeSet3WM, beta: float):
 
     Every mode must sit below ``PLASMA_GUARD_3WM * omegaJ``.
     """
-    k = np.array([wavevector(m, w, guard=PLASMA_GUARD_3WM)
-                  for w in modes.frequencies])
-    wt = np.array([omega_tilde(m, w) for w in modes.frequencies])
+    k = wavevector(m, modes.frequencies, guard=PLASMA_GUARD_3WM)
+    wt = omega_tilde(m, modes.frequencies)
     kpp_s, kpp_ip, kpp_2ip, kpp_su, kpp_su2 = (
         k * m.tan_delta / 2.0).tolist()
     ks, kip, k2, ksu, ksu2 = k.tolist()
@@ -305,16 +307,9 @@ def _propagate(m: MediumParams, modes, rhs, rtol: float,
     x_eval = np.linspace(0.0, float(m.N), n_samples)
     y0 = modes.amplitudes
     atol = rtol * max(float(np.max(np.abs(y0))), 1e-30) * 1e-6
-    # blowing-up runs are detected and reported via the status code; the
-    # overflow on the way there is not an anomaly worth warning about
+    # a blowing-up run raises StepFailure; its overflow is not worth a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        traj, status = _kernels.integrate(rhs, y0, x_eval, rtol, atol,
-                                          _MAX_STEPS)
-    if status == _kernels.STATUS_MAX_STEPS:
-        raise StepFailure(f"step budget of {_MAX_STEPS} exhausted")
-    if status == _kernels.STATUS_STEP_UNDERFLOW:
-        raise StepFailure("step size underflow or non-finite state "
-                          "(stiff or blowing-up run)")
+        traj = _kernels.integrate(rhs, y0, x_eval, rtol, atol, _MAX_STEPS)
     return Trajectory(x=x_eval, amplitudes=traj,
                       frequencies=modes.frequencies, medium=m)
 
@@ -357,8 +352,9 @@ def gain_spectrum(m: MediumParams, pump: ToneConfig, signal_omegas,
     """Small-signal gain, with pump depletion, over a signal frequency
     grid [rad/s]; each point integrates straight to x = N.  A point that
     fails with a ``TwpaError`` (plasma guard, negative idler, stiff run)
-    is a NaN gap, by :func:`errors.sweep`."""
-    omegas = np.asarray(signal_omegas, dtype=float)
+    is a NaN gap, by :func:`errors.sweep`.  A grid that is not strictly
+    increasing raises ``ValueError`` before any point is integrated."""
+    omegas = _increasing(signal_omegas, "frequency")
     a_p = amplitude_from_dbm(m, pump.freq, pump.power_dbm, amp_scale)
 
     def point(ws):
@@ -388,11 +384,12 @@ def saturation_curve(m: MediumParams, pump: ToneConfig, omega_s: float,
                      ) -> SaturationResult:
     """Gain versus signal power with full pump depletion; each power
     integrates straight to x = N.  Reports the 1 dB compression input
-    power (linear interpolation on the grid) if the curve crosses it.
+    power (linear interpolation on the grid) if the curve crosses it.  An
+    empty or not strictly increasing power grid raises ``ValueError``.
     """
-    powers = np.asarray(power_grid_dbm, dtype=float)
-    if np.any(np.diff(powers) <= 0):
-        raise ValueError("power grid must be strictly increasing")
+    powers = _increasing(power_grid_dbm, "power")
+    if not powers.size:
+        raise ValueError("power grid must not be empty")
     a_p = amplitude_from_dbm(m, pump.freq, pump.power_dbm, amp_scale)
     gain = np.empty(powers.shape)
     for idx, p_dbm in enumerate(powers):
@@ -425,8 +422,9 @@ def isolation_spectrum(m: MediumParams, ip_pump: ToneConfig, signal_omegas,
     ``omega_s + 2 omega_ip``, referenced to the signal input.  Each point
     integrates straight to x = N.  Grid points that fail with a
     ``TwpaError`` (e.g. a mode ladder above the 0.95 * omegaJ guard)
-    become gaps, by :func:`errors.sweep`."""
-    omegas = np.asarray(signal_omegas, dtype=float)
+    become gaps, by :func:`errors.sweep`.  A grid that is not strictly
+    increasing raises ``ValueError`` before any point is integrated."""
+    omegas = _increasing(signal_omegas, "frequency")
     a_p = amplitude_from_dbm(m, ip_pump.freq, ip_pump.power_dbm, amp_scale)
 
     def point(ws):

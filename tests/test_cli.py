@@ -27,6 +27,17 @@ signal_freq_max_hz = 7.5e9
 signal_points = 7
 """
 
+# an absurd Kerr coupling: every integration ends in a step underflow
+# within about a hundred right-hand-side calls
+STIFF_CFG = """flux = 0.35
+pump_freq_hz = 9.2e9
+pump_power_dbm = -78
+beta_override = 0
+gamma_override = 1e12
+"""
+STEP_UNDERFLOW = ("step size underflow or non-finite state "
+                  "(stiff or blowing-up run)")
+
 
 class TestValidate:
     def test_empty_config_reports_missing_task(self):
@@ -228,7 +239,16 @@ class TestRun:
                            "signal_freq_max_hz = 39e9\nsignal_points = 5",
          [35e9, 36e9, 37e9, 38e9, 39e9], 3,
          r"AbovePlasmaCutoff: omega/2pi = 6[89]\.000 GHz "),
-    ], ids=["gain", "dispersion", "phase-mismatch", "phase-mismatch-aux"])
+        # pump and signal both above the guard: both tasks check a point
+        # in phasematch's order and name the pump first
+        *[(task, "pump_freq_hz = 67.5e9\npump_power_dbm = -78\n"
+                 "signal_freq_min_hz = 67.6e9\n"
+                 "signal_freq_max_hz = 68.0e9\nsignal_points = 3",
+           [67.6e9, 67.8e9, 68.0e9], 0,
+           r"AbovePlasmaCutoff: omega/2pi = 67\.500 GHz ")
+          for task in ("gain", "phase-mismatch")],
+    ], ids=["gain", "dispersion", "phase-mismatch", "phase-mismatch-aux",
+            "gain-pump-guard", "phase-mismatch-pump-guard"])
     def test_gap_rows_stay_nan_in_grid_order(self, tmp_path, task, lines,
                                              freqs, n_ok, error):
         """Grid points outside the model's validity window become NaN
@@ -249,6 +269,25 @@ class TestRun:
         gaps = json.loads(json_path.read_text())["metadata"]["gaps"]
         assert [g["freq_hz"] for g in gaps] == pytest.approx(freqs[n_ok:])
         assert all(re.match(error, g["error"]) for g in gaps)
+
+    def test_stiff_gain_points_are_gaps(self, tmp_path):
+        """The stepper's failure reaches the gain grid as a gap with its
+        message; the analytic dk_total column is still filled."""
+        out = tmp_path / "g.json"
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(f"task = gain\n{STIFF_CFG}"
+                            "signal_freq_min_hz = 7e9\n"
+                            "signal_freq_max_hz = 8e9\nsignal_points = 2\n"
+                            f"out_path = {out}\n")
+        assert main(["gain", "--config", str(cfg_path), "--format",
+                     "json"]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["metadata"]["gaps"] == [
+            {"freq_hz": f, "error": f"StepFailure: {STEP_UNDERFLOW}"}
+            for f in (7e9, 8e9)]
+        rows = np.array(doc["rows"], dtype=float)
+        assert np.all(np.isnan(rows[:, 1]))
+        assert np.all(np.isfinite(rows[:, 2]))
 
     def test_csv_round_trip_precision(self, tmp_path):
         text = GAIN_CFG + "precision = 9\n"
@@ -532,6 +571,19 @@ class TestMainExitCodes:
         assert main(["noise-fit", "--config", str(cfg_path)]) == 3
         doc = json.loads(capsys.readouterr().err.strip())
         assert doc["error"] == "SingularFit"
+
+    def test_stiff_saturation_exit_three(self, tmp_path, capsys):
+        """Saturation has no gaps: the stepper's failure is a typed exit 3
+        with its message, and no artifact is written."""
+        out = tmp_path / "o.csv"
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(f"task = saturation\n{STIFF_CFG}"
+                            "signal_freq_hz = 7.6e9\n"
+                            f"signal_power_points = 2\nout_path = {out}\n")
+        assert main(["saturation", "--config", str(cfg_path)]) == 3
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc == {"error": "StepFailure", "detail": STEP_UNDERFLOW}
+        assert not out.exists()
 
     @pytest.mark.parametrize("task, lines", [
         ("gain", "signal_power_dbm = -4000\nsignal_points = 2"),

@@ -235,6 +235,29 @@ class TestEndpointSampling:
                                amp_scale=FIT["amp_scale"])
         assert sample_counts == [2, 2]
 
+    @pytest.mark.parametrize("task", ["gain", "saturation", "isolation"])
+    @pytest.mark.parametrize("grid", [GRID[::-1], GRID[:1].repeat(3)],
+                             ids=["decreasing", "repeated"])
+    def test_grid_checked_before_integrating(self, medium_035, monkeypatch,
+                                             task, grid):
+        """A grid that is not strictly increasing is rejected before the
+        stepper runs even once."""
+        calls = []
+        monkeypatch.setattr(cme._kernels, "integrate",
+                            lambda *args: calls.append(args))
+        pump = ToneConfig(W_AP, -78.0)
+        with pytest.raises(ValueError, match="grid must be strictly"):
+            if task == "gain":
+                gain_spectrum(medium_035, pump, grid, **FIT)
+            elif task == "saturation":
+                saturation_curve(medium_035, pump, W_S, grid / 1e9, **FIT)
+            else:
+                isolation_spectrum(medium_035,
+                                   ToneConfig(self.W_IP, -74.0, "backward"),
+                                   grid, beta=FIT["beta"],
+                                   amp_scale=FIT["amp_scale"])
+        assert calls == []
+
     def test_4wm_endpoint_matches_dense_run(self, medium_035):
         a_p = amplitude_from_dbm(medium_035, W_AP, -78.0, FIT["amp_scale"])
         a_s = amplitude_from_dbm(medium_035, W_S, -130.0, FIT["amp_scale"])
@@ -306,9 +329,11 @@ class TestSaturation:
         assert np.all(np.diff(tail) <= 1e-6)
 
     def test_increasing_grid_required(self, medium_035):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="power grid must be strictly"):
             saturation_curve(medium_035, ToneConfig(W_AP, -78.0), W_S,
                              [-100.0, -120.0])
+        with pytest.raises(ValueError, match="power grid must not be empty"):
+            saturation_curve(medium_035, ToneConfig(W_AP, -78.0), W_S, [])
 
 
 class TestThreeWaveMixing:

@@ -1,6 +1,6 @@
 """Stepper checks: the adaptive Dormand-Prince 8(5,3) integrator must
 agree with an external integrator on both coupled-mode systems, carry
-the published tableau and report its failure modes."""
+the published tableau and raise its failure modes as StepFailure."""
 
 import math
 
@@ -41,18 +41,16 @@ def test_agrees_with_scipy_reference(medium_035, setup):
     ref = solve_ivp(rhs, (0.0, 700.0), y0, method="DOP853", rtol=1e-11,
                     atol=1e-11 * abs(y0).max() * 1e-6)
     x_eval = np.array([0.0, 700.0])
-    mine, status = _kernels.integrate(rhs, y0, x_eval,
-                                      1e-11, 1e-11 * abs(y0).max() * 1e-6,
-                                      2_000_000)
-    assert status == _kernels.STATUS_OK
+    mine = _kernels.integrate(rhs, y0, x_eval,
+                              1e-11, 1e-11 * abs(y0).max() * 1e-6, 2_000_000)
     np.testing.assert_allclose(mine[-1], ref.y[:, -1], rtol=1e-7)
 
 
 def test_step_budget_exhaustion_is_reported(medium_035):
     y0, rhs = _standard_setup(medium_035)
     x_eval = np.linspace(0.0, 700.0, 65)
-    _, status = _kernels.integrate(rhs, y0, x_eval, 1e-10, 1e-20, 10)
-    assert status == _kernels.STATUS_MAX_STEPS
+    with pytest.raises(StepFailure, match="^step budget of 10 exhausted$"):
+        _kernels.integrate(rhs, y0, x_eval, 1e-10, 1e-20, 10)
 
 
 def test_step_failure_surfaces_as_typed_error(medium_035):
@@ -88,19 +86,16 @@ def test_stiff_run_underflows_within_a_thousand_calls(medium_035):
 
     y0 = modes.amplitudes
     x_eval = np.linspace(0.0, float(medium_035.N), 257)
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, status = _kernels.integrate(counting, y0, x_eval, 1e-8,
-                                       1e-8 * abs(y0).max() * 1e-6,
-                                       _MAX_STEPS)
-    assert status == _kernels.STATUS_STEP_UNDERFLOW
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(StepFailure, match="^step size underflow"):
+        _kernels.integrate(counting, y0, x_eval, 1e-8,
+                           1e-8 * abs(y0).max() * 1e-6, _MAX_STEPS)
 
 
 def test_trajectory_endpoints_and_sampling(medium_035):
     y0, rhs = _standard_setup(medium_035)
     x_eval = np.linspace(0.0, 700.0, 129)
-    y, status = _kernels.integrate(rhs, y0, x_eval, 1e-10, 1e-20,
-                                   2_000_000)
-    assert status == _kernels.STATUS_OK
+    y = _kernels.integrate(rhs, y0, x_eval, 1e-10, 1e-20, 2_000_000)
     assert y.shape == (129, 6)
     np.testing.assert_array_equal(y[0], y0)
     assert np.all(np.isfinite(y.view(float)))
@@ -149,9 +144,7 @@ def test_rhs_may_return_a_list_or_an_array(medium_035, setup):
     runs = [_kernels.integrate(wrap, y0, x_eval, 1e-10, atol, 2_000_000)
             for wrap in (lambda x, y: list(rhs(x, y)),
                          lambda x, y: np.array(rhs(x, y)))]
-    for samples, status in runs:
-        assert status == _kernels.STATUS_OK
-    np.testing.assert_array_equal(runs[0][0], runs[1][0])
+    np.testing.assert_array_equal(runs[0], runs[1])
 
 
 def test_caller_state_is_never_written(medium_035):
@@ -159,27 +152,24 @@ def test_caller_state_is_never_written(medium_035):
     through a whole run."""
     y0, rhs = _standard_setup(medium_035)
     before = y0.copy()
-    _, status = _kernels.integrate(rhs, y0, np.array([0.0, 700.0]), 1e-10,
-                                   1e-20, 2_000_000)
-    assert status == _kernels.STATUS_OK
+    _kernels.integrate(rhs, y0, np.array([0.0, 700.0]), 1e-10, 1e-20,
+                       2_000_000)
     np.testing.assert_array_equal(y0, before)
 
 
 def test_non_finite_state_is_a_step_underflow():
-    """Past x = 1 every step is non-finite and shrinks until it underflows;
-    the samples up to x = 1 are filled and the later ones stay zero."""
+    """Past x = 1 every step is non-finite and shrinks until it underflows,
+    while a run that stays at or below x = 1 is the exact exp(-x)."""
     def rhs(x, y):
         return np.full_like(y, np.nan) if x > 1.0 else -y
 
     y0 = np.array([1.0 + 0.0j, 2.0j])
     x_eval = np.linspace(0.0, 2.0, 9)
-    y, status = _kernels.integrate(rhs, y0, x_eval, 1e-10, 1e-12, 100_000)
-    assert status == _kernels.STATUS_STEP_UNDERFLOW
-    reached = x_eval <= 1.0
-    np.testing.assert_allclose(y[reached],
-                               np.exp(-x_eval[reached])[:, None] * y0,
-                               rtol=1e-8)
-    assert np.all(y[~reached] == 0.0)
+    with pytest.raises(StepFailure, match="^step size underflow"):
+        _kernels.integrate(rhs, y0, x_eval, 1e-10, 1e-12, 100_000)
+    reached = x_eval[x_eval <= 1.0]
+    y = _kernels.integrate(rhs, y0, reached, 1e-10, 1e-12, 100_000)
+    np.testing.assert_allclose(y, np.exp(-reached)[:, None] * y0, rtol=1e-8)
 
 
 def test_last_stage_is_reused_as_first_stage(medium_035):
@@ -194,8 +184,7 @@ def test_last_stage_is_reused_as_first_stage(medium_035):
         return rhs(x, y)
 
     x_eval = np.linspace(0.0, 700.0, 65)
-    _, status = _kernels.integrate(recording, y0, x_eval, 1e-10,
-                                   1e-10 * abs(y0).max() * 1e-6, 2_000_000)
-    assert status == _kernels.STATUS_OK
+    _kernels.integrate(recording, y0, x_eval, 1e-10,
+                       1e-10 * abs(y0).max() * 1e-6, 2_000_000)
     assert len(calls) % 12 == 1
     assert len(set(calls)) == len(calls)
