@@ -352,13 +352,16 @@ def gain_spectrum(m: MediumParams, pump: ToneConfig, signal_omegas,
     """Small-signal gain, with pump depletion, over a signal frequency
     grid [rad/s]; each point integrates straight to x = N.  A point that
     fails with a ``TwpaError`` (plasma guard, negative idler, stiff run)
-    is a NaN gap, by :func:`errors.sweep`.  A grid that is not strictly
+    is a NaN gap, by :func:`errors.sweep`; a point outside the model gets
+    the error :func:`phasematch.dk_total` raises, checked in its order
+    (pump guard first).  A grid that is not strictly
     increasing raises ``ValueError`` before any point is integrated."""
     omegas = _increasing(signal_omegas, "frequency")
     a_p = amplitude_from_dbm(m, pump.freq, pump.power_dbm, amp_scale)
 
     def point(ws):
         a_s = amplitude_from_dbm(m, ws, signal_power_dbm, amp_scale)
+        _point(m, ws, pump.freq, 6)  # the point's error, pump guard first
         modes = ModeSet4WM.initial(ws, pump.freq, a_s, a_p)
         traj = integrate_4wm(m, modes, beta, gamma, rtol=rtol, n_samples=2)
         return _gain_db_from(traj)
@@ -385,12 +388,15 @@ def saturation_curve(m: MediumParams, pump: ToneConfig, omega_s: float,
     """Gain versus signal power with full pump depletion; each power
     integrates straight to x = N.  Reports the 1 dB compression input
     power (linear interpolation on the grid) if the curve crosses it.  An
-    empty or not strictly increasing power grid raises ``ValueError``.
+    empty or not strictly increasing power grid raises ``ValueError``; a
+    (signal, pump) point outside the model raises the ``TwpaError`` that
+    :func:`phasematch.dk_total` raises, before any power is integrated.
     """
     powers = _increasing(power_grid_dbm, "power")
     if not powers.size:
         raise ValueError("power grid must not be empty")
     a_p = amplitude_from_dbm(m, pump.freq, pump.power_dbm, amp_scale)
+    _point(m, omega_s, pump.freq, 6)  # the point's error, pump guard first
     gain = np.empty(powers.shape)
     for idx, p_dbm in enumerate(powers):
         a_s = amplitude_from_dbm(m, omega_s, p_dbm, amp_scale)

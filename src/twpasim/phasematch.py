@@ -331,6 +331,77 @@ def breakdown_grid(m: MediumParams, beta: float, gamma: float, omega_s,
     return values, sorted(errors.items())
 
 
+def _bounded_brent(f, a: float, b: float, xatol: float, maxfun: int = 500):
+    """Minimize ``f`` on ``[a, b]`` by Brent's bounded method (R. P. Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 5):
+    golden-section steps, parabolic where the fit is acceptable.
+
+    A transcription of ``scipy.optimize.minimize_scalar(method="bounded")``
+    on Python floats: the same calls of ``f`` in the same order, so the
+    same ``(x, f(x))``.  Stops when the bracket is within
+    ``sqrt(eps) |x| + xatol / 3`` of ``x`` or after ``maxfun`` calls.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    # xf is the best point so far, nfc the second best, fulc the previous nfc
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if not abs(xf - xm) > tol2 - 0.5 * (b - a):
+            break
+        parabolic = False
+        if abs(e) > tol1:  # try a parabola through the three points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            parabolic = (abs(p) < abs(0.5 * q * r)
+                         and q * (a - xf) < p < q * (b - xf))
+        if parabolic:
+            rat = p / q
+            x = xf + rat
+            if x - a < tol2 or b - x < tol2:
+                rat = -tol1 if xm < xf else tol1
+        else:  # golden section into the larger part of the bracket
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        if num >= maxfun:
+            break
+    return xf, fx
+
+
 def find_matched_pump(m: MediumParams, beta: float, gamma: float,
                       omega_s: float, pump_power_dbm: float,
                       search_band, amp_scale: float = 1.0,
@@ -339,10 +410,13 @@ def find_matched_pump(m: MediumParams, beta: float, gamma: float,
 
     Returns ``(omega_ap, dk_at_min)``.  A grid of ``grid_points`` pump
     frequencies spanning the band, evaluated in one pass by
-    :func:`breakdown_grid`, then a bounded local refinement of
-    :func:`dk_total` between the best grid point's neighbours; grid
-    points whose mismatch formulas are invalid (plasma guard, small
-    denominators, negative idler) are skipped.
+    :func:`breakdown_grid`, then Brent's bounded minimization of
+    |:func:`dk_total`| between the best grid point's neighbours (R. P.
+    Brent, *Algorithms for Minimization without Derivatives*, 1973,
+    ch. 5), to ``1e-9`` of the band width; a refinement point where
+    ``dk_total`` raises counts as infinitely bad.  Grid points whose
+    mismatch formulas are invalid (plasma guard, small denominators,
+    negative idler) are skipped.
 
     Raises
     ------
@@ -353,10 +427,6 @@ def find_matched_pump(m: MediumParams, beta: float, gamma: float,
         If no valid point exists or the best |dk_total| exceeds
         ``threshold`` [rad/cell].
     """
-    # imported here, its only use: loading scipy.optimize costs every
-    # `import twpasim` and every CLI run ~0.7 s that they never need
-    from scipy.optimize import minimize_scalar
-
     lo, hi = float(search_band[0]), float(search_band[1])
     if not (0 < lo < hi < math.inf):
         raise ValueError("search band must satisfy 0 < lo < hi < inf")
@@ -379,12 +449,11 @@ def find_matched_pump(m: MediumParams, beta: float, gamma: float,
     if not np.any(np.isfinite(vals)):
         raise NotFound("no valid pump frequency in the search band")
     ibest = int(np.argmin(vals))
-    a = grid[max(ibest - 1, 0)]
-    b = grid[min(ibest + 1, grid_points - 1)]
-    res = minimize_scalar(objective, bounds=(a, b), method="bounded",
-                          options={"xatol": (hi - lo) * 1e-9})
-    omega_best, best = (res.x, res.fun) if res.fun <= vals[ibest] \
-        else (grid[ibest], vals[ibest])
+    a = float(grid[max(ibest - 1, 0)])
+    b = float(grid[min(ibest + 1, grid_points - 1)])
+    omega_best, best = _bounded_brent(objective, a, b, (hi - lo) * 1e-9)
+    if not best <= vals[ibest]:
+        omega_best, best = grid[ibest], vals[ibest]
     if best > threshold:
         raise NotFound(
             f"best |dk_total| = {best:.3g} rad/cell exceeds threshold "

@@ -247,8 +247,17 @@ class TestRun:
            [67.6e9, 67.8e9, 68.0e9], 0,
            r"AbovePlasmaCutoff: omega/2pi = 67\.500 GHz ")
           for task in ("gain", "phase-mismatch")],
+        # the pump above the guard and a negative idler: still the pump
+        *[(task, "pump_freq_hz = 67.5e9\npump_power_dbm = -78\n"
+                 "signal_freq_min_hz = 139e9\n"
+                 "signal_freq_max_hz = 140e9\nsignal_points = 2",
+           [139e9, 140e9], 0,
+           r"AbovePlasmaCutoff: omega/2pi = 67\.500 GHz ")
+          for task in ("gain", "phase-mismatch")],
     ], ids=["gain", "dispersion", "phase-mismatch", "phase-mismatch-aux",
-            "gain-pump-guard", "phase-mismatch-pump-guard"])
+            "gain-pump-guard", "phase-mismatch-pump-guard",
+            "gain-pump-guard-negative-idler",
+            "phase-mismatch-pump-guard-negative-idler"])
     def test_gap_rows_stay_nan_in_grid_order(self, tmp_path, task, lines,
                                              freqs, n_ok, error):
         """Grid points outside the model's validity window become NaN
@@ -518,7 +527,7 @@ class TestLogging:
 class TestColdStart:
     def test_cli_run_loads_no_scipy(self, tmp_path):
         """A fresh interpreter that imports the package and runs a gain
-        task never loads scipy: only find_matched_pump needs it."""
+        task never loads scipy: the package needs numpy only."""
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text("task = gain\nflux = 0.35\npump_freq_hz = 9.2e9\n"
                             "pump_power_dbm = -78\nsignal_points = 2\n"
@@ -537,6 +546,57 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
         assert (tmp_path / "o.csv").read_text().count("\n") == 3
+
+    def test_runs_where_scipy_cannot_be_imported(self, tmp_path,
+                                                 device_spec):
+        """With every scipy import refused, find_matched_pump and the gain
+        task give what they give in this interpreter."""
+        from twpasim import (MediumParams, cell_coefficients,
+                             equilibrium_phase, find_matched_pump)
+
+        flux, f_s = 0.35, 6.0e9  # one of test_phasematch's pinned pairs
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text("task = gain\nflux = 0.35\npump_freq_hz = 9.2e9\n"
+                            "pump_power_dbm = -78\nsignal_points = 2\n")
+        script = (
+            "import sys\n"
+            "class NoScipy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'scipy' or name.startswith('scipy.'):\n"
+            "            raise ImportError(f'{name} is blocked')\n"
+            "sys.meta_path.insert(0, NoScipy())\n"
+            "import math, twpasim, twpasim.cli\n"
+            "flux, f_s = float(sys.argv[2]), float(sys.argv[3])\n"
+            "spec = twpasim.SnailSpec(I0=2.2e-6, r=0.07, Cg=250e-15,\n"
+            "                         CJ=35e-15, N=700, tan_delta=2.9e-3)\n"
+            "c = twpasim.cell_coefficients(\n"
+            "    spec, twpasim.equilibrium_phase(spec, flux))\n"
+            "m = twpasim.MediumParams.from_cell(spec, c)\n"
+            "w, dk = twpasim.find_matched_pump(\n"
+            "    m, c.beta, c.gamma, 2 * math.pi * f_s, -78.0,\n"
+            "    (2 * math.pi * (f_s + 0.5e9), 2 * math.pi * 16e9))\n"
+            "assert twpasim.cli.main(['gain', '--config', sys.argv[1],\n"
+            "                         '--out', sys.argv[4]]) == 0\n"
+            "print(w.hex(), dk.hex())\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(cfg_path), str(flux),
+             str(f_s), str(tmp_path / "fresh.csv")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+        c = cell_coefficients(device_spec,
+                              equilibrium_phase(device_spec, flux))
+        m = MediumParams.from_cell(device_spec, c)
+        w, dk = find_matched_pump(m, c.beta, c.gamma, 2 * math.pi * f_s,
+                                  -78.0, (2 * math.pi * (f_s + 0.5e9),
+                                          2 * math.pi * 16e9))
+        assert proc.stdout.split() == [w.hex(), dk.hex()]
+        assert main(["gain", "--config", str(cfg_path), "--out",
+                     str(tmp_path / "here.csv")]) == 0
+        assert (tmp_path / "fresh.csv").read_bytes() == \
+            (tmp_path / "here.csv").read_bytes()
 
 
 class TestMainExitCodes:

@@ -10,7 +10,9 @@ from twpasim import (MediumParams, ModeSet3WM, ModeSet4WM, ToneConfig,
                      integrate_3wm, integrate_4wm, isolation_spectrum,
                      linear_transmission_db, saturation_curve)
 from twpasim import cme
-from twpasim.errors import AbovePlasmaCutoff, DomainError, NegativeIdler
+from twpasim.errors import (AbovePlasmaCutoff, DomainError, NegativeIdler,
+                            describe)
+from twpasim.phasematch import breakdown_grid
 
 W_AP = 2 * math.pi * 9.2e9
 W_S = 2 * math.pi * 7.6e9
@@ -311,6 +313,37 @@ class TestPerPointFailures:
             isolation_spectrum(medium_035,
                                ToneConfig(self.W_IP, -74.0, "backward"),
                                [W_S], beta=FIT["beta"], rtol=1e-3)
+
+
+class TestGuardOrder:
+    """The integrating tasks name a point's error as ``dk_total`` and the
+    phase-mismatch grid do: pump guard, negative idler, then the other
+    modes' guards."""
+
+    GHZ = 2 * math.pi * 1e9
+
+    @pytest.mark.parametrize("f_ap, f_s, error", [
+        # pump above the 67.1 GHz guard and a negative idler: the pump
+        (67.5, 140.0, AbovePlasmaCutoff),
+        # a pump inside the band and a negative idler: the idler
+        (9.2, 20.0, NegativeIdler),
+        # pump and idler inside, signal above the guard: the signal
+        (40.0, 68.0, AbovePlasmaCutoff),
+    ])
+    def test_gain_saturation_and_grid_agree(self, medium_035, f_ap, f_s,
+                                            error):
+        pump = ToneConfig(f_ap * self.GHZ, -78.0)
+        w_s = f_s * self.GHZ
+        _, grid_errors = breakdown_grid(medium_035, FIT["beta"],
+                                        FIT["gamma"], w_s, pump.freq, -78.0,
+                                        FIT["amp_scale"])
+        [(_, expected)] = grid_errors
+        assert isinstance(expected, error)
+        spec = gain_spectrum(medium_035, pump, [w_s], **FIT)
+        assert [g[2] for g in spec.gaps] == [describe(expected)]
+        with pytest.raises(error) as raised:
+            saturation_curve(medium_035, pump, w_s, [-130.0], **FIT)
+        assert describe(raised.value) == describe(expected)
 
 
 class TestSaturation:

@@ -10,7 +10,8 @@ from twpasim import (MediumParams, ToneConfig, amplitude_from_dbm,
                      kerr_etas, wavevector)
 from twpasim.errors import (AbovePlasmaCutoff, NegativeIdler, NotFound,
                             SmallDenominator, TwpaError, describe)
-from twpasim.phasematch import (EPSILON_DK, attenuated_pump_amplitude,
+from twpasim.phasematch import (EPSILON_DK, _bounded_brent,
+                                attenuated_pump_amplitude,
                                 breakdown_grid, eta_mode_dynamic,
                                 eta_pump_dynamic)
 
@@ -273,6 +274,93 @@ class TestFindMatchedPump:
             find_matched_pump(medium_035, self.FIT["beta"],
                               self.FIT["gamma"], W_S, -78.0, self.BAND,
                               amp_scale=self.FIT["amp_scale"])
+
+
+class TestBoundedBrent:
+    """The pure-Python bounded minimizer against its oracle, scipy's
+    ``minimize_scalar(method="bounded")``: the same calls of the objective
+    in the same order, so the same ``x`` and ``fun``, bit for bit."""
+
+    @staticmethod
+    def _compare(f, a, b, xatol, maxfun=500):
+        from scipy.optimize import minimize_scalar
+
+        ours, theirs = [], []
+
+        def spy(calls):
+            def g(x):
+                calls.append(x)
+                return f(x)
+            return g
+
+        x, fun = _bounded_brent(spy(ours), a, b, xatol, maxfun)
+        # inf - inf in scipy's NumPy-scalar parabola is a quiet NaN here
+        with np.errstate(invalid="ignore"):
+            res = minimize_scalar(spy(theirs), bounds=(a, b),
+                                  method="bounded",
+                                  options={"xatol": xatol, "maxiter": maxfun})
+        assert ours == theirs
+        assert len(ours) == res.nfev
+        assert (x, fun) == (float(res.x), float(res.fun))
+        return x, fun
+
+    @pytest.mark.parametrize("flux, f_s, omega_ap", TestFindMatchedPump.PINNED)
+    def test_pinned_matched_pump_refinements(self, device_spec, monkeypatch,
+                                             flux, f_s, omega_ap):
+        c = cell_coefficients(device_spec,
+                              equilibrium_phase(device_spec, flux))
+        m = MediumParams.from_cell(device_spec, c)
+        searches = []
+
+        def recording(f, a, b, xatol):
+            searches.append(self._compare(f, a, b, xatol))
+            return searches[-1]
+
+        monkeypatch.setattr("twpasim.phasematch._bounded_brent", recording)
+        w, dk = find_matched_pump(m, c.beta, c.gamma, 2 * math.pi * f_s,
+                                  -78.0, (2 * math.pi * (f_s + 0.5e9),
+                                          2 * math.pi * 16e9))
+        assert searches == [(w, dk)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.floats(-100.0, 100.0), width=st.floats(1e-3, 100.0),
+           centre=st.floats(-0.5, 1.5), curvature=st.floats(1e-2, 1e2),
+           wiggle=st.floats(0.0, 1.0), freq=st.floats(0.1, 10.0),
+           log_xatol=st.floats(-12.0, -1.0))
+    def test_smooth_objectives(self, a, width, centre, curvature, wiggle,
+                               freq, log_xatol):
+        b = a + width
+        x0 = a + centre * width
+
+        def f(x):
+            return curvature * (x - x0) ** 2 + wiggle * math.sin(freq * x)
+
+        self._compare(f, a, b, width * 10.0 ** log_xatol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(centre=st.floats(-0.5, 1.5), step=st.floats(1e-3, 0.5),
+           log_xatol=st.floats(-12.0, -1.0), maxfun=st.integers(1, 40))
+    def test_stepped_objectives_and_call_budgets(self, centre, step,
+                                                 log_xatol, maxfun):
+        # plateaus tie the objective values the bracket updates compare
+        def f(x):
+            return math.floor(abs(x - centre) / step) * step
+
+        self._compare(f, 0.0, 1.0, 10.0 ** log_xatol, maxfun)
+
+    @pytest.mark.parametrize("cut", [0.1, 0.45, 0.7, 0.95])
+    def test_infinite_on_part_of_the_bracket(self, cut):
+        # as find_matched_pump's objective where dk_total raises
+        def f(x):
+            return math.inf if x < cut else abs(x - 0.5)
+
+        x, fun = self._compare(f, 0.0, 1.0, 1e-9)
+        assert x >= cut and fun < math.inf
+
+    @pytest.mark.parametrize("slope", [1.0, -1.0])
+    def test_minimum_at_a_bracket_edge(self, slope):
+        x, _ = self._compare(lambda x: slope * x, 2.0, 3.0, 1e-9)
+        assert x == pytest.approx(2.0 if slope > 0 else 3.0, abs=1e-7)
 
 
 def _one_point_rows(m, beta, gamma, omega_s, omega_ap, p_dbm, amp_scale,
