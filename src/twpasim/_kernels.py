@@ -5,9 +5,11 @@ control (position, step size, error norm) in Python floats.  It takes the
 right-hand side as its first argument, a callable ``rhs(x, y)``: ``y`` is
 a complex array that is valid only during the call (the stepper reuses
 its memory), and ``rhs`` returns dy/dx as any sequence of ``len(y)``
-numbers, a list or an array.  The right-hand sides themselves are built,
-with their coefficients, in :mod:`twpasim.cme`.  A run that cannot be
-completed raises ``StepFailure`` and returns no partial samples.
+numbers, a list or an array.  The state is one vector of modes or a
+batch of them, the columns of an ``(n, B)`` array that share one step
+sequence.  The right-hand sides themselves are built, with their
+coefficients, in :mod:`twpasim.cme`.  A run that cannot be completed
+raises ``StepFailure`` and returns no partial samples.
 
 The method is DOP853 (Hairer, Norsett & Wanner, *Solving Ordinary
 Differential Equations I*, 2nd ed., 1993, section II.10): twelve stages
@@ -20,9 +22,10 @@ evaluations.
 On five or six modes NumPy's fixed cost per call, not the arithmetic,
 sets the price of a stage, so the tableau is augmented to make each
 stage one call.  The state and the thirteen stages are the rows of one
-``(14, n)`` array ``z = [y, k_0 .. k_12]``; the weights are one
-``(13, 13)`` array whose column 0 is 1 and whose other columns are
-``h * [A; B]``, refreshed once per attempted step.  A stage's input
+``(14, n)`` array ``z = [y, k_0 .. k_12]`` (``(14, n * B)`` for a batch,
+each row a flattened state); the weights are one ``(13, 13)`` array
+whose column 0 is 1 and whose other columns are ``h * [A; B]``,
+refreshed once per attempted step.  A stage's input
 ``y + h * (A[s, :s] @ k[:s])`` is then ``w[s, :s+1] @ z[:s+1]``, the
 eighth-order solution is ``w[12] @ z[:13]``, and both error estimates
 are one product ``[E5; E3] @ k``.
@@ -134,87 +137,134 @@ _E3[8] -= 0.733846688281611857341361741547
 _E3[11] -= 0.220588235294117647058823529412e-1
 
 # What the stepper reads on every step: the nodes as Python floats and
-# the augmented tableau (module docstring) as complex, because np.dot
-# would otherwise cast a real weight row against the complex stages on
-# every call.
+# the augmented tableau (module docstring), which it scales by h into its
+# weights.  Those are complex for one state, because np.dot would
+# otherwise cast a real weight row against the complex stages on every
+# call, and the error weights are complex for the same reason.
 _C_NODES = _C.tolist()
-_AB = np.vstack([_A, _B]).astype(np.complex128)
+_AB = np.vstack([_A, _B])
 _E53 = np.vstack([_E5, _E3]).astype(np.complex128)
 
 
-def integrate(rhs, y0, x_eval, rtol, atol, max_steps):
+def integrate(rhs, y0, x_eval, rtol, atol, max_steps, stats=None):
     """Integrate dy/dx = rhs(x, y) from x_eval[0], sampling y at every
-    x_eval point; returns the samples, of shape (len(x_eval), len(y0)).
-    Raises ``StepFailure``, keeping no partial samples, when ``max_steps``
-    attempted steps do not reach the end or the step falls below its
-    floor (a stiff run, or a non-finite state).
+    x_eval point; returns the samples, of shape ``(len(x_eval),) +
+    y0.shape``.  Raises ``StepFailure``, keeping no partial samples, when
+    ``max_steps`` attempted steps do not reach the end or the step falls
+    below its floor (a stiff run, or a non-finite state).
 
-    ``rhs(x, y)`` gets a complex array that is valid only during the
-    call and returns dy/dx as any sequence of len(y0) numbers.  ``y0``
-    itself is never written."""
+    ``y0`` is one state of shape ``(n,)`` or a batch of B states, one per
+    column of an ``(n, B)`` array, and ``atol`` a float or one per
+    column.  DOP853's error norm is taken per column and the largest
+    decides, so every column takes the step sequence of the hardest one;
+    for one state that is DOP853's norm itself.
+
+    ``rhs(x, y)`` gets a complex array shaped like ``y0`` that is valid
+    only during the call and returns dy/dx in that shape (for one state,
+    any sequence of len(y0) numbers).  ``y0`` itself is never written.
+    A ``stats`` dict, if given, receives the run's ``accepted`` and
+    ``rejected`` steps, ``rhs_calls`` and ``min_step``, the smallest step
+    size the controller chose (before a step is cut short to land on a
+    sample), also when the run fails."""
     xs = x_eval.tolist()
     n_out = len(xs)
-    n = y0.shape[0]
-    out = np.zeros((n_out, n), dtype=np.complex128)
-    z = np.empty((14, n), dtype=np.complex128)
-    w = np.zeros((13, 13), dtype=np.complex128)
-    w[:, 0] = 1.0
-    hw = w[:, 1:]
+    shape = y0.shape
+    n = shape[0]
+    out = np.zeros((n_out,) + shape, dtype=np.complex128)
+    # the stages, flattened so that each is one product with a weight row;
+    # `zs` views them in the state's shape
+    z = np.empty((14, y0.size), dtype=np.complex128)
+    zs = z.reshape((14,) + shape)
+    if y0.ndim == 1:
+        w = np.zeros((13, 13), dtype=np.complex128)
+        weights = w
+        heads = [z[:s + 1] for s in range(13)]
+        stage = buffer = np.empty(n, dtype=np.complex128)
+    else:
+        # BLAS's vector product rounds its last few columns apart from the
+        # rest, which would tie a row's result to its place in the batch;
+        # its matrix product does not, so each weight row gets a second,
+        # zero row, against the stages' real and imaginary parts
+        w = np.zeros((13, 2, 13))
+        weights = w[:, 0]
+        heads = [z[:s + 1].view(np.float64) for s in range(13)]
+        buffer = np.empty((2, 2 * y0.size))
+        stage = buffer[0].view(np.complex128).reshape(shape)
+    weights[:, 0] = 1.0
+    hw = weights[:, 1:]
     # views built once: stage s reads rows[s] against heads[s]
-    rows = [w[s, :s + 1] for s in range(13)]
-    heads = [z[:s + 1] for s in range(13)]
+    rows = [w[s, ..., :s + 1] for s in range(13)]
     ks = z[1:]
-    y = z[0]
+    y = zs[0]
 
     x = xs[0]
-    y[:] = y0
+    y[...] = y0
     out[0] = y
 
     span = xs[-1] - xs[0]
-    h = span * 1e-3
+    h = h_low = span * 1e-3
     # well below any regular step (0.3-5 cells), and high enough that a
     # stiff run that stays finite gives up quickly instead of creeping
     # through the whole step budget
     h_min = span * 1e-10
-    steps = 0
+    steps = accepted = 0
+    if stats is None:
+        stats = {}
 
-    z[1] = rhs(x, y)
+    def record():
+        stats.update(accepted=accepted, rejected=steps - accepted,
+                     rhs_calls=1 + 12 * steps, min_step=h_low)
+
+    zs[1] = rhs(x, y)
     for i_out in range(1, n_out):
         x_next = xs[i_out]
         while x < x_next:
             if steps >= max_steps:
+                record()
                 raise StepFailure(f"step budget of {max_steps} exhausted")
             steps += 1
             h_try = min(h, x_next - x)
             np.multiply(_AB, h_try, out=hw)
 
             for s in range(1, 12):
-                z[s + 1] = rhs(x + _C_NODES[s] * h_try,
-                               np.dot(rows[s], heads[s]))
-            y8 = np.dot(rows[12], heads[12])
-            z[13] = rhs(x + h_try, y8)
+                np.dot(rows[s], heads[s], out=buffer)
+                zs[s + 1] = rhs(x + _C_NODES[s] * h_try, stage)
+            np.dot(rows[12], heads[12], out=buffer)
+            zs[13] = rhs(x + h_try, stage)
 
-            # DOP853's combined norm of the 5th- and 3rd-order estimates,
-            # 0 where its denominator vanishes (as in scipy; a Python
-            # float would raise).  np.add.reduce is np.sum without the
-            # cost of its Python wrapper.
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y8))
-            e5, e3 = np.add.reduce(
-                (np.abs(np.dot(_E53, ks)) / scale) ** 2, axis=1).tolist()
-            denom = (e5 + 0.01 * e3) * n
-            err = 0.0 if denom == 0.0 else h_try * e5 / math.sqrt(denom)
+            # DOP853's combined norm of the 5th- and 3rd-order estimates
+            # per column, 0 where its denominator vanishes (as in scipy; a
+            # Python float would raise), then the largest, or the first NaN.
+            # np.add.reduce is np.sum without the cost of its Python wrapper.
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(stage))
+            e5s, e3s = np.add.reduce(
+                (np.abs(np.dot(_E53, ks).reshape((2,) + shape)) / scale) ** 2,
+                axis=1).reshape(2, -1).tolist()
+            err = 0.0
+            for e5, e3 in zip(e5s, e3s):
+                denom = (e5 + 0.01 * e3) * n
+                col = 0.0 if denom == 0.0 else h_try * e5 / math.sqrt(denom)
+                if not col <= err:
+                    err = col
+                    if col != col:
+                        break
 
             finite = math.isfinite(err)
             if finite and err <= 1.0:
+                accepted += 1
                 x = x + h_try
-                y[:] = y8
+                y[...] = stage
                 z[1] = z[13]
                 fac = 5.0 if err == 0.0 else 0.9 * err ** -0.125
                 h = h_try * min(max(fac, 0.2), 5.0)
             else:
                 h = h_try * (max(0.9 * err ** -0.125, 0.1) if finite else 0.1)
                 if h < h_min:
+                    h_low = min(h_low, h)
+                    record()
                     raise StepFailure("step size underflow or non-finite "
                                       "state (stiff or blowing-up run)")
+            h_low = min(h_low, h)
         out[i_out] = y
+    record()
     return out

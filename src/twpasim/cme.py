@@ -14,10 +14,18 @@ cell index x:
 
 The derivation of every coupling coefficient from the wave equation of
 the line is spelled out in ``docs/cme_reduction.md``.  Each system has
-one owner here: ``_rhs_4wm`` / ``_rhs_3wm`` compute its coefficients as
-named values and return the right-hand side ``rhs(x, y) -> dy/dx`` that
-:func:`twpasim._kernels.integrate` steps (raising ``StepFailure``); the
-six-mode ladder, band checks and mismatches come from ``phasematch``.
+one owner here: ``_table_4wm`` / ``_table_3wm`` compute its coefficients
+as named values and write the system once, as a coupling table
+(``_Table``), for one point (floats) or a batch of points (arrays).  Two
+generic evaluators turn a table into the right-hand side
+``rhs(x, y) -> dy/dx`` that :func:`twpasim._kernels.integrate` steps
+(raising ``StepFailure``): ``_row_rhs`` loops over it on Python complexes
+for one point, as ``_rhs_4wm`` / ``_rhs_3wm`` return it, and
+``_batch_rhs`` evaluates it with a fixed number of NumPy calls for a
+batch.  The six-mode ladder, band checks and mismatches come from
+``phasematch``.  The spectra integrate a grid of at least ``_BATCH_MIN``
+in-band points as one batch, and fall back to one point at a time, each
+failure its own gap, below that size or when the batch fails.
 
 Photon bookkeeping uses the flux ``n_m = k_m * (1 - omega_m^2/omegaJ^2)
 * |A_m|^2``; with this normalization the lossless couplings conserve the
@@ -29,21 +37,27 @@ from __future__ import annotations
 
 import cmath
 import math
+import time
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import mul
 
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, sweep
-from .medium import (MediumParams, amplitude_from_dbm, omega_tilde,
+from .errors import DomainError, StepFailure, describe, sweep
+from .medium import (MediumParams, amplitude_from_dbm, in_band, omega_tilde,
                      wavevector)
-from .phasematch import (ToneConfig, _aux_mismatch, _frequencies, _mismatch,
-                         _point, idler_frequency)
+from .phasematch import (ToneConfig, _aux_mismatch, _frequencies, _grid,
+                         _mismatch, _point, idler_frequency)
 
 PLASMA_GUARD_3WM = 0.95  # harder guard: upconversion modes approach omegaJ
 RTOL_RANGE = (1e-12, 1e-6)  # accepted integrator tolerances
 
 _MAX_STEPS = 2_000_000
+# Grids of at least this many rows integrate as one batch; on fewer, NumPy's
+# fixed cost per call on the batch outweighs what batching saves
+_BATCH_MIN = 4
 
 
 def _increasing(grid, name: str) -> np.ndarray:
@@ -52,6 +66,13 @@ def _increasing(grid, name: str) -> np.ndarray:
     if np.any(np.diff(values) <= 0):
         raise ValueError(f"{name} grid must be strictly increasing")
     return values
+
+
+def _ladder_4wm(omega_s, omega_ap) -> np.ndarray:
+    """The six mode frequencies [s, ap, i, 2ap, s+ap, i+ap] of a point, or
+    one column per point of a grid."""
+    w_ap, w_s, *rest = _frequencies(omega_s, omega_ap)
+    return np.array(np.broadcast_arrays(w_s, w_ap, *rest))
 
 
 @dataclass
@@ -78,8 +99,7 @@ class ModeSet4WM:
 
     @property
     def frequencies(self) -> np.ndarray:
-        wap, ws, *rest = _frequencies(self.omega_s, self.omega_ap)
-        return np.array([ws, wap, *rest])
+        return _ladder_4wm(self.omega_s, self.omega_ap)
 
     @classmethod
     def initial(cls, omega_s: float, omega_ap: float, a_s: complex,
@@ -110,8 +130,7 @@ class ModeSet3WM:
 
     @property
     def frequencies(self) -> np.ndarray:
-        ws, wip = self.omega_s, self.omega_ip
-        return np.array([ws, wip, 2.0 * wip, ws + wip, ws + 2.0 * wip])
+        return np.array(_frequencies_3wm(self.omega_s, self.omega_ip))
 
     @classmethod
     def initial(cls, omega_s: float, omega_ip: float, a_s: complex,
@@ -122,12 +141,19 @@ class ModeSet3WM:
 
 @dataclass
 class Trajectory:
-    """Sampled solution of a coupled-mode run."""
+    """Sampled solution of a coupled-mode run.
+
+    A batched run has one more axis: ``amplitudes`` is (n_samples,
+    n_modes, B) and ``frequencies`` (n_modes, B), one column per state.
+    ``solver_stats`` holds the run's step counts (see
+    :func:`twpasim._kernels.integrate`) and ``rows``, its state count.
+    """
 
     x: np.ndarray
-    amplitudes: np.ndarray          # (n_samples, n_modes) complex
+    amplitudes: np.ndarray          # (n_samples, n_modes[, B]) complex
     frequencies: np.ndarray
     medium: MediumParams
+    solver_stats: dict = field(default_factory=dict)
 
     def magnitudes(self) -> np.ndarray:
         return np.abs(self.amplitudes)
@@ -150,7 +176,9 @@ class GainSpectrum:
     line.  Failed grid points carry NaN gain and are recorded in ``gaps``
     as ``(index, omega, "Type: message")``.  For isolation runs
     ``upconverted_fraction`` holds the photon fraction moved out of the
-    signal frequency.
+    signal frequency.  ``solver_stats`` lists the ``Trajectory.solver_stats``
+    of every completed integration, a batch of rows or a single row, in
+    the order run.
     """
 
     omega: np.ndarray
@@ -158,6 +186,7 @@ class GainSpectrum:
     metadata: dict = field(default_factory=dict)
     upconverted_fraction: np.ndarray | None = None
     gaps: list = field(default_factory=list)
+    solver_stats: list = field(default_factory=list)
 
     def __post_init__(self):
         self.omega = _increasing(self.omega, "frequency")
@@ -166,21 +195,61 @@ class GainSpectrum:
             raise ValueError("gain must be finite (or NaN at gap points)")
 
 
-def _rhs_4wm(m: MediumParams, modes: ModeSet4WM, beta: float, gamma: float,
-             pump_depletion: bool):
-    """Six-mode right-hand side ``rhs(x, y) -> dy/dx`` with its
-    coefficients bound (``docs/cme_reduction.md``); y is
-    [s, ap, i, 2ap, s+ap, i+ap].
+class _Table:
+    """One coupled-mode system written as data.  With the phase factors
+    ``e_j = exp(i d_j x)`` of the phase rates ``d_j``,
 
-    A mode past ``PLASMA_GUARD * omegaJ`` raises, in ``_point``'s order.
+        dy_m/dx = (loss_m + kp_m |y_p|^2 + kh_m |y_h|^2) y_m
+                  + sum over the monomials of mode m of c * f_1 ... f_r,
+
+    where ``y_p`` is the pump and ``y_h`` its second harmonic, and each
+    factor ``f`` (at most four) comes from the stack
+    ``[y, conj y, e, conj e, 1]``.  Coefficients are floats for one point
+    or equal-length arrays for a batch of points, one entry per point.
+
+    ``loss`` and the Kerr rows ``kp`` and ``kh`` hold one coefficient per
+    mode, in mode order; ``kerr`` names the pump and the harmonic and
+    gives their rows.  A monomial is ``(mode, c, "factors")`` with the
+    factors named by mode (``"ap"``, or ``"ap*"`` for its conjugate) or
+    by phase factor (``"e1"``, ``"e1*"``); monomials that vanish on every
+    point (``beta = 0``, no pump depletion) are dropped.  The stack
+    indices are kept for the evaluators, :func:`_row_rhs` and
+    :func:`_batch_rhs`.
     """
-    # Python floats from _point's pump-first lists: on six modes NumPy's
-    # per-call overhead, not the arithmetic, would set every evaluation's cost
-    k, wt = _point(m, modes.omega_s, modes.omega_ap, 6)
+
+    def __init__(self, names, loss, kerr, monomials, rates):
+        n, q = len(names), len(rates)
+        stack = {name: j for j, name in enumerate(names)}
+        stack.update({f"e{j + 1}": 2 * n + j for j in range(q)})
+
+        def index(factor):
+            j = stack[factor.rstrip("*")]
+            return j + (q if j >= 2 * n else n) * factor.endswith("*")
+
+        (pump, kp), (harmonic, kh) = kerr
+        self.n, self.q = n, q
+        self.one = 2 * n + 2 * q  # the stack's trailing 1
+        self.loss, self.kp, self.kh = tuple(loss), tuple(kp), tuple(kh)
+        self.pump, self.harmonic = stack[pump], stack[harmonic]
+        self.monomials = tuple(
+            (stack[mode], c, tuple(map(index, factors.split())))
+            for mode, c, factors in monomials if np.any(c))
+        self.rates = tuple(rates)
+
+
+_MODES_4WM = ("s", "ap", "i", "2ap", "s+ap", "i+ap")
+_MODES_3WM = ("s", "ip", "2ip", "s+ip", "s+2ip")
+
+
+def _table_4wm(k, wt, tan_delta: float, beta: float, gamma: float,
+               pump_depletion: bool) -> _Table:
+    """The six-mode system (``docs/cme_reduction.md``) from the
+    wavevectors and plasma factors of ``phasematch._frequencies`` order:
+    floats from ``_point`` or rows of arrays from ``_grid``."""
     kap, ks, ki, k2, ksu, kiu = k
     tap, ts, ti, t2, tsu, tiu = wt
     kpp_ap, kpp_s, kpp_i, kpp_2ap, kpp_su, kpp_iu = (
-        kj * m.tan_delta / 2.0 for kj in k)
+        kj * tan_delta / 2.0 for kj in k)
     beta, gamma = float(beta), float(gamma)
 
     cs_k = 6.0 * gamma * ks / (8.0 * ts)
@@ -199,69 +268,38 @@ def _rhs_4wm(m: MediumParams, modes: ModeSet4WM, beta: float, gamma: float,
     csu_kerr = 6.0 * gamma * ksu / (8.0 * tsu)
     ciu_src = beta * (kap + ki) * kap * ki / (2.0 * kiu * tiu)
     ciu_kerr = 6.0 * gamma * kiu / (8.0 * tiu)
-    kap_sq = kap**2
-    k2_sq = k2**2
-    # 1j * d, formed once: cmath.exp(1j * d * x) evaluates it first anyway.
-    # The s+ap and i+ap phases run opposite to their auxiliary mismatches.
+    # cross-Kerr in k_ap^2 |A_ap|^2 and k_2ap^2 |A_2ap|^2; the pump and
+    # its harmonic weight their own power half as much
+    jkap_sq, jk2_sq = 1j * kap**2, 1j * k2**2
+    # the s+ap and i+ap phases run opposite to their auxiliary mismatches
     d_2ap, d_su, d_iu = _aux_mismatch(k)
-    jd1, jd2, jd3, jd4 = 1j * _mismatch(k), -1j * d_su, 1j * d_2ap, -1j * d_iu
-    # likewise 1j * c for each imaginary coupling: 1j * c * u is (1j * c) * u
-    jcs_k, jcs_pair = 1j * cs_k, 1j * cs_pair
-    jcap_kerr, jcap_dep = 1j * cap_kerr, 1j * cap_dep
-    jci_k, jci_pair = 1j * ci_k, 1j * ci_pair
-    jc2_kerr, jcsu_kerr, jciu_kerr = 1j * c2_kerr, 1j * csu_kerr, 1j * ciu_kerr
-
-    def rhs(x, y):
-        a_s, a_p, a_i, a_2, a_su, a_iu = y.tolist()
-        a_pc = a_p.conjugate()
-        pump2 = kap_sq * (a_p.real * a_p.real + a_p.imag * a_p.imag)
-        sh2 = k2_sq * (a_2.real * a_2.real + a_2.imag * a_2.imag)
-        cross = pump2 + sh2
-
-        e1 = cmath.exp(jd1 * x)
-        e2 = cmath.exp(jd2 * x)
-        e3 = cmath.exp(jd3 * x)
-        e4 = cmath.exp(jd4 * x)
-
-        return [
-            (jcs_k * cross * a_s
-             + jcs_pair * a_p * a_p * a_i.conjugate() * e1
-             + cs_up * a_su * a_pc * e2
-             - kpp_s * a_s),
-            (cap_shg * a_pc * a_2 * e3.conjugate()
-             + jcap_kerr * (pump2 + 2.0 * sh2) * a_p
-             + jcap_dep * a_s * a_i * a_pc * e1.conjugate()
-             - kpp_ap * a_p),
-            (jci_k * cross * a_i
-             + jci_pair * a_p * a_p * a_s.conjugate() * e1
-             + ci_up * a_iu * a_pc * e4
-             - kpp_i * a_i),
-            (c2_src * a_p * a_p * e3
-             + jc2_kerr * (2.0 * pump2 + sh2) * a_2
-             - kpp_2ap * a_2),
-            (csu_src * a_s * a_p * e2.conjugate()
-             + jcsu_kerr * cross * a_su
-             - kpp_su * a_su),
-            (ciu_src * a_i * a_p * e4.conjugate()
-             + jciu_kerr * cross * a_iu
-             - kpp_iu * a_iu),
-        ]
-
-    return rhs
+    return _Table(
+        _MODES_4WM,
+        loss=(-kpp_s, -kpp_ap, -kpp_i, -kpp_2ap, -kpp_su, -kpp_iu),
+        kerr=(("ap", [c * jkap_sq for c in (cs_k, cap_kerr, ci_k,
+                                            2.0 * c2_kerr, csu_kerr,
+                                            ciu_kerr)]),
+              ("2ap", [c * jk2_sq for c in (cs_k, 2.0 * cap_kerr, ci_k,
+                                            c2_kerr, csu_kerr, ciu_kerr)])),
+        monomials=[
+            ("s", 1j * cs_pair, "ap ap i* e1"),
+            ("s", cs_up, "s+ap ap* e2"),
+            ("ap", cap_shg, "ap* 2ap e3*"),
+            ("ap", 1j * cap_dep, "s i ap* e1*"),
+            ("i", 1j * ci_pair, "ap ap s* e1"),
+            ("i", ci_up, "i+ap ap* e4"),
+            ("2ap", c2_src, "ap ap e3"),
+            ("s+ap", csu_src, "s ap e2*"),
+            ("i+ap", ciu_src, "i ap e4*"),
+        ],
+        rates=(_mismatch(k), -d_su, d_2ap, -d_iu))
 
 
-def _rhs_3wm(m: MediumParams, modes: ModeSet3WM, beta: float):
-    """Five-mode upconversion right-hand side ``rhs(x, y) -> dy/dx`` with
-    its coefficients bound; y is [s, ip, 2ip, s+ip, s+2ip].
-
-    Every mode must sit below ``PLASMA_GUARD_3WM * omegaJ``.
-    """
-    k = wavevector(m, modes.frequencies, guard=PLASMA_GUARD_3WM)
-    wt = omega_tilde(m, modes.frequencies)
-    kpp_s, kpp_ip, kpp_2ip, kpp_su, kpp_su2 = (
-        k * m.tan_delta / 2.0).tolist()
-    ks, kip, k2, ksu, ksu2 = k.tolist()
-    ts, tip, t2, tsu, tsu2 = wt.tolist()
+def _table_3wm(k, wt, tan_delta: float, beta: float) -> _Table:
+    """The five-mode upconversion system from the wavevectors and plasma
+    factors of [s, ip, 2ip, s+ip, s+2ip], floats or rows of arrays."""
+    ks, kip, k2, ksu, ksu2 = k
+    ts, tip, t2, tsu, tsu2 = wt
     beta = float(beta)
 
     cs_up = beta * (kip - ksu) * kip * ksu / (2.0 * ks * ts)
@@ -270,28 +308,127 @@ def _rhs_3wm(m: MediumParams, modes: ModeSet3WM, beta: float):
     csu_src = beta * (ks + kip) * kip * ks / (2.0 * ksu * tsu)
     csu_up = beta * (kip - ksu2) * kip * ksu2 / (2.0 * ksu * tsu)
     csu2_src = beta * (ksu + kip) * kip * ksu / (2.0 * ksu2 * tsu2)
-    jda = 1j * (2.0 * kip - k2)
-    jdb = 1j * (ksu - kip - ks)
-    jdc = 1j * (ksu2 - kip - ksu)
+    return _Table(
+        _MODES_3WM,
+        loss=[-kj * tan_delta / 2.0 for kj in k],
+        # second-order couplings only: no Kerr terms
+        kerr=(("ip", [0.0] * 5), ("2ip", [0.0] * 5)),
+        monomials=[
+            ("s", cs_up, "s+ip ip* e2"),
+            ("ip", cip_shg, "ip* 2ip e1*"),
+            ("2ip", c2_src, "ip ip e1"),
+            ("s+ip", csu_src, "s ip e2*"),
+            ("s+ip", csu_up, "s+2ip ip* e3"),
+            ("s+2ip", csu2_src, "s+ip ip e3*"),
+        ],
+        rates=(2.0 * kip - k2, ksu - kip - ks, ksu2 - kip - ksu))
+
+
+def _row_rhs(t: _Table):
+    """``rhs(x, y) -> dy/dx`` of a table of floats, evaluated on Python
+    complexes: on five or six modes NumPy's per-call overhead, not the
+    arithmetic, would set every evaluation's cost."""
+    loss, diag = t.loss, tuple(zip(t.loss, t.kp, t.kh))
+    kerr = any(t.kp) or any(t.kh)
+    pump, harmonic = t.pump, t.harmonic
+    # 1j * d, formed once: cmath.exp(1j * d * x) evaluates it first anyway
+    jd = [1j * d for d in t.rates]
+    # monomials of up to three factors padded to three, the rest have four
+    threes = [(m, c, *f, *(t.one,) * (3 - len(f)))
+              for m, c, f in t.monomials if len(f) <= 3]
+    fours = [(m, c, *f) for m, c, f in t.monomials if len(f) == 4]
+    conj = complex.conjugate
 
     def rhs(x, y):
-        a_s, a_ip, a_2, a_su, a_su2 = y.tolist()
-        a_ipc = a_ip.conjugate()
-        f1 = cmath.exp(jda * x)
-        f2 = cmath.exp(jdb * x)
-        f3 = cmath.exp(jdc * x)
-
-        return [
-            cs_up * a_su * a_ipc * f2 - kpp_s * a_s,
-            cip_shg * a_ipc * a_2 * f1.conjugate() - kpp_ip * a_ip,
-            c2_src * a_ip * a_ip * f1 - kpp_2ip * a_2,
-            (csu_src * a_s * a_ip * f2.conjugate()
-             + csu_up * a_su2 * a_ipc * f3
-             - kpp_su * a_su),
-            csu2_src * a_su * a_ip * f3.conjugate() - kpp_su2 * a_su2,
-        ]
+        f = y.tolist()
+        if kerr:
+            a, b = f[pump], f[harmonic]
+            p = a.real * a.real + a.imag * a.imag
+            h = b.real * b.real + b.imag * b.imag
+            dy = [(c + cp * p + ch * h) * v
+                  for (c, cp, ch), v in zip(diag, f)]
+        else:
+            dy = list(map(mul, loss, f))
+        e = list(map(cmath.exp, map(mul, jd, repeat(x))))
+        f = f + list(map(conj, f)) + e + list(map(conj, e)) + [1.0]
+        for m, c, i, j, k in threes:
+            dy[m] += c * f[i] * f[j] * f[k]
+        for m, c, i, j, k, l in fours:
+            dy[m] += c * f[i] * f[j] * f[k] * f[l]
+        return dy
 
     return rhs
+
+
+def _batch_rhs(t: _Table, batch: int):
+    """``rhs(x, y) -> dy/dx`` of a table whose coefficients are floats or
+    arrays of ``batch`` entries, for states ``y`` of shape (n, batch).
+
+    The loss and Kerr terms join the monomials, as ``c y_m`` and
+    ``c y_p conj(y_p) y_m``, and every monomial is padded to four factors;
+    an evaluation then fills the stack, multiplies each monomial's
+    coefficient by its factors, gathered a column of the index table at a
+    time, and sums the products into their modes by one product with a
+    0/1 matrix."""
+    n, q, one = t.n, t.q, t.one
+    monomials = ([(m, c, (m,)) for m, c in enumerate(t.loss)]
+                 + [(m, c, (src, src + n, m))
+                    for src, row in ((t.pump, t.kp), (t.harmonic, t.kh))
+                    for m, c in enumerate(row) if np.any(c)]
+                 + list(t.monomials))
+    modes, coeffs, factors = zip(*monomials)
+    coeff = np.array([np.broadcast_to(c, (batch,)) for c in coeffs],
+                     dtype=np.complex128)
+    gather = np.array([f + (one,) * (4 - len(f)) for f in factors]).T.copy()
+    scatter = np.zeros((n, len(modes)), dtype=np.complex128)
+    scatter[modes, np.arange(len(modes))] = 1.0
+    jd = 1j * np.array([np.broadcast_to(d, (batch,)) for d in t.rates])
+    stack = np.ones((one + 1, batch), dtype=np.complex128)
+    ys, conj, e, conj_e = (stack[:n], stack[n:2 * n], stack[2 * n:2 * n + q],
+                           stack[2 * n + q:one])
+
+    def rhs(x, y):
+        ys[...] = y
+        np.conjugate(y, out=conj)
+        np.multiply(jd, x, out=e)
+        np.exp(e, out=e)
+        np.conjugate(e, out=conj_e)
+        products = coeff * stack[gather[0]]
+        for g in gather[1:]:
+            products *= stack[g]
+        return np.dot(scatter, products)
+
+    return rhs
+
+
+def _rhs_4wm(m: MediumParams, modes: ModeSet4WM, beta: float, gamma: float,
+             pump_depletion: bool):
+    """Six-mode right-hand side ``rhs(x, y) -> dy/dx`` of the table
+    :func:`_table_4wm` builds for one point; y is
+    [s, ap, i, 2ap, s+ap, i+ap].
+
+    A mode past ``PLASMA_GUARD * omegaJ`` raises, in ``_point``'s order.
+    """
+    k, wt = _point(m, modes.omega_s, modes.omega_ap, 6)
+    return _row_rhs(_table_4wm(k, wt, m.tan_delta, beta, gamma,
+                               pump_depletion))
+
+
+def _frequencies_3wm(omega_s, omega_ip):
+    """[s, ip, 2ip, s+ip, s+2ip], floats or arrays."""
+    return (omega_s, omega_ip, 2.0 * omega_ip, omega_s + omega_ip,
+            omega_s + 2.0 * omega_ip)
+
+
+def _rhs_3wm(m: MediumParams, modes: ModeSet3WM, beta: float):
+    """Five-mode upconversion right-hand side ``rhs(x, y) -> dy/dx`` of the
+    table :func:`_table_3wm` builds; y is [s, ip, 2ip, s+ip, s+2ip].
+
+    Every mode must sit below ``PLASMA_GUARD_3WM * omegaJ``.
+    """
+    k = wavevector(m, modes.frequencies, guard=PLASMA_GUARD_3WM)
+    wt = omega_tilde(m, modes.frequencies)
+    return _row_rhs(_table_3wm(k.tolist(), wt.tolist(), m.tan_delta, beta))
 
 
 def _validate_rtol(rtol: float) -> None:
@@ -300,18 +437,21 @@ def _validate_rtol(rtol: float) -> None:
         raise ValueError(f"rtol must lie in [{lo:g}, {hi:g}]")
 
 
-def _propagate(m: MediumParams, modes, rhs, rtol: float,
-               n_samples: int) -> Trajectory:
+def _propagate(m: MediumParams, rhs, y0: np.ndarray, frequencies,
+               rtol: float, n_samples: int) -> Trajectory:
+    """Integrate from the state ``y0``, or the batch of states in its
+    columns, over the line, with an absolute tolerance per state."""
     if n_samples < 2:
         raise ValueError(f"n_samples must be at least 2, got {n_samples}")
     x_eval = np.linspace(0.0, float(m.N), n_samples)
-    y0 = modes.amplitudes
-    atol = rtol * max(float(np.max(np.abs(y0))), 1e-30) * 1e-6
+    atol = rtol * np.maximum(np.abs(y0).max(axis=0), 1e-30) * 1e-6
+    stats = {"rows": 1 if y0.ndim == 1 else y0.shape[1]}
     # a blowing-up run raises StepFailure; its overflow is not worth a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        traj = _kernels.integrate(rhs, y0, x_eval, rtol, atol, _MAX_STEPS)
-    return Trajectory(x=x_eval, amplitudes=traj,
-                      frequencies=modes.frequencies, medium=m)
+        traj = _kernels.integrate(rhs, y0, x_eval, rtol, atol, _MAX_STEPS,
+                                  stats)
+    return Trajectory(x=x_eval, amplitudes=traj, frequencies=frequencies,
+                      medium=m, solver_stats=stats)
 
 
 def integrate_4wm(m: MediumParams, modes: ModeSet4WM, beta: float,
@@ -326,7 +466,8 @@ def integrate_4wm(m: MediumParams, modes: ModeSet4WM, beta: float,
     """
     _validate_rtol(rtol)
     rhs = _rhs_4wm(m, modes, beta, gamma, pump_depletion)
-    return _propagate(m, modes, rhs, rtol, n_samples)
+    return _propagate(m, rhs, modes.amplitudes, modes.frequencies, rtol,
+                      n_samples)
 
 
 def integrate_3wm(m: MediumParams, modes: ModeSet3WM, beta: float,
@@ -336,13 +477,87 @@ def integrate_3wm(m: MediumParams, modes: ModeSet3WM, beta: float,
     below 0.95 * omegaJ."""
     _validate_rtol(rtol)
     rhs = _rhs_3wm(m, modes, beta)
-    return _propagate(m, modes, rhs, rtol, n_samples)
+    return _propagate(m, rhs, modes.amplitudes, modes.frequencies, rtol,
+                      n_samples)
 
 
-def _gain_db_from(traj: Trajectory) -> float:
-    a0 = abs(traj.amplitudes[0, 0])
-    a1 = abs(traj.amplitudes[-1, 0])
-    return 20.0 * math.log10(a1 / a0)
+def _gain_db_from(traj: Trajectory):
+    """20 log10 |A_s(N)/A_s(0)|: a float, or an array over a batch.  Each
+    value is math.log10's, which NumPy's log10 does not always match."""
+    a0 = np.abs(traj.amplitudes[0, 0])
+    a1 = np.abs(traj.amplitudes[-1, 0])
+    gain = [20.0 * math.log10(v1 / v0)
+            for v0, v1 in zip(np.ravel(a0).tolist(), np.ravel(a1).tolist())]
+    return np.array(gain) if a0.ndim else gain[0]
+
+
+def _each(fn, points, width=1):
+    """:func:`errors.sweep` without gaps: the first error raises."""
+    values = np.empty((len(points), width))
+    for idx, point in enumerate(points):
+        values[idx] = fn(point)
+    return values, []
+
+
+def _spectrum(task: str, points, ok, build, single, finish, width=1,
+              each=sweep):
+    """Every row of a grid: one batched run over the rows ``ok`` marks
+    when there are at least ``_BATCH_MIN`` of them; one by one, through
+    ``each``, every other row and every row of a batch that raised
+    ``StepFailure``, so that a failing row is a gap of its own.
+
+    ``build(rows)`` builds the coupling table of the rows ``ok`` marks (all
+    of them) and returns a function that integrates it to a batched
+    ``Trajectory``; ``single(j)`` integrates row j alone, raising its
+    error; ``finish(traj)`` gives a trajectory's ``width`` values, floats
+    or arrays over a batch.  Returns ``(values, gaps, solver_stats)``,
+    the gaps as ``(index, point, "Type: message")`` in grid order.
+    """
+    # imported here so that a bare `import twpasim` does not load logging
+    # (the CLI, which reads TWPASIM_LOG, has loaded it already)
+    import logging
+    log = logging.getLogger(__name__)
+    runs = []
+    values = np.full((len(points), width), np.nan)
+    alone = np.ones(len(points), dtype=bool)
+    rows = np.flatnonzero(ok)
+    t0 = t1 = time.perf_counter()
+    if rows.size >= _BATCH_MIN:
+        run = build(rows)
+        t1 = time.perf_counter()
+        log.info("%s: built the coupling table of %d rows in %.3f s", task,
+                 rows.size, t1 - t0)
+        try:
+            traj = run()
+        except StepFailure as exc:
+            log.info("%s: the batch failed (%s); integrating its rows one "
+                     "by one", task, describe(exc))
+        else:
+            values[rows] = np.column_stack(finish(traj))
+            alone[rows] = False
+            runs.append(traj.solver_stats)
+
+    def point(j):
+        traj = single(j)
+        runs.append(traj.solver_stats)
+        return finish(traj)
+
+    idx = np.flatnonzero(alone)
+    values[idx], gaps = each(point, idx, width)
+    log.info("%s: integrated %d rows (runs: %d, steps: %d) in %.3f s", task,
+             sum(r["rows"] for r in runs), len(runs),
+             sum(r["accepted"] + r["rejected"] for r in runs),
+             time.perf_counter() - t1)
+    gaps = [(int(j), float(points[int(j)]), why) for _, j, why in gaps]
+    return values, gaps, runs
+
+
+def _initial(n_modes: int, a_s, a_p: float) -> np.ndarray:
+    """The (n_modes, B) state of a batch: the signal amplitudes ``a_s``,
+    the pump ``a_p`` and every other mode at zero."""
+    y0 = np.zeros((n_modes, len(a_s)), dtype=np.complex128)
+    y0[0], y0[1] = a_s, a_p
+    return y0
 
 
 def gain_spectrum(m: MediumParams, pump: ToneConfig, signal_omegas,
@@ -350,27 +565,40 @@ def gain_spectrum(m: MediumParams, pump: ToneConfig, signal_omegas,
                   gamma: float = 0.0, amp_scale: float = 1.0,
                   rtol: float = 1e-10) -> GainSpectrum:
     """Small-signal gain, with pump depletion, over a signal frequency
-    grid [rad/s]; each point integrates straight to x = N.  A point that
-    fails with a ``TwpaError`` (plasma guard, negative idler, stiff run)
-    is a NaN gap, by :func:`errors.sweep`; a point outside the model gets
-    the error :func:`phasematch.dk_total` raises, checked in its order
-    (pump guard first).  A grid that is not strictly
-    increasing raises ``ValueError`` before any point is integrated."""
+    grid [rad/s]; each point integrates straight to x = N, a grid of at
+    least ``_BATCH_MIN`` in-band points as one batch.  A point that fails
+    with a ``TwpaError`` (plasma guard, negative idler, stiff run) is a
+    NaN gap, by :func:`errors.sweep`; a point outside the model gets the
+    error :func:`phasematch.dk_total` raises, checked in its order (pump
+    guard first).  A grid that is not strictly increasing, an ``rtol``
+    outside ``RTOL_RANGE`` or a signal power whose amplitude is not
+    finite and positive raises ``ValueError`` before any point is
+    integrated."""
     omegas = _increasing(signal_omegas, "frequency")
+    _validate_rtol(rtol)
     a_p = amplitude_from_dbm(m, pump.freq, pump.power_dbm, amp_scale)
+    a_s = amplitude_from_dbm(m, omegas, signal_power_dbm, amp_scale)
+    ok, _, k, wt = _grid(m, omegas, pump.freq)
 
-    def point(ws):
-        a_s = amplitude_from_dbm(m, ws, signal_power_dbm, amp_scale)
+    def build(rows):
+        table = _table_4wm(k, wt, m.tan_delta, beta, gamma, True)
+        rhs = _batch_rhs(table, rows.size)
+        y0 = _initial(6, a_s[rows], a_p)
+        frequencies = _ladder_4wm(omegas[rows], pump.freq)
+        return lambda: _propagate(m, rhs, y0, frequencies, rtol, 2)
+
+    def single(j):
+        ws = omegas[j]
         _point(m, ws, pump.freq, 6)  # the point's error, pump guard first
-        modes = ModeSet4WM.initial(ws, pump.freq, a_s, a_p)
-        traj = integrate_4wm(m, modes, beta, gamma, rtol=rtol, n_samples=2)
-        return _gain_db_from(traj)
+        modes = ModeSet4WM.initial(ws, pump.freq, a_s[j], a_p)
+        return integrate_4wm(m, modes, beta, gamma, rtol=rtol, n_samples=2)
 
-    gain, gaps = sweep(point, omegas)
+    gain, gaps, runs = _spectrum("gain", omegas, ok, build, single,
+                                 lambda traj: (_gain_db_from(traj),))
     meta = {"pump": pump, "amp_scale": amp_scale, "beta": beta,
             "gamma": gamma, "signal_power_dbm": signal_power_dbm}
     return GainSpectrum(omega=omegas, gain_db=gain[:, 0], metadata=meta,
-                        gaps=gaps)
+                        gaps=gaps, solver_stats=runs)
 
 
 @dataclass
@@ -379,6 +607,7 @@ class SaturationResult:
     gain_db: np.ndarray
     small_signal_gain_db: float
     compression_1db_dbm: float | None
+    solver_stats: list = field(default_factory=list)
 
 
 def saturation_curve(m: MediumParams, pump: ToneConfig, omega_s: float,
@@ -386,24 +615,40 @@ def saturation_curve(m: MediumParams, pump: ToneConfig, omega_s: float,
                      amp_scale: float = 1.0, rtol: float = 1e-10
                      ) -> SaturationResult:
     """Gain versus signal power with full pump depletion; each power
-    integrates straight to x = N.  Reports the 1 dB compression input
-    power (linear interpolation on the grid) if the curve crosses it.  An
-    empty or not strictly increasing power grid raises ``ValueError``; a
+    integrates straight to x = N, a grid of at least ``_BATCH_MIN``
+    powers as one batch.  Reports the 1 dB compression input power
+    (linear interpolation on the grid) if the curve crosses it.  An empty
+    or not strictly increasing power grid raises ``ValueError``; a
     (signal, pump) point outside the model raises the ``TwpaError`` that
-    :func:`phasematch.dk_total` raises, before any power is integrated.
+    :func:`phasematch.dk_total` raises, before any power is integrated,
+    and a power whose run fails raises its ``StepFailure``.
+    ``solver_stats`` is as in :class:`GainSpectrum`.
     """
     powers = _increasing(power_grid_dbm, "power")
     if not powers.size:
         raise ValueError("power grid must not be empty")
+    _validate_rtol(rtol)
     a_p = amplitude_from_dbm(m, pump.freq, pump.power_dbm, amp_scale)
-    _point(m, omega_s, pump.freq, 6)  # the point's error, pump guard first
-    gain = np.empty(powers.shape)
-    for idx, p_dbm in enumerate(powers):
-        a_s = amplitude_from_dbm(m, omega_s, p_dbm, amp_scale)
-        modes = ModeSet4WM.initial(omega_s, pump.freq, a_s, a_p)
-        traj = integrate_4wm(m, modes, beta, gamma, rtol=rtol, n_samples=2)
-        gain[idx] = _gain_db_from(traj)
+    # the point's error, pump guard first
+    k, wt = _point(m, omega_s, pump.freq, 6)
+    a_s = amplitude_from_dbm(m, omega_s, powers, amp_scale)
 
+    def build(rows):
+        # one point: float coefficients, shared by the batch
+        table = _table_4wm(k, wt, m.tan_delta, beta, gamma, True)
+        rhs = _batch_rhs(table, rows.size)
+        y0 = _initial(6, a_s[rows], a_p)
+        frequencies = _ladder_4wm(np.full(rows.size, omega_s), pump.freq)
+        return lambda: _propagate(m, rhs, y0, frequencies, rtol, 2)
+
+    def single(j):
+        modes = ModeSet4WM.initial(omega_s, pump.freq, a_s[j], a_p)
+        return integrate_4wm(m, modes, beta, gamma, rtol=rtol, n_samples=2)
+
+    gain, _, runs = _spectrum("saturation", powers,
+                              np.ones(powers.size, dtype=bool), build, single,
+                              lambda traj: (_gain_db_from(traj),), each=_each)
+    gain = gain[:, 0]
     g0 = gain[0]
     comp = None
     below = np.where(gain <= g0 - 1.0)[0]
@@ -414,7 +659,7 @@ def saturation_curve(m: MediumParams, pump: ToneConfig, omega_s: float,
         comp = float(powers[j - 1] + frac * (powers[j] - powers[j - 1]))
     return SaturationResult(power_dbm=powers, gain_db=gain,
                             small_signal_gain_db=float(g0),
-                            compression_1db_dbm=comp)
+                            compression_1db_dbm=comp, solver_stats=runs)
 
 
 def isolation_spectrum(m: MediumParams, ip_pump: ToneConfig, signal_omegas,
@@ -426,23 +671,40 @@ def isolation_spectrum(m: MediumParams, ip_pump: ToneConfig, signal_omegas,
     Returns transmission in dB (negative = isolation) and the photon
     fraction upconverted to ``omega_s + omega_ip`` and
     ``omega_s + 2 omega_ip``, referenced to the signal input.  Each point
-    integrates straight to x = N.  Grid points that fail with a
+    integrates straight to x = N, a grid of at least ``_BATCH_MIN``
+    in-band points as one batch.  Grid points that fail with a
     ``TwpaError`` (e.g. a mode ladder above the 0.95 * omegaJ guard)
     become gaps, by :func:`errors.sweep`.  A grid that is not strictly
-    increasing raises ``ValueError`` before any point is integrated."""
+    increasing, an ``rtol`` outside ``RTOL_RANGE`` or a signal power
+    whose amplitude is not finite and positive raises ``ValueError``
+    before any point is integrated."""
     omegas = _increasing(signal_omegas, "frequency")
+    _validate_rtol(rtol)
     a_p = amplitude_from_dbm(m, ip_pump.freq, ip_pump.power_dbm, amp_scale)
+    a_s = amplitude_from_dbm(m, omegas, signal_power_dbm, amp_scale)
+    w = np.array(np.broadcast_arrays(*_frequencies_3wm(omegas, ip_pump.freq)))
+    ok = in_band(m, w, PLASMA_GUARD_3WM).all(axis=0)
 
-    def point(ws):
-        a_s = amplitude_from_dbm(m, ws, signal_power_dbm, amp_scale)
-        modes = ModeSet3WM.initial(ws, ip_pump.freq, a_s, a_p)
-        traj = integrate_3wm(m, modes, beta, rtol=rtol, n_samples=2)
+    def build(rows):
+        frequencies = w[:, rows]
+        k = wavevector(m, frequencies, guard=PLASMA_GUARD_3WM)
+        table = _table_3wm(k, omega_tilde(m, frequencies), m.tan_delta, beta)
+        rhs = _batch_rhs(table, rows.size)
+        y0 = _initial(5, a_s[rows], a_p)
+        return lambda: _propagate(m, rhs, y0, frequencies, rtol, 2)
+
+    def single(j):
+        modes = ModeSet3WM.initial(omegas[j], ip_pump.freq, a_s[j], a_p)
+        return integrate_3wm(m, modes, beta, rtol=rtol, n_samples=2)
+
+    def finish(traj):
         n = traj.photon_flux()
         return _gain_db_from(traj), (n[-1, 3] + n[-1, 4]) / n[0, 0]
 
-    values, gaps = sweep(point, omegas, width=2)
+    values, gaps, runs = _spectrum("isolation", omegas, ok, build, single,
+                                   finish, width=2)
     meta = {"pump": ip_pump, "amp_scale": amp_scale, "beta": beta,
             "signal_power_dbm": signal_power_dbm}
     return GainSpectrum(omega=omegas, gain_db=values[:, 0], metadata=meta,
-                        upconverted_fraction=values[:, 1], gaps=gaps)
-
+                        upconverted_fraction=values[:, 1], gaps=gaps,
+                        solver_stats=runs)

@@ -103,6 +103,14 @@ def linear_transmission_db(m: MediumParams, omega: float,
     return -20.0 * kpp * m.N / math.log(10.0)
 
 
+def _watts(power_dbm: float) -> float:
+    try:
+        # a Python float overflows with an error, never a NumPy warning
+        return 1e-3 * 10.0 ** (power_dbm / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def amplitude_from_dbm(m: MediumParams, omega: float, power_dbm: float,
                        amp_scale: float = 1.0) -> float:
     """Dimensionless traveling-wave amplitude for a given port power.
@@ -111,23 +119,32 @@ def amplitude_from_dbm(m: MediumParams, omega: float, power_dbm: float,
     amplitude ``sqrt(2 Z P) / omega`` [Wb]; dividing by the reduced flux
     quantum ``PHI0 / 2 pi`` converts it to the phase units used by the
     coupled-mode equations.  ``amp_scale`` is a single dimensionless
-    calibration factor applied to every converted amplitude.
+    calibration factor applied to every converted amplitude.  Frequencies
+    and powers may be arrays, broadcast together; each amplitude is the
+    float that its own frequency and power give.
 
     Raises ``ValueError`` naming the power when the amplitude underflows
-    to zero or overflows to infinity (for an array of frequencies, at the
-    first that does): gains are ratios to it.
+    to zero or overflows to infinity (for arrays, at the first that
+    does): gains are ratios to it.
     """
-    try:
-        # a Python float overflows with an error, never a NumPy warning
-        p_watt = 1e-3 * 10.0 ** (float(power_dbm) / 10.0)
-    except OverflowError:
-        p_watt = math.inf
-    amp = amp_scale * (2.0 * math.pi / PHI0) * math.sqrt(2.0 * m.Z * p_watt) / omega
+    power = np.asarray(power_dbm, dtype=float)
+    if power.ndim:
+        # Python's float power, element by element: NumPy's differs from
+        # it in the last bit for about one power in twenty
+        p_watt = np.reshape([_watts(p) for p in power.ravel().tolist()],
+                            power.shape)
+        root = np.sqrt(2.0 * m.Z * p_watt)
+    else:
+        root = math.sqrt(2.0 * m.Z * _watts(float(power)))
+    amp = amp_scale * (2.0 * math.pi / PHI0) * root / omega
     amps = np.ravel(amp)
-    bad = amps[~((amps > 0) & (amps < math.inf))]
-    if bad.size:
-        raise ValueError(f"power {power_dbm:g} dBm gives the amplitude "
-                         f"{bad[0]:g}, which is not finite and positive")
+    bad = ~((amps > 0) & (amps < math.inf))
+    if bad.any():
+        j = bad.argmax()
+        raise ValueError(
+            f"power {np.ravel(np.broadcast_to(power, np.shape(amp)))[j]:g} "
+            f"dBm gives the amplitude {amps[j]:g}, which is not finite and "
+            "positive")
     return amp
 
 

@@ -1,4 +1,6 @@
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,8 +13,8 @@ from twpasim import (MediumParams, ModeSet3WM, ModeSet4WM, ToneConfig,
                      linear_transmission_db, saturation_curve)
 from twpasim import cme
 from twpasim.errors import (AbovePlasmaCutoff, DomainError, NegativeIdler,
-                            describe)
-from twpasim.phasematch import breakdown_grid
+                            StepFailure, describe)
+from twpasim.phasematch import _grid, breakdown_grid
 
 W_AP = 2 * math.pi * 9.2e9
 W_S = 2 * math.pi * 7.6e9
@@ -465,3 +467,198 @@ class TestThreeWaveMixing:
                                 1e-6, 0.1)
         with pytest.raises(AbovePlasmaCutoff):
             integrate_3wm(medium_035, ms, beta=0.03)
+
+
+W_IP = 2 * math.pi * 12.2e9
+STEP_UNDERFLOW = ("StepFailure: step size underflow or non-finite state "
+                  "(stiff or blowing-up run)")
+
+
+def _batch_gain(m, system, omegas):
+    """Gain and upconverted fraction (NaN for the six-mode system) of every
+    signal frequency in ``omegas``, in any order, from one batched run
+    built as the spectra build theirs."""
+    if system == "4wm":
+        ok, _, k, wt = _grid(m, omegas, W_AP)
+        assert ok.all()
+        table = cme._table_4wm(k, wt, m.tan_delta, FIT["beta"], FIT["gamma"],
+                               True)
+        n_modes = 6
+        frequencies = cme._ladder_4wm(omegas, W_AP)
+        a_p = amplitude_from_dbm(m, W_AP, -78.0, FIT["amp_scale"])
+    else:
+        frequencies = np.array(np.broadcast_arrays(
+            *cme._frequencies_3wm(omegas, W_IP)))
+        k = cme.wavevector(m, frequencies, guard=cme.PLASMA_GUARD_3WM)
+        table = cme._table_3wm(k, cme.omega_tilde(m, frequencies),
+                               m.tan_delta, FIT["beta"])
+        n_modes = 5
+        a_p = amplitude_from_dbm(m, W_IP, -74.0, FIT["amp_scale"])
+    a_s = amplitude_from_dbm(m, omegas, -130.0, FIT["amp_scale"])
+    traj = cme._propagate(m, cme._batch_rhs(table, omegas.size),
+                          cme._initial(n_modes, a_s, a_p), frequencies,
+                          1e-10, 2)
+    n = traj.photon_flux()
+    fraction = ((n[-1, 3] + n[-1, 4]) / n[0, 0] if system == "3wm"
+                else np.full(omegas.size, np.nan))
+    return np.column_stack([cme._gain_db_from(traj), fraction])
+
+
+class TestBatches:
+    """A grid of at least ``cme._BATCH_MIN`` in-band rows integrates as one
+    batch: every row takes the step sequence of the hardest, so a row's
+    result depends on which rows share its batch, within GATE_DB, but not
+    on their order."""
+
+    # batched against per-row runs, measured: 2.0e-9 dB worst on
+    # gain_example.cfg's 200 points, 1.9e-9 dB on 16 and 40-point gain
+    # grids, 1.3e-10 dB on saturation grids, 2.0e-11 dB on
+    # isolation_example.cfg (1.9e-8 dB in the 30 dB isolation dips of the
+    # fitted couplings)
+    GATE_DB = 1e-8
+
+    @pytest.mark.parametrize("system", ["4wm", "3wm"])
+    @settings(max_examples=6, deadline=None, database=None)
+    @given(data=st.data())
+    def test_row_order_does_not_matter(self, medium_035, system, data):
+        """A permuted batch gives the same rows, bit for bit."""
+        f_s = data.draw(st.lists(st.floats(3.0e9, 12.0e9), min_size=2,
+                                 max_size=9, unique=True))
+        perm = np.array(data.draw(st.permutations(range(len(f_s)))))
+        omegas = 2 * math.pi * np.array(f_s)
+        rows = _batch_gain(medium_035, system, omegas)
+        permuted = _batch_gain(medium_035, system, omegas[perm])
+        assert permuted.tobytes() == rows[perm].tobytes()
+
+    @settings(max_examples=4, deadline=None, database=None)
+    @given(f_lo=st.floats(3.0e9, 6.0e9), f_hi=st.floats(9.0e9, 12.0e9),
+           points=st.integers(8, 14), split=st.integers(4, 8))
+    def test_batch_size_moves_rows_within_the_gate(self, medium_035, f_lo,
+                                                   f_hi, points, split):
+        """The grid as one batch and as two batches, of its first
+        ``split`` rows and of the rest."""
+        assume(points - split >= cme._BATCH_MIN)
+        pump = ToneConfig(W_AP, -78.0)
+        grid = 2 * math.pi * np.linspace(f_lo, f_hi, points)
+        whole = gain_spectrum(medium_035, pump, grid, **FIT)
+        parts = [gain_spectrum(medium_035, pump, g, **FIT)
+                 for g in (grid[:split], grid[split:])]
+        assert [len(s.solver_stats) for s in [whole, *parts]] == [1, 1, 1]
+        np.testing.assert_allclose(
+            np.concatenate([s.gain_db for s in parts]), whole.gain_db,
+            rtol=0, atol=self.GATE_DB)
+
+    @pytest.mark.parametrize("task", ["gain", "saturation", "isolation"])
+    def test_batch_agrees_with_rows(self, medium_035, monkeypatch, task):
+        pump = ToneConfig(W_AP, -78.0)
+        grid = 2 * math.pi * np.linspace(2e9, 16.5e9, 16)
+
+        def run():
+            if task == "gain":
+                spec = gain_spectrum(medium_035, pump, grid, **FIT)
+                return spec.gain_db, spec.solver_stats
+            if task == "saturation":
+                res = saturation_curve(medium_035, pump, W_S,
+                                       np.linspace(-150.0, -85.0, 14), **FIT)
+                return res.gain_db, res.solver_stats
+            spec = isolation_spectrum(
+                medium_035, ToneConfig(W_IP, -74.0, "backward"),
+                2 * math.pi * np.linspace(4e9, 9e9, 16), beta=FIT["beta"],
+                amp_scale=FIT["amp_scale"])
+            return (np.concatenate([spec.gain_db, spec.upconverted_fraction]),
+                    spec.solver_stats)
+
+        batched, batch_stats = run()
+        monkeypatch.setattr(cme, "_BATCH_MIN", 10**9)
+        rows, row_stats = run()
+        size = len(rows) // (2 if task == "isolation" else 1)
+        assert [s["rows"] for s in batch_stats] == [size]
+        assert [s["rows"] for s in row_stats] == [1] * size
+        assert np.isfinite(rows).all()
+        np.testing.assert_allclose(batched, rows, rtol=0, atol=self.GATE_DB)
+
+    def test_solver_stats_count_the_run(self, medium_035):
+        spec = gain_spectrum(medium_035, ToneConfig(W_AP, -78.0),
+                             2 * math.pi * np.linspace(4e9, 12e9, 9), **FIT)
+        [stats] = spec.solver_stats
+        assert stats["rows"] == 9
+        assert stats["accepted"] > 0 and stats["rejected"] >= 0
+        assert stats["rhs_calls"] == 1 + 12 * (stats["accepted"]
+                                               + stats["rejected"])
+        assert 0.0 < stats["min_step"] < medium_035.N
+
+    def test_stiff_row_is_a_gap_of_its_own(self, medium_035):
+        """A batch with one stiff row (the absurd Kerr coupling of
+        test_kernels) raises StepFailure; its rows then run one by one,
+        so the stiff row alone is a gap and every other row is its own
+        run's value."""
+        m = medium_035
+        omegas = 2 * math.pi * np.linspace(6e9, 9e9, 5)
+        gammas = [FIT["gamma"]] * 5
+        gammas[2] = 1e12
+        a_p = amplitude_from_dbm(m, W_AP, -78.0)
+
+        def modes(j):
+            return ModeSet4WM.initial(omegas[j], W_AP, 1e-6, a_p)
+
+        def build(rows):
+            fns = [cme._rhs_4wm(m, modes(j), 0.0, gammas[j], True)
+                   for j in rows]
+
+            def rhs(x, y):
+                return np.column_stack([f(x, y[:, b])
+                                        for b, f in enumerate(fns)])
+
+            y0 = np.column_stack([modes(j).amplitudes for j in rows])
+            freqs = np.column_stack([modes(j).frequencies for j in rows])
+            return lambda: cme._propagate(m, rhs, y0, freqs, 1e-8, 2)
+
+        def single(j):
+            return integrate_4wm(m, modes(j), 0.0, gammas[j], rtol=1e-8,
+                                 n_samples=2)
+
+        with pytest.raises(StepFailure):
+            build(range(5))()
+        values, gaps, runs = cme._spectrum(
+            "gain", omegas, np.ones(5, dtype=bool), build, single,
+            lambda traj: (cme._gain_db_from(traj),))
+        assert gaps == [(2, float(omegas[2]), STEP_UNDERFLOW)]
+        assert [r["rows"] for r in runs] == [1, 1, 1, 1]
+        for j in (0, 1, 3, 4):
+            assert values[j, 0] == cme._gain_db_from(single(j))
+
+    def test_stiff_batch_rows_are_gaps(self, medium_035):
+        """The gain spectrum with the absurd coupling on every row: the
+        batch fails and every row is a gap with the stepper's message."""
+        grid = 2 * math.pi * np.linspace(7e9, 8e9, 6)
+        spec = gain_spectrum(medium_035, ToneConfig(W_AP, -78.0), grid,
+                             gamma=1e12, rtol=1e-8)
+        assert spec.gaps == [(j, w, STEP_UNDERFLOW)
+                             for j, w in enumerate(grid.tolist())]
+        assert np.isnan(spec.gain_db).all()
+        assert spec.solver_stats == []
+
+    def test_rejected_points_are_gaps_before_the_batch(self, medium_035):
+        """Points outside the model are gaps with the error they raise
+        alone, and the rest still integrate as one batch."""
+        grid = 2 * math.pi * np.linspace(14e9, 20e9, 7)
+        spec = gain_spectrum(medium_035, ToneConfig(W_AP, -78.0), grid,
+                             **FIT)
+        _, errors = breakdown_grid(medium_035, FIT["beta"], FIT["gamma"],
+                                   grid, W_AP, -78.0, FIT["amp_scale"])
+        assert [g[0] for g in spec.gaps] == [j for j, _ in errors] != []
+        assert [g[2] for g in spec.gaps] == [describe(e) for _, e in errors]
+        assert [s["rows"] for s in spec.solver_stats] == [
+            grid.size - len(errors)]
+
+    def test_info_log_times_tables_and_integration(self, medium_035,
+                                                   caplog):
+        with caplog.at_level(logging.INFO, logger="twpasim.cme"):
+            gain_spectrum(medium_035, ToneConfig(W_AP, -78.0),
+                          2 * math.pi * np.linspace(4e9, 12e9, 5), **FIT)
+        messages = [r.getMessage() for r in caplog.records]
+        assert any(re.fullmatch(r"gain: built the coupling table of 5 rows "
+                                r"in \d+\.\d{3} s", m) for m in messages)
+        assert any(re.fullmatch(r"gain: integrated 5 rows \(runs: 1, "
+                                r"steps: \d+\) in \d+\.\d{3} s", m)
+                   for m in messages)

@@ -188,3 +188,42 @@ def test_last_stage_is_reused_as_first_stage(medium_035):
                        1e-10 * abs(y0).max() * 1e-6, 2_000_000)
     assert len(calls) % 12 == 1
     assert len(set(calls)) == len(calls)
+
+
+def test_batch_takes_the_hardest_columns_steps():
+    """The DOP853 norm is taken per column and the largest decides: a
+    batch of the decays exp(-x) and exp(-3x) takes as many steps as the
+    faster decay alone, and each column still solves its own equation."""
+    rates = np.array([1.0, 3.0])
+    y0 = np.array([[1.0 + 0.0j, 1.0 + 0.0j], [2.0j, 2.0j]])
+    x_eval = np.linspace(0.0, 1.0, 5)
+    batch, alone = {}, {}
+    y = _kernels.integrate(lambda x, y: -rates * y, y0, x_eval, 1e-8,
+                           1e-20, 100_000, batch)
+    _kernels.integrate(lambda x, y: -3.0 * y, y0[:, 1], x_eval, 1e-8, 1e-20,
+                       100_000, alone)
+    assert y.shape == (5, 2, 2)
+    assert batch["accepted"] > 1
+    for key in ("accepted", "rejected", "rhs_calls"):
+        assert batch[key] == alone[key], key
+    np.testing.assert_allclose(
+        y, np.exp(-np.multiply.outer(x_eval, rates))[:, None, :] * y0,
+        rtol=1e-8)
+
+
+def test_batch_atol_is_per_column():
+    """Each column is measured against its own atol: a faster decay
+    scaled down by 1e-12, with its atol scaled alike, still sets the
+    steps of a batch it shares with a slow decay of unit size."""
+    rates = np.array([1.0, 3.0])
+    y0 = np.array([[1.0 + 0.0j, 1e-12 + 0.0j], [2.0j, 2e-12j]])
+    x_eval = np.linspace(0.0, 1.0, 5)
+    batch, alone = {}, {}
+    y = _kernels.integrate(lambda x, y: -rates * y, y0, x_eval, 1e-8,
+                           np.array([1e-16, 1e-28]), 100_000, batch)
+    _kernels.integrate(lambda x, y: -3.0 * y, y0[:, 1], x_eval, 1e-8, 1e-28,
+                       100_000, alone)
+    for key in ("accepted", "rejected", "rhs_calls"):
+        assert batch[key] == alone[key], key
+    np.testing.assert_allclose(y[-1, :, 1], np.exp(-3.0) * y0[:, 1],
+                               rtol=1e-8)

@@ -170,6 +170,25 @@ class TestAmplitudeConversion:
         with pytest.raises(ValueError, match=f"power {power:g} dBm"):
             amplitude_from_dbm(medium_zero_flux, 2 * math.pi * 7e9, power)
 
+    def test_array_of_powers_matches_each_power(self, medium_zero_flux):
+        """An array of powers gives, bit for bit, the float each power
+        gives alone (NumPy's power would round one in twenty apart), and
+        a float power still gives a float."""
+        m = medium_zero_flux
+        w = 2 * math.pi * 7.6e9
+        powers = np.linspace(-150.0, -85.0, 27)
+        amps = amplitude_from_dbm(m, w, powers, amp_scale=1.55)
+        assert amps.shape == powers.shape
+        assert amps.tolist() == [amplitude_from_dbm(m, w, p, amp_scale=1.55)
+                                 for p in powers.tolist()]
+        assert type(amplitude_from_dbm(m, w, -130.0)) is float
+
+    def test_array_error_names_the_first_bad_power(self, medium_zero_flux):
+        with pytest.raises(ValueError, match="^power -4000 dBm gives the "
+                                             "amplitude 0,"):
+            amplitude_from_dbm(medium_zero_flux, 2 * math.pi * 7e9,
+                               np.array([-130.0, -4000.0, 4000.0]))
+
 
 class TestValidation:
     def test_invalid_medium_rejected(self):

@@ -261,6 +261,25 @@ class TestFindMatchedPump:
                               (2 * math.pi * 11e9, 2 * math.pi * 12e9),
                               threshold=1e-9)
 
+    def test_grid_point_kept_when_refinement_ends_worse(self, medium_035,
+                                                        monkeypatch):
+        """A refinement that ends above the best grid point's |dk_total|
+        is discarded: the grid point and its |dk_total| come back."""
+        kw = dict(amp_scale=self.FIT["amp_scale"], grid_points=61)
+        grid = np.linspace(*self.BAND, kw["grid_points"])
+        values, _ = breakdown_grid(medium_035, self.FIT["beta"],
+                                   self.FIT["gamma"], W_S, grid, -78.0,
+                                   self.FIT["amp_scale"])
+        vals = np.abs(values[:, 3])
+        ibest = int(np.argmin(vals))
+        monkeypatch.setattr(
+            "twpasim.phasematch._bounded_brent",
+            lambda f, a, b, xatol: (a, 2.0 * vals[ibest] + 1e-3))
+        w, dk = find_matched_pump(medium_035, self.FIT["beta"],
+                                  self.FIT["gamma"], W_S, -78.0, self.BAND,
+                                  **kw)
+        assert (w, dk) == (float(grid[ibest]), float(vals[ibest]))
+
     def test_programming_error_propagates(self, medium_035, monkeypatch):
         """Only domain errors mark a grid point invalid; a TypeError in
         the objective is a bug and must not become an inf."""
