@@ -22,13 +22,14 @@ evaluations.
 On five or six modes NumPy's fixed cost per call, not the arithmetic,
 sets the price of a stage, so the tableau is augmented to make each
 stage one call.  The state and the thirteen stages are the rows of one
-``(14, n)`` array ``z = [y, k_0 .. k_12]`` (``(14, n * B)`` for a batch,
-each row a flattened state); the weights are one ``(13, 13)`` array
-whose column 0 is 1 and whose other columns are ``h * [A; B]``,
-refreshed once per attempted step.  A stage's input
-``y + h * (A[s, :s] @ k[:s])`` is then ``w[s, :s+1] @ z[:s+1]``, the
-eighth-order solution is ``w[12] @ z[:13]``, and both error estimates
-are one product ``[E5; E3] @ k``.
+``(14, n * B)`` array ``z = [y, k_0 .. k_12]``, each row a flattened
+state (B = 1 for one state of shape ``(n,)``); the weights are one real
+``(13, 13)`` array whose column 0 is 1 and whose other columns are
+``h * [A; B]``, refreshed once per attempted step.  A stage's input
+``y + h * (A[s, :s] @ k[:s])`` is then ``w[s, :s+1] @ z[:s+1]``, taken
+against the real and imaginary parts of the stages, the eighth-order
+solution is ``w[12] @ z[:13]``, and both error estimates are one product
+``[E5; E3] @ k``.  One state and a batch take the same products.
 """
 
 import math
@@ -138,9 +139,8 @@ _E3[11] -= 0.220588235294117647058823529412e-1
 
 # What the stepper reads on every step: the nodes as Python floats and
 # the augmented tableau (module docstring), which it scales by h into its
-# weights.  Those are complex for one state, because np.dot would
-# otherwise cast a real weight row against the complex stages on every
-# call, and the error weights are complex for the same reason.
+# weights.  The error weights are complex, because np.dot would otherwise
+# cast them against the complex stages on every call.
 _C_NODES = _C.tolist()
 _AB = np.vstack([_A, _B])
 _E53 = np.vstack([_E5, _E3]).astype(np.complex128)
@@ -161,7 +161,9 @@ def integrate(rhs, y0, x_eval, rtol, atol, max_steps, stats=None):
 
     ``rhs(x, y)`` gets a complex array shaped like ``y0`` that is valid
     only during the call and returns dy/dx in that shape (for one state,
-    any sequence of len(y0) numbers).  ``y0`` itself is never written.
+    any sequence of len(y0) numbers).  One state runs as a batch of one:
+    the same products, the same bits as its ``(n, 1)`` column.  ``y0``
+    itself is never written.
     A ``stats`` dict, if given, receives the run's ``accepted`` and
     ``rejected`` steps, ``rhs_calls`` and ``min_step``, the smallest step
     size the controller chose (before a step is cut short to land on a
@@ -175,25 +177,18 @@ def integrate(rhs, y0, x_eval, rtol, atol, max_steps, stats=None):
     # `zs` views them in the state's shape
     z = np.empty((14, y0.size), dtype=np.complex128)
     zs = z.reshape((14,) + shape)
-    if y0.ndim == 1:
-        w = np.zeros((13, 13), dtype=np.complex128)
-        weights = w
-        heads = [z[:s + 1] for s in range(13)]
-        stage = buffer = np.empty(n, dtype=np.complex128)
-    else:
-        # BLAS's vector product rounds its last few columns apart from the
-        # rest, which would tie a row's result to its place in the batch;
-        # its matrix product does not, so each weight row gets a second,
-        # zero row, against the stages' real and imaginary parts
-        w = np.zeros((13, 2, 13))
-        weights = w[:, 0]
-        heads = [z[:s + 1].view(np.float64) for s in range(13)]
-        buffer = np.empty((2, 2 * y0.size))
-        stage = buffer[0].view(np.complex128).reshape(shape)
-    weights[:, 0] = 1.0
-    hw = weights[:, 1:]
+    # BLAS's vector product rounds its last few columns apart from the
+    # rest, which would tie a row's result to its place in the batch; its
+    # matrix product does not, so each weight row gets a second, zero row,
+    # against the stages' real and imaginary parts
+    w = np.zeros((13, 2, 13))
+    w[:, 0, 0] = 1.0
+    hw = w[:, 0, 1:]
     # views built once: stage s reads rows[s] against heads[s]
-    rows = [w[s, ..., :s + 1] for s in range(13)]
+    rows = [w[s, :, :s + 1] for s in range(13)]
+    heads = [z[:s + 1].view(np.float64) for s in range(13)]
+    buffer = np.empty((2, 2 * y0.size))
+    stage = buffer[0].view(np.complex128).reshape(shape)
     ks = z[1:]
     y = zs[0]
 

@@ -16,16 +16,16 @@ The derivation of every coupling coefficient from the wave equation of
 the line is spelled out in ``docs/cme_reduction.md``.  Each system has
 one owner here: ``_table_4wm`` / ``_table_3wm`` compute its coefficients
 as named values and write the system once, as a coupling table
-(``_Table``), for one point (floats) or a batch of points (arrays).  Two
-generic evaluators turn a table into the right-hand side
-``rhs(x, y) -> dy/dx`` that :func:`twpasim._kernels.integrate` steps
-(raising ``StepFailure``): ``_row_rhs`` loops over it on Python complexes
-for one point, as ``_rhs_4wm`` / ``_rhs_3wm`` return it, and
-``_batch_rhs`` evaluates it with a fixed number of NumPy calls for a
-batch.  The six-mode ladder, band checks and mismatches come from
-``phasematch``.  The spectra integrate a grid of at least ``_BATCH_MIN``
-in-band points as one batch, and fall back to one point at a time, each
-failure its own gap, below that size or when the batch fails.
+(``_Table``), for one point (floats) or a batch of points (arrays).  One
+generic evaluator, ``_batch_rhs``, turns a table into the right-hand
+side ``rhs(x, y) -> dy/dx`` that :func:`twpasim._kernels.integrate`
+steps (raising ``StepFailure``), with a fixed number of NumPy calls for
+one point, as ``_rhs_4wm`` / ``_rhs_3wm`` return it, or for a batch.  The
+six-mode ladder, band checks and mismatches come from ``phasematch``.
+The spectra integrate a grid of at least ``_BATCH_MIN`` in-band points
+as one batch, and fall back to one point at a time, each a batch of one
+and each failure its own gap, below that size or when the batch
+fails.
 
 Photon bookkeeping uses the flux ``n_m = k_m * (1 - omega_m^2/omegaJ^2)
 * |A_m|^2``; with this normalization the lossless couplings conserve the
@@ -35,19 +35,16 @@ O(dk) otherwise), which the test suite verifies rather than assumes.
 
 from __future__ import annotations
 
-import cmath
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import mul
 
 import numpy as np
 
 from . import _kernels
 from .errors import DomainError, StepFailure, describe, sweep
-from .medium import (MediumParams, amplitude_from_dbm, in_band, omega_tilde,
-                     wavevector)
+from .medium import (MediumParams, amplitude_from_dbm, band_error, in_band,
+                     omega_tilde, wavevector)
 from .phasematch import (ToneConfig, _aux_mismatch, _frequencies, _grid,
                          _mismatch, _point, idler_frequency)
 
@@ -55,9 +52,9 @@ PLASMA_GUARD_3WM = 0.95  # harder guard: upconversion modes approach omegaJ
 RTOL_RANGE = (1e-12, 1e-6)  # accepted integrator tolerances
 
 _MAX_STEPS = 2_000_000
-# Grids of at least this many rows integrate as one batch; on fewer, NumPy's
-# fixed cost per call on the batch outweighs what batching saves
-_BATCH_MIN = 4
+# Grids of at least this many rows integrate as one batch; on fewer, one
+# batch wins over one run per row by too little to count on
+_BATCH_MIN = 3
 
 
 def _increasing(grid, name: str) -> np.ndarray:
@@ -213,8 +210,7 @@ class _Table:
     factors named by mode (``"ap"``, or ``"ap*"`` for its conjugate) or
     by phase factor (``"e1"``, ``"e1*"``); monomials that vanish on every
     point (``beta = 0``, no pump depletion) are dropped.  The stack
-    indices are kept for the evaluators, :func:`_row_rhs` and
-    :func:`_batch_rhs`.
+    indices are kept for the evaluator, :func:`_batch_rhs`.
     """
 
     def __init__(self, names, loss, kerr, monomials, rates):
@@ -324,45 +320,11 @@ def _table_3wm(k, wt, tan_delta: float, beta: float) -> _Table:
         rates=(2.0 * kip - k2, ksu - kip - ks, ksu2 - kip - ksu))
 
 
-def _row_rhs(t: _Table):
-    """``rhs(x, y) -> dy/dx`` of a table of floats, evaluated on Python
-    complexes: on five or six modes NumPy's per-call overhead, not the
-    arithmetic, would set every evaluation's cost."""
-    loss, diag = t.loss, tuple(zip(t.loss, t.kp, t.kh))
-    kerr = any(t.kp) or any(t.kh)
-    pump, harmonic = t.pump, t.harmonic
-    # 1j * d, formed once: cmath.exp(1j * d * x) evaluates it first anyway
-    jd = [1j * d for d in t.rates]
-    # monomials of up to three factors padded to three, the rest have four
-    threes = [(m, c, *f, *(t.one,) * (3 - len(f)))
-              for m, c, f in t.monomials if len(f) <= 3]
-    fours = [(m, c, *f) for m, c, f in t.monomials if len(f) == 4]
-    conj = complex.conjugate
-
-    def rhs(x, y):
-        f = y.tolist()
-        if kerr:
-            a, b = f[pump], f[harmonic]
-            p = a.real * a.real + a.imag * a.imag
-            h = b.real * b.real + b.imag * b.imag
-            dy = [(c + cp * p + ch * h) * v
-                  for (c, cp, ch), v in zip(diag, f)]
-        else:
-            dy = list(map(mul, loss, f))
-        e = list(map(cmath.exp, map(mul, jd, repeat(x))))
-        f = f + list(map(conj, f)) + e + list(map(conj, e)) + [1.0]
-        for m, c, i, j, k in threes:
-            dy[m] += c * f[i] * f[j] * f[k]
-        for m, c, i, j, k, l in fours:
-            dy[m] += c * f[i] * f[j] * f[k] * f[l]
-        return dy
-
-    return rhs
-
-
-def _batch_rhs(t: _Table, batch: int):
-    """``rhs(x, y) -> dy/dx`` of a table whose coefficients are floats or
-    arrays of ``batch`` entries, for states ``y`` of shape (n, batch).
+def _batch_rhs(t: _Table, shape: tuple):
+    """``rhs(x, y) -> dy/dx`` of a table for states ``y`` of shape
+    ``(n,) + shape``: ``()`` for one point's floats, ``(B,)`` for a batch,
+    whose coefficients are arrays of B entries or floats that every column
+    shares.
 
     The loss and Kerr terms join the monomials, as ``c y_m`` and
     ``c y_p conj(y_p) y_m``, and every monomial is padded to four factors;
@@ -377,13 +339,13 @@ def _batch_rhs(t: _Table, batch: int):
                     for m, c in enumerate(row) if np.any(c)]
                  + list(t.monomials))
     modes, coeffs, factors = zip(*monomials)
-    coeff = np.array([np.broadcast_to(c, (batch,)) for c in coeffs],
+    coeff = np.array([np.broadcast_to(c, shape) for c in coeffs],
                      dtype=np.complex128)
     gather = np.array([f + (one,) * (4 - len(f)) for f in factors]).T.copy()
     scatter = np.zeros((n, len(modes)), dtype=np.complex128)
     scatter[modes, np.arange(len(modes))] = 1.0
-    jd = 1j * np.array([np.broadcast_to(d, (batch,)) for d in t.rates])
-    stack = np.ones((one + 1, batch), dtype=np.complex128)
+    jd = 1j * np.array([np.broadcast_to(d, shape) for d in t.rates])
+    stack = np.ones((one + 1,) + shape, dtype=np.complex128)
     ys, conj, e, conj_e = (stack[:n], stack[n:2 * n], stack[2 * n:2 * n + q],
                            stack[2 * n + q:one])
 
@@ -410,8 +372,8 @@ def _rhs_4wm(m: MediumParams, modes: ModeSet4WM, beta: float, gamma: float,
     A mode past ``PLASMA_GUARD * omegaJ`` raises, in ``_point``'s order.
     """
     k, wt = _point(m, modes.omega_s, modes.omega_ap, 6)
-    return _row_rhs(_table_4wm(k, wt, m.tan_delta, beta, gamma,
-                               pump_depletion))
+    return _batch_rhs(_table_4wm(k, wt, m.tan_delta, beta, gamma,
+                                 pump_depletion), ())
 
 
 def _frequencies_3wm(omega_s, omega_ip):
@@ -428,7 +390,8 @@ def _rhs_3wm(m: MediumParams, modes: ModeSet3WM, beta: float):
     """
     k = wavevector(m, modes.frequencies, guard=PLASMA_GUARD_3WM)
     wt = omega_tilde(m, modes.frequencies)
-    return _row_rhs(_table_3wm(k.tolist(), wt.tolist(), m.tan_delta, beta))
+    return _batch_rhs(_table_3wm(k.tolist(), wt.tolist(), m.tan_delta,
+                                 beta), ())
 
 
 def _validate_rtol(rtol: float) -> None:
@@ -499,19 +462,22 @@ def _each(fn, points, width=1):
     return values, []
 
 
-def _spectrum(task: str, points, ok, build, single, finish, width=1,
+def _spectrum(task: str, points, errors, build, finish, width=1,
               each=sweep):
-    """Every row of a grid: one batched run over the rows ``ok`` marks
-    when there are at least ``_BATCH_MIN`` of them; one by one, through
-    ``each``, every other row and every row of a batch that raised
-    ``StepFailure``, so that a failing row is a gap of its own.
+    """Every row of a grid: one batched run over the rows ``errors`` does
+    not name when there are at least ``_BATCH_MIN`` of them; one by one,
+    through ``each``, every other row, so that a failing row is a gap of
+    its own.  A row ``errors`` names raises its error; a row below the
+    crossover, or of a batch that raised ``StepFailure``, runs alone, as a
+    batch of one.
 
-    ``build(rows)`` builds the coupling table of the rows ``ok`` marks (all
-    of them) and returns a function that integrates it to a batched
-    ``Trajectory``; ``single(j)`` integrates row j alone, raising its
-    error; ``finish(traj)`` gives a trajectory's ``width`` values, floats
-    or arrays over a batch.  Returns ``(values, gaps, solver_stats)``,
-    the gaps as ``(index, point, "Type: message")`` in grid order.
+    ``errors`` maps the index of each row outside the model to its error;
+    ``build(rows)`` builds the coupling table of an array of row indices
+    and returns a function that integrates it to a batched
+    ``Trajectory``; ``finish(traj)`` gives a trajectory's ``width``
+    values, arrays over its batch.  Returns ``(values, gaps,
+    solver_stats)``, the gaps as ``(index, point, "Type: message")`` in
+    grid order.
     """
     # imported here so that a bare `import twpasim` does not load logging
     # (the CLI, which reads TWPASIM_LOG, has loaded it already)
@@ -520,7 +486,7 @@ def _spectrum(task: str, points, ok, build, single, finish, width=1,
     runs = []
     values = np.full((len(points), width), np.nan)
     alone = np.ones(len(points), dtype=bool)
-    rows = np.flatnonzero(ok)
+    rows = np.flatnonzero([j not in errors for j in range(len(points))])
     t0 = t1 = time.perf_counter()
     if rows.size >= _BATCH_MIN:
         run = build(rows)
@@ -538,9 +504,11 @@ def _spectrum(task: str, points, ok, build, single, finish, width=1,
             runs.append(traj.solver_stats)
 
     def point(j):
-        traj = single(j)
+        if j in errors:
+            raise errors[j]
+        traj = build(np.array([j]))()
         runs.append(traj.solver_stats)
-        return finish(traj)
+        return np.column_stack(finish(traj))
 
     idx = np.flatnonzero(alone)
     values[idx], gaps = each(point, idx, width)
@@ -578,22 +546,18 @@ def gain_spectrum(m: MediumParams, pump: ToneConfig, signal_omegas,
     _validate_rtol(rtol)
     a_p = amplitude_from_dbm(m, pump.freq, pump.power_dbm, amp_scale)
     a_s = amplitude_from_dbm(m, omegas, signal_power_dbm, amp_scale)
-    ok, _, k, wt = _grid(m, omegas, pump.freq)
+    ok, errors, k, wt = _grid(m, omegas, pump.freq)
+    col = np.cumsum(ok) - 1  # an in-band row's column of k and wt
 
     def build(rows):
-        table = _table_4wm(k, wt, m.tan_delta, beta, gamma, True)
-        rhs = _batch_rhs(table, rows.size)
+        table = _table_4wm(k[:, col[rows]], wt[:, col[rows]], m.tan_delta,
+                           beta, gamma, True)
+        rhs = _batch_rhs(table, rows.shape)
         y0 = _initial(6, a_s[rows], a_p)
         frequencies = _ladder_4wm(omegas[rows], pump.freq)
         return lambda: _propagate(m, rhs, y0, frequencies, rtol, 2)
 
-    def single(j):
-        ws = omegas[j]
-        _point(m, ws, pump.freq, 6)  # the point's error, pump guard first
-        modes = ModeSet4WM.initial(ws, pump.freq, a_s[j], a_p)
-        return integrate_4wm(m, modes, beta, gamma, rtol=rtol, n_samples=2)
-
-    gain, gaps, runs = _spectrum("gain", omegas, ok, build, single,
+    gain, gaps, runs = _spectrum("gain", omegas, errors, build,
                                  lambda traj: (_gain_db_from(traj),))
     meta = {"pump": pump, "amp_scale": amp_scale, "beta": beta,
             "gamma": gamma, "signal_power_dbm": signal_power_dbm}
@@ -636,17 +600,12 @@ def saturation_curve(m: MediumParams, pump: ToneConfig, omega_s: float,
     def build(rows):
         # one point: float coefficients, shared by the batch
         table = _table_4wm(k, wt, m.tan_delta, beta, gamma, True)
-        rhs = _batch_rhs(table, rows.size)
+        rhs = _batch_rhs(table, rows.shape)
         y0 = _initial(6, a_s[rows], a_p)
         frequencies = _ladder_4wm(np.full(rows.size, omega_s), pump.freq)
         return lambda: _propagate(m, rhs, y0, frequencies, rtol, 2)
 
-    def single(j):
-        modes = ModeSet4WM.initial(omega_s, pump.freq, a_s[j], a_p)
-        return integrate_4wm(m, modes, beta, gamma, rtol=rtol, n_samples=2)
-
-    gain, _, runs = _spectrum("saturation", powers,
-                              np.ones(powers.size, dtype=bool), build, single,
+    gain, _, runs = _spectrum("saturation", powers, {}, build,
                               lambda traj: (_gain_db_from(traj),), each=_each)
     gain = gain[:, 0]
     g0 = gain[0]
@@ -684,24 +643,22 @@ def isolation_spectrum(m: MediumParams, ip_pump: ToneConfig, signal_omegas,
     a_s = amplitude_from_dbm(m, omegas, signal_power_dbm, amp_scale)
     w = np.array(np.broadcast_arrays(*_frequencies_3wm(omegas, ip_pump.freq)))
     ok = in_band(m, w, PLASMA_GUARD_3WM).all(axis=0)
+    errors = {j: band_error(m, w[:, j], PLASMA_GUARD_3WM)
+              for j in np.flatnonzero(~ok).tolist()}
 
     def build(rows):
         frequencies = w[:, rows]
         k = wavevector(m, frequencies, guard=PLASMA_GUARD_3WM)
         table = _table_3wm(k, omega_tilde(m, frequencies), m.tan_delta, beta)
-        rhs = _batch_rhs(table, rows.size)
+        rhs = _batch_rhs(table, rows.shape)
         y0 = _initial(5, a_s[rows], a_p)
         return lambda: _propagate(m, rhs, y0, frequencies, rtol, 2)
-
-    def single(j):
-        modes = ModeSet3WM.initial(omegas[j], ip_pump.freq, a_s[j], a_p)
-        return integrate_3wm(m, modes, beta, rtol=rtol, n_samples=2)
 
     def finish(traj):
         n = traj.photon_flux()
         return _gain_db_from(traj), (n[-1, 3] + n[-1, 4]) / n[0, 0]
 
-    values, gaps, runs = _spectrum("isolation", omegas, ok, build, single,
+    values, gaps, runs = _spectrum("isolation", omegas, errors, build,
                                    finish, width=2)
     meta = {"pump": ip_pump, "amp_scale": amp_scale, "beta": beta,
             "signal_power_dbm": signal_power_dbm}

@@ -295,17 +295,35 @@ class TestPerPointFailures:
 
     def test_gain_programming_error_propagates(self, medium_035,
                                                monkeypatch):
-        monkeypatch.setattr(cme, "integrate_4wm", self._broken)
+        monkeypatch.setattr(cme._kernels, "integrate", self._broken)
         with pytest.raises(TypeError, match="bug in the integrator"):
             gain_spectrum(medium_035, ToneConfig(W_AP, -78.0), [W_S], **FIT)
 
     def test_isolation_programming_error_propagates(self, medium_035,
                                                     monkeypatch):
-        monkeypatch.setattr(cme, "integrate_3wm", self._broken)
+        monkeypatch.setattr(cme._kernels, "integrate", self._broken)
         with pytest.raises(TypeError, match="bug in the integrator"):
             isolation_spectrum(medium_035,
                                ToneConfig(self.W_IP, -74.0, "backward"),
                                [W_S], beta=FIT["beta"])
+
+    @pytest.mark.parametrize("task", ["gain", "isolation"])
+    @pytest.mark.parametrize("f_lo", [0.0, -1e9])
+    def test_non_positive_signal_frequency_raises(self, medium_035, task,
+                                                  f_lo):
+        """A signal grid reaching 0 Hz or below is rejected by the
+        amplitude conversion, naming the frequency, before any point is
+        integrated."""
+        grid = 2 * math.pi * np.array([f_lo, 7.6e9])
+        with pytest.raises(ValueError, match="^omega .* rad/s is not "
+                                             "finite and positive$"):
+            if task == "gain":
+                gain_spectrum(medium_035, ToneConfig(W_AP, -78.0), grid,
+                              **FIT)
+            else:
+                isolation_spectrum(medium_035,
+                                   ToneConfig(self.W_IP, -74.0, "backward"),
+                                   grid, beta=FIT["beta"])
 
     def test_out_of_range_rtol_raises(self, medium_035):
         with pytest.raises(ValueError, match="rtol"):
@@ -495,7 +513,7 @@ def _batch_gain(m, system, omegas):
         n_modes = 5
         a_p = amplitude_from_dbm(m, W_IP, -74.0, FIT["amp_scale"])
     a_s = amplitude_from_dbm(m, omegas, -130.0, FIT["amp_scale"])
-    traj = cme._propagate(m, cme._batch_rhs(table, omegas.size),
+    traj = cme._propagate(m, cme._batch_rhs(table, omegas.shape),
                           cme._initial(n_modes, a_s, a_p), frequencies,
                           1e-10, 2)
     n = traj.photon_flux()
@@ -577,6 +595,46 @@ class TestBatches:
         assert np.isfinite(rows).all()
         np.testing.assert_allclose(batched, rows, rtol=0, atol=self.GATE_DB)
 
+    @pytest.mark.parametrize("task", ["gain", "saturation", "isolation"])
+    def test_rows_below_the_crossover_match_single_points(self, medium_035,
+                                                          task):
+        """On a 2-point grid each row runs alone, as a batch of one, and
+        agrees with the single-point integrator at its point, step for
+        step."""
+        m = medium_035
+        w_s = 2 * math.pi * np.array([6.0e9, 7.6e9])
+        a_p = amplitude_from_dbm(m, W_AP, -78.0, FIT["amp_scale"])
+        if task == "gain":
+            spec = gain_spectrum(m, ToneConfig(W_AP, -78.0), w_s, **FIT)
+            a_s = amplitude_from_dbm(m, w_s, -130.0, FIT["amp_scale"])
+            singles = [integrate_4wm(
+                m, ModeSet4WM.initial(w, W_AP, a, a_p), FIT["beta"],
+                FIT["gamma"], n_samples=2) for w, a in zip(w_s, a_s)]
+        elif task == "saturation":
+            powers = [-130.0, -90.0]
+            spec = saturation_curve(m, ToneConfig(W_AP, -78.0), W_S, powers,
+                                    **FIT)
+            singles = [integrate_4wm(
+                m, ModeSet4WM.initial(W_S, W_AP, amplitude_from_dbm(
+                    m, W_S, p, FIT["amp_scale"]), a_p),
+                FIT["beta"], FIT["gamma"], n_samples=2) for p in powers]
+        else:
+            spec = isolation_spectrum(
+                m, ToneConfig(W_IP, -74.0, "backward"), w_s, beta=FIT["beta"],
+                amp_scale=FIT["amp_scale"])
+            a_ip = amplitude_from_dbm(m, W_IP, -74.0, FIT["amp_scale"])
+            a_s = amplitude_from_dbm(m, w_s, -130.0, FIT["amp_scale"])
+            singles = [integrate_3wm(
+                m, ModeSet3WM.initial(w, W_IP, a, a_ip), FIT["beta"],
+                n_samples=2) for w, a in zip(w_s, a_s)]
+        assert [s["rows"] for s in spec.solver_stats] == [1, 1]
+        np.testing.assert_allclose(
+            spec.gain_db, [cme._gain_db_from(t) for t in singles],
+            rtol=0, atol=1e-12)
+        for stats, single in zip(spec.solver_stats, singles):
+            for key in ("accepted", "rejected"):
+                assert stats[key] == single.solver_stats[key], key
+
     def test_solver_stats_count_the_run(self, medium_035):
         spec = gain_spectrum(medium_035, ToneConfig(W_AP, -78.0),
                              2 * math.pi * np.linspace(4e9, 12e9, 9), **FIT)
@@ -589,9 +647,9 @@ class TestBatches:
 
     def test_stiff_row_is_a_gap_of_its_own(self, medium_035):
         """A batch with one stiff row (the absurd Kerr coupling of
-        test_kernels) raises StepFailure; its rows then run one by one,
-        so the stiff row alone is a gap and every other row is its own
-        run's value."""
+        test_kernels) raises StepFailure; its rows then run one by one, as
+        batches of one, so the stiff row alone is a gap and every other
+        row is its own run's value."""
         m = medium_035
         omegas = 2 * math.pi * np.linspace(6e9, 9e9, 5)
         gammas = [FIT["gamma"]] * 5
@@ -613,19 +671,15 @@ class TestBatches:
             freqs = np.column_stack([modes(j).frequencies for j in rows])
             return lambda: cme._propagate(m, rhs, y0, freqs, 1e-8, 2)
 
-        def single(j):
-            return integrate_4wm(m, modes(j), 0.0, gammas[j], rtol=1e-8,
-                                 n_samples=2)
-
         with pytest.raises(StepFailure):
             build(range(5))()
         values, gaps, runs = cme._spectrum(
-            "gain", omegas, np.ones(5, dtype=bool), build, single,
+            "gain", omegas, {}, build,
             lambda traj: (cme._gain_db_from(traj),))
         assert gaps == [(2, float(omegas[2]), STEP_UNDERFLOW)]
         assert [r["rows"] for r in runs] == [1, 1, 1, 1]
         for j in (0, 1, 3, 4):
-            assert values[j, 0] == cme._gain_db_from(single(j))
+            assert values[j, 0] == cme._gain_db_from(build([j])())
 
     def test_stiff_batch_rows_are_gaps(self, medium_035):
         """The gain spectrum with the absurd coupling on every row: the

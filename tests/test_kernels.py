@@ -227,3 +227,23 @@ def test_batch_atol_is_per_column():
         assert batch[key] == alone[key], key
     np.testing.assert_allclose(y[-1, :, 1], np.exp(-3.0) * y0[:, 1],
                                rtol=1e-8)
+
+
+@pytest.mark.parametrize("setup", [_standard_setup, _upconversion_setup],
+                         ids=["4wm", "3wm"])
+def test_one_state_is_a_batch_of_one(medium_035, setup):
+    """A state of shape (n,) and the same state as an (n, 1) column go
+    through the same products: the same samples, bit for bit, and the
+    same statistics."""
+    y0, rhs = setup(medium_035)
+    x_eval = np.linspace(0.0, 700.0, 5)
+    atol = 1e-10 * abs(y0).max() * 1e-6
+    alone, column = {}, {}
+    y = _kernels.integrate(rhs, y0, x_eval, 1e-10, atol, 2_000_000, alone)
+    y_col = _kernels.integrate(
+        lambda x, y: np.asarray(rhs(x, y[:, 0]))[:, None], y0[:, None],
+        x_eval, 1e-10, np.array([atol]), 2_000_000, column)
+    assert y_col.shape == y.shape + (1,)
+    assert y_col.tobytes() == y.tobytes()
+    assert alone["accepted"] > 1
+    assert column == alone

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +190,23 @@ class TestAmplitudeConversion:
                                              "amplitude 0,"):
             amplitude_from_dbm(medium_zero_flux, 2 * math.pi * 7e9,
                                np.array([-130.0, -4000.0, 4000.0]))
+
+    @pytest.mark.parametrize("omega, named", [
+        (0.0, "0"), (-2 * math.pi * 7e9, "-4.39823e+10"),
+        (math.inf, "inf"), (math.nan, "nan"),
+        (np.array([2 * math.pi * 7e9, 0.0, -1.0]), "0"),
+    ], ids=["zero", "negative", "inf", "nan", "array-with-zero"])
+    def test_non_positive_frequency_rejected(self, medium_zero_flux, omega,
+                                             named):
+        """The frequency is checked before it divides: no
+        ZeroDivisionError, no NumPy warning, and the error names the
+        (first) bad frequency, not the power."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^omega {re.escape(named)} "
+                                                 "rad/s is not finite and "
+                                                 "positive$"):
+                amplitude_from_dbm(medium_zero_flux, omega, -130.0)
 
 
 class TestValidation:
