@@ -170,7 +170,7 @@ def validate(config_text: str) -> dict:
         line = seen[key][1]
         if not math.isfinite(value):
             diags.append((line, f"'{key}' must be finite, got {value!r}"))
-        elif key.endswith("_hz") and value <= 0:
+        elif (key.endswith("_hz") or key == "amp_scale") and value <= 0:
             diags.append((line, f"'{key}' must be positive, got {value!r}"))
         elif key == "solver_rtol" and not rtol_lo <= value <= rtol_hi:
             diags.append((line, f"'solver_rtol' must lie in "

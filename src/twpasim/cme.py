@@ -16,12 +16,14 @@ The derivation of every coupling coefficient from the wave equation of
 the line is spelled out in ``docs/cme_reduction.md``.  Each system has
 one owner here: ``_table_4wm`` / ``_table_3wm`` compute its coefficients
 as named values and write the system once, as a coupling table
-(``_Table``), for one point (floats) or a batch of points (arrays).  One
-generic evaluator, ``_batch_rhs``, turns a table into the right-hand
-side ``rhs(x, y) -> dy/dx`` that :func:`twpasim._kernels.integrate`
-steps (raising ``StepFailure``), with a fixed number of NumPy calls for
-one point, as ``_rhs_4wm`` / ``_rhs_3wm`` return it, or for a batch.  The
-six-mode ladder, band checks and mismatches come from ``phasematch``.
+(``_Table``), for one point (floats) or a batch of points (arrays), in
+the rotating frame ``u = y exp(-i theta x)`` whose rates balance every
+mixing term, so that it has no phase factors.  One evaluator,
+``_batch_rhs``, turns a table into ``rhs(x, u) -> du/dx``, five NumPy
+calls for one point or a batch, which :func:`twpasim._kernels.integrate`
+steps (raising ``StepFailure``); ``_propagate`` returns the lab-frame
+``y``.  The six-mode ladder, band checks and mismatches come from
+``phasematch``.
 The spectra integrate a grid of at least ``_BATCH_MIN`` in-band points
 as one batch, and fall back to one point at a time, each a batch of one
 and each failure its own gap, below that size or when the batch
@@ -193,44 +195,57 @@ class GainSpectrum:
 
 
 class _Table:
-    """One coupled-mode system written as data.  With the phase factors
-    ``e_j = exp(i d_j x)`` of the phase rates ``d_j``,
+    """One coupled-mode system written as data, in a rotating frame.  It
+    integrates ``u_m = y_m exp(-i theta_m x)``:
 
-        dy_m/dx = (loss_m + kp_m |y_p|^2 + kh_m |y_h|^2) y_m
+        du_m/dx = (loss_m - i theta_m + kp_m |u_p|^2 + kh_m |u_h|^2) u_m
                   + sum over the monomials of mode m of c * f_1 ... f_r,
 
-    where ``y_p`` is the pump and ``y_h`` its second harmonic, and each
-    factor ``f`` (at most four) comes from the stack
-    ``[y, conj y, e, conj e, 1]``.  Coefficients are floats for one point
-    or equal-length arrays for a batch of points, one entry per point.
+    where ``u_p`` is the pump and ``u_h`` its second harmonic, and each
+    factor ``f`` (at most three) is a mode's ``u`` or ``conj u``.  The
+    rates ``theta`` balance every monomial (``docs/cme_reduction.md``), so
+    no term depends on x.  Coefficients are floats for one point or
+    equal-length arrays for a batch of points, one entry per point.
 
-    ``loss`` and the Kerr rows ``kp`` and ``kh`` hold one coefficient per
-    mode, in mode order; ``kerr`` names the pump and the harmonic and
-    gives their rows.  A monomial is ``(mode, c, "factors")`` with the
-    factors named by mode (``"ap"``, or ``"ap*"`` for its conjugate) or
-    by phase factor (``"e1"``, ``"e1*"``); monomials that vanish on every
-    point (``beta = 0``, no pump depletion) are dropped.  The stack
-    indices are kept for the evaluator, :func:`_batch_rhs`.
+    ``loss``, ``theta`` and the Kerr rows ``kp`` and ``kh`` hold one
+    coefficient per mode, in mode order; ``kerr`` names the pump and the
+    harmonic and gives their rows.  A monomial is ``(mode, c,
+    "factors")`` with the factors named by mode (``"ap"``, or ``"ap*"``
+    for its conjugate); monomials that vanish on every point (``beta =
+    0``, no pump depletion) are dropped.  Factors are kept as indices into
+    ``[u, conj u]`` for the evaluator, :func:`_batch_rhs`.
     """
 
-    def __init__(self, names, loss, kerr, monomials, rates):
-        n, q = len(names), len(rates)
+    def __init__(self, names, loss, kerr, monomials, theta):
+        n = len(names)
         stack = {name: j for j, name in enumerate(names)}
-        stack.update({f"e{j + 1}": 2 * n + j for j in range(q)})
 
         def index(factor):
-            j = stack[factor.rstrip("*")]
-            return j + (q if j >= 2 * n else n) * factor.endswith("*")
+            return stack[factor.rstrip("*")] + n * factor.endswith("*")
 
         (pump, kp), (harmonic, kh) = kerr
-        self.n, self.q = n, q
-        self.one = 2 * n + 2 * q  # the stack's trailing 1
+        self.n = n
         self.loss, self.kp, self.kh = tuple(loss), tuple(kp), tuple(kh)
+        self.theta = tuple(theta)
         self.pump, self.harmonic = stack[pump], stack[harmonic]
         self.monomials = tuple(
             (stack[mode], c, tuple(map(index, factors.split())))
             for mode, c, factors in monomials if np.any(c))
-        self.rates = tuple(rates)
+
+
+def _frame(f, rates):
+    """The rates ``f @ rates`` of a frame ``(rows, denominator)``, a sum per
+    mode, so that a point of a batch gets the floats it gets alone."""
+    rows, den = f
+    return [sum(c * r for c, r in zip(row, rates)) / den for row in rows]
+
+
+# The minimum-norm rotation rates that balance every monomial
+# (docs/cme_reduction.md), as integer rows over a common denominator: the
+# six-mode rates from (d1, d2, d3, d4), the five-mode ones from (da, db, dc)
+_F4 = (((18, 23, -8, -7), (-12, 8, -8, 8), (18, -7, -8, 23),
+        (-24, 16, 44, 16), (6, -29, -16, 1), (6, 1, -16, -29)), 60)
+_F3 = (((6, 11, 4), (-6, 3, 3), (9, 6, 6), (0, -7, 7), (-6, -4, -11)), 21)
 
 
 _MODES_4WM = ("s", "ap", "i", "2ap", "s+ap", "i+ap")
@@ -278,17 +293,17 @@ def _table_4wm(k, wt, tan_delta: float, beta: float, gamma: float,
               ("2ap", [c * jk2_sq for c in (cs_k, 2.0 * cap_kerr, ci_k,
                                             c2_kerr, csu_kerr, ciu_kerr)])),
         monomials=[
-            ("s", 1j * cs_pair, "ap ap i* e1"),
-            ("s", cs_up, "s+ap ap* e2"),
-            ("ap", cap_shg, "ap* 2ap e3*"),
-            ("ap", 1j * cap_dep, "s i ap* e1*"),
-            ("i", 1j * ci_pair, "ap ap s* e1"),
-            ("i", ci_up, "i+ap ap* e4"),
-            ("2ap", c2_src, "ap ap e3"),
-            ("s+ap", csu_src, "s ap e2*"),
-            ("i+ap", ciu_src, "i ap e4*"),
+            ("s", 1j * cs_pair, "ap ap i*"),
+            ("s", cs_up, "s+ap ap*"),
+            ("ap", cap_shg, "ap* 2ap"),
+            ("ap", 1j * cap_dep, "s i ap*"),
+            ("i", 1j * ci_pair, "ap ap s*"),
+            ("i", ci_up, "i+ap ap*"),
+            ("2ap", c2_src, "ap ap"),
+            ("s+ap", csu_src, "s ap"),
+            ("i+ap", ciu_src, "i ap"),
         ],
-        rates=(_mismatch(k), -d_su, d_2ap, -d_iu))
+        theta=_frame(_F4, (_mismatch(k), -d_su, d_2ap, -d_iu)))
 
 
 def _table_3wm(k, wt, tan_delta: float, beta: float) -> _Table:
@@ -310,63 +325,62 @@ def _table_3wm(k, wt, tan_delta: float, beta: float) -> _Table:
         # second-order couplings only: no Kerr terms
         kerr=(("ip", [0.0] * 5), ("2ip", [0.0] * 5)),
         monomials=[
-            ("s", cs_up, "s+ip ip* e2"),
-            ("ip", cip_shg, "ip* 2ip e1*"),
-            ("2ip", c2_src, "ip ip e1"),
-            ("s+ip", csu_src, "s ip e2*"),
-            ("s+ip", csu_up, "s+2ip ip* e3"),
-            ("s+2ip", csu2_src, "s+ip ip e3*"),
+            ("s", cs_up, "s+ip ip*"),
+            ("ip", cip_shg, "ip* 2ip"),
+            ("2ip", c2_src, "ip ip"),
+            ("s+ip", csu_src, "s ip"),
+            ("s+ip", csu_up, "s+2ip ip*"),
+            ("s+2ip", csu2_src, "s+ip ip"),
         ],
-        rates=(2.0 * kip - k2, ksu - kip - ks, ksu2 - kip - ksu))
+        theta=_frame(_F3, (2.0 * kip - k2, ksu - kip - ks, ksu2 - kip - ksu)))
 
 
 def _batch_rhs(t: _Table, shape: tuple):
-    """``rhs(x, y) -> dy/dx`` of a table for states ``y`` of shape
-    ``(n,) + shape``: ``()`` for one point's floats, ``(B,)`` for a batch,
-    whose coefficients are arrays of B entries or floats that every column
-    shares.
+    """The rotating-frame ``rhs(x, u) -> du/dx`` of a table and its rates
+    ``theta``, shaped like ``u``: ``(n,) + shape``, with ``shape`` ``()``
+    for one point's floats or ``(B,)`` for a batch, whose coefficients are
+    arrays of B entries or floats that every column shares.
 
-    The loss and Kerr terms join the monomials, as ``c y_m`` and
-    ``c y_p conj(y_p) y_m``, and every monomial is padded to four factors;
-    an evaluation then fills the stack, multiplies each monomial's
-    coefficient by its factors, gathered a column of the index table at a
-    time, and sums the products into their modes by one product with a
-    0/1 matrix."""
-    n, q, one = t.n, t.q, t.one
-    monomials = ([(m, c, (m,)) for m, c in enumerate(t.loss)]
+    The loss and Kerr terms join the monomials (``c u_m``, ``c u_p
+    conj(u_p) u_m``), and each coefficient is a row of the stack ``[u,
+    conj u, 1, coefficients]``, so a monomial is a column of indices into
+    it: its coefficient, its factors, then the 1 as padding.  An
+    evaluation fills ``u`` and its conjugate, gathers all factors at once,
+    multiplies them from the left and sums the products into their modes
+    by one product with a 0/1 matrix."""
+    n = t.n
+    theta = np.array([np.broadcast_to(r, shape) for r in t.theta])
+    monomials = ([(m, c - 1j * r, (m,))
+                  for m, (c, r) in enumerate(zip(t.loss, t.theta))]
                  + [(m, c, (src, src + n, m))
                     for src, row in ((t.pump, t.kp), (t.harmonic, t.kh))
                     for m, c in enumerate(row) if np.any(c)]
                  + list(t.monomials))
     modes, coeffs, factors = zip(*monomials)
-    coeff = np.array([np.broadcast_to(c, shape) for c in coeffs],
-                     dtype=np.complex128)
-    gather = np.array([f + (one,) * (4 - len(f)) for f in factors]).T.copy()
+    one, width = 2 * n, 1 + max(map(len, factors))
+    stack = np.empty((one + 1 + len(coeffs),) + shape, dtype=np.complex128)
+    stack[one] = 1.0
+    stack[one + 1:] = [np.broadcast_to(c, shape) for c in coeffs]
+    gather = np.array([(one + 1 + j,) + f + (one,) * (width - 1 - len(f))
+                       for j, f in enumerate(factors)]).T.copy()
     scatter = np.zeros((n, len(modes)), dtype=np.complex128)
     scatter[modes, np.arange(len(modes))] = 1.0
-    jd = 1j * np.array([np.broadcast_to(d, shape) for d in t.rates])
-    stack = np.ones((one + 1,) + shape, dtype=np.complex128)
-    ys, conj, e, conj_e = (stack[:n], stack[n:2 * n], stack[2 * n:2 * n + q],
-                           stack[2 * n + q:one])
+    u, conj = stack[:n], stack[n:one]
 
     def rhs(x, y):
-        ys[...] = y
+        u[...] = y
         np.conjugate(y, out=conj)
-        np.multiply(jd, x, out=e)
-        np.exp(e, out=e)
-        np.conjugate(e, out=conj_e)
-        products = coeff * stack[gather[0]]
-        for g in gather[1:]:
-            products *= stack[g]
-        return np.dot(scatter, products)
+        # take is stack[gather] without the cost of fancy indexing
+        return np.dot(scatter, np.multiply.reduce(stack.take(gather, axis=0),
+                                                  axis=0))
 
-    return rhs
+    return rhs, theta
 
 
 def _rhs_4wm(m: MediumParams, modes: ModeSet4WM, beta: float, gamma: float,
              pump_depletion: bool):
-    """Six-mode right-hand side ``rhs(x, y) -> dy/dx`` of the table
-    :func:`_table_4wm` builds for one point; y is
+    """Six-mode ``(rhs, theta)`` of the table :func:`_table_4wm` builds
+    for one point, as :func:`_batch_rhs` gives it; the modes are
     [s, ap, i, 2ap, s+ap, i+ap].
 
     A mode past ``PLASMA_GUARD * omegaJ`` raises, in ``_point``'s order.
@@ -383,8 +397,9 @@ def _frequencies_3wm(omega_s, omega_ip):
 
 
 def _rhs_3wm(m: MediumParams, modes: ModeSet3WM, beta: float):
-    """Five-mode upconversion right-hand side ``rhs(x, y) -> dy/dx`` of the
-    table :func:`_table_3wm` builds; y is [s, ip, 2ip, s+ip, s+2ip].
+    """Five-mode upconversion ``(rhs, theta)`` of the table
+    :func:`_table_3wm` builds, as :func:`_batch_rhs` gives it; the modes
+    are [s, ip, 2ip, s+ip, s+2ip].
 
     Every mode must sit below ``PLASMA_GUARD_3WM * omegaJ``.
     """
@@ -400,10 +415,12 @@ def _validate_rtol(rtol: float) -> None:
         raise ValueError(f"rtol must lie in [{lo:g}, {hi:g}]")
 
 
-def _propagate(m: MediumParams, rhs, y0: np.ndarray, frequencies,
+def _propagate(m: MediumParams, rhs, theta, y0: np.ndarray, frequencies,
                rtol: float, n_samples: int) -> Trajectory:
     """Integrate from the state ``y0``, or the batch of states in its
-    columns, over the line, with an absolute tolerance per state."""
+    columns, over the line, with an absolute tolerance per state, in the
+    frame of the rates ``theta`` that ``rhs`` integrates in; the samples
+    are the lab-frame amplitudes ``u exp(i theta x)``."""
     if n_samples < 2:
         raise ValueError(f"n_samples must be at least 2, got {n_samples}")
     x_eval = np.linspace(0.0, float(m.N), n_samples)
@@ -411,8 +428,9 @@ def _propagate(m: MediumParams, rhs, y0: np.ndarray, frequencies,
     stats = {"rows": 1 if y0.ndim == 1 else y0.shape[1]}
     # a blowing-up run raises StepFailure; its overflow is not worth a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        traj = _kernels.integrate(rhs, y0, x_eval, rtol, atol, _MAX_STEPS,
-                                  stats)
+        u = _kernels.integrate(rhs, y0, x_eval, rtol, atol, _MAX_STEPS,
+                               stats)
+    traj = u * np.exp(1j * np.multiply.outer(x_eval, theta))
     return Trajectory(x=x_eval, amplitudes=traj, frequencies=frequencies,
                       medium=m, solver_stats=stats)
 
@@ -428,9 +446,8 @@ def integrate_4wm(m: MediumParams, modes: ModeSet4WM, beta: float,
     past the plasma guard or a failed run raises a ``TwpaError``.
     """
     _validate_rtol(rtol)
-    rhs = _rhs_4wm(m, modes, beta, gamma, pump_depletion)
-    return _propagate(m, rhs, modes.amplitudes, modes.frequencies, rtol,
-                      n_samples)
+    return _propagate(m, *_rhs_4wm(m, modes, beta, gamma, pump_depletion),
+                      modes.amplitudes, modes.frequencies, rtol, n_samples)
 
 
 def integrate_3wm(m: MediumParams, modes: ModeSet3WM, beta: float,
@@ -439,9 +456,8 @@ def integrate_3wm(m: MediumParams, modes: ModeSet3WM, beta: float,
     couplings only) over the line, x = 0 to N.  All five modes must sit
     below 0.95 * omegaJ."""
     _validate_rtol(rtol)
-    rhs = _rhs_3wm(m, modes, beta)
-    return _propagate(m, rhs, modes.amplitudes, modes.frequencies, rtol,
-                      n_samples)
+    return _propagate(m, *_rhs_3wm(m, modes, beta), modes.amplitudes,
+                      modes.frequencies, rtol, n_samples)
 
 
 def _gain_db_from(traj: Trajectory):
@@ -552,10 +568,10 @@ def gain_spectrum(m: MediumParams, pump: ToneConfig, signal_omegas,
     def build(rows):
         table = _table_4wm(k[:, col[rows]], wt[:, col[rows]], m.tan_delta,
                            beta, gamma, True)
-        rhs = _batch_rhs(table, rows.shape)
+        rhs, theta = _batch_rhs(table, rows.shape)
         y0 = _initial(6, a_s[rows], a_p)
         frequencies = _ladder_4wm(omegas[rows], pump.freq)
-        return lambda: _propagate(m, rhs, y0, frequencies, rtol, 2)
+        return lambda: _propagate(m, rhs, theta, y0, frequencies, rtol, 2)
 
     gain, gaps, runs = _spectrum("gain", omegas, errors, build,
                                  lambda traj: (_gain_db_from(traj),))
@@ -600,10 +616,10 @@ def saturation_curve(m: MediumParams, pump: ToneConfig, omega_s: float,
     def build(rows):
         # one point: float coefficients, shared by the batch
         table = _table_4wm(k, wt, m.tan_delta, beta, gamma, True)
-        rhs = _batch_rhs(table, rows.shape)
+        rhs, theta = _batch_rhs(table, rows.shape)
         y0 = _initial(6, a_s[rows], a_p)
         frequencies = _ladder_4wm(np.full(rows.size, omega_s), pump.freq)
-        return lambda: _propagate(m, rhs, y0, frequencies, rtol, 2)
+        return lambda: _propagate(m, rhs, theta, y0, frequencies, rtol, 2)
 
     gain, _, runs = _spectrum("saturation", powers, {}, build,
                               lambda traj: (_gain_db_from(traj),), each=_each)
@@ -650,9 +666,9 @@ def isolation_spectrum(m: MediumParams, ip_pump: ToneConfig, signal_omegas,
         frequencies = w[:, rows]
         k = wavevector(m, frequencies, guard=PLASMA_GUARD_3WM)
         table = _table_3wm(k, omega_tilde(m, frequencies), m.tan_delta, beta)
-        rhs = _batch_rhs(table, rows.shape)
+        rhs, theta = _batch_rhs(table, rows.shape)
         y0 = _initial(5, a_s[rows], a_p)
-        return lambda: _propagate(m, rhs, y0, frequencies, rtol, 2)
+        return lambda: _propagate(m, rhs, theta, y0, frequencies, rtol, 2)
 
     def finish(traj):
         n = traj.photon_flux()

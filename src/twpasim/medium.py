@@ -123,14 +123,17 @@ def amplitude_from_dbm(m: MediumParams, omega: float, power_dbm: float,
     and powers may be arrays, broadcast together; each amplitude is the
     float that its own frequency and power give.
 
-    Raises ``ValueError`` naming the frequency when it is not finite and
-    positive, and naming the power when the amplitude underflows to zero
-    or overflows to infinity (for arrays, at the first that does): gains
-    are ratios to it.
+    Raises ``ValueError`` naming the frequency or ``amp_scale`` when it is
+    not finite and positive, and naming the power when the amplitude
+    underflows to zero or overflows to infinity (for arrays, at the first
+    that does): gains are ratios to it.
     """
     bad = [w for w in np.ravel(omega).tolist() if not 0.0 < w < math.inf]
     if bad:
         raise ValueError(f"omega {bad[0]:g} rad/s is not finite and "
+                         "positive")
+    if not 0.0 < amp_scale < math.inf:
+        raise ValueError(f"amp_scale {amp_scale:g} is not finite and "
                          "positive")
     power = np.asarray(power_dbm, dtype=float)
     if power.ndim:

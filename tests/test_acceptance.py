@@ -472,37 +472,74 @@ def test_criterion_11_solver_convergence(medium_035):
 W_IP = 2 * math.pi * 12.2e9
 
 
-@pytest.mark.parametrize("system", ["4wm", "3wm", "4wm-no-depletion"])
+def _system(m, system):
+    """``(rhs, theta)``, the transcribed oracle, the initial state and the
+    pump amplitude of one parametrized system at its test point."""
+    beta = 0.0 if system.endswith("beta0") else BETA_FIT
+    if system.startswith("4wm"):
+        depletion = system != "4wm-no-depletion"
+        ws, wap = 2 * math.pi * 7.6e9, W_AP
+        scale = amplitude_from_dbm(m, wap, -78.0, AMP_SCALE_FIT)
+        modes = ModeSet4WM.initial(
+            ws, wap, amplitude_from_dbm(m, ws, -130.0, AMP_SCALE_FIT), scale)
+        frame = cme._rhs_4wm(m, modes, beta, GAMMA_FIT,
+                             pump_depletion=depletion)
+        oracle = oracle_rhs_4wm(m, beta, GAMMA_FIT, ws, wap,
+                                pump_depletion=depletion)
+    else:
+        ws, wip = 2 * math.pi * 6e9, W_IP
+        scale = amplitude_from_dbm(m, wip, -74.0, AMP_SCALE_FIT)
+        modes = ModeSet3WM.initial(
+            ws, wip, amplitude_from_dbm(m, ws, -130.0, AMP_SCALE_FIT), scale)
+        frame = cme._rhs_3wm(m, modes, beta)
+        oracle = oracle_rhs_3wm(m, beta, ws, wip)
+    return frame, oracle, modes, scale
+
+
+@pytest.mark.parametrize("system", ["4wm", "3wm", "4wm-no-depletion",
+                                    "4wm-beta0"])
 def test_rhs_matches_transcribed_oracle(medium_035, system):
     """Pointwise check of the integrated right-hand sides against the
     transcriptions above at seeded random states: a mistyped coupling
-    coefficient shows up here without any integration.  Each state is
+    coefficient shows up here without any integration.  The code
+    integrates ``u = y exp(-i theta x)``, so its lab-frame derivative is
+    ``exp(i theta x) (rhs(x, u) + i theta u)``; a monomial that the rates
+    theta do not balance keeps a phase in x and fails here.  Each state is
     also evaluated at a NumPy position, as ``solve_ivp`` passes it."""
     m = medium_035
-    if system.startswith("4wm"):
-        depletion = system == "4wm"
-        ws, wap = 2 * math.pi * 7.6e9, W_AP
-        modes = ModeSet4WM.initial(ws, wap, 0.0, 0.0)
-        rhs = cme._rhs_4wm(m, modes, BETA_FIT, GAMMA_FIT,
-                           pump_depletion=depletion)
-        oracle = oracle_rhs_4wm(m, BETA_FIT, GAMMA_FIT, ws, wap,
-                                pump_depletion=depletion)
-        scale = amplitude_from_dbm(m, wap, -78.0, AMP_SCALE_FIT)
-    else:
-        ws, wip = 2 * math.pi * 6e9, W_IP
-        modes = ModeSet3WM.initial(ws, wip, 0.0, 0.0)
-        rhs = cme._rhs_3wm(m, modes, BETA_FIT)
-        oracle = oracle_rhs_3wm(m, BETA_FIT, ws, wip)
-        scale = amplitude_from_dbm(m, wip, -74.0, AMP_SCALE_FIT)
+    (rhs, theta), oracle, modes, scale = _system(m, system)
     n = modes.amplitudes.size
     rng = np.random.default_rng(20240)
     for _ in range(5):
         x = rng.uniform(0.0, m.N)
         y = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        np.testing.assert_allclose(rhs(x, y), oracle(x, tuple(y)),
-                                   rtol=1e-12)
-        np.testing.assert_allclose(rhs(np.float64(x), y),
-                                   oracle(x, tuple(y)), rtol=1e-12)
+        rot = np.exp(1j * theta * x)
+        u = y / rot
+        expected = oracle(x, tuple(y))
+        for pos in (x, np.float64(x)):
+            np.testing.assert_allclose(rot * (rhs(pos, u) + 1j * theta * u),
+                                       expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("system", ["4wm", "3wm"])
+def test_trajectory_matches_lab_frame_oracle(medium_035, system):
+    """``integrate_4wm`` / ``integrate_3wm`` against the stepper run
+    directly on the transcribed lab-frame system from the same state, with
+    the tolerances ``cme`` uses: every sample agrees in amplitude and
+    phase, so the rotating frame and its way back to the lab leave the
+    trajectory as it was."""
+    m = medium_035
+    _, oracle, modes, _ = _system(m, system)
+    if system == "4wm":
+        traj = integrate_4wm(m, modes, BETA_FIT, GAMMA_FIT)
+    else:
+        traj = cme.integrate_3wm(m, modes, BETA_FIT)
+    y0 = modes.amplitudes
+    rtol = 1e-10
+    lab = _kernels.integrate(oracle, y0, traj.x, rtol,
+                             rtol * np.abs(y0).max() * 1e-6, cme._MAX_STEPS)
+    assert traj.amplitudes.shape == lab.shape == (257, y0.size)
+    np.testing.assert_allclose(traj.amplitudes, lab, rtol=1e-8)
 
 
 @pytest.mark.parametrize("pump_dbm", [-76.0, -74.0, -72.0])

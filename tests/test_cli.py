@@ -132,8 +132,12 @@ class TestValidate:
          "'solver_rtol' must lie in [1e-12, 1e-06]"),
         ("isolation", "solver_rtol = 1e-13",
          "'solver_rtol' must lie in [1e-12, 1e-06]"),
+        ("gain", "amp_scale = -1", "'amp_scale' must be positive, got -1.0"),
+        ("isolation", "amp_scale = 0",
+         "'amp_scale' must be positive, got 0.0"),
     ], ids=["nan", "inf", "minus-inf", "negative-hz", "zero-hz",
-            "negative-bandwidth", "loose-rtol", "tight-rtol"])
+            "negative-bandwidth", "loose-rtol", "tight-rtol",
+            "negative-amp-scale", "zero-amp-scale"])
     def test_bad_number_rejected_on_its_line(self, task, line, message):
         text = (f"task = {task}\npump_freq_hz = 9.2e9\n"
                 f"pump_power_dbm = -78\niso_pump_freq_hz = 12.2e9\n"
@@ -613,6 +617,18 @@ class TestMainExitCodes:
         err = capsys.readouterr().err.strip()
         doc = json.loads(err)  # a single structured diagnostic
         assert doc["error"] == "config"
+
+    def test_negative_amp_scale_exit_two(self, tmp_path, capsys):
+        """A negative amp_scale is the config's error, on its line, not
+        the pump power's when the gain run converts it."""
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text("task = gain\npump_freq_hz = 9.2e9\n"
+                            "pump_power_dbm = -78\namp_scale = -1\n"
+                            f"out_path = {tmp_path / 'o.csv'}\n")
+        assert main(["gain", "--config", str(cfg_path)]) == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc == {"error": "config", "detail": [
+            [4, "'amp_scale' must be positive, got -1.0"]]}
 
     def test_task_mismatch_exit_two(self, tmp_path):
         cfg_path = tmp_path / "c.cfg"

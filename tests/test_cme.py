@@ -325,6 +325,14 @@ class TestPerPointFailures:
                                    ToneConfig(self.W_IP, -74.0, "backward"),
                                    grid, beta=FIT["beta"])
 
+    def test_zero_amp_scale_raises(self, medium_035):
+        """``amp_scale = 0`` is named as such, not as a pump power whose
+        amplitude is 0, before any point is integrated."""
+        fit = dict(FIT, amp_scale=0.0)
+        with pytest.raises(ValueError, match="^amp_scale 0 is not finite "
+                                             "and positive$"):
+            gain_spectrum(medium_035, ToneConfig(W_AP, -78.0), [W_S], **fit)
+
     def test_out_of_range_rtol_raises(self, medium_035):
         with pytest.raises(ValueError, match="rtol"):
             gain_spectrum(medium_035, ToneConfig(W_AP, -78.0), [W_S],
@@ -513,7 +521,7 @@ def _batch_gain(m, system, omegas):
         n_modes = 5
         a_p = amplitude_from_dbm(m, W_IP, -74.0, FIT["amp_scale"])
     a_s = amplitude_from_dbm(m, omegas, -130.0, FIT["amp_scale"])
-    traj = cme._propagate(m, cme._batch_rhs(table, omegas.shape),
+    traj = cme._propagate(m, *cme._batch_rhs(table, omegas.shape),
                           cme._initial(n_modes, a_s, a_p), frequencies,
                           1e-10, 2)
     n = traj.photon_flux()
@@ -660,8 +668,8 @@ class TestBatches:
             return ModeSet4WM.initial(omegas[j], W_AP, 1e-6, a_p)
 
         def build(rows):
-            fns = [cme._rhs_4wm(m, modes(j), 0.0, gammas[j], True)
-                   for j in rows]
+            fns, thetas = zip(*[cme._rhs_4wm(m, modes(j), 0.0, gammas[j],
+                                             True) for j in rows])
 
             def rhs(x, y):
                 return np.column_stack([f(x, y[:, b])
@@ -669,7 +677,8 @@ class TestBatches:
 
             y0 = np.column_stack([modes(j).amplitudes for j in rows])
             freqs = np.column_stack([modes(j).frequencies for j in rows])
-            return lambda: cme._propagate(m, rhs, y0, freqs, 1e-8, 2)
+            return lambda: cme._propagate(m, rhs, np.column_stack(thetas),
+                                          y0, freqs, 1e-8, 2)
 
         with pytest.raises(StepFailure):
             build(range(5))()

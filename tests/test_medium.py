@@ -156,6 +156,15 @@ class TestAmplitudeConversion:
         a2 = amplitude_from_dbm(m, w, -78.0, amp_scale=2.5)
         assert a2 == pytest.approx(2.5 * a1, rel=1e-15)
 
+    @pytest.mark.parametrize("scale", [0.0, -1.55, math.inf, math.nan])
+    def test_bad_amp_scale_rejected_before_the_power(self, medium_zero_flux,
+                                                     scale):
+        # the power would underflow too, but amp_scale is named first
+        with pytest.raises(ValueError, match=f"^amp_scale {scale:g} is not "
+                                             "finite and positive$"):
+            amplitude_from_dbm(medium_zero_flux, 2 * math.pi * 7e9, -4000.0,
+                               amp_scale=scale)
+
     def test_six_db_doubles_amplitude(self, medium_zero_flux):
         m = medium_zero_flux
         w = 2 * math.pi * 9.2e9
