@@ -263,8 +263,7 @@ def _gap_metadata(gaps) -> dict:
 
 
 def _grid_rows(omegas, *columns) -> list:
-    table = np.column_stack(columns).tolist()
-    return [[w / (2 * math.pi)] + row for w, row in zip(omegas, table)]
+    return np.column_stack((omegas / (2 * math.pi),) + columns).tolist()
 
 
 def _task_dispersion(cfg: dict):

@@ -75,15 +75,27 @@ def wavevector(m: MediumParams, omega: float, guard: float = PLASMA_GUARD) -> fl
     error = band_error(m, omega, guard)
     if error is not None:
         raise error
-    k = omega / (m.omega0 * np.sqrt(1.0 - (omega / m.omegaJ) ** 2))
+    k = _wavevector(m, omega)
     # a float for a float: NumPy scalars would slow every scalar caller's
     # arithmetic several times over
     return k if np.ndim(k) else float(k)
 
 
+def _wavevector(m: MediumParams, omega):
+    """:func:`wavevector` without its band check, for frequencies already
+    known to be inside the band: the same bits for a float as for the
+    same frequency in an array."""
+    sqrt = np.sqrt if isinstance(omega, np.ndarray) else math.sqrt
+    return omega / (m.omega0 * sqrt(omega_tilde(m, omega)))
+
+
 def omega_tilde(m: MediumParams, omega: float) -> float:
     """Plasma suppression factor ``1 - omega^2/omegaJ^2`` (dimensionless)."""
-    return 1.0 - (omega / m.omegaJ) ** 2
+    x = omega / m.omegaJ
+    # x * x is what NumPy's x ** 2 computes on an array; Python's float
+    # power differs from it in the last bit for about one float in a
+    # thousand
+    return 1.0 - x * x
 
 
 def loss_wavevector(m: MediumParams, omega: float,

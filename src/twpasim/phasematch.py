@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeIdler, NotFound, SmallDenominator, TwpaError
-from .medium import (MediumParams, amplitude_from_dbm, band_error, in_band,
-                     omega_tilde, wavevector)
+from .medium import (MediumParams, _wavevector, amplitude_from_dbm,
+                     band_error, in_band, omega_tilde, wavevector)
 
 EPSILON_DK = 1e-4  # rad/cell; below this the perturbative formulas are invalid
 _AUX_NAMES = ("2ap", "s+ap", "i+ap")  # the auxiliary modes, in check order
@@ -110,10 +110,10 @@ def _point_error(m: MediumParams, w) -> TwpaError:
 def _point(m: MediumParams, omega_s: float, omega_ap: float, n_modes: int):
     """Wavevectors and plasma factors of one point's first ``n_modes``
     modes, as lists of floats; raises the point's error."""
-    w = np.array(_frequencies(omega_s, omega_ap)[:n_modes])
-    if not in_band(m, w).all():
-        raise _point_error(m, w)
-    return wavevector(m, w).tolist(), omega_tilde(m, w).tolist()
+    w = _frequencies(float(omega_s), float(omega_ap))[:n_modes]
+    if not all([in_band(m, x) for x in w]):
+        raise _point_error(m, np.array(w))
+    return [_wavevector(m, x) for x in w], [omega_tilde(m, x) for x in w]
 
 
 def _grid(m: MediumParams, omega_s, omega_ap):
@@ -289,8 +289,9 @@ def dk_total(m: MediumParams, beta: float, gamma: float, signal: ToneConfig,
     SmallDenominator.  :func:`breakdown_grid` is the same arithmetic over
     a grid.
     """
-    amp = attenuated_pump_amplitude(m, pump, amp_scale)
+    a0 = amplitude_from_dbm(m, pump.freq, pump.power_dbm, amp_scale)
     k, wt = _point(m, signal.freq, pump.freq, 6)
+    amp = float(_attenuate(m, a0, k[0]))
     de = _dynamic_etas(beta, k, wt, amp, epsilon_dk)
     return PhaseMismatchBreakdown(*_components(
         gamma, k, wt, amp, (de.eta_ap_dyn, de.eta_s_dyn, de.eta_i_dyn)))

@@ -259,52 +259,32 @@ def flux_sweep(spec: SnailSpec, flux_grid,
     return out
 
 
-def kerr_free_flux(spec: SnailSpec, scan_points: int = 2001) -> float:
-    """Smallest flux in (0, 0.5] Phi0 where ``gamma_t`` changes sign.
+def kerr_free_flux(spec: SnailSpec) -> float:
+    """Smallest flux in (0, 0.5] Phi0 where ``gamma_t`` vanishes, in closed
+    form.
 
-    A sign-change scan over ``scan_points`` fluxes brackets the root and a
-    bisection refines it until |gamma_t| < 1e-12.
+    On the branch through (0, 0), ``psi = (phi* - phi_ext)/3`` obeys
+    ``sin(psi) = -r sin(phi*)`` with ``|psi| < pi/2``, so the branch is
+    ``phi_ext = phi* + 3 asin(r sin(phi*))`` and ``gamma_t`` first vanishes
+    where ``cos(phi*) = -sqrt((1/r^2 - 1)/728)``.  That point lies before
+    the branch's fold (which exists only for ``r > 1/3``).  For
+    ``r > 1/27`` ``gamma_t`` changes sign there; at ``r = 1/27`` it only
+    touches zero, at ``phi* = pi``, and the function returns 0.5.
 
     Raises
     ------
     NotFound
-        If ``gamma_t`` does not change sign on (0, 0.5] Phi0 (asymmetry
-        ratio too small or too large for a Kerr-free point).
+        If ``r < 1/27`` (``gamma_t`` stays positive) or the zero lies past
+        half flux (large ``r``).
     """
-    grid = np.linspace(0.0, 0.5, scan_points)
-
-    def gamma_t_at(flux_rad: float, phi_guess: float, prev_rad: float):
-        phi = _continue_equilibrium(spec.r, prev_rad, phi_guess, flux_rad)
-        return _gamma_t(spec.r, phi, flux_rad), phi
-
-    prev_rad, prev_phi = 0.0, 0.0
-    prev_g = _gamma_t(spec.r, 0.0, 0.0)
-    bracket = None
-    for f in grid[1:]:
-        rad = _TWO_PI * f
-        try:
-            g, phi = gamma_t_at(rad, prev_phi, prev_rad)
-        except NonConvergence as exc:
-            raise NotFound(
-                f"equilibrium tracking failed before any sign change: {exc}"
-            ) from exc
-        if g == 0.0 or (g < 0.0) != (prev_g < 0.0):
-            bracket = (prev_rad, rad, prev_phi)
-            break
-        prev_rad, prev_phi, prev_g = rad, phi, g
-    if bracket is None:
+    r = spec.r
+    cos_sq = (1.0 / (r * r) - 1.0) / 728.0
+    if not cos_sq <= 1.0:
         raise NotFound(
-            f"gamma_t has no sign change on (0, 0.5] Phi0 for r={spec.r}")
-
-    lo, hi, phi_lo = bracket
-    g_lo, _ = gamma_t_at(lo, phi_lo, lo) if lo > 0 else (prev_g, 0.0)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        g_mid, phi_mid = gamma_t_at(mid, phi_lo, lo)
-        if abs(g_mid) < 1e-12:
-            return mid / _TWO_PI
-        if (g_mid < 0.0) == (g_lo < 0.0):
-            lo, phi_lo, g_lo = mid, phi_mid, g_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi) / _TWO_PI
+            f"gamma_t has no zero for r={r} < 1/27: it stays positive")
+    phi_star = math.acos(-math.sqrt(cos_sq))
+    flux = (phi_star + 3.0 * math.asin(r * math.sin(phi_star))) / _TWO_PI
+    if flux > 0.5:
+        raise NotFound(
+            f"gamma_t vanishes at {flux:.4f} Phi0 for r={r}, past half flux")
+    return flux

@@ -10,7 +10,9 @@ from twpasim import (MediumParams, ToneConfig, amplitude_from_dbm,
                      kerr_etas, wavevector)
 from twpasim.errors import (AbovePlasmaCutoff, NegativeIdler, NotFound,
                             SmallDenominator, TwpaError, describe)
-from twpasim.phasematch import (EPSILON_DK, _bounded_brent,
+from twpasim.medium import in_band, omega_tilde
+from twpasim.phasematch import (EPSILON_DK, _bounded_brent, _frequencies,
+                                _point, _point_error,
                                 attenuated_pump_amplitude,
                                 breakdown_grid, eta_mode_dynamic,
                                 eta_pump_dynamic)
@@ -380,6 +382,43 @@ class TestBoundedBrent:
     def test_minimum_at_a_bracket_edge(self, slope):
         x, _ = self._compare(lambda x: slope * x, 2.0, 3.0, 1e-9)
         assert x == pytest.approx(2.0 if slope > 0 else 3.0, abs=1e-7)
+
+
+# (signal, pump) frequencies in GHz for medium_035, whose plasma guard is
+# at 67.1 GHz: every mode inside the band; the pump above the guard; a
+# zero or negative idler; a mode guard (2ap, s+ap or i+ap above 67 GHz,
+# or the signal or the idler); a NaN frequency
+_POINT_GHZ = st.one_of(
+    st.tuples(st.floats(1.0, 10.0), st.floats(10.0, 20.0)),
+    st.tuples(st.floats(1.0, 60.0), st.floats(67.2, 200.0)),
+    st.floats(1.0, 30.0).flatmap(
+        lambda ap: st.tuples(st.floats(2 * ap, 2 * ap + 20.0), st.just(ap))),
+    st.tuples(st.floats(1.0, 140.0), st.floats(20.0, 67.0)),
+    st.tuples(st.just(math.nan), st.floats(1.0, 20.0)),
+    st.tuples(st.floats(1.0, 20.0), st.just(math.nan)))
+
+
+class TestPoint:
+    """The one-point modes against the checked array path."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(ghz=_POINT_GHZ, n_modes=st.sampled_from([3, 6]))
+    def test_matches_array_path(self, medium_035, ghz, n_modes):
+        m = medium_035
+        omega_s, omega_ap = (2 * math.pi * 1e9 * f for f in ghz)
+        w = np.array(_frequencies(omega_s, omega_ap)[:n_modes])
+        if in_band(m, w).all():
+            k, wt = _point(m, omega_s, omega_ap, n_modes)
+            # bit for bit, and Python floats
+            assert [x.hex() for x in k] == [
+                x.hex() for x in wavevector(m, w).tolist()]
+            assert [x.hex() for x in wt] == [
+                x.hex() for x in omega_tilde(m, w).tolist()]
+        else:
+            expected = _point_error(m, w)
+            with pytest.raises(type(expected)) as info:
+                _point(m, omega_s, omega_ap, n_modes)
+            assert describe(info.value) == describe(expected)
 
 
 def _one_point_rows(m, beta, gamma, omega_s, omega_ap, p_dbm, amp_scale,

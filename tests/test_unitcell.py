@@ -143,12 +143,15 @@ class TestSpecValidation:
 
 
 class TestKerrFreeFlux:
+    R_WITH_ZERO = [0.04, 0.07, 0.2, 0.3, 0.34, 0.4]
+
     def gamma_t_scan(self, spec, points=10001):
-        """Dense-scan oracle over gamma_t using the bisection root."""
+        """Dense-scan oracle over gamma_t using the bisection root (64
+        halvings of [0, pi] pin it to 2e-19 rad)."""
         fluxes = np.linspace(1e-4, 0.5, points)
         vals = np.empty(points)
         for i, f in enumerate(fluxes):
-            phi = bisect_equilibrium(spec.r, 2 * math.pi * f)
+            phi = bisect_equilibrium(spec.r, 2 * math.pi * f, iters=64)
             arg = (phi - 2 * math.pi * f) / 3.0
             vals[i] = spec.r * math.cos(phi) + math.cos(arg) / 27.0
         return fluxes, vals
@@ -160,6 +163,8 @@ class TestKerrFreeFlux:
 
     def test_root_inside_dense_scan_bracket(self, device_spec):
         kf = kerr_free_flux(device_spec)
+        # a Python float, as annotated, not a NumPy scalar
+        assert type(kf) is float
         fluxes, vals = self.gamma_t_scan(device_spec, points=10001)
         idx = np.where(np.diff(np.sign(vals)) != 0)[0]
         assert idx.size >= 1
@@ -170,23 +175,52 @@ class TestKerrFreeFlux:
         c = cell_coefficients(device_spec, equilibrium_phase(device_spec, kf))
         assert abs(c.gamma_t) < 1e-12
 
+    @pytest.mark.parametrize("r", R_WITH_ZERO)
+    def test_closed_form_inside_scan_bracket(self, r):
+        spec = SnailSpec(I0=2e-6, r=r, Cg=250e-15, CJ=35e-15, N=10)
+        kf = kerr_free_flux(spec)
+        assert type(kf) is float
+        fluxes, vals = self.gamma_t_scan(spec)
+        idx = np.flatnonzero(np.diff(np.sign(vals)) != 0)
+        assert idx.size >= 1
+        assert fluxes[idx[0]] <= kf <= fluxes[idx[0] + 1]
+
+    @pytest.mark.parametrize("r", R_WITH_ZERO)
+    def test_gamma_t_vanishes_on_the_continued_branch(self, r):
+        # equilibrium_phase tracks the root by Newton continuation, a path
+        # independent of the closed form's branch relation
+        spec = SnailSpec(I0=2e-6, r=r, Cg=250e-15, CJ=35e-15, N=10)
+        kf = kerr_free_flux(spec)
+        c = cell_coefficients(spec, equilibrium_phase(spec, kf))
+        assert abs(c.gamma_t) < 1e-12
+
     def test_small_r_has_no_kerr_free_point(self):
         # for r < 1/27 gamma_t stays positive over the whole half period
         spec = SnailSpec(I0=2e-6, r=0.02, Cg=250e-15, CJ=35e-15, N=10)
         with pytest.raises(NotFound):
             kerr_free_flux(spec)
 
+    def test_zero_past_half_flux_is_not_found(self):
+        # for r = 0.6 gamma_t vanishes at 0.565 Phi0, past half flux
+        spec = SnailSpec(I0=2e-6, r=0.6, Cg=250e-15, CJ=35e-15, N=10)
+        with pytest.raises(NotFound, match="0.5647 Phi0"):
+            kerr_free_flux(spec)
+
+    def test_touching_zero_at_r_one_27th_returns_half_flux(self):
+        # at r = 1/27, gamma_t = (1/27 - r)/6 = 0 at half flux (phi* = pi)
+        # and positive on either side: it touches zero without a sign
+        # change, and the function returns that point
+        spec = SnailSpec(I0=2e-6, r=1 / 27, Cg=250e-15, CJ=35e-15, N=10)
+        kf = kerr_free_flux(spec)
+        assert kf == 0.5
+        c = cell_coefficients(spec, equilibrium_phase(spec, kf))
+        assert abs(c.gamma_t) < 1e-12
+
     def test_large_r_consistent_with_scan(self):
+        # at r = 0.99 gamma_t vanishes at 0.933 Phi0, past half flux
         spec = SnailSpec(I0=2e-6, r=0.99, Cg=250e-15, CJ=35e-15, N=10)
-        try:
-            kf = kerr_free_flux(spec)
-        except NotFound:
-            return  # acceptable: tracking fails before any sign change
-        phi = bisect_equilibrium(0.99, 2 * math.pi * kf)
-        arg = (phi - 2 * math.pi * kf) / 3.0
-        gamma_t = 0.99 * math.cos(phi) + math.cos(arg) / 27.0
-        # the returned flux must be a gamma_t sign change on the branch
-        assert abs(gamma_t) < 1e-6
+        with pytest.raises(NotFound, match="0.9332 Phi0"):
+            kerr_free_flux(spec)
 
 
 class TestFluxSweep:
