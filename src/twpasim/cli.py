@@ -207,14 +207,18 @@ def validate(config_text: str) -> dict:
     return values
 
 
-def _device(cfg: dict):
-    t0 = time.perf_counter()
-    spec = SnailSpec(I0=cfg["critical_current_a"],
+def _spec(cfg: dict) -> SnailSpec:
+    return SnailSpec(I0=cfg["critical_current_a"],
                      r=cfg["asymmetry_ratio"],
                      Cg=cfg["ground_capacitance_f"],
                      CJ=cfg["junction_capacitance_f"],
                      N=cfg["cells"],
                      tan_delta=cfg["tan_delta"])
+
+
+def _device(cfg: dict):
+    t0 = time.perf_counter()
+    spec = _spec(cfg)
     fp = equilibrium_phase(spec, cfg["flux"])
     coeffs = cell_coefficients(spec, fp, cfg["consistent_derivatives"])
     medium = MediumParams.from_cell(spec, coeffs)
@@ -223,7 +227,7 @@ def _device(cfg: dict):
     gamma = cfg["gamma_override"] if cfg["gamma_override"] is not None \
         else coeffs.gamma
     log.info("set up the device in %.3f s", time.perf_counter() - t0)
-    return spec, coeffs, medium, beta, gamma
+    return coeffs, medium, beta, gamma
 
 
 def _signal_grid(cfg: dict) -> np.ndarray:
@@ -244,12 +248,12 @@ _CELL_COLUMNS = ["flux_phi0", "phi_star_rad", "alpha_tilde", "beta_tilde",
 
 
 def _task_cell_params(cfg: dict):
-    _, coeffs, _, _, _ = _device(cfg)
+    coeffs, _, _, _ = _device(cfg)
     return _CELL_COLUMNS, [_cell_row(cfg["flux"], coeffs.flux, coeffs)], {}
 
 
 def _task_flux_sweep(cfg: dict):
-    spec, _, _, _, _ = _device(cfg)
+    spec = _spec(cfg)
     grid = np.linspace(cfg["flux_min"], cfg["flux_max"], cfg["flux_points"])
     coeffs = flux_sweep(spec, grid, cfg["consistent_derivatives"])
     rows = [_cell_row(f, c.flux, c) for f, c in zip(grid, coeffs)]
@@ -267,7 +271,7 @@ def _grid_rows(omegas, *columns) -> list:
 
 
 def _task_dispersion(cfg: dict):
-    _, _, medium, _, _ = _device(cfg)
+    _, medium, _, _ = _device(cfg)
     omegas = _signal_grid(cfg)
     ok = in_band(medium, omegas)
     w = omegas[ok]
@@ -291,7 +295,7 @@ def _breakdown(cfg: dict, medium, beta, gamma, pump, omegas):
 
 
 def _task_phase_mismatch(cfg: dict):
-    _, _, medium, beta, gamma = _device(cfg)
+    _, medium, beta, gamma = _device(cfg)
     pump = ToneConfig(freq=2 * math.pi * cfg["pump_freq_hz"],
                       power_dbm=cfg["pump_power_dbm"])
     omegas = _signal_grid(cfg)
@@ -302,7 +306,7 @@ def _task_phase_mismatch(cfg: dict):
 
 
 def _task_gain(cfg: dict):
-    _, _, medium, beta, gamma = _device(cfg)
+    _, medium, beta, gamma = _device(cfg)
     pump = ToneConfig(freq=2 * math.pi * cfg["pump_freq_hz"],
                       power_dbm=cfg["pump_power_dbm"])
     omegas = _signal_grid(cfg)
@@ -317,7 +321,7 @@ def _task_gain(cfg: dict):
 
 
 def _task_isolation(cfg: dict):
-    _, _, medium, beta, _ = _device(cfg)
+    _, medium, beta, _ = _device(cfg)
     pump = ToneConfig(freq=2 * math.pi * cfg["iso_pump_freq_hz"],
                       power_dbm=cfg["iso_pump_power_dbm"],
                       direction="backward")
@@ -331,7 +335,7 @@ def _task_isolation(cfg: dict):
 
 
 def _task_saturation(cfg: dict):
-    _, _, medium, beta, gamma = _device(cfg)
+    _, medium, beta, gamma = _device(cfg)
     pump = ToneConfig(freq=2 * math.pi * cfg["pump_freq_hz"],
                       power_dbm=cfg["pump_power_dbm"])
     powers = np.linspace(cfg["signal_power_min_dbm"],

@@ -30,11 +30,6 @@ from .errors import NonConvergence, NonPositiveInductance, NotFound
 
 _TWO_PI = 2.0 * math.pi
 
-# equilibrium root polish targets; the residual invariant is 1e-12
-_RESIDUAL_TOL = 1e-14
-_NEWTON_MAX_ITER = 80
-_CONTINUATION_STEP = 0.05  # rad of external flux per continuation step
-
 
 @dataclass(frozen=True)
 class SnailSpec:
@@ -119,70 +114,71 @@ class CellCoefficients:
     gamma: float
 
 
-def _current_residual(phi: float, r: float, phi_ext_rad: float) -> float:
-    return r * math.sin(phi) + math.sin((phi - phi_ext_rad) / 3.0)
+def _branch_phases(r: float, phi_ext: np.ndarray) -> np.ndarray:
+    """Equilibrium phases [rad] on the branch through (0, 0) at the external
+    fluxes ``phi_ext`` [rad], NaN where ``|phi_ext|`` is at or past the fold.
+
+    Newton steps on the branch relation ``g(phi) = phi + 3 asin(r sin(phi))
+    - phi_ext = 0`` (``docs/model.md``) stay inside a bracket of the root or
+    bisect it.  A value stays put once its step is below one ulp, and a
+    bracket one ulp wide bisects onto an end, so the loop ends when no value
+    moves, and each value is the same whatever grid it is solved in.
+    """
+    fold = math.inf
+    past = np.zeros(phi_ext.shape, dtype=bool)
+    cos_sq = (1.0 - r * r) / (8.0 * r * r)
+    if cos_sq < 1.0:
+        # r > 1/3: the branch folds where cos^2(phi*) = cos_sq, cos(phi*) < 0
+        fold = math.acos(-math.sqrt(cos_sq))
+        past = np.abs(phi_ext) >= fold + 3.0 * math.asin(r * math.sin(fold))
+        phi_ext = np.where(past, 0.0, phi_ext)  # solved as 0, returned NaN
+    width = 3.0 * math.asin(r)  # |phi* - phi_ext| <= 3 asin(r)
+    lo = np.maximum(phi_ext - width, -fold)
+    hi = np.minimum(phi_ext + width, fold)
+    phi = np.clip(phi_ext - 3.0 * np.arcsin(r * np.sin(phi_ext)), lo, hi)
+    while True:
+        s = r * np.sin(phi)
+        g = phi + 3.0 * np.arcsin(s) - phi_ext
+        lo = np.where(g < 0.0, phi, lo)
+        hi = np.where(g > 0.0, phi, hi)
+        dg = 1.0 + 3.0 * r * np.cos(phi) / np.sqrt(1.0 - s * s)
+        # dg > 0 inside the bracket except at the fold and, for r = 1/3, at
+        # phi* = pi: there the infinite step bisects
+        newton = phi - np.divide(g, dg, out=np.full_like(g, np.inf),
+                                 where=dg > 0.0)
+        new = np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
+        new = np.where((g == 0.0) | (newton == phi), phi, new)
+        if (new == phi).all():
+            return np.where(past, np.nan, phi)
+        phi = new
 
 
-def _residual_derivative(phi: float, r: float, phi_ext_rad: float) -> float:
-    return r * math.cos(phi) + math.cos((phi - phi_ext_rad) / 3.0) / 3.0
-
-
-def _gamma_t(r: float, phi_star: float, phi_ext_rad: float) -> float:
-    arg = (phi_star - phi_ext_rad) / 3.0
-    return (r * math.cos(phi_star) + math.cos(arg) / 27.0) / 6.0
-
-
-def _newton_polish(phi: float, r: float, phi_ext_rad: float) -> float:
-    for _ in range(_NEWTON_MAX_ITER):
-        f = _current_residual(phi, r, phi_ext_rad)
-        if abs(f) < _RESIDUAL_TOL:
-            return phi
-        fp = _residual_derivative(phi, r, phi_ext_rad)
-        if fp <= 0.0:
-            # branch fold: the stable branch has a positive derivative
-            raise NonConvergence(
-                f"equilibrium branch folds near phi*={phi:.6f} rad "
-                f"(r={r}, phi_ext={phi_ext_rad:.6f} rad)")
-        step = f / fp
-        if abs(step) > 1.0:
-            step = math.copysign(1.0, step)
-        phi -= step
-    raise NonConvergence(
-        f"equilibrium phase did not converge for r={r}, "
-        f"phi_ext={phi_ext_rad:.6f} rad")
-
-
-def _continue_equilibrium(r: float, start_rad: float, start_phi: float,
-                          target_rad: float) -> float:
-    """Track the equilibrium root from one flux to another in small steps."""
-    span = target_rad - start_rad
-    nstep = max(1, int(math.ceil(abs(span) / _CONTINUATION_STEP)))
-    phi = start_phi
-    for j in range(1, nstep + 1):
-        phi = _newton_polish(phi, r, start_rad + span * j / nstep)
-    return phi
+def _flux_point(r: float, phi_ext: float, phi_star: float) -> FluxPoint:
+    if math.isnan(phi_star):
+        raise NonConvergence(
+            f"|phi_ext| = {abs(phi_ext)} Phi0 is at or past the fold of the "
+            f"equilibrium branch (r={r} > 1/3)")
+    return FluxPoint(phi_ext, _TWO_PI * phi_ext, phi_star)
 
 
 def equilibrium_phase(spec: SnailSpec, phi_ext: float) -> FluxPoint:
     """Equilibrium phase of the cell at external flux ``phi_ext`` [Phi0].
 
-    The root of the loop current is tracked by continuation from
-    (phi_ext, phi*) = (0, 0), which selects the branch the device follows
-    when the flux is swept up from zero.
+    The root of the loop current lies on the branch through
+    (phi_ext, phi*) = (0, 0), which the device follows when the flux is
+    swept up from zero; it is solved from the branch's closed form, as
+    :func:`flux_sweep` solves each of its fluxes.
 
     Raises
     ------
     NonConvergence
-        If the Newton iteration fails or the branch folds (large ``r``
-        close to the hysteretic regime).
+        If ``r > 1/3`` and ``|phi_ext|`` is at or past the flux where the
+        branch folds (the hysteretic regime).
     """
     if not math.isfinite(phi_ext):
         raise ValueError("phi_ext must be finite")
-    phi_ext_rad = _TWO_PI * phi_ext
-    if phi_ext_rad == 0.0:
-        return FluxPoint(phi_ext, 0.0, 0.0)
-    phi = _continue_equilibrium(spec.r, 0.0, 0.0, phi_ext_rad)
-    return FluxPoint(phi_ext, phi_ext_rad, phi)
+    phi = _branch_phases(spec.r, np.array([_TWO_PI * phi_ext])).item()
+    return _flux_point(spec.r, phi_ext, phi)
 
 
 def cell_coefficients(spec: SnailSpec, fp: FluxPoint,
@@ -207,7 +203,7 @@ def cell_coefficients(spec: SnailSpec, fp: FluxPoint,
     inner = math.cos(arg) / 3.0 if consistent_derivatives else math.cos(arg)
     alpha = r * math.cos(ps) + inner
     beta_t = 0.5 * (r * math.sin(ps) + math.sin(arg) / 9.0)
-    gamma_t = _gamma_t(r, ps, fp.phi_ext_rad)
+    gamma_t = (r * math.cos(ps) + math.cos(arg) / 27.0) / 6.0
 
     if alpha <= 0.0:
         raise NonPositiveInductance(
@@ -235,9 +231,9 @@ def flux_sweep(spec: SnailSpec, flux_grid,
                consistent_derivatives: bool = False) -> list[CellCoefficients]:
     """Cell coefficients at each flux of ``flux_grid`` [Phi0], in order.
 
-    The equilibrium root is tracked incrementally between consecutive grid
-    points, so sweeps are much cheaper than independent point solves.
-    Errors carry the index of the offending grid point.
+    All equilibrium phases are solved in one array pass, each equal to what
+    :func:`equilibrium_phase` gives at that flux.  Errors carry the index of
+    the offending grid point.
     """
     grid = [float(f) for f in np.atleast_1d(flux_grid)]
     if len(grid) == 0:
@@ -245,17 +241,14 @@ def flux_sweep(spec: SnailSpec, flux_grid,
     if not all(math.isfinite(f) for f in grid):
         raise ValueError("flux grid contains non-finite values")
 
+    phis = _branch_phases(spec.r, _TWO_PI * np.array(grid)).tolist()
     out = []
-    prev_rad, prev_phi = 0.0, 0.0
-    for i, f in enumerate(grid):
-        rad = _TWO_PI * f
+    for i, (f, phi) in enumerate(zip(grid, phis)):
         try:
-            phi = _continue_equilibrium(spec.r, prev_rad, prev_phi, rad)
-            fp = FluxPoint(f, rad, phi)
+            fp = _flux_point(spec.r, f, phi)
             out.append(cell_coefficients(spec, fp, consistent_derivatives))
         except (NonConvergence, NonPositiveInductance) as exc:
             raise type(exc)(f"flux grid index {i} ({f} Phi0): {exc}") from exc
-        prev_rad, prev_phi = rad, phi
     return out
 
 

@@ -610,6 +610,19 @@ class TestMainExitCodes:
                             f"out_path = {tmp_path / 'o.csv'}\n")
         assert main(["cell-params", "--config", str(cfg_path)]) == 0
 
+    def test_flux_sweep_ignores_the_flux_key(self, tmp_path, capsys):
+        """A flux sweep solves only its own grid: a `flux` past the fold
+        of an r > 1/3 branch (0.513 Phi0 at r = 0.4) does not fail a grid
+        that stays before it."""
+        out = tmp_path / "o.csv"
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text("task = flux-sweep\nasymmetry_ratio = 0.4\n"
+                            "flux = 0.6\nflux_min = 0\nflux_max = 0.5\n"
+                            f"out_path = {out}\n")
+        assert main(["flux-sweep", "--config", str(cfg_path)]) == 0, \
+            capsys.readouterr().err
+        assert len(out.read_text().strip().split("\n")) == 1 + 51
+
     def test_config_error_exit_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text("task = gain\nbad_key = 1\n")

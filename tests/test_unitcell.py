@@ -6,11 +6,23 @@ import pytest
 from twpasim import (CellCoefficients, FluxPoint, SnailSpec,
                      cell_coefficients, equilibrium_phase, flux_sweep,
                      kerr_free_flux)
-from twpasim.errors import NonPositiveInductance, NotFound
+from twpasim.errors import NonConvergence, NonPositiveInductance, NotFound
 
 
 def residual(r, phi_ext_rad, phi):
     return r * math.sin(phi) + math.sin((phi - phi_ext_rad) / 3.0)
+
+
+def fold_flux(r):
+    """Flux [Phi0] where the branch through (0, 0) folds, for r > 1/3:
+    d phi_ext / d phi* = 0 at cos^2(phi*) = (1 - r^2) / (8 r^2)."""
+    phi = math.acos(-math.sqrt((1 - r * r) / (8 * r * r)))
+    return (phi + 3 * math.asin(r * math.sin(phi))) / (2 * math.pi)
+
+
+def branch_slope(r, phi):
+    """d phi_ext / d phi* on the branch phi_ext = phi* + 3 asin(r sin phi*)."""
+    return 1 + 3 * r * math.cos(phi) / math.sqrt(1 - (r * math.sin(phi))**2)
 
 
 def bisect_equilibrium(r, phi_ext_rad, lo=0.0, hi=math.pi, iters=200):
@@ -42,12 +54,38 @@ class TestEquilibriumPhase:
         # frozen regression value from the oracle
         assert fp.phi_star == pytest.approx(1.015278130736210, abs=1e-12)
 
-    @pytest.mark.parametrize("r", [0.01, 0.05, 0.1, 0.2, 0.3])
+    @pytest.mark.parametrize("r", [0.01, 0.05, 0.1, 0.2, 0.3, 1 / 3])
     def test_residual_below_1e12_over_flux_grid(self, r):
         spec = SnailSpec(I0=2e-6, r=r, Cg=250e-15, CJ=35e-15, N=100)
         for flux in np.linspace(-0.5, 0.5, 41):
             fp = equilibrium_phase(spec, flux)
             assert abs(residual(r, fp.phi_ext_rad, fp.phi_star)) < 1e-12
+
+    def test_one_third_has_an_inflection_not_a_fold(self):
+        # at r = 1/3 the branch's slope 1 - 3r vanishes at phi* = pi
+        # without changing sign: half flux is still pi, and the branch
+        # goes on to 2 pi at one flux quantum
+        spec = SnailSpec(I0=2e-6, r=1 / 3, Cg=250e-15, CJ=35e-15, N=10)
+        assert abs(equilibrium_phase(spec, 0.5).phi_star - math.pi) < 1e-12
+        assert equilibrium_phase(spec, 1.0).phi_star == \
+            pytest.approx(2 * math.pi, abs=1e-12)
+
+    @pytest.mark.parametrize("r", [0.34, 0.4])
+    def test_fold_bounds_the_branch(self, r):
+        # the fold is at 0.50045 Phi0 for r = 0.34 and 0.51332 for r = 0.4
+        fold = fold_flux(r)
+        spec = SnailSpec(I0=2e-6, r=r, Cg=250e-15, CJ=35e-15, N=10)
+        grid = np.concatenate([np.linspace(-1.0, 1.0, 201),
+                               fold * np.array([0.999, 0.99999, 1.00001,
+                                                1.001, 1.04])])
+        for flux in grid.tolist():
+            if abs(flux) > fold:
+                with pytest.raises(NonConvergence):
+                    equilibrium_phase(spec, flux)
+                continue
+            fp = equilibrium_phase(spec, flux)
+            assert abs(residual(r, fp.phi_ext_rad, fp.phi_star)) < 1e-15
+            assert branch_slope(r, fp.phi_star) > 0
 
     def test_branch_is_odd_in_flux(self, device_spec):
         for flux in [0.1, 0.23, 0.42]:
@@ -187,10 +225,14 @@ class TestKerrFreeFlux:
 
     @pytest.mark.parametrize("r", R_WITH_ZERO)
     def test_gamma_t_vanishes_on_the_continued_branch(self, r):
-        # equilibrium_phase tracks the root by Newton continuation, a path
-        # independent of the closed form's branch relation
+        # kerr_free_flux and equilibrium_phase both rest on the branch
+        # relation; the bisection oracle roots the loop current instead
         spec = SnailSpec(I0=2e-6, r=r, Cg=250e-15, CJ=35e-15, N=10)
         kf = kerr_free_flux(spec)
+        phi_ext = 2 * math.pi * kf
+        phi = bisect_equilibrium(r, phi_ext)
+        arg = (phi - phi_ext) / 3.0
+        assert abs((r * math.cos(phi) + math.cos(arg) / 27.0) / 6.0) < 1e-12
         c = cell_coefficients(spec, equilibrium_phase(spec, kf))
         assert abs(c.gamma_t) < 1e-12
 
@@ -238,20 +280,20 @@ class TestFluxSweep:
         assert abs(out[2].beta_t) > 1e-3
 
     def test_matches_pointwise_calls(self, device_spec):
-        grid = np.linspace(0.0, 0.45, 10)
+        # bit for bit, flux 0 included: one solve serves both
+        grid = np.linspace(-0.5, 0.5, 501)
         swept = flux_sweep(device_spec, grid)
-        for f, c in zip(grid, swept):
+        for f, c in zip(grid.tolist(), swept):
             single = cell_coefficients(device_spec,
                                        equilibrium_phase(device_spec, f))
-            assert c.L == pytest.approx(single.L, rel=1e-12)
-            assert c.beta_t == pytest.approx(single.beta_t, abs=1e-13)
+            assert c == single
+            assert c.flux.phi_star.hex() == single.flux.phi_star.hex()
 
     def test_error_carries_grid_index(self):
         # r > 1/3 folds the equilibrium branch just past half flux
-        from twpasim.errors import NonConvergence
         spec = SnailSpec(I0=2e-6, r=0.4, Cg=250e-15, CJ=35e-15, N=10)
-        with pytest.raises(NonConvergence, match="index 2"):
-            flux_sweep(spec, [0.0, 0.3, 0.6])
+        with pytest.raises(NonConvergence, match="index 2 "):
+            flux_sweep(spec, [0.0, 0.3, 0.6, -0.8])
 
     def test_empty_grid_rejected(self, device_spec):
         with pytest.raises(ValueError):
