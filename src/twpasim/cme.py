@@ -25,9 +25,9 @@ steps (raising ``StepFailure``); ``_propagate`` returns the lab-frame
 ``y``.  The six-mode ladder, band checks and mismatches come from
 ``phasematch``.
 The spectra integrate a grid of at least ``_BATCH_MIN`` in-band points
-as one batch, and fall back to one point at a time, each a batch of one
-and each failure its own gap, below that size or when the batch
-fails.
+as one batch, and one point at a time, each a batch of one, below that
+size; a batch that fails splits in halves until each failing point is
+alone, its own gap.
 
 Photon bookkeeping uses the flux ``n_m = k_m * (1 - omega_m^2/omegaJ^2)
 * |A_m|^2``; with this normalization the lossless couplings conserve the
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, StepFailure, describe, sweep
+from .errors import DomainError, StepFailure, describe
 from .medium import (MediumParams, amplitude_from_dbm, band_error, in_band,
                      omega_tilde, wavevector)
 from .phasematch import (ToneConfig, _aux_mismatch, _frequencies, _grid,
@@ -198,36 +198,30 @@ class _Table:
     """One coupled-mode system written as data, in a rotating frame.  It
     integrates ``u_m = y_m exp(-i theta_m x)``:
 
-        du_m/dx = (loss_m - i theta_m + kp_m |u_p|^2 + kh_m |u_h|^2) u_m
-                  + sum over the monomials of mode m of c * f_1 ... f_r,
+        du_m/dx = sum over the monomials of mode m of c * f_1 ... f_r,
 
-    where ``u_p`` is the pump and ``u_h`` its second harmonic, and each
-    factor ``f`` (at most three) is a mode's ``u`` or ``conj u``.  The
-    rates ``theta`` balance every monomial (``docs/cme_reduction.md``), so
-    no term depends on x.  Coefficients are floats for one point or
+    where each factor ``f`` (at most three) is a mode's ``u`` or ``conj
+    u``.  Loss and rotation ``(loss_m - i theta_m) u_m`` and cross-Kerr
+    ``c u_p conj(u_p) u_m`` are monomials like any mixing term.  The rates
+    ``theta`` balance every mixing term (``docs/cme_reduction.md``), so no
+    term depends on x.  Coefficients are floats for one point or
     equal-length arrays for a batch of points, one entry per point.
 
-    ``loss``, ``theta`` and the Kerr rows ``kp`` and ``kh`` hold one
-    coefficient per mode, in mode order; ``kerr`` names the pump and the
-    harmonic and gives their rows.  A monomial is ``(mode, c,
-    "factors")`` with the factors named by mode (``"ap"``, or ``"ap*"``
-    for its conjugate); monomials that vanish on every point (``beta =
-    0``, no pump depletion) are dropped.  Factors are kept as indices into
-    ``[u, conj u]`` for the evaluator, :func:`_batch_rhs`.
+    A monomial is ``(mode, c, "factors")`` with the factors named by mode
+    (``"ap"``, or ``"ap*"`` for its conjugate); monomials that vanish on
+    every point (``beta = 0``, no pump depletion) are dropped.  Modes are
+    kept as indices and factors as indices into ``[u, conj u]`` for the
+    evaluator, :func:`_batch_rhs`.
     """
 
-    def __init__(self, names, loss, kerr, monomials, theta):
+    def __init__(self, names, monomials, theta):
         n = len(names)
         stack = {name: j for j, name in enumerate(names)}
 
         def index(factor):
             return stack[factor.rstrip("*")] + n * factor.endswith("*")
 
-        (pump, kp), (harmonic, kh) = kerr
-        self.n = n
-        self.loss, self.kp, self.kh = tuple(loss), tuple(kp), tuple(kh)
-        self.theta = tuple(theta)
-        self.pump, self.harmonic = stack[pump], stack[harmonic]
+        self.names, self.theta = tuple(names), tuple(theta)
         self.monomials = tuple(
             (stack[mode], c, tuple(map(index, factors.split())))
             for mode, c, factors in monomials if np.any(c))
@@ -259,8 +253,6 @@ def _table_4wm(k, wt, tan_delta: float, beta: float, gamma: float,
     floats from ``_point`` or rows of arrays from ``_grid``."""
     kap, ks, ki, k2, ksu, kiu = k
     tap, ts, ti, t2, tsu, tiu = wt
-    kpp_ap, kpp_s, kpp_i, kpp_2ap, kpp_su, kpp_iu = (
-        kj * tan_delta / 2.0 for kj in k)
     beta, gamma = float(beta), float(gamma)
 
     cs_k = 6.0 * gamma * ks / (8.0 * ts)
@@ -279,31 +271,29 @@ def _table_4wm(k, wt, tan_delta: float, beta: float, gamma: float,
     csu_kerr = 6.0 * gamma * ksu / (8.0 * tsu)
     ciu_src = beta * (kap + ki) * kap * ki / (2.0 * kiu * tiu)
     ciu_kerr = 6.0 * gamma * kiu / (8.0 * tiu)
+    # the s+ap and i+ap phases run opposite to their auxiliary mismatches
+    d_2ap, d_su, d_iu = _aux_mismatch(k)
+    theta = _frame(_F4, (_mismatch(k), -d_su, d_2ap, -d_iu))
     # cross-Kerr in k_ap^2 |A_ap|^2 and k_2ap^2 |A_2ap|^2; the pump and
     # its harmonic weight their own power half as much
     jkap_sq, jk2_sq = 1j * kap**2, 1j * k2**2
-    # the s+ap and i+ap phases run opposite to their auxiliary mismatches
-    d_2ap, d_su, d_iu = _aux_mismatch(k)
-    return _Table(
-        _MODES_4WM,
-        loss=(-kpp_s, -kpp_ap, -kpp_i, -kpp_2ap, -kpp_su, -kpp_iu),
-        kerr=(("ap", [c * jkap_sq for c in (cs_k, cap_kerr, ci_k,
-                                            2.0 * c2_kerr, csu_kerr,
-                                            ciu_kerr)]),
-              ("2ap", [c * jk2_sq for c in (cs_k, 2.0 * cap_kerr, ci_k,
-                                            c2_kerr, csu_kerr, ciu_kerr)])),
-        monomials=[
-            ("s", 1j * cs_pair, "ap ap i*"),
-            ("s", cs_up, "s+ap ap*"),
-            ("ap", cap_shg, "ap* 2ap"),
-            ("ap", 1j * cap_dep, "s i ap*"),
-            ("i", 1j * ci_pair, "ap ap s*"),
-            ("i", ci_up, "i+ap ap*"),
-            ("2ap", c2_src, "ap ap"),
-            ("s+ap", csu_src, "s ap"),
-            ("i+ap", ciu_src, "i ap"),
-        ],
-        theta=_frame(_F4, (_mismatch(k), -d_su, d_2ap, -d_iu)))
+    loss = [-kj * tan_delta / 2.0 for kj in (ks, kap, ki, k2, ksu, kiu)]
+    kp = (cs_k, cap_kerr, ci_k, 2.0 * c2_kerr, csu_kerr, ciu_kerr)
+    kh = (cs_k, 2.0 * cap_kerr, ci_k, c2_kerr, csu_kerr, ciu_kerr)
+    return _Table(_MODES_4WM, [
+        *[(m, c - 1j * r, m) for m, c, r in zip(_MODES_4WM, loss, theta)],
+        *[(m, c * jkap_sq, f"ap ap* {m}") for m, c in zip(_MODES_4WM, kp)],
+        *[(m, c * jk2_sq, f"2ap 2ap* {m}") for m, c in zip(_MODES_4WM, kh)],
+        ("s", 1j * cs_pair, "ap ap i*"),
+        ("s", cs_up, "s+ap ap*"),
+        ("ap", cap_shg, "ap* 2ap"),
+        ("ap", 1j * cap_dep, "s i ap*"),
+        ("i", 1j * ci_pair, "ap ap s*"),
+        ("i", ci_up, "i+ap ap*"),
+        ("2ap", c2_src, "ap ap"),
+        ("s+ap", csu_src, "s ap"),
+        ("i+ap", ciu_src, "i ap"),
+    ], theta)
 
 
 def _table_3wm(k, wt, tan_delta: float, beta: float) -> _Table:
@@ -319,20 +309,18 @@ def _table_3wm(k, wt, tan_delta: float, beta: float) -> _Table:
     csu_src = beta * (ks + kip) * kip * ks / (2.0 * ksu * tsu)
     csu_up = beta * (kip - ksu2) * kip * ksu2 / (2.0 * ksu * tsu)
     csu2_src = beta * (ksu + kip) * kip * ksu / (2.0 * ksu2 * tsu2)
-    return _Table(
-        _MODES_3WM,
-        loss=[-kj * tan_delta / 2.0 for kj in k],
-        # second-order couplings only: no Kerr terms
-        kerr=(("ip", [0.0] * 5), ("2ip", [0.0] * 5)),
-        monomials=[
-            ("s", cs_up, "s+ip ip*"),
-            ("ip", cip_shg, "ip* 2ip"),
-            ("2ip", c2_src, "ip ip"),
-            ("s+ip", csu_src, "s ip"),
-            ("s+ip", csu_up, "s+2ip ip*"),
-            ("s+2ip", csu2_src, "s+ip ip"),
-        ],
-        theta=_frame(_F3, (2.0 * kip - k2, ksu - kip - ks, ksu2 - kip - ksu)))
+    theta = _frame(_F3, (2.0 * kip - k2, ksu - kip - ks, ksu2 - kip - ksu))
+    # second-order couplings only: no Kerr terms
+    return _Table(_MODES_3WM, [
+        *[(m, -kj * tan_delta / 2.0 - 1j * r, m)
+          for m, kj, r in zip(_MODES_3WM, k, theta)],
+        ("s", cs_up, "s+ip ip*"),
+        ("ip", cip_shg, "ip* 2ip"),
+        ("2ip", c2_src, "ip ip"),
+        ("s+ip", csu_src, "s ip"),
+        ("s+ip", csu_up, "s+2ip ip*"),
+        ("s+2ip", csu2_src, "s+ip ip"),
+    ], theta)
 
 
 def _batch_rhs(t: _Table, shape: tuple):
@@ -341,22 +329,15 @@ def _batch_rhs(t: _Table, shape: tuple):
     for one point's floats or ``(B,)`` for a batch, whose coefficients are
     arrays of B entries or floats that every column shares.
 
-    The loss and Kerr terms join the monomials (``c u_m``, ``c u_p
-    conj(u_p) u_m``), and each coefficient is a row of the stack ``[u,
-    conj u, 1, coefficients]``, so a monomial is a column of indices into
-    it: its coefficient, its factors, then the 1 as padding.  An
-    evaluation fills ``u`` and its conjugate, gathers all factors at once,
-    multiplies them from the left and sums the products into their modes
-    by one product with a 0/1 matrix."""
-    n = t.n
+    Each coefficient is a row of the stack ``[u, conj u, 1,
+    coefficients]``, so a monomial is a column of indices into it: its
+    coefficient, its factors, then the 1 as padding.  An evaluation fills
+    ``u`` and its conjugate, gathers all factors at once, multiplies them
+    from the left and sums the products into their modes by one product
+    with a 0/1 matrix."""
+    n = len(t.names)
     theta = np.array([np.broadcast_to(r, shape) for r in t.theta])
-    monomials = ([(m, c - 1j * r, (m,))
-                  for m, (c, r) in enumerate(zip(t.loss, t.theta))]
-                 + [(m, c, (src, src + n, m))
-                    for src, row in ((t.pump, t.kp), (t.harmonic, t.kh))
-                    for m, c in enumerate(row) if np.any(c)]
-                 + list(t.monomials))
-    modes, coeffs, factors = zip(*monomials)
+    modes, coeffs, factors = zip(*t.monomials)
     one, width = 2 * n, 1 + max(map(len, factors))
     stack = np.empty((one + 1 + len(coeffs),) + shape, dtype=np.complex128)
     stack[one] = 1.0
@@ -470,70 +451,66 @@ def _gain_db_from(traj: Trajectory):
     return np.array(gain) if a0.ndim else gain[0]
 
 
-def _each(fn, points, width=1):
-    """:func:`errors.sweep` without gaps: the first error raises."""
-    values = np.empty((len(points), width))
-    for idx, point in enumerate(points):
-        values[idx] = fn(point)
-    return values, []
-
-
-def _spectrum(task: str, points, errors, build, finish, width=1,
-              each=sweep):
-    """Every row of a grid: one batched run over the rows ``errors`` does
-    not name when there are at least ``_BATCH_MIN`` of them; one by one,
-    through ``each``, every other row, so that a failing row is a gap of
-    its own.  A row ``errors`` names raises its error; a row below the
-    crossover, or of a batch that raised ``StepFailure``, runs alone, as a
-    batch of one.
+def _spectrum(task: str, n: int, errors, build, finish, width=1):
+    """Every row of an ``n``-row grid but those ``errors`` names: one
+    batched run when there are at least ``_BATCH_MIN`` of them, and row by
+    row, each a batch of one, below that size.  A batch that raises
+    ``StepFailure`` splits in halves, each run by the same rule, so a
+    failing row ends up alone, with its own error.
 
     ``errors`` maps the index of each row outside the model to its error;
     ``build(rows)`` builds the coupling table of an array of row indices
     and returns a function that integrates it to a batched
     ``Trajectory``; ``finish(traj)`` gives a trajectory's ``width``
-    values, arrays over its batch.  Returns ``(values, gaps,
-    solver_stats)``, the gaps as ``(index, point, "Type: message")`` in
-    grid order.
+    values, arrays over its batch.  Returns ``(values, failed,
+    solver_stats)``: NaN rows for the failed ones, and ``failed`` maps
+    each such row to its ``TwpaError``, the rows ``errors`` names
+    included.
     """
     # imported here so that a bare `import twpasim` does not load logging
     # (the CLI, which reads TWPASIM_LOG, has loaded it already)
     import logging
     log = logging.getLogger(__name__)
     runs = []
-    values = np.full((len(points), width), np.nan)
-    alone = np.ones(len(points), dtype=bool)
-    rows = np.flatnonzero([j not in errors for j in range(len(points))])
-    t0 = t1 = time.perf_counter()
-    if rows.size >= _BATCH_MIN:
-        run = build(rows)
+    values = np.full((n, width), np.nan)
+    failed = dict(errors)
+    t0 = time.perf_counter()
+    rows = np.flatnonzero([j not in errors for j in range(n)])
+    todo = [rows] if rows.size else []
+    while todo:  # groups of rows, run first to last
+        rows = todo.pop(0)
+        if 1 < rows.size < _BATCH_MIN:
+            todo[:0] = np.split(rows, rows.size)
+            continue
         t1 = time.perf_counter()
-        log.info("%s: built the coupling table of %d rows in %.3f s", task,
-                 rows.size, t1 - t0)
+        integrate = build(rows)
+        if rows.size > 1:
+            log.info("%s: built the coupling table of %d rows in %.3f s",
+                     task, rows.size, time.perf_counter() - t1)
         try:
-            traj = run()
+            traj = integrate()
         except StepFailure as exc:
-            log.info("%s: the batch failed (%s); integrating its rows one "
-                     "by one", task, describe(exc))
-        else:
-            values[rows] = np.column_stack(finish(traj))
-            alone[rows] = False
-            runs.append(traj.solver_stats)
-
-    def point(j):
-        if j in errors:
-            raise errors[j]
-        traj = build(np.array([j]))()
+            if rows.size == 1:
+                failed[int(rows[0])] = exc
+            else:
+                log.info("%s: a batch of %d rows failed (%s); splitting it",
+                         task, rows.size, describe(exc))
+                todo[:0] = np.array_split(rows, 2)
+            continue
+        values[rows] = np.column_stack(finish(traj))
         runs.append(traj.solver_stats)
-        return np.column_stack(finish(traj))
-
-    idx = np.flatnonzero(alone)
-    values[idx], gaps = each(point, idx, width)
     log.info("%s: integrated %d rows (runs: %d, steps: %d) in %.3f s", task,
              sum(r["rows"] for r in runs), len(runs),
              sum(r["accepted"] + r["rejected"] for r in runs),
-             time.perf_counter() - t1)
-    gaps = [(int(j), float(points[int(j)]), why) for _, j, why in gaps]
-    return values, gaps, runs
+             time.perf_counter() - t0)
+    return values, failed, runs
+
+
+def _gaps(points, failed) -> list:
+    """The rows ``failed`` maps, as ``(index, point, "Type: message")`` in
+    grid order."""
+    return [(j, float(points[j]), describe(exc))
+            for j, exc in sorted(failed.items())]
 
 
 def _initial(n_modes: int, a_s, a_p: float) -> np.ndarray:
@@ -552,12 +529,12 @@ def gain_spectrum(m: MediumParams, pump: ToneConfig, signal_omegas,
     grid [rad/s]; each point integrates straight to x = N, a grid of at
     least ``_BATCH_MIN`` in-band points as one batch.  A point that fails
     with a ``TwpaError`` (plasma guard, negative idler, stiff run) is a
-    NaN gap, by :func:`errors.sweep`; a point outside the model gets the
-    error :func:`phasematch.dk_total` raises, checked in its order (pump
-    guard first).  A grid that is not strictly increasing, an ``rtol``
-    outside ``RTOL_RANGE`` or a signal power whose amplitude is not
-    finite and positive raises ``ValueError`` before any point is
-    integrated."""
+    NaN gap, a stiff row split off from its batch's other rows; a point
+    outside the model gets the error :func:`phasematch.dk_total` raises,
+    checked in its order (pump guard first).  A grid that is not strictly
+    increasing, an ``rtol`` outside ``RTOL_RANGE`` or a signal power
+    whose amplitude is not finite and positive raises ``ValueError``
+    before any point is integrated."""
     omegas = _increasing(signal_omegas, "frequency")
     _validate_rtol(rtol)
     a_p = amplitude_from_dbm(m, pump.freq, pump.power_dbm, amp_scale)
@@ -573,12 +550,12 @@ def gain_spectrum(m: MediumParams, pump: ToneConfig, signal_omegas,
         frequencies = _ladder_4wm(omegas[rows], pump.freq)
         return lambda: _propagate(m, rhs, theta, y0, frequencies, rtol, 2)
 
-    gain, gaps, runs = _spectrum("gain", omegas, errors, build,
-                                 lambda traj: (_gain_db_from(traj),))
+    gain, failed, runs = _spectrum("gain", omegas.size, errors, build,
+                                   lambda traj: (_gain_db_from(traj),))
     meta = {"pump": pump, "amp_scale": amp_scale, "beta": beta,
             "gamma": gamma, "signal_power_dbm": signal_power_dbm}
     return GainSpectrum(omega=omegas, gain_db=gain[:, 0], metadata=meta,
-                        gaps=gaps, solver_stats=runs)
+                        gaps=_gaps(omegas, failed), solver_stats=runs)
 
 
 @dataclass
@@ -621,8 +598,10 @@ def saturation_curve(m: MediumParams, pump: ToneConfig, omega_s: float,
         frequencies = _ladder_4wm(np.full(rows.size, omega_s), pump.freq)
         return lambda: _propagate(m, rhs, theta, y0, frequencies, rtol, 2)
 
-    gain, _, runs = _spectrum("saturation", powers, {}, build,
-                              lambda traj: (_gain_db_from(traj),), each=_each)
+    gain, failed, runs = _spectrum("saturation", powers.size, {}, build,
+                                   lambda traj: (_gain_db_from(traj),))
+    if failed:
+        raise failed[min(failed)]
     gain = gain[:, 0]
     g0 = gain[0]
     comp = None
@@ -649,7 +628,7 @@ def isolation_spectrum(m: MediumParams, ip_pump: ToneConfig, signal_omegas,
     integrates straight to x = N, a grid of at least ``_BATCH_MIN``
     in-band points as one batch.  Grid points that fail with a
     ``TwpaError`` (e.g. a mode ladder above the 0.95 * omegaJ guard)
-    become gaps, by :func:`errors.sweep`.  A grid that is not strictly
+    become gaps, as in :func:`gain_spectrum`.  A grid that is not strictly
     increasing, an ``rtol`` outside ``RTOL_RANGE`` or a signal power
     whose amplitude is not finite and positive raises ``ValueError``
     before any point is integrated."""
@@ -674,10 +653,10 @@ def isolation_spectrum(m: MediumParams, ip_pump: ToneConfig, signal_omegas,
         n = traj.photon_flux()
         return _gain_db_from(traj), (n[-1, 3] + n[-1, 4]) / n[0, 0]
 
-    values, gaps, runs = _spectrum("isolation", omegas, errors, build,
-                                   finish, width=2)
+    values, failed, runs = _spectrum("isolation", omegas.size, errors,
+                                     build, finish, width=2)
     meta = {"pump": ip_pump, "amp_scale": amp_scale, "beta": beta,
             "signal_power_dbm": signal_power_dbm}
     return GainSpectrum(omega=omegas, gain_db=values[:, 0], metadata=meta,
-                        upconverted_fraction=values[:, 1], gaps=gaps,
-                        solver_stats=runs)
+                        upconverted_fraction=values[:, 1],
+                        gaps=_gaps(omegas, failed), solver_stats=runs)

@@ -1,6 +1,5 @@
-"""Domain error types, and :func:`sweep`, which turns them into gaps."""
-
-import numpy as np
+"""Domain error types, and :func:`describe`, the reason a grid row that
+raised one gives for its gap."""
 
 
 class TwpaError(Exception):
@@ -69,20 +68,3 @@ def describe(exc: TwpaError) -> str:
     """A gap's reason: ``"Type: message"``."""
     return f"{type(exc).__name__}: {exc}"
 
-
-def sweep(fn, points, width=1):
-    """Evaluate ``fn`` at every grid point; returns ``(values, gaps)``.
-
-    Row ``i`` of the ``(n, width)`` float array ``values`` is
-    ``fn(points[i])``.  A point whose ``fn`` raises a :class:`TwpaError`
-    keeps a NaN row and is recorded in ``gaps``, in grid order, as
-    ``(index, point, "Type: message")``; any other exception propagates.
-    """
-    values = np.full((len(points), width), np.nan)
-    gaps = []
-    for idx, point in enumerate(points):
-        try:
-            values[idx] = fn(point)
-        except TwpaError as exc:
-            gaps.append((idx, float(point), describe(exc)))
-    return values, gaps

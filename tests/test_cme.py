@@ -14,7 +14,7 @@ from twpasim import (MediumParams, ModeSet3WM, ModeSet4WM, ToneConfig,
 from twpasim import cme
 from twpasim.errors import (AbovePlasmaCutoff, DomainError, NegativeIdler,
                             StepFailure, describe)
-from twpasim.phasematch import _grid, breakdown_grid
+from twpasim.phasematch import _grid, _point, breakdown_grid
 
 W_AP = 2 * math.pi * 9.2e9
 W_S = 2 * math.pi * 7.6e9
@@ -500,6 +500,77 @@ STEP_UNDERFLOW = ("StepFailure: step size underflow or non-finite state "
                   "(stiff or blowing-up run)")
 
 
+def _terms(table):
+    """A table's monomials, in its order, as ``(mode, "factors")`` named
+    as the table names them."""
+    n = len(table.names)
+
+    def name(j):
+        return table.names[j % n] + "*" * (j >= n)
+
+    return [(table.names[mode], " ".join(map(name, factors)))
+            for mode, _, factors in table.monomials]
+
+
+class TestTables:
+    """A table is only its monomials: loss and rotation, then the pump's
+    and the harmonic's cross-Kerr on every mode, then the mixing terms,
+    the order the evaluator has always summed them in."""
+
+    MIXING_4WM = [("s", "ap ap i*"), ("s", "s+ap ap*"), ("ap", "ap* 2ap"),
+                  ("ap", "s i ap*"), ("i", "ap ap s*"), ("i", "i+ap ap*"),
+                  ("2ap", "ap ap"), ("s+ap", "s ap"), ("i+ap", "i ap")]
+
+    def table_4wm(self, m, beta, pump_depletion=True):
+        k, wt = _point(m, W_S, W_AP, 6)
+        return cme._table_4wm(k, wt, m.tan_delta, beta, FIT["gamma"],
+                              pump_depletion)
+
+    def test_4wm_terms(self, medium_035):
+        modes = cme._MODES_4WM
+        terms = _terms(self.table_4wm(medium_035, FIT["beta"]))
+        assert terms == ([(m, m) for m in modes]
+                         + [(m, f"ap ap* {m}") for m in modes]
+                         + [(m, f"2ap 2ap* {m}") for m in modes]
+                         + self.MIXING_4WM)
+        assert len(terms) == 6 + 12 + 9
+
+    def test_4wm_without_beta_or_depletion(self, medium_035):
+        """The terms that vanish on every point are dropped: ``beta = 0``
+        removes the six second-order terms, no pump depletion one more."""
+        full = _terms(self.table_4wm(medium_035, FIT["beta"]))
+        no_beta = _terms(self.table_4wm(medium_035, 0.0))
+        assert len(no_beta) == 21
+        assert [t for t in full if t not in no_beta] == [
+            ("s", "s+ap ap*"), ("ap", "ap* 2ap"), ("i", "i+ap ap*"),
+            ("2ap", "ap ap"), ("s+ap", "s ap"), ("i+ap", "i ap")]
+        stiff = _terms(self.table_4wm(medium_035, FIT["beta"], False))
+        assert [t for t in full if t not in stiff] == [("ap", "s i ap*")]
+
+    def test_3wm_terms(self, medium_035):
+        w = cme._frequencies_3wm(W_S, W_IP)
+        k = [cme.wavevector(medium_035, x, guard=cme.PLASMA_GUARD_3WM)
+             for x in w]
+        wt = [cme.omega_tilde(medium_035, x) for x in w]
+        table = cme._table_3wm(k, wt, medium_035.tan_delta, FIT["beta"])
+        modes = cme._MODES_3WM
+        assert len(table.monomials) == 5 + 6
+        assert _terms(table) == [(m, m) for m in modes] + [
+            ("s", "s+ip ip*"), ("ip", "ip* 2ip"), ("2ip", "ip ip"),
+            ("s+ip", "s ip"), ("s+ip", "s+2ip ip*"), ("s+2ip", "s+ip ip")]
+        # second-order couplings only: no three-factor (Kerr) term
+        assert max(len(f) for _, _, f in table.monomials) == 2
+
+    def test_rotation_terms_carry_loss_and_rates(self, medium_035):
+        """The one-factor term of mode m is ``-k_m'' - i theta_m``."""
+        table = self.table_4wm(medium_035, FIT["beta"])
+        k, _ = _point(medium_035, W_S, W_AP, 6)
+        loss = [-kj * medium_035.tan_delta / 2.0
+                for kj in (k[1], k[0], k[2], k[3], k[4], k[5])]
+        assert [c for _, c, f in table.monomials if len(f) == 1] == [
+            c - 1j * r for c, r in zip(loss, table.theta)]
+
+
 def _batch_gain(m, system, omegas):
     """Gain and upconverted fraction (NaN for the six-mode system) of every
     signal frequency in ``omegas``, in any order, from one batched run
@@ -528,6 +599,32 @@ def _batch_gain(m, system, omegas):
     fraction = ((n[-1, 3] + n[-1, 4]) / n[0, 0] if system == "3wm"
                 else np.full(omegas.size, np.nan))
     return np.column_stack([cme._gain_db_from(traj), fraction])
+
+
+def _stiff_build(m, omegas, stiff):
+    """A ``_spectrum`` build of gain rows at ``omegas``, one table per row,
+    whose row ``stiff`` (None for none) carries the absurd Kerr coupling
+    of test_kernels (``gamma = 1e12``) and raises StepFailure in any
+    batch."""
+    a_p = amplitude_from_dbm(m, W_AP, -78.0)
+
+    def modes(j):
+        return ModeSet4WM.initial(omegas[j], W_AP, 1e-6, a_p)
+
+    def build(rows):
+        fns, thetas = zip(*[cme._rhs_4wm(
+            m, modes(j), 0.0, 1e12 if j == stiff else FIT["gamma"], True)
+            for j in rows])
+
+        def rhs(x, y):
+            return np.column_stack([f(x, y[:, b]) for b, f in enumerate(fns)])
+
+        y0 = np.column_stack([modes(j).amplitudes for j in rows])
+        freqs = np.column_stack([modes(j).frequencies for j in rows])
+        return lambda: cme._propagate(m, rhs, np.column_stack(thetas), y0,
+                                      freqs, 1e-8, 2)
+
+    return build
 
 
 class TestBatches:
@@ -655,40 +752,56 @@ class TestBatches:
 
     def test_stiff_row_is_a_gap_of_its_own(self, medium_035):
         """A batch with one stiff row (the absurd Kerr coupling of
-        test_kernels) raises StepFailure; its rows then run one by one, as
-        batches of one, so the stiff row alone is a gap and every other
-        row is its own run's value."""
-        m = medium_035
+        test_kernels) raises StepFailure; it splits into rows 0-2, which
+        fail again and split, and rows 3-4, below the crossover, so every
+        row runs alone, as a batch of one: the stiff row alone is a gap
+        and every other row is its own run's value."""
         omegas = 2 * math.pi * np.linspace(6e9, 9e9, 5)
-        gammas = [FIT["gamma"]] * 5
-        gammas[2] = 1e12
-        a_p = amplitude_from_dbm(m, W_AP, -78.0)
-
-        def modes(j):
-            return ModeSet4WM.initial(omegas[j], W_AP, 1e-6, a_p)
-
-        def build(rows):
-            fns, thetas = zip(*[cme._rhs_4wm(m, modes(j), 0.0, gammas[j],
-                                             True) for j in rows])
-
-            def rhs(x, y):
-                return np.column_stack([f(x, y[:, b])
-                                        for b, f in enumerate(fns)])
-
-            y0 = np.column_stack([modes(j).amplitudes for j in rows])
-            freqs = np.column_stack([modes(j).frequencies for j in rows])
-            return lambda: cme._propagate(m, rhs, np.column_stack(thetas),
-                                          y0, freqs, 1e-8, 2)
-
+        build = _stiff_build(medium_035, omegas, 2)
         with pytest.raises(StepFailure):
             build(range(5))()
-        values, gaps, runs = cme._spectrum(
-            "gain", omegas, {}, build,
+        values, failed, runs = cme._spectrum(
+            "gain", omegas.size, {}, build,
             lambda traj: (cme._gain_db_from(traj),))
-        assert gaps == [(2, float(omegas[2]), STEP_UNDERFLOW)]
+        assert cme._gaps(omegas, failed) == [
+            (2, float(omegas[2]), STEP_UNDERFLOW)]
         assert [r["rows"] for r in runs] == [1, 1, 1, 1]
+        assert np.isnan(values[2, 0])
         for j in (0, 1, 3, 4):
             assert values[j, 0] == cme._gain_db_from(build([j])())
+
+    def test_failed_batch_splits_in_halves(self, medium_035):
+        """On 12 rows with one stiff row only the half, and then the
+        quarter, that holds it split further: the other rows finish in
+        the batches that did not fail, each row with its batch's value, and
+        the stiff row is the only gap."""
+        omegas = 2 * math.pi * np.linspace(5e9, 10e9, 12)
+        build = _stiff_build(medium_035, omegas, 8)
+        values, failed, runs = cme._spectrum(
+            "gain", omegas.size, {}, build,
+            lambda traj: (cme._gain_db_from(traj),))
+        assert cme._gaps(omegas, failed) == [
+            (8, float(omegas[8]), STEP_UNDERFLOW)]
+        # rows 0-5, then 6 and 7 below the crossover, then 9-11
+        batches = [[0, 1, 2, 3, 4, 5], [6], [7], [9, 10, 11]]
+        assert [r["rows"] for r in runs] == [len(b) for b in batches]
+        for rows in batches:
+            assert (values[rows, 0]
+                    == cme._gain_db_from(build(rows)())).all(), rows
+
+    def test_errors_are_failed_rows(self, medium_035):
+        """The rows ``errors`` names come back in the failed map, NaN, and
+        the rest integrate as one batch."""
+        omegas = 2 * math.pi * np.linspace(6e9, 9e9, 5)
+        error = NegativeIdler("named before integrating")
+        values, failed, runs = cme._spectrum(
+            "gain", omegas.size, {1: error},
+            _stiff_build(medium_035, omegas, None),
+            lambda traj: (cme._gain_db_from(traj),))
+        assert failed == {1: error}
+        assert np.isnan(values[1, 0])
+        assert np.isfinite(values[[0, 2, 3, 4], 0]).all()
+        assert [r["rows"] for r in runs] == [4]
 
     def test_stiff_batch_rows_are_gaps(self, medium_035):
         """The gain spectrum with the absurd coupling on every row: the

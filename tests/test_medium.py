@@ -8,7 +8,7 @@ import pytest
 from twpasim import (MediumParams, amplitude_from_dbm,
                      linear_transmission_db, loss_wavevector,
                      power_dbm_from_amplitude, wavevector)
-from twpasim.errors import AbovePlasmaCutoff, DomainError, sweep
+from twpasim.errors import AbovePlasmaCutoff, DomainError, describe
 from twpasim.medium import band_error, in_band, omega_tilde
 
 
@@ -48,14 +48,20 @@ class TestWavevector:
         with pytest.raises(DomainError, match="omega must be positive"):
             wavevector(medium_zero_flux, omega)
 
-    def test_nonpositive_frequency_is_a_sweep_gap(self, medium_zero_flux):
+    def test_nonpositive_frequency_is_a_grid_gap(self, medium_zero_flux):
+        """A grid task masks the points outside the band, as the
+        dispersion task does: a negative frequency is a gap with the
+        error wavevector raises there, and the other keeps its value."""
+        m = medium_zero_flux
         w = 2 * math.pi * 7e9
-        values, gaps = sweep(lambda x: wavevector(medium_zero_flux, x),
-                             [-w, w])
-        assert math.isnan(values[0, 0])
-        assert values[1, 0] == wavevector(medium_zero_flux, w)
-        assert gaps == [(0, -w, f"DomainError: omega must be positive, "
-                                f"got {-w}")]
+        grid = np.array([-w, w])
+        ok = in_band(m, grid)
+        assert ok.tolist() == [False, True]
+        assert wavevector(m, grid[ok]).tolist() == [wavevector(m, w)]
+        error = band_error(m, grid[0])
+        assert isinstance(error, DomainError)
+        assert describe(error) == (f"DomainError: omega must be positive, "
+                                   f"got {-w}")
 
     def test_strictly_increasing_and_convex(self, medium_zero_flux):
         m = medium_zero_flux
