@@ -2,14 +2,16 @@
 
 ``integrate`` combines the stages as NumPy arrays and keeps the step
 control (position, step size, error norm) in Python floats.  It takes the
-right-hand side as its first argument, a callable ``rhs(x, y)``: ``y`` is
-a complex array that is valid only during the call (the stepper reuses
-its memory), and ``rhs`` returns dy/dx as any sequence of ``len(y)``
-numbers, a list or an array.  The state is one vector of modes or a
-batch of them, the columns of an ``(n, B)`` array that share one step
-sequence.  The right-hand sides themselves are built, with their
-coefficients, in :mod:`twpasim.cme`.  A run that cannot be completed
-raises ``StepFailure`` and returns no partial samples.
+right-hand side as its first argument: an :class:`InPlace`, which it
+fills and evaluates in buffers the two share, or a plain callable
+``rhs(x, y)``, which it wraps once.  Such an ``rhs`` gets a complex ``y``
+that is valid only during the call (the stepper reuses its memory) and
+returns dy/dx as any sequence of ``len(y)`` numbers, a list or an array.
+The state is one vector of modes or a batch of them, the columns of an
+``(n, B)`` array that share one step sequence.  The right-hand sides
+themselves are built, with their coefficients, in :mod:`twpasim.cme`.  A
+run that cannot be completed raises ``StepFailure`` and returns no
+partial samples.
 
 The method is DOP853 (Hairer, Norsett & Wanner, *Solving Ordinary
 Differential Equations I*, 2nd ed., 1993, section II.10): twelve stages
@@ -21,15 +23,19 @@ evaluations.
 
 On five or six modes NumPy's fixed cost per call, not the arithmetic,
 sets the price of a stage, so the tableau is augmented to make each
-stage one call.  The state and the thirteen stages are the rows of one
-``(14, n * B)`` array ``z = [y, k_0 .. k_12]``, each row a flattened
-state (B = 1 for one state of shape ``(n,)``); the weights are one real
-``(13, 13)`` array whose column 0 is 1 and whose other columns are
-``h * [A; B]``, refreshed once per attempted step.  A stage's input
-``y + h * (A[s, :s] @ k[:s])`` is then ``w[s, :s+1] @ z[:s+1]``, taken
-against the real and imaginary parts of the stages, the eighth-order
-solution is ``w[12] @ z[:13]``, and both error estimates are one product
-``[E5; E3] @ k``.  One state and a batch take the same products.
+stage input one call.  The state and the thirteen stages are the rows of
+one ``(14, n * B)`` array ``z = [y, k_0 .. k_12]``, each row a flattened
+state (B = 1 for one state of shape ``(n,)``); stage s weights the rows
+before it by ``[1, h * A[s, :s]]`` (``h * B`` for the eighth-order
+solution), refreshed once per attempted step.  A stage's input
+``y + h * (A[s, :s] @ k[:s])`` is then one matrix product against the
+real and imaginary parts of ``z[:s+1]``, written straight into the
+evaluator's state, and the evaluator writes dy/dx straight into the
+stage's row of ``z``: a stage of a coupling table (``cme._TableRhs``)
+is that product, a conjugate, a gather, the factor products and one
+scatter product, with no copy and no allocation.  Both error estimates
+are one product ``[E5; E3] @ k``, and their norm reuses ``|y|`` from the
+step that produced ``y``.  One state and a batch take the same products.
 """
 
 import math
@@ -137,13 +143,56 @@ _E3[0] -= 0.244094488188976377952755905512
 _E3[8] -= 0.733846688281611857341361741547
 _E3[11] -= 0.220588235294117647058823529412e-1
 
-# What the stepper reads on every step: the nodes as Python floats and
-# the augmented tableau (module docstring), which it scales by h into its
-# weights.  The error weights are complex, because np.dot would otherwise
+# What the stepper reads on every step: the nodes as Python floats, with
+# a last 1.0 for the thirteenth stage at the new point, the augmented
+# tableau (module docstring) laid out as below, which it scales by h, and
+# the error weights.  Those are complex, because np.dot would otherwise
 # cast them against the complex stages on every call.
-_C_NODES = _C.tolist()
+_NODES = _C.tolist() + [1.0]
 _AB = np.vstack([_A, _B])
+# Stage s (1..12) weights the rows of z before it by [1, h * _AB[s, :s]],
+# twice over (see `integrate`), from a C-contiguous (2, s + 1) block of
+# one flat array, which BLAS takes faster than a strided one: _BLOCKS
+# holds each block's bounds, _W the unscaled weights and _W_ONES the
+# places of the 1s, which the stepper puts back after scaling by h.
+_BLOCKS = [((s - 1) * (s + 2), s * (s + 3)) for s in range(1, 13)]
+_W = np.ones(_BLOCKS[-1][1])
+for _s, (_a, _b) in enumerate(_BLOCKS, 1):
+    _W[_a:_b].reshape(2, _s + 1)[:, 1:] = _AB[_s, :_s]
+_W_ONES = np.array([i for a, b in _BLOCKS for i in (a, (a + b) // 2)])
 _E53 = np.vstack([_E5, _E3]).astype(np.complex128)
+
+
+class InPlace:
+    """A right-hand side that the stepper evaluates in its own buffers.
+
+    ``state`` is a complex ``(2,) + shape`` array.  Before an evaluation
+    the stepper writes the stage's ``y`` into both of its rows, and
+    ``into(x, out)`` writes dy/dx at ``(x, state[0])`` into ``out``,
+    leaving ``state[0]`` as it is (``state[1]`` it may overwrite).
+    Called as ``rhs(x, y)``, it returns dy/dx as a new array, like any
+    right-hand side."""
+
+    def __init__(self, state, into):
+        self.state, self.into = state, into
+
+    def __call__(self, x, y):
+        self.state[...] = y
+        out = np.empty_like(self.state[0])
+        self.into(x, out)
+        return out
+
+
+def _adapt(rhs, shape):
+    """A plain ``rhs(x, y)`` as an :class:`InPlace`: ``y`` is
+    ``state[0]``, and the result is copied into ``out``."""
+    state = np.empty((2,) + shape, dtype=np.complex128)
+    y = state[0]
+
+    def into(x, out):
+        out[...] = rhs(x, y)
+
+    return InPlace(state, into)
 
 
 def integrate(rhs, y0, x_eval, rtol, atol, max_steps, stats=None):
@@ -159,11 +208,14 @@ def integrate(rhs, y0, x_eval, rtol, atol, max_steps, stats=None):
     decides, so every column takes the step sequence of the hardest one;
     for one state that is DOP853's norm itself.
 
-    ``rhs(x, y)`` gets a complex array shaped like ``y0`` that is valid
-    only during the call and returns dy/dx in that shape (for one state,
-    any sequence of len(y0) numbers).  One state runs as a batch of one:
-    the same products, the same bits as its ``(n, 1)`` column.  ``y0``
-    itself is never written.
+    ``rhs`` is an :class:`InPlace` whose ``state`` fits ``y0``, which
+    the stepper fills and evaluates in place, or a plain ``rhs(x, y)``.
+    That gets a complex array shaped like ``y0`` that is valid only
+    during the call and returns dy/dx in that shape (for one state, any
+    sequence of len(y0) numbers); the stepper wraps it once.  Both take
+    the same products, to the same bits.  One state runs as a batch of
+    one: the same products, the same bits as its ``(n, 1)`` column.
+    ``y0`` itself is never written.
     A ``stats`` dict, if given, receives the run's ``accepted`` and
     ``rejected`` steps, ``rhs_calls`` and ``min_step``, the smallest step
     size the controller chose (before a step is cut short to land on a
@@ -172,6 +224,9 @@ def integrate(rhs, y0, x_eval, rtol, atol, max_steps, stats=None):
     n_out = len(xs)
     shape = y0.shape
     n = shape[0]
+    if not isinstance(rhs, InPlace):
+        rhs = _adapt(rhs, shape)
+    state, into = rhs.state, rhs.into
     out = np.zeros((n_out,) + shape, dtype=np.complex128)
     # the stages, flattened so that each is one product with a weight row;
     # `zs` views them in the state's shape
@@ -179,21 +234,29 @@ def integrate(rhs, y0, x_eval, rtol, atol, max_steps, stats=None):
     zs = z.reshape((14,) + shape)
     # BLAS's vector product rounds its last few columns apart from the
     # rest, which would tie a row's result to its place in the batch; its
-    # matrix product does not, so each weight row gets a second, zero row,
-    # against the stages' real and imaginary parts
-    w = np.zeros((13, 2, 13))
-    w[:, 0, 0] = 1.0
-    hw = w[:, 0, 1:]
-    # views built once: stage s reads rows[s] against heads[s]
-    rows = [w[s, :, :s + 1] for s in range(13)]
-    heads = [z[:s + 1].view(np.float64) for s in range(13)]
-    buffer = np.empty((2, 2 * y0.size))
-    stage = buffer[0].view(np.complex128).reshape(shape)
+    # matrix product does not, so each weight row is taken twice, against
+    # the stages' real and imaginary parts, and the product fills both
+    # rows of the evaluator's state: y, and the slot it conjugates
+    w = np.empty(_W.size)
+    # views built once: stage s (1..12) takes its weight rows against the
+    # rows of z before it, at its node, into its row of z
+    stages = [(w[a:b].reshape(2, s + 1), z[:s + 1].view(np.float64),
+               _NODES[s], zs[s + 1]) for s, (a, b) in enumerate(_BLOCKS, 1)]
+    target = state.view(np.float64).reshape(2, 2 * y0.size)
+    stage = state[0]
     ks = z[1:]
     y = zs[0]
+    # the error norm's buffers; `mag` holds |y|, `mag_new` |stage|
+    mag, mag_new, scale = (np.empty(shape) for _ in range(3))
+    e53 = np.empty((2, y0.size), dtype=np.complex128)
+    e53_modes = e53.reshape((2,) + shape)
+    e53_abs = np.empty((2,) + shape)
+    sums = np.empty((2, y0.size // n))
+    sums_out = sums.reshape((2,) + shape[1:])
 
     x = xs[0]
     y[...] = y0
+    np.abs(y, out=mag)
     out[0] = y
 
     span = xs[-1] - xs[0]
@@ -210,7 +273,8 @@ def integrate(rhs, y0, x_eval, rtol, atol, max_steps, stats=None):
         stats.update(accepted=accepted, rejected=steps - accepted,
                      rhs_calls=1 + 12 * steps, min_step=h_low)
 
-    zs[1] = rhs(x, y)
+    state[...] = y
+    into(x, zs[1])
     for i_out in range(1, n_out):
         x_next = xs[i_out]
         while x < x_next:
@@ -219,22 +283,27 @@ def integrate(rhs, y0, x_eval, rtol, atol, max_steps, stats=None):
                 raise StepFailure(f"step budget of {max_steps} exhausted")
             steps += 1
             h_try = min(h, x_next - x)
-            np.multiply(_AB, h_try, out=hw)
+            np.multiply(_W, h_try, out=w)
+            w[_W_ONES] = 1.0
 
-            for s in range(1, 12):
-                np.dot(rows[s], heads[s], out=buffer)
-                zs[s + 1] = rhs(x + _C_NODES[s] * h_try, stage)
-            np.dot(rows[12], heads[12], out=buffer)
-            zs[13] = rhs(x + h_try, stage)
+            for row, head, node, k in stages:
+                np.dot(row, head, out=target)
+                into(x + node * h_try, k)
 
             # DOP853's combined norm of the 5th- and 3rd-order estimates
             # per column, 0 where its denominator vanishes (as in scipy; a
             # Python float would raise), then the largest, or the first NaN.
             # np.add.reduce is np.sum without the cost of its Python wrapper.
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(stage))
-            e5s, e3s = np.add.reduce(
-                (np.abs(np.dot(_E53, ks).reshape((2,) + shape)) / scale) ** 2,
-                axis=1).reshape(2, -1).tolist()
+            np.abs(stage, out=mag_new)
+            np.maximum(mag, mag_new, out=scale)
+            np.multiply(scale, rtol, out=scale)
+            np.add(scale, atol, out=scale)
+            np.dot(_E53, ks, out=e53)
+            np.abs(e53_modes, out=e53_abs)
+            np.divide(e53_abs, scale, out=e53_abs)
+            np.square(e53_abs, out=e53_abs)
+            np.add.reduce(e53_abs, axis=1, out=sums_out)
+            e5s, e3s = sums.tolist()
             err = 0.0
             for e5, e3 in zip(e5s, e3s):
                 denom = (e5 + 0.01 * e3) * n
@@ -249,6 +318,7 @@ def integrate(rhs, y0, x_eval, rtol, atol, max_steps, stats=None):
                 accepted += 1
                 x = x + h_try
                 y[...] = stage
+                mag, mag_new = mag_new, mag
                 z[1] = z[13]
                 fac = 5.0 if err == 0.0 else 0.9 * err ** -0.125
                 h = h_try * min(max(fac, 0.2), 5.0)

@@ -266,6 +266,14 @@ def _gap_metadata(gaps) -> dict:
                      for _, w, err in gaps]}
 
 
+def _solver_metadata(runs) -> dict:
+    """The step counts of a task's completed integrator runs (its
+    ``solver_stats``), summed: counts only, no timings and no step sizes,
+    so that a rerun writes the same bytes."""
+    keys = ("rows", "accepted", "rejected", "rhs_calls")
+    return {"runs": len(runs), **{k: sum(r[k] for r in runs) for k in keys}}
+
+
 def _grid_rows(omegas, *columns) -> list:
     return np.column_stack((omegas / (2 * math.pi),) + columns).tolist()
 
@@ -317,7 +325,8 @@ def _task_gain(cfg: dict):
     # the gaps listed are the gain column's
     return (["freq_hz", "gain_db", "dk_total_rad_per_cell"],
             _grid_rows(omegas, spec.gain_db, dk[:, 3]),
-            _gap_metadata(spec.gaps))
+            {**_gap_metadata(spec.gaps),
+             "solver": _solver_metadata(spec.solver_stats)})
 
 
 def _task_isolation(cfg: dict):
@@ -331,7 +340,8 @@ def _task_isolation(cfg: dict):
                               rtol=cfg["solver_rtol"])
     return (["freq_hz", "isolation_db", "upconverted_fraction"],
             _grid_rows(omegas, spec.gain_db, spec.upconverted_fraction),
-            _gap_metadata(spec.gaps))
+            {**_gap_metadata(spec.gaps),
+             "solver": _solver_metadata(spec.solver_stats)})
 
 
 def _task_saturation(cfg: dict):
@@ -347,7 +357,8 @@ def _task_saturation(cfg: dict):
                            rtol=cfg["solver_rtol"])
     rows = [[p, g] for p, g in zip(res.power_dbm, res.gain_db)]
     meta = {"small_signal_gain_db": res.small_signal_gain_db,
-            "compression_1db_dbm": res.compression_1db_dbm}
+            "compression_1db_dbm": res.compression_1db_dbm,
+            "solver": _solver_metadata(res.solver_stats)}
     return ["signal_power_dbm", "gain_db"], rows, meta
 
 

@@ -19,11 +19,14 @@ as named values and write the system once, as a coupling table
 (``_Table``), for one point (floats) or a batch of points (arrays), in
 the rotating frame ``u = y exp(-i theta x)`` whose rates balance every
 mixing term, so that it has no phase factors.  One evaluator,
-``_batch_rhs``, turns a table into ``rhs(x, u) -> du/dx``, five NumPy
-calls for one point or a batch, which :func:`twpasim._kernels.integrate`
-steps (raising ``StepFailure``); ``_propagate`` returns the lab-frame
-``y``.  The six-mode ladder, band checks and mismatches come from
-``phasematch``.
+``_TableRhs`` (built by ``_batch_rhs``), turns a table into ``rhs(x, u)
+-> du/dx`` for one point or a batch, which
+:func:`twpasim._kernels.integrate` steps in place (raising
+``StepFailure``): the stepper writes each stage's ``u`` straight into
+the evaluator's stack, and a conjugate, a gather, the factor products
+and one scatter product write ``du/dx`` straight into the stepper's
+stage.  ``_propagate`` returns the lab-frame ``y``.  The six-mode
+ladder, band checks and mismatches come from ``phasematch``.
 The spectra integrate a grid of at least ``_BATCH_MIN`` in-band points
 as one batch, and one point at a time, each a batch of one, below that
 size; a batch that fails splits in halves until each failing point is
@@ -323,39 +326,58 @@ def _table_3wm(k, wt, tan_delta: float, beta: float) -> _Table:
     ], theta)
 
 
-def _batch_rhs(t: _Table, shape: tuple):
-    """The rotating-frame ``rhs(x, u) -> du/dx`` of a table and its rates
-    ``theta``, shaped like ``u``: ``(n,) + shape``, with ``shape`` ``()``
-    for one point's floats or ``(B,)`` for a batch, whose coefficients are
-    arrays of B entries or floats that every column shares.
+class _TableRhs(_kernels.InPlace):
+    """The rotating-frame ``rhs(x, u) -> du/dx`` of a table, shaped like
+    ``u``: ``(n,) + shape``, with ``shape`` ``()`` for one point's floats
+    or ``(B,)`` for a batch, whose coefficients are arrays of B entries or
+    floats that every column shares.  The stepper evaluates it in place
+    (:class:`twpasim._kernels.InPlace`).
 
     Each coefficient is a row of the stack ``[u, conj u, 1,
-    coefficients]``, so a monomial is a column of indices into it: its
-    coefficient, its factors, then the 1 as padding.  An evaluation fills
-    ``u`` and its conjugate, gathers all factors at once, multiplies them
-    from the left and sums the products into their modes by one product
-    with a 0/1 matrix."""
-    n = len(t.names)
+    coefficients]``, whose first two blocks are the stepper's ``state``,
+    so a monomial is a column of ``gather``, indices into the stack: its
+    coefficient, its factors, then the 1 as padding.  An evaluation
+    conjugates its slot in place, gathers all factors at once, multiplies
+    them from the left and sums the products into their modes by one
+    product with a 0/1 matrix, each into a buffer of its own."""
+
+    def __init__(self, t: _Table, shape: tuple):
+        n = len(t.names)
+        modes, coeffs, factors = zip(*t.monomials)
+        one, width = 2 * n, 1 + max(map(len, factors))
+        stack = np.empty((one + 1 + len(coeffs),) + shape,
+                         dtype=np.complex128)
+        stack[one] = 1.0
+        stack[one + 1:] = [np.broadcast_to(c, shape) for c in coeffs]
+        gather = np.array([(one + 1 + j,) + f + (one,) * (width - 1 - len(f))
+                           for j, f in enumerate(factors)]).T.copy()
+        scatter = np.zeros((n, len(modes)), dtype=np.complex128)
+        scatter[modes, np.arange(len(modes))] = 1.0
+        conj = stack[n:one]
+        gathered = np.empty(gather.shape + shape, dtype=np.complex128)
+        products = np.empty(gather.shape[1:] + shape, dtype=np.complex128)
+        first, second, *rest = gathered
+
+        def into(x, out):
+            np.conjugate(conj, out=conj)
+            # take is stack[gather] without the cost of fancy indexing;
+            # "clip" writes straight into `gathered`, where the default
+            # "raise" buffers it (every index is in range by construction)
+            stack.take(gather, axis=0, out=gathered, mode="clip")
+            np.multiply(first, second, out=products)
+            for f in rest:
+                np.multiply(products, f, out=products)
+            np.dot(scatter, products, out=out)
+
+        super().__init__(stack[:one].reshape((2, n) + shape), into)
+        self.stack, self.gather = stack, gather
+
+
+def _batch_rhs(t: _Table, shape: tuple):
+    """The :class:`_TableRhs` of a table for a state of shape ``(n,) +
+    shape``, and the table's rates ``theta`` broadcast to ``shape``."""
     theta = np.array([np.broadcast_to(r, shape) for r in t.theta])
-    modes, coeffs, factors = zip(*t.monomials)
-    one, width = 2 * n, 1 + max(map(len, factors))
-    stack = np.empty((one + 1 + len(coeffs),) + shape, dtype=np.complex128)
-    stack[one] = 1.0
-    stack[one + 1:] = [np.broadcast_to(c, shape) for c in coeffs]
-    gather = np.array([(one + 1 + j,) + f + (one,) * (width - 1 - len(f))
-                       for j, f in enumerate(factors)]).T.copy()
-    scatter = np.zeros((n, len(modes)), dtype=np.complex128)
-    scatter[modes, np.arange(len(modes))] = 1.0
-    u, conj = stack[:n], stack[n:one]
-
-    def rhs(x, y):
-        u[...] = y
-        np.conjugate(y, out=conj)
-        # take is stack[gather] without the cost of fancy indexing
-        return np.dot(scatter, np.multiply.reduce(stack.take(gather, axis=0),
-                                                  axis=0))
-
-    return rhs, theta
+    return _TableRhs(t, shape), theta
 
 
 def _rhs_4wm(m: MediumParams, modes: ModeSet4WM, beta: float, gamma: float,

@@ -140,13 +140,24 @@ def amplitude_from_dbm(m: MediumParams, omega: float, power_dbm: float,
     underflows to zero or overflows to infinity (for arrays, at the first
     that does): gains are ratios to it.
     """
-    bad = [w for w in np.ravel(omega).tolist() if not 0.0 < w < math.inf]
+    one = isinstance(omega, (float, int))
+    omegas = [omega] if one else np.ravel(omega).tolist()
+    bad = [w for w in omegas if not 0.0 < w < math.inf]
     if bad:
         raise ValueError(f"omega {bad[0]:g} rad/s is not finite and "
                          "positive")
     if not 0.0 < amp_scale < math.inf:
         raise ValueError(f"amp_scale {amp_scale:g} is not finite and "
                          "positive")
+    if one and isinstance(power_dbm, (float, int)):
+        # one number each: the arithmetic and the check below, on floats
+        power = float(power_dbm)
+        amp = (amp_scale * (2.0 * math.pi / PHI0)
+               * math.sqrt(2.0 * m.Z * _watts(power)) / omega)
+        if not 0.0 < amp < math.inf:
+            raise ValueError(f"power {power:g} dBm gives the amplitude "
+                             f"{amp:g}, which is not finite and positive")
+        return amp
     power = np.asarray(power_dbm, dtype=float)
     if power.ndim:
         # Python's float power, element by element: NumPy's differs from

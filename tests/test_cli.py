@@ -324,7 +324,48 @@ class TestRun:
         assert doc["constants"]["phi0"] == 2.067833848e-15
         got = np.array(doc["rows"], dtype=float)
         np.testing.assert_allclose(got, rows, rtol=1e-10)
-        assert doc["metadata"] == {"gaps": []}
+        assert doc["metadata"]["gaps"] == []
+        assert set(doc["metadata"]) == {"gaps", "solver"}
+
+    @pytest.mark.parametrize("fn, text", [
+        ("gain_spectrum", GAIN_CFG),
+        ("saturation_curve",
+         "task = saturation\nflux = 0.35\npump_freq_hz = 9.2e9\n"
+         "pump_power_dbm = -78\nsignal_freq_hz = 7.6e9\n"
+         "signal_power_points = 4\n"),
+        ("isolation_spectrum",
+         "task = isolation\nflux = 0.35\niso_pump_freq_hz = 12.2e9\n"
+         "iso_pump_power_dbm = -74\nsignal_points = 5\n"),
+    ], ids=["gain", "saturation", "isolation"])
+    def test_json_counts_the_solver_runs(self, tmp_path, monkeypatch, fn,
+                                         text):
+        """``metadata.solver`` sums the library's ``solver_stats``: runs,
+        rows, accepted and rejected steps and right-hand-side calls, and
+        nothing that could differ on a rerun."""
+        results, original = [], getattr(cli, fn)
+
+        def recording(*args, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, fn, recording)
+        cfg = validate(text)
+        docs = []
+        for n in range(2):
+            run(cfg, out_path=str(tmp_path / f"{n}.json"), out_format="json")
+            docs.append((tmp_path / f"{n}.json").read_bytes())
+        assert docs[0] == docs[1]
+        doc = json.loads(docs[0])
+        runs = results[0].solver_stats
+        keys = ("rows", "accepted", "rejected", "rhs_calls")
+        solver = doc["metadata"]["solver"]
+        assert solver == {"runs": len(runs),
+                          **{k: sum(r[k] for r in runs) for k in keys}}
+        # one batch of every row; one evaluation plus twelve per step
+        assert solver["runs"] == 1 and solver["rows"] == len(doc["rows"])
+        assert solver["accepted"] > 1
+        assert solver["rhs_calls"] == 1 + 12 * (solver["accepted"]
+                                                + solver["rejected"])
 
     def test_tunability_bands_shift_with_pump(self, tmp_path):
         """Three pump frequencies move the gain band monotonically."""

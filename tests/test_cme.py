@@ -547,12 +547,14 @@ class TestTables:
         stiff = _terms(self.table_4wm(medium_035, FIT["beta"], False))
         assert [t for t in full if t not in stiff] == [("ap", "s i ap*")]
 
-    def test_3wm_terms(self, medium_035):
+    def table_3wm(self, m):
         w = cme._frequencies_3wm(W_S, W_IP)
-        k = [cme.wavevector(medium_035, x, guard=cme.PLASMA_GUARD_3WM)
-             for x in w]
-        wt = [cme.omega_tilde(medium_035, x) for x in w]
-        table = cme._table_3wm(k, wt, medium_035.tan_delta, FIT["beta"])
+        k = [cme.wavevector(m, x, guard=cme.PLASMA_GUARD_3WM) for x in w]
+        wt = [cme.omega_tilde(m, x) for x in w]
+        return cme._table_3wm(k, wt, m.tan_delta, FIT["beta"])
+
+    def test_3wm_terms(self, medium_035):
+        table = self.table_3wm(medium_035)
         modes = cme._MODES_3WM
         assert len(table.monomials) == 5 + 6
         assert _terms(table) == [(m, m) for m in modes] + [
@@ -569,6 +571,25 @@ class TestTables:
                 for kj in (k[1], k[0], k[2], k[3], k[4], k[5])]
         assert [c for _, c, f in table.monomials if len(f) == 1] == [
             c - 1j * r for c, r in zip(loss, table.theta)]
+
+    @pytest.mark.parametrize("variant", ["4wm", "4wm-beta0",
+                                         "4wm-no-depletion", "3wm"])
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["point", "batch"])
+    def test_gather_stays_inside_the_stack(self, medium_035, variant, shape):
+        """The evaluator gathers with ``mode="clip"``, which would clamp an
+        index past the stack to its last row without a word: every index
+        of every table variant must address a row of the stack."""
+        m = medium_035
+        table = {"4wm": lambda: self.table_4wm(m, FIT["beta"]),
+                 "4wm-beta0": lambda: self.table_4wm(m, 0.0),
+                 "4wm-no-depletion": lambda: self.table_4wm(m, FIT["beta"],
+                                                            False),
+                 "3wm": lambda: self.table_3wm(m)}[variant]()
+        rhs, _ = cme._batch_rhs(table, shape)
+        assert rhs.stack.shape[1:] == shape
+        assert rhs.gather.shape[1] == len(table.monomials)
+        assert 0 <= rhs.gather.min()
+        assert rhs.gather.max() < len(rhs.stack)
 
 
 def _batch_gain(m, system, omegas):

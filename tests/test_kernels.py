@@ -9,8 +9,9 @@ import pytest
 from scipy.integrate import DOP853, solve_ivp
 
 from twpasim import ModeSet3WM, ModeSet4WM, amplitude_from_dbm
-from twpasim import _kernels
+from twpasim import _kernels, cme
 from twpasim.cme import _MAX_STEPS, _rhs_3wm, _rhs_4wm
+from twpasim.phasematch import _grid
 from twpasim.errors import StepFailure
 
 
@@ -31,6 +32,53 @@ def _upconversion_setup(medium):
     modes = ModeSet3WM.initial(2 * math.pi * 6e9, 2 * math.pi * 12.2e9,
                                a_s, a_p)
     return modes.amplitudes, _rhs_3wm(medium, modes, beta=0.104388)[0]
+
+
+def _batch_setup(medium, system):
+    """``(y0, rhs)`` of a four-row batch of the six-mode (``"4wm"``) or
+    five-mode (``"3wm"``) table, the operating points of the one-point
+    setups above at four signal frequencies."""
+    omegas = 2 * math.pi * np.linspace(5e9, 8e9, 4)
+    if system == "4wm":
+        w_p, p_dbm, n_modes = 2 * math.pi * 9.2e9, -78.0, 6
+        ok, _, k, wt = _grid(medium, omegas, w_p)
+        assert ok.all()
+        table = cme._table_4wm(k, wt, medium.tan_delta, 0.104388, 0.122339,
+                               True)
+    else:
+        w_p, p_dbm, n_modes = 2 * math.pi * 12.2e9, -74.0, 5
+        w = np.array(np.broadcast_arrays(*cme._frequencies_3wm(omegas, w_p)))
+        k = cme.wavevector(medium, w, guard=cme.PLASMA_GUARD_3WM)
+        table = cme._table_3wm(k, cme.omega_tilde(medium, w),
+                               medium.tan_delta, 0.104388)
+    y0 = cme._initial(n_modes, amplitude_from_dbm(medium, omegas, -130.0,
+                                                  1.55),
+                      amplitude_from_dbm(medium, w_p, p_dbm, 1.55))
+    return y0, cme._batch_rhs(table, omegas.shape)[0]
+
+
+@pytest.mark.parametrize("setup", [
+    _standard_setup, _upconversion_setup,
+    lambda m: _batch_setup(m, "4wm"), lambda m: _batch_setup(m, "3wm")],
+    ids=["4wm", "3wm", "4wm-batch", "3wm-batch"])
+def test_in_place_and_plain_callable_agree(medium_035, setup):
+    """The stepper evaluates a coupling table in place, in buffers the two
+    share, and wraps any other callable once; the same table behind a
+    plain ``rhs(x, y)`` gives the same samples, bit for bit, and the same
+    statistics."""
+    y0, rhs = setup(medium_035)
+    assert isinstance(rhs, _kernels.InPlace)
+    x_eval = np.linspace(0.0, 700.0, 5)
+    atol = 1e-10 * np.abs(y0).max(axis=0) * 1e-6
+    in_place, plain = {}, {}
+    y = _kernels.integrate(rhs, y0, x_eval, 1e-10, atol, _MAX_STEPS,
+                           in_place)
+    y_plain = _kernels.integrate(lambda x, y: rhs(x, y), y0, x_eval, 1e-10,
+                                 atol, _MAX_STEPS, plain)
+    assert y.shape == x_eval.shape + y0.shape
+    assert y.tobytes() == y_plain.tobytes()
+    assert in_place["accepted"] > 1
+    assert in_place == plain
 
 
 @pytest.mark.parametrize("setup", [_standard_setup, _upconversion_setup],
