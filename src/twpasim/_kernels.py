@@ -24,18 +24,22 @@ evaluations.
 On five or six modes NumPy's fixed cost per call, not the arithmetic,
 sets the price of a stage, so the tableau is augmented to make each
 stage input one call.  The state and the thirteen stages are the rows of
-one ``(14, n * B)`` array ``z = [y, k_0 .. k_12]``, each row a flattened
-state (B = 1 for one state of shape ``(n,)``); stage s weights the rows
-before it by ``[1, h * A[s, :s]]`` (``h * B`` for the eighth-order
-solution), refreshed once per attempted step.  A stage's input
-``y + h * (A[s, :s] @ k[:s])`` is then one matrix product against the
-real and imaginary parts of ``z[:s+1]``, written straight into the
+one ``(15, n * B)`` array ``z = [y, k_0 .. k_12, spare]``, each row a
+flattened state (B = 1 for one state of shape ``(n,)``); stage s weights
+the rows before it by ``[1, h * A[s, :s]]`` (``h * B`` for the
+eighth-order solution), refreshed once per attempted step.  A stage's
+input ``y + h * (A[s, :s] @ k[:s])`` is then one matrix product against
+the real and imaginary parts of ``z[:s+1]``, written straight into the
 evaluator's state, and the evaluator writes dy/dx straight into the
-stage's row of ``z``: a stage of a coupling table (``cme._TableRhs``)
-is that product, a conjugate, a gather, the factor products and one
-scatter product, with no copy and no allocation.  Both error estimates
-are one product ``[E5; E3] @ k``, and their norm reuses ``|y|`` from the
-step that produced ``y``.  One state and a batch take the same products.
+stage's row of ``z``, as the first of two rows of real and imaginary
+parts: a coupling table (``cme._TableRhs``) sums its monomials with a
+two-row real product too, and the second row lands in the row after the
+stage's, which the next stage overwrites before anything reads it (the
+last stage's in the spare row).  A stage of a coupling table is that
+product, a conjugate, a gather, the factor products and the slot sum,
+with no copy and no allocation.  Both error estimates are one real
+product ``[E5; E3] @ k``, and their norm reuses ``|y|`` from the step
+that produced ``y``.  One state and a batch take the same products.
 """
 
 import math
@@ -146,8 +150,8 @@ _E3[11] -= 0.220588235294117647058823529412e-1
 # What the stepper reads on every step: the nodes as Python floats, with
 # a last 1.0 for the thirteenth stage at the new point, the augmented
 # tableau (module docstring) laid out as below, which it scales by h, and
-# the error weights.  Those are complex, because np.dot would otherwise
-# cast them against the complex stages on every call.
+# the error weights, which it takes against the stages' real and
+# imaginary parts.
 _NODES = _C.tolist() + [1.0]
 _AB = np.vstack([_A, _B])
 # Stage s (1..12) weights the rows of z before it by [1, h * _AB[s, :s]],
@@ -160,7 +164,7 @@ _W = np.ones(_BLOCKS[-1][1])
 for _s, (_a, _b) in enumerate(_BLOCKS, 1):
     _W[_a:_b].reshape(2, _s + 1)[:, 1:] = _AB[_s, :_s]
 _W_ONES = np.array([i for a, b in _BLOCKS for i in (a, (a + b) // 2)])
-_E53 = np.vstack([_E5, _E3]).astype(np.complex128)
+_E53 = np.vstack([_E5, _E3])
 
 
 class InPlace:
@@ -168,29 +172,31 @@ class InPlace:
 
     ``state`` is a complex ``(2,) + shape`` array.  Before an evaluation
     the stepper writes the stage's ``y`` into both of its rows, and
-    ``into(x, out)`` writes dy/dx at ``(x, state[0])`` into ``out``,
+    ``into(x, out)`` writes dy/dx at ``(x, state[0])`` into ``out[0]``,
     leaving ``state[0]`` as it is (``state[1]`` it may overwrite).
-    Called as ``rhs(x, y)``, it returns dy/dx as a new array, like any
-    right-hand side."""
+    ``out`` is a float64 ``(2, 2 * size)`` array: its first row is dy/dx
+    flattened as real and imaginary parts, and its second row is scratch
+    that ``into`` may overwrite.  Called as ``rhs(x, y)``, it returns
+    dy/dx as a new array, like any right-hand side."""
 
     def __init__(self, state, into):
         self.state, self.into = state, into
 
     def __call__(self, x, y):
         self.state[...] = y
-        out = np.empty_like(self.state[0])
+        out = np.empty((2, 2 * self.state[0].size))
         self.into(x, out)
-        return out
+        return out[0].view(np.complex128).reshape(self.state.shape[1:])
 
 
 def _adapt(rhs, shape):
     """A plain ``rhs(x, y)`` as an :class:`InPlace`: ``y`` is
-    ``state[0]``, and the result is copied into ``out``."""
+    ``state[0]``, and the result is copied into ``out[0]``."""
     state = np.empty((2,) + shape, dtype=np.complex128)
     y = state[0]
 
     def into(x, out):
-        out[...] = rhs(x, y)
+        out[0].view(np.complex128).reshape(shape)[...] = rhs(x, y)
 
     return InPlace(state, into)
 
@@ -227,28 +233,38 @@ def integrate(rhs, y0, x_eval, rtol, atol, max_steps, stats=None):
     if not isinstance(rhs, InPlace):
         rhs = _adapt(rhs, shape)
     state, into = rhs.state, rhs.into
+    # ufuncs bound once; `out` goes by position, which NumPy parses
+    # faster than a keyword (np.maximum alone keeps the keyword: NumPy
+    # 2.4 deprecates its positional form)
+    dot, absolute, multiply, add = np.dot, np.abs, np.multiply, np.add
+    divide, square = np.divide, np.square
     out = np.zeros((n_out,) + shape, dtype=np.complex128)
-    # the stages, flattened so that each is one product with a weight row;
-    # `zs` views them in the state's shape
-    z = np.empty((14, y0.size), dtype=np.complex128)
-    zs = z.reshape((14,) + shape)
+    # the stages, flattened so that each is one product with a weight row,
+    # and a spare last row for the second output row of the last stage;
+    # `zs` views them in the state's shape, `zf` as real and imaginary
+    # parts
+    z = np.empty((15, y0.size), dtype=np.complex128)
+    zs = z.reshape((15,) + shape)
+    zf = z.view(np.float64)
     # BLAS's vector product rounds its last few columns apart from the
     # rest, which would tie a row's result to its place in the batch; its
     # matrix product does not, so each weight row is taken twice, against
     # the stages' real and imaginary parts, and the product fills both
-    # rows of the evaluator's state: y, and the slot it conjugates
+    # rows of the evaluator's state: y, and the slot it conjugates.  The
+    # evaluator writes a stage as two rows too: its own and the next one
     w = np.empty(_W.size)
     # views built once: stage s (1..12) takes its weight rows against the
-    # rows of z before it, at its node, into its row of z
-    stages = [(w[a:b].reshape(2, s + 1), z[:s + 1].view(np.float64),
-               _NODES[s], zs[s + 1]) for s, (a, b) in enumerate(_BLOCKS, 1)]
+    # rows of z before it, at its node, into its row of z and the next
+    stages = [(w[a:b].reshape(2, s + 1), zf[:s + 1], _NODES[s],
+               zf[s + 1:s + 3]) for s, (a, b) in enumerate(_BLOCKS, 1)]
     target = state.view(np.float64).reshape(2, 2 * y0.size)
     stage = state[0]
-    ks = z[1:]
+    ks = zf[1:14]
     y = zs[0]
     # the error norm's buffers; `mag` holds |y|, `mag_new` |stage|
     mag, mag_new, scale = (np.empty(shape) for _ in range(3))
     e53 = np.empty((2, y0.size), dtype=np.complex128)
+    e53_real = e53.view(np.float64)
     e53_modes = e53.reshape((2,) + shape)
     e53_abs = np.empty((2,) + shape)
     sums = np.empty((2, y0.size // n))
@@ -256,7 +272,7 @@ def integrate(rhs, y0, x_eval, rtol, atol, max_steps, stats=None):
 
     x = xs[0]
     y[...] = y0
-    np.abs(y, out=mag)
+    absolute(y, mag)
     out[0] = y
 
     span = xs[-1] - xs[0]
@@ -274,7 +290,7 @@ def integrate(rhs, y0, x_eval, rtol, atol, max_steps, stats=None):
                      rhs_calls=1 + 12 * steps, min_step=h_low)
 
     state[...] = y
-    into(x, zs[1])
+    into(x, zf[1:3])
     for i_out in range(1, n_out):
         x_next = xs[i_out]
         while x < x_next:
@@ -283,26 +299,26 @@ def integrate(rhs, y0, x_eval, rtol, atol, max_steps, stats=None):
                 raise StepFailure(f"step budget of {max_steps} exhausted")
             steps += 1
             h_try = min(h, x_next - x)
-            np.multiply(_W, h_try, out=w)
+            multiply(_W, h_try, w)
             w[_W_ONES] = 1.0
 
             for row, head, node, k in stages:
-                np.dot(row, head, out=target)
+                dot(row, head, target)
                 into(x + node * h_try, k)
 
             # DOP853's combined norm of the 5th- and 3rd-order estimates
             # per column, 0 where its denominator vanishes (as in scipy; a
             # Python float would raise), then the largest, or the first NaN.
             # np.add.reduce is np.sum without the cost of its Python wrapper.
-            np.abs(stage, out=mag_new)
+            absolute(stage, mag_new)
             np.maximum(mag, mag_new, out=scale)
-            np.multiply(scale, rtol, out=scale)
-            np.add(scale, atol, out=scale)
-            np.dot(_E53, ks, out=e53)
-            np.abs(e53_modes, out=e53_abs)
-            np.divide(e53_abs, scale, out=e53_abs)
-            np.square(e53_abs, out=e53_abs)
-            np.add.reduce(e53_abs, axis=1, out=sums_out)
+            multiply(scale, rtol, scale)
+            add(scale, atol, scale)
+            dot(_E53, ks, e53_real)
+            absolute(e53_modes, e53_abs)
+            divide(e53_abs, scale, e53_abs)
+            square(e53_abs, e53_abs)
+            add.reduce(e53_abs, 1, None, sums_out)
             e5s, e3s = sums.tolist()
             err = 0.0
             for e5, e3 in zip(e5s, e3s):

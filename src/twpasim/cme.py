@@ -24,9 +24,10 @@ mixing term, so that it has no phase factors.  One evaluator,
 :func:`twpasim._kernels.integrate` steps in place (raising
 ``StepFailure``): the stepper writes each stage's ``u`` straight into
 the evaluator's stack, and a conjugate, a gather, the factor products
-and one scatter product write ``du/dx`` straight into the stepper's
-stage.  ``_propagate`` returns the lab-frame ``y``.  The six-mode
-ladder, band checks and mismatches come from ``phasematch``.
+and one slot sum, a real product with a matrix of ones, write ``du/dx``
+straight into the stepper's stage.  ``_propagate`` returns the lab-frame
+``y``.  The six-mode ladder, band checks and mismatches come from
+``phasematch``.
 The spectra integrate a grid of at least ``_BATCH_MIN`` in-band points
 as one batch, and one point at a time, each a batch of one, below that
 size; a batch that fails splits in halves until each failing point is
@@ -333,41 +334,56 @@ class _TableRhs(_kernels.InPlace):
     floats that every column shares.  The stepper evaluates it in place
     (:class:`twpasim._kernels.InPlace`).
 
-    Each coefficient is a row of the stack ``[u, conj u, 1,
-    coefficients]``, whose first two blocks are the stepper's ``state``,
-    so a monomial is a column of ``gather``, indices into the stack: its
-    coefficient, its factors, then the 1 as padding.  An evaluation
+    Each coefficient is a row of the stack ``[u, conj u, 1, 0,
+    coefficients]``, whose first two blocks are the stepper's ``state``.
+    The monomials sit in slots of shape ``(K, n)``, K the most monomials
+    any mode has: slot ``(k, m)`` holds the k-th monomial of mode m, in
+    table order, as a column of ``gather``, indices into the stack: its
+    coefficient, its factors, then the 1 as padding.  A slot that mode m
+    leaves unused gathers the 0 and the 1, an exact zero.  An evaluation
     conjugates its slot in place, gathers all factors at once, multiplies
-    them from the left and sums the products into their modes by one
-    product with a 0/1 matrix, each into a buffer of its own."""
+    them from the left and sums each mode's slots by one real product
+    with a ``(2, K)`` matrix of ones, each into a buffer of its own: its
+    rows are the stepper's ``out[0]`` and the scratch ``out[1]``."""
 
     def __init__(self, t: _Table, shape: tuple):
         n = len(t.names)
         modes, coeffs, factors = zip(*t.monomials)
         one, width = 2 * n, 1 + max(map(len, factors))
-        stack = np.empty((one + 1 + len(coeffs),) + shape,
+        zero = one + 1
+        slots = max(map(modes.count, range(n)))
+        stack = np.empty((zero + 1 + len(coeffs),) + shape,
                          dtype=np.complex128)
         stack[one] = 1.0
-        stack[one + 1:] = [np.broadcast_to(c, shape) for c in coeffs]
-        gather = np.array([(one + 1 + j,) + f + (one,) * (width - 1 - len(f))
-                           for j, f in enumerate(factors)]).T.copy()
-        scatter = np.zeros((n, len(modes)), dtype=np.complex128)
-        scatter[modes, np.arange(len(modes))] = 1.0
+        stack[zero] = 0.0
+        stack[zero + 1:] = [np.broadcast_to(c, shape) for c in coeffs]
+        gather = np.full((width, slots, n), one)
+        gather[0] = zero
+        filled = [0] * n
+        for j, (mode, f) in enumerate(zip(modes, factors)):
+            gather[:len(f) + 1, filled[mode], mode] = (zero + 1 + j,) + f
+            filled[mode] += 1
         conj = stack[n:one]
         gathered = np.empty(gather.shape + shape, dtype=np.complex128)
         products = np.empty(gather.shape[1:] + shape, dtype=np.complex128)
+        terms = products.view(np.float64).reshape(slots, -1)
+        ones = np.ones((2, slots))
         first, second, *rest = gathered
+        dot, multiply, conjugate = np.dot, np.multiply, np.conjugate
+        take = stack.take
 
         def into(x, out):
-            np.conjugate(conj, out=conj)
+            conjugate(conj, conj)
             # take is stack[gather] without the cost of fancy indexing;
             # "clip" writes straight into `gathered`, where the default
             # "raise" buffers it (every index is in range by construction)
-            stack.take(gather, axis=0, out=gathered, mode="clip")
-            np.multiply(first, second, out=products)
+            take(gather, 0, gathered, "clip")
+            multiply(first, second, products)
             for f in rest:
-                np.multiply(products, f, out=products)
-            np.dot(scatter, products, out=out)
+                multiply(products, f, products)
+            # BLAS's matrix product sums a column the same way wherever it
+            # sits, which keeps a batch row's result apart from its place
+            dot(ones, terms, out)
 
         super().__init__(stack[:one].reshape((2, n) + shape), into)
         self.stack, self.gather = stack, gather

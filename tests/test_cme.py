@@ -572,13 +572,57 @@ class TestTables:
         assert [c for _, c, f in table.monomials if len(f) == 1] == [
             c - 1j * r for c, r in zip(loss, table.theta)]
 
+    @pytest.mark.parametrize("system", ["4wm", "3wm"])
+    @pytest.mark.parametrize("shape", [(), (4,)], ids=["point", "batch"])
+    def test_evaluator_sums_the_monomials(self, medium_035, system, shape):
+        """``rhs(x, u)`` is the table's monomials summed per mode in
+        Python, term by term in table order, to 1e-15 of each mode's scale
+        (the sum of its terms' magnitudes): a slot a mode leaves unused
+        adds nothing but an exact zero."""
+        m = medium_035
+        if shape:
+            omegas = 2 * math.pi * np.linspace(5e9, 8e9, shape[0])
+            if system == "4wm":
+                _, _, k, wt = _grid(m, omegas, W_AP)
+                table = cme._table_4wm(k, wt, m.tan_delta, FIT["beta"],
+                                       FIT["gamma"], True)
+            else:
+                w = np.array(np.broadcast_arrays(
+                    *cme._frequencies_3wm(omegas, W_IP)))
+                k = cme.wavevector(m, w, guard=cme.PLASMA_GUARD_3WM)
+                table = cme._table_3wm(k, cme.omega_tilde(m, w), m.tan_delta,
+                                       FIT["beta"])
+        else:
+            table = (self.table_4wm(m, FIT["beta"]) if system == "4wm"
+                     else self.table_3wm(m))
+        n = len(table.names)
+        rng = np.random.default_rng(24)
+        u = (rng.normal(size=(n,) + shape)
+             + 1j * rng.normal(size=(n,) + shape))
+        factors = np.concatenate([u, u.conj()])
+        got = cme._batch_rhs(table, shape)[0](0.0, u)
+        assert got.shape == u.shape
+        for col in np.ndindex(shape):
+            total, scale = [0j] * n, [0.0] * n
+            for mode, c, fs in table.monomials:
+                term = complex(np.broadcast_to(c, shape)[col])
+                for f in fs:
+                    term *= complex(factors[(f,) + col])
+                total[mode] += term
+                scale[mode] += abs(term)
+            for mode in range(n):
+                assert (abs(got[(mode,) + col] - total[mode])
+                        <= 1e-15 * scale[mode]), (mode, col)
+
     @pytest.mark.parametrize("variant", ["4wm", "4wm-beta0",
                                          "4wm-no-depletion", "3wm"])
     @pytest.mark.parametrize("shape", [(), (3,)], ids=["point", "batch"])
     def test_gather_stays_inside_the_stack(self, medium_035, variant, shape):
         """The evaluator gathers with ``mode="clip"``, which would clamp an
         index past the stack to its last row without a word: every index
-        of every table variant must address a row of the stack."""
+        of every table variant must address a row of the stack.  Every
+        monomial fills exactly one slot, the next free one of its mode in
+        table order, and every other slot gathers the 0 and the 1."""
         m = medium_035
         table = {"4wm": lambda: self.table_4wm(m, FIT["beta"]),
                  "4wm-beta0": lambda: self.table_4wm(m, 0.0),
@@ -586,10 +630,24 @@ class TestTables:
                                                             False),
                  "3wm": lambda: self.table_3wm(m)}[variant]()
         rhs, _ = cme._batch_rhs(table, shape)
-        assert rhs.stack.shape[1:] == shape
-        assert rhs.gather.shape[1] == len(table.monomials)
-        assert 0 <= rhs.gather.min()
-        assert rhs.gather.max() < len(rhs.stack)
+        stack, gather = rhs.stack, rhs.gather
+        n, count = len(table.names), len(table.monomials)
+        one, zero = 2 * n, 2 * n + 1
+        assert stack.shape[1:] == shape
+        assert (stack[one] == 1.0).all() and (stack[zero] == 0.0).all()
+        width, slots, modes = gather.shape
+        assert modes == n
+        unused = {(k, mode) for k in range(slots) for mode in range(n)}
+        for j, (mode, _, factors) in enumerate(table.monomials):
+            k = min(k for k, m_ in unused if m_ == mode)
+            unused.remove((k, mode))
+            pad = (one,) * (width - 1 - len(factors))
+            assert tuple(gather[:, k, mode]) == (zero + 1 + j, *factors, *pad)
+        assert len(unused) == slots * n - count
+        for k, mode in unused:
+            assert tuple(gather[:, k, mode]) == (zero,) + (one,) * (width - 1)
+        assert 0 <= gather.min()
+        assert gather.max() < len(stack)
 
 
 def _batch_gain(m, system, omegas):
@@ -673,6 +731,21 @@ class TestBatches:
         rows = _batch_gain(medium_035, system, omegas)
         permuted = _batch_gain(medium_035, system, omegas[perm])
         assert permuted.tobytes() == rows[perm].tobytes()
+
+    @pytest.mark.parametrize("system", ["4wm", "3wm"])
+    @pytest.mark.parametrize("size", [*range(3, 10), 16])
+    def test_row_order_does_not_matter_at_any_size(self, medium_035, system,
+                                                   size):
+        """The test above, deterministic, at every batch size from 3 to 9
+        and at 16: the grid in its order, reversed and rotated gives the
+        same rows, bit for bit.  A sum that rounds a column by its place
+        in the batch can break at one size only."""
+        omegas = 2 * math.pi * np.linspace(3.0e9, 12.0e9, size)
+        rows = _batch_gain(medium_035, system, omegas)
+        order = np.arange(size)
+        for perm in (order[::-1], np.roll(order, size // 2)):
+            permuted = _batch_gain(medium_035, system, omegas[perm])
+            assert permuted.tobytes() == rows[perm].tobytes()
 
     @settings(max_examples=4, deadline=None, database=None)
     @given(f_lo=st.floats(3.0e9, 6.0e9), f_hi=st.floats(9.0e9, 12.0e9),
