@@ -18,16 +18,17 @@ one owner here: ``_table_4wm`` / ``_table_3wm`` compute its coefficients
 as named values and write the system once, as a coupling table
 (``_Table``), for one point (floats) or a batch of points (arrays), in
 the rotating frame ``u = y exp(-i theta x)`` whose rates balance every
-mixing term, so that it has no phase factors.  One evaluator,
-``_TableRhs`` (built by ``_batch_rhs``), turns a table into ``rhs(x, u)
--> du/dx`` for one point or a batch, which
+mixing term, so that it has no phase factors.  Every table reaches the
+stepper through ``_propagate``, which turns it into its one evaluator,
+``_TableRhs``: ``rhs(x, u) -> du/dx`` for one point or a batch, which
 :func:`twpasim._kernels.integrate` steps in place (raising
 ``StepFailure``): the stepper writes each stage's ``u`` straight into
 the evaluator's stack, and a conjugate, a gather, the factor products
 and one slot sum, a real product with a matrix of ones, write ``du/dx``
 straight into the stepper's stage.  ``_propagate`` returns the lab-frame
 ``y``.  The six-mode ladder, band checks and mismatches come from
-``phasematch``.
+``phasematch`` (``_point`` for one point, ``_grid`` for a grid), the
+five-mode ones from ``_grid_3wm``, for one point or a grid alike.
 The spectra integrate a grid of at least ``_BATCH_MIN`` in-band points
 as one batch, and one point at a time, each a batch of one, below that
 size; a batch that fails splits in halves until each failing point is
@@ -49,8 +50,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, StepFailure, describe
-from .medium import (MediumParams, amplitude_from_dbm, band_error, in_band,
-                     omega_tilde, wavevector)
+from .medium import (MediumParams, _wavevector, amplitude_from_dbm,
+                     band_error, in_band, omega_tilde, wavevector)
 from .phasematch import (ToneConfig, _aux_mismatch, _frequencies, _grid,
                          _mismatch, _point, idler_frequency)
 
@@ -78,6 +79,21 @@ def _ladder_4wm(omega_s, omega_ap) -> np.ndarray:
     return np.array(np.broadcast_arrays(w_s, w_ap, *rest))
 
 
+def _amplitudes(amplitudes, n: int, omega_s: float,
+                omega_p: float) -> np.ndarray:
+    """The complex state of an ``n``-mode set with signal ``omega_s`` and
+    pump ``omega_p``; ``DomainError`` unless it holds ``n`` finite
+    amplitudes and both frequencies are positive."""
+    amplitudes = np.asarray(amplitudes, dtype=np.complex128)
+    if amplitudes.shape != (n,):
+        raise DomainError(f"expected {n} mode amplitudes")
+    if not np.all(np.isfinite(amplitudes)):
+        raise DomainError("amplitudes must be finite")
+    if not (omega_s > 0 and omega_p > 0):
+        raise DomainError("frequencies must be positive")
+    return amplitudes
+
+
 @dataclass
 class ModeSet4WM:
     """State of the six four-wave-mixing modes at one position.
@@ -91,13 +107,8 @@ class ModeSet4WM:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        if self.amplitudes.shape != (6,):
-            raise DomainError("expected 6 mode amplitudes")
-        if not np.all(np.isfinite(self.amplitudes)):
-            raise DomainError("amplitudes must be finite")
-        if not (self.omega_s > 0 and self.omega_ap > 0):
-            raise DomainError("frequencies must be positive")
+        self.amplitudes = _amplitudes(self.amplitudes, 6, self.omega_s,
+                                      self.omega_ap)
         idler_frequency(self.omega_s, self.omega_ap)
 
     @property
@@ -123,13 +134,8 @@ class ModeSet3WM:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        if self.amplitudes.shape != (5,):
-            raise DomainError("expected 5 mode amplitudes")
-        if not np.all(np.isfinite(self.amplitudes)):
-            raise DomainError("amplitudes must be finite")
-        if not (self.omega_s > 0 and self.omega_ip > 0):
-            raise DomainError("frequencies must be positive")
+        self.amplitudes = _amplitudes(self.amplitudes, 5, self.omega_s,
+                                      self.omega_ip)
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -215,7 +221,7 @@ class _Table:
     (``"ap"``, or ``"ap*"`` for its conjugate); monomials that vanish on
     every point (``beta = 0``, no pump depletion) are dropped.  Modes are
     kept as indices and factors as indices into ``[u, conj u]`` for the
-    evaluator, :func:`_batch_rhs`.
+    evaluator, :class:`_TableRhs`, which :func:`_propagate` builds.
     """
 
     def __init__(self, names, monomials, theta):
@@ -389,43 +395,30 @@ class _TableRhs(_kernels.InPlace):
         self.stack, self.gather = stack, gather
 
 
-def _batch_rhs(t: _Table, shape: tuple):
-    """The :class:`_TableRhs` of a table for a state of shape ``(n,) +
-    shape``, and the table's rates ``theta`` broadcast to ``shape``."""
-    theta = np.array([np.broadcast_to(r, shape) for r in t.theta])
-    return _TableRhs(t, shape), theta
-
-
-def _rhs_4wm(m: MediumParams, modes: ModeSet4WM, beta: float, gamma: float,
-             pump_depletion: bool):
-    """Six-mode ``(rhs, theta)`` of the table :func:`_table_4wm` builds
-    for one point, as :func:`_batch_rhs` gives it; the modes are
-    [s, ap, i, 2ap, s+ap, i+ap].
-
-    A mode past ``PLASMA_GUARD * omegaJ`` raises, in ``_point``'s order.
-    """
-    k, wt = _point(m, modes.omega_s, modes.omega_ap, 6)
-    return _batch_rhs(_table_4wm(k, wt, m.tan_delta, beta, gamma,
-                                 pump_depletion), ())
-
-
 def _frequencies_3wm(omega_s, omega_ip):
     """[s, ip, 2ip, s+ip, s+2ip], floats or arrays."""
     return (omega_s, omega_ip, 2.0 * omega_ip, omega_s + omega_ip,
             omega_s + 2.0 * omega_ip)
 
 
-def _rhs_3wm(m: MediumParams, modes: ModeSet3WM, beta: float):
-    """Five-mode upconversion ``(rhs, theta)`` of the table
-    :func:`_table_3wm` builds, as :func:`_batch_rhs` gives it; the modes
-    are [s, ip, 2ip, s+ip, s+2ip].
+def _grid_3wm(m: MediumParams, omega_s, omega_ip):
+    """The five modes of a grid of points, or of one point, broadcast
+    together: the counterpart of :func:`phasematch._grid`.
 
-    Every mode must sit below ``PLASMA_GUARD_3WM * omegaJ``.
+    Returns ``(ok, errors, k, wt, w)``: ``ok`` marks the points where every
+    mode sits below ``PLASMA_GUARD_3WM * omegaJ``, ``errors`` maps every
+    other point's index to its error, at its first mode outside the band,
+    and ``k``, ``wt`` and ``w`` hold the wavevectors, plasma factors and
+    frequencies of the ``ok`` points, one row per mode.
     """
-    k = wavevector(m, modes.frequencies, guard=PLASMA_GUARD_3WM)
-    wt = omega_tilde(m, modes.frequencies)
-    return _batch_rhs(_table_3wm(k.tolist(), wt.tolist(), m.tan_delta,
-                                 beta), ())
+    w = np.array(np.broadcast_arrays(*_frequencies_3wm(
+        np.asarray(omega_s, float), np.asarray(omega_ip, float))))
+    w = w.reshape(len(w), -1)
+    ok = in_band(m, w, PLASMA_GUARD_3WM).all(axis=0)
+    errors = {j: band_error(m, w[:, j], PLASMA_GUARD_3WM)
+              for j in np.flatnonzero(~ok).tolist()}
+    w = w[:, ok]
+    return ok, errors, _wavevector(m, w), omega_tilde(m, w), w
 
 
 def _validate_rtol(rtol: float) -> None:
@@ -434,14 +427,17 @@ def _validate_rtol(rtol: float) -> None:
         raise ValueError(f"rtol must lie in [{lo:g}, {hi:g}]")
 
 
-def _propagate(m: MediumParams, rhs, theta, y0: np.ndarray, frequencies,
+def _propagate(m: MediumParams, table: _Table, y0: np.ndarray, frequencies,
                rtol: float, n_samples: int) -> Trajectory:
-    """Integrate from the state ``y0``, or the batch of states in its
-    columns, over the line, with an absolute tolerance per state, in the
-    frame of the rates ``theta`` that ``rhs`` integrates in; the samples
-    are the lab-frame amplitudes ``u exp(i theta x)``."""
+    """Integrate ``table`` from the state ``y0``, or the batch of states in
+    its columns, over the line, with an absolute tolerance per state; the
+    samples are the lab-frame amplitudes ``u exp(i theta x)``, ``theta``
+    the table's rates."""
     if n_samples < 2:
         raise ValueError(f"n_samples must be at least 2, got {n_samples}")
+    shape = y0.shape[1:]
+    rhs = _TableRhs(table, shape)
+    theta = np.array([np.broadcast_to(r, shape) for r in table.theta])
     x_eval = np.linspace(0.0, float(m.N), n_samples)
     atol = rtol * np.maximum(np.abs(y0).max(axis=0), 1e-30) * 1e-6
     stats = {"rows": 1 if y0.ndim == 1 else y0.shape[1]}
@@ -465,8 +461,10 @@ def integrate_4wm(m: MediumParams, modes: ModeSet4WM, beta: float,
     past the plasma guard or a failed run raises a ``TwpaError``.
     """
     _validate_rtol(rtol)
-    return _propagate(m, *_rhs_4wm(m, modes, beta, gamma, pump_depletion),
-                      modes.amplitudes, modes.frequencies, rtol, n_samples)
+    k, wt = _point(m, modes.omega_s, modes.omega_ap, 6)
+    table = _table_4wm(k, wt, m.tan_delta, beta, gamma, pump_depletion)
+    return _propagate(m, table, modes.amplitudes, modes.frequencies, rtol,
+                      n_samples)
 
 
 def integrate_3wm(m: MediumParams, modes: ModeSet3WM, beta: float,
@@ -475,8 +473,13 @@ def integrate_3wm(m: MediumParams, modes: ModeSet3WM, beta: float,
     couplings only) over the line, x = 0 to N.  All five modes must sit
     below 0.95 * omegaJ."""
     _validate_rtol(rtol)
-    return _propagate(m, *_rhs_3wm(m, modes, beta), modes.amplitudes,
-                      modes.frequencies, rtol, n_samples)
+    ok, errors, k, wt, _ = _grid_3wm(m, modes.omega_s, modes.omega_ip)
+    if not ok[0]:
+        raise errors[0]
+    table = _table_3wm(k[:, 0].tolist(), wt[:, 0].tolist(), m.tan_delta,
+                       beta)
+    return _propagate(m, table, modes.amplitudes, modes.frequencies, rtol,
+                      n_samples)
 
 
 def _gain_db_from(traj: Trajectory):
@@ -489,7 +492,8 @@ def _gain_db_from(traj: Trajectory):
     return np.array(gain) if a0.ndim else gain[0]
 
 
-def _spectrum(task: str, n: int, errors, build, finish, width=1):
+def _spectrum(task: str, m: MediumParams, rtol: float, n: int, errors,
+              build, finish, width=1):
     """Every row of an ``n``-row grid but those ``errors`` names: one
     batched run when there are at least ``_BATCH_MIN`` of them, and row by
     row, each a batch of one, below that size.  A batch that raises
@@ -497,8 +501,9 @@ def _spectrum(task: str, n: int, errors, build, finish, width=1):
     failing row ends up alone, with its own error.
 
     ``errors`` maps the index of each row outside the model to its error;
-    ``build(rows)`` builds the coupling table of an array of row indices
-    and returns a function that integrates it to a batched
+    ``build(rows)`` gives the coupling table, the ``(n_modes, B)`` initial
+    state and the mode frequencies of an array of row indices, which
+    :func:`_propagate` integrates over ``m`` at ``rtol`` to a batched
     ``Trajectory``; ``finish(traj)`` gives a trajectory's ``width``
     values, arrays over its batch.  Returns ``(values, failed,
     solver_stats)``: NaN rows for the failed ones, and ``failed`` maps
@@ -521,12 +526,12 @@ def _spectrum(task: str, n: int, errors, build, finish, width=1):
             todo[:0] = np.split(rows, rows.size)
             continue
         t1 = time.perf_counter()
-        integrate = build(rows)
+        table, y0, frequencies = build(rows)
         if rows.size > 1:
             log.info("%s: built the coupling table of %d rows in %.3f s",
                      task, rows.size, time.perf_counter() - t1)
         try:
-            traj = integrate()
+            traj = _propagate(m, table, y0, frequencies, rtol, 2)
         except StepFailure as exc:
             if rows.size == 1:
                 failed[int(rows[0])] = exc
@@ -583,13 +588,11 @@ def gain_spectrum(m: MediumParams, pump: ToneConfig, signal_omegas,
     def build(rows):
         table = _table_4wm(k[:, col[rows]], wt[:, col[rows]], m.tan_delta,
                            beta, gamma, True)
-        rhs, theta = _batch_rhs(table, rows.shape)
-        y0 = _initial(6, a_s[rows], a_p)
-        frequencies = _ladder_4wm(omegas[rows], pump.freq)
-        return lambda: _propagate(m, rhs, theta, y0, frequencies, rtol, 2)
+        return (table, _initial(6, a_s[rows], a_p),
+                _ladder_4wm(omegas[rows], pump.freq))
 
-    gain, failed, runs = _spectrum("gain", omegas.size, errors, build,
-                                   lambda traj: (_gain_db_from(traj),))
+    gain, failed, runs = _spectrum("gain", m, rtol, omegas.size, errors,
+                                   build, lambda traj: (_gain_db_from(traj),))
     meta = {"pump": pump, "amp_scale": amp_scale, "beta": beta,
             "gamma": gamma, "signal_power_dbm": signal_power_dbm}
     return GainSpectrum(omega=omegas, gain_db=gain[:, 0], metadata=meta,
@@ -627,17 +630,15 @@ def saturation_curve(m: MediumParams, pump: ToneConfig, omega_s: float,
     # the point's error, pump guard first
     k, wt = _point(m, omega_s, pump.freq, 6)
     a_s = amplitude_from_dbm(m, omega_s, powers, amp_scale)
+    # one point: float coefficients, shared by every batch
+    table = _table_4wm(k, wt, m.tan_delta, beta, gamma, True)
 
     def build(rows):
-        # one point: float coefficients, shared by the batch
-        table = _table_4wm(k, wt, m.tan_delta, beta, gamma, True)
-        rhs, theta = _batch_rhs(table, rows.shape)
-        y0 = _initial(6, a_s[rows], a_p)
-        frequencies = _ladder_4wm(np.full(rows.size, omega_s), pump.freq)
-        return lambda: _propagate(m, rhs, theta, y0, frequencies, rtol, 2)
+        return (table, _initial(6, a_s[rows], a_p),
+                _ladder_4wm(np.full(rows.size, omega_s), pump.freq))
 
-    gain, failed, runs = _spectrum("saturation", powers.size, {}, build,
-                                   lambda traj: (_gain_db_from(traj),))
+    gain, failed, runs = _spectrum("saturation", m, rtol, powers.size, {},
+                                   build, lambda traj: (_gain_db_from(traj),))
     if failed:
         raise failed[min(failed)]
     gain = gain[:, 0]
@@ -674,25 +675,20 @@ def isolation_spectrum(m: MediumParams, ip_pump: ToneConfig, signal_omegas,
     _validate_rtol(rtol)
     a_p = amplitude_from_dbm(m, ip_pump.freq, ip_pump.power_dbm, amp_scale)
     a_s = amplitude_from_dbm(m, omegas, signal_power_dbm, amp_scale)
-    w = np.array(np.broadcast_arrays(*_frequencies_3wm(omegas, ip_pump.freq)))
-    ok = in_band(m, w, PLASMA_GUARD_3WM).all(axis=0)
-    errors = {j: band_error(m, w[:, j], PLASMA_GUARD_3WM)
-              for j in np.flatnonzero(~ok).tolist()}
+    ok, errors, k, wt, w = _grid_3wm(m, omegas, ip_pump.freq)
+    col = np.cumsum(ok) - 1  # an in-band row's column of k, wt and w
 
     def build(rows):
-        frequencies = w[:, rows]
-        k = wavevector(m, frequencies, guard=PLASMA_GUARD_3WM)
-        table = _table_3wm(k, omega_tilde(m, frequencies), m.tan_delta, beta)
-        rhs, theta = _batch_rhs(table, rows.shape)
-        y0 = _initial(5, a_s[rows], a_p)
-        return lambda: _propagate(m, rhs, theta, y0, frequencies, rtol, 2)
+        c = col[rows]
+        return (_table_3wm(k[:, c], wt[:, c], m.tan_delta, beta),
+                _initial(5, a_s[rows], a_p), w[:, c])
 
     def finish(traj):
         n = traj.photon_flux()
         return _gain_db_from(traj), (n[-1, 3] + n[-1, 4]) / n[0, 0]
 
-    values, failed, runs = _spectrum("isolation", omegas.size, errors,
-                                     build, finish, width=2)
+    values, failed, runs = _spectrum("isolation", m, rtol, omegas.size,
+                                     errors, build, finish, width=2)
     meta = {"pump": ip_pump, "amp_scale": amp_scale, "beta": beta,
             "signal_power_dbm": signal_power_dbm}
     return GainSpectrum(omega=omegas, gain_db=values[:, 0], metadata=meta,

@@ -24,6 +24,7 @@ from twpasim.errors import AbovePlasmaCutoff
 from twpasim.medium import omega_tilde
 from twpasim.noisecal import (NoiseChainModel, NoiseMeasurement,
                               fit_output_line, source_noise, system_noise)
+from twpasim.phasematch import _point
 
 # fitted couplings and amplitude calibration for the gain-shape operating
 # point (flux 0.35, pump 9.2 GHz at -78 dBm); obtained by a grid search
@@ -349,7 +350,7 @@ def test_criterion_10_system_noise_round_trip():
            f"(tol 1e-9)", t0)
 
 
-def oracle_rhs_4wm(m, beta, gamma, ws, wap, pump_depletion=True):
+def oracle_4wm(m, beta, gamma, ws, wap, pump_depletion=True):
     """The six-mode system of docs/cme_reduction.md, transcribed
     independently of twpasim.cme: returns ``rhs(x, y) -> dy/dx``.
     Without ``pump_depletion`` the signal-idler backaction term of the
@@ -402,7 +403,7 @@ def oracle_rhs_4wm(m, beta, gamma, ws, wap, pump_depletion=True):
     return rhs
 
 
-def oracle_rhs_3wm(m, beta, ws, wip):
+def oracle_3wm(m, beta, ws, wip):
     """The five-mode upconversion system of docs/cme_reduction.md,
     transcribed independently of twpasim.cme."""
     w = [ws, wip, 2 * wip, ws + wip, ws + 2 * wip]
@@ -436,7 +437,7 @@ def oracle_rhs_3wm(m, beta, ws, wip):
 def _rk4_oracle_gain(m, beta, gamma, amp_scale, ws, wap, p_pump_dbm,
                      p_sig_dbm, steps=100_000):
     """Fixed-step classical RK4 on an independently transcribed system."""
-    rhs = oracle_rhs_4wm(m, beta, gamma, ws, wap)
+    rhs = oracle_4wm(m, beta, gamma, ws, wap)
     a_p = amplitude_from_dbm(m, wap, p_pump_dbm, amp_scale)
     a_s = amplitude_from_dbm(m, ws, p_sig_dbm, amp_scale)
     y = (complex(a_s), complex(a_p), 0j, 0j, 0j, 0j)
@@ -473,8 +474,9 @@ W_IP = 2 * math.pi * 12.2e9
 
 
 def _system(m, system):
-    """``(rhs, theta)``, the transcribed oracle, the initial state and the
-    pump amplitude of one parametrized system at its test point."""
+    """``(rhs, theta)`` of the system's coupling table, the transcribed
+    oracle, the initial state and the pump amplitude of one parametrized
+    system at its test point."""
     beta = 0.0 if system.endswith("beta0") else BETA_FIT
     if system.startswith("4wm"):
         depletion = system != "4wm-no-depletion"
@@ -482,17 +484,21 @@ def _system(m, system):
         scale = amplitude_from_dbm(m, wap, -78.0, AMP_SCALE_FIT)
         modes = ModeSet4WM.initial(
             ws, wap, amplitude_from_dbm(m, ws, -130.0, AMP_SCALE_FIT), scale)
-        frame = cme._rhs_4wm(m, modes, beta, GAMMA_FIT,
-                             pump_depletion=depletion)
-        oracle = oracle_rhs_4wm(m, beta, GAMMA_FIT, ws, wap,
+        k, wt = _point(m, ws, wap, 6)
+        table = cme._table_4wm(k, wt, m.tan_delta, beta, GAMMA_FIT,
+                               depletion)
+        oracle = oracle_4wm(m, beta, GAMMA_FIT, ws, wap,
                                 pump_depletion=depletion)
     else:
         ws, wip = 2 * math.pi * 6e9, W_IP
         scale = amplitude_from_dbm(m, wip, -74.0, AMP_SCALE_FIT)
         modes = ModeSet3WM.initial(
             ws, wip, amplitude_from_dbm(m, ws, -130.0, AMP_SCALE_FIT), scale)
-        frame = cme._rhs_3wm(m, modes, beta)
-        oracle = oracle_rhs_3wm(m, beta, ws, wip)
+        _, _, k, wt, _ = cme._grid_3wm(m, ws, wip)
+        table = cme._table_3wm(k[:, 0].tolist(), wt[:, 0].tolist(),
+                               m.tan_delta, beta)
+        oracle = oracle_3wm(m, beta, ws, wip)
+    frame = cme._TableRhs(table, ()), np.array(table.theta)
     return frame, oracle, modes, scale
 
 
@@ -551,7 +557,7 @@ def test_upconversion_two_mode_closed_form(pump_dbm):
     kappa^2 = -cs_up * csu_src * |A_ip|^2 and g^2 = kappa^2 + (db/2)^2."""
     _, m = medium_at(device(tan_delta=0.0), 0.35)
     ws, wip = 2 * math.pi * 6e9, 2 * math.pi * 10e9
-    oracle = oracle_rhs_3wm(m, BETA_FIT, ws, wip)
+    oracle = oracle_3wm(m, BETA_FIT, ws, wip)
     keep = np.array([1.0, 1.0, 0.0, 1.0, 0.0])
 
     def rhs(x, y):
@@ -586,7 +592,7 @@ def test_parametric_gain_closed_form(medium_035, f_s, pump_dbm):
     G = |cosh(gN) + i (Delta/2g) sinh(gN)|^2, with P = kap^2 |A_p|^2,
     Delta = d1 + 2 cap_kerr P - (cs_k + ci_k) P and
     g^2 = cs_pair ci_pair |A_p|^4 - (Delta/2)^2 (coefficients named as
-    in cme._rhs_4wm).  Here g^2 < 0, so cosh and sinh turn into cos and
+    in cme._table_4wm).  Here g^2 < 0, so cosh and sinh turn into cos and
     sin: the mismatch only just outweighs the pair coupling."""
     m = dataclasses.replace(medium_035, tan_delta=0.0)
     ws = 2 * math.pi * f_s

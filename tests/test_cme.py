@@ -494,6 +494,31 @@ class TestThreeWaveMixing:
         with pytest.raises(AbovePlasmaCutoff):
             integrate_3wm(medium_035, ms, beta=0.03)
 
+    @pytest.mark.parametrize("f_s, f_ip, mode", [
+        # 2ip at 66 GHz, past 0.95 * omegaJ = 65 GHz
+        (7e9, 33e9, "2ip"),
+        # s+ip at 66 GHz, with 2ip at 60 GHz
+        (36e9, 30e9, "s+ip"),
+        # s+2ip at 69 GHz: test_hard_plasma_guard's point
+        (7e9, 31e9, "s+2ip"),
+    ], ids=["2ip", "s+ip", "s+2ip"])
+    def test_single_point_raises_the_spectrum_gap(self, medium_035, f_s,
+                                                  f_ip, mode):
+        """A five-mode point outside the band: ``integrate_3wm`` raises
+        exactly the error ``isolation_spectrum`` records as its gap, and
+        both name the first mode past the guard."""
+        w_s, w_ip = 2 * math.pi * f_s, 2 * math.pi * f_ip
+        spec = isolation_spectrum(medium_035,
+                                  ToneConfig(w_ip, -74.0, "backward"), [w_s],
+                                  beta=FIT["beta"])
+        ms = ModeSet3WM.initial(w_s, w_ip, 1e-6, 0.1)
+        with pytest.raises(AbovePlasmaCutoff) as raised:
+            integrate_3wm(medium_035, ms, beta=FIT["beta"])
+        assert spec.gaps == [(0, w_s, describe(raised.value))]
+        f_mode = ms.frequencies[cme._MODES_3WM.index(mode)] / (2 * math.pi)
+        assert str(raised.value).startswith(
+            f"omega/2pi = {f_mode / 1e9:.3f} GHz is at or above")
+
 
 W_IP = 2 * math.pi * 12.2e9
 STEP_UNDERFLOW = ("StepFailure: step size underflow or non-finite state "
@@ -548,10 +573,10 @@ class TestTables:
         assert [t for t in full if t not in stiff] == [("ap", "s i ap*")]
 
     def table_3wm(self, m):
-        w = cme._frequencies_3wm(W_S, W_IP)
-        k = [cme.wavevector(m, x, guard=cme.PLASMA_GUARD_3WM) for x in w]
-        wt = [cme.omega_tilde(m, x) for x in w]
-        return cme._table_3wm(k, wt, m.tan_delta, FIT["beta"])
+        ok, _, k, wt, _ = cme._grid_3wm(m, W_S, W_IP)
+        assert ok.all()
+        return cme._table_3wm(k[:, 0].tolist(), wt[:, 0].tolist(),
+                              m.tan_delta, FIT["beta"])
 
     def test_3wm_terms(self, medium_035):
         table = self.table_3wm(medium_035)
@@ -587,11 +612,8 @@ class TestTables:
                 table = cme._table_4wm(k, wt, m.tan_delta, FIT["beta"],
                                        FIT["gamma"], True)
             else:
-                w = np.array(np.broadcast_arrays(
-                    *cme._frequencies_3wm(omegas, W_IP)))
-                k = cme.wavevector(m, w, guard=cme.PLASMA_GUARD_3WM)
-                table = cme._table_3wm(k, cme.omega_tilde(m, w), m.tan_delta,
-                                       FIT["beta"])
+                _, _, k, wt, _ = cme._grid_3wm(m, omegas, W_IP)
+                table = cme._table_3wm(k, wt, m.tan_delta, FIT["beta"])
         else:
             table = (self.table_4wm(m, FIT["beta"]) if system == "4wm"
                      else self.table_3wm(m))
@@ -600,7 +622,7 @@ class TestTables:
         u = (rng.normal(size=(n,) + shape)
              + 1j * rng.normal(size=(n,) + shape))
         factors = np.concatenate([u, u.conj()])
-        got = cme._batch_rhs(table, shape)[0](0.0, u)
+        got = cme._TableRhs(table, shape)(0.0, u)
         assert got.shape == u.shape
         for col in np.ndindex(shape):
             total, scale = [0j] * n, [0.0] * n
@@ -629,7 +651,7 @@ class TestTables:
                  "4wm-no-depletion": lambda: self.table_4wm(m, FIT["beta"],
                                                             False),
                  "3wm": lambda: self.table_3wm(m)}[variant]()
-        rhs, _ = cme._batch_rhs(table, shape)
+        rhs = cme._TableRhs(table, shape)
         stack, gather = rhs.stack, rhs.gather
         n, count = len(table.names), len(table.monomials)
         one, zero = 2 * n, 2 * n + 1
@@ -663,47 +685,48 @@ def _batch_gain(m, system, omegas):
         frequencies = cme._ladder_4wm(omegas, W_AP)
         a_p = amplitude_from_dbm(m, W_AP, -78.0, FIT["amp_scale"])
     else:
-        frequencies = np.array(np.broadcast_arrays(
-            *cme._frequencies_3wm(omegas, W_IP)))
-        k = cme.wavevector(m, frequencies, guard=cme.PLASMA_GUARD_3WM)
-        table = cme._table_3wm(k, cme.omega_tilde(m, frequencies),
-                               m.tan_delta, FIT["beta"])
+        ok, _, k, wt, frequencies = cme._grid_3wm(m, omegas, W_IP)
+        assert ok.all()
+        table = cme._table_3wm(k, wt, m.tan_delta, FIT["beta"])
         n_modes = 5
         a_p = amplitude_from_dbm(m, W_IP, -74.0, FIT["amp_scale"])
     a_s = amplitude_from_dbm(m, omegas, -130.0, FIT["amp_scale"])
-    traj = cme._propagate(m, *cme._batch_rhs(table, omegas.shape),
-                          cme._initial(n_modes, a_s, a_p), frequencies,
-                          1e-10, 2)
+    traj = cme._propagate(m, table, cme._initial(n_modes, a_s, a_p),
+                          frequencies, 1e-10, 2)
     n = traj.photon_flux()
     fraction = ((n[-1, 3] + n[-1, 4]) / n[0, 0] if system == "3wm"
                 else np.full(omegas.size, np.nan))
     return np.column_stack([cme._gain_db_from(traj), fraction])
 
 
+# the rtol of the stiff builds' runs
+STIFF_RTOL = 1e-8
+
+
 def _stiff_build(m, omegas, stiff):
-    """A ``_spectrum`` build of gain rows at ``omegas``, one table per row,
-    whose row ``stiff`` (None for none) carries the absurd Kerr coupling
-    of test_kernels (``gamma = 1e12``) and raises StepFailure in any
+    """A ``_spectrum`` build of gain rows at ``omegas`` at the fitted
+    gamma (``beta = 0``), whose row ``stiff`` (None for none) carries a
+    pump 3e6 times stronger, about as much Kerr as the absurd coupling of
+    test_kernels (``gamma = 1e12``), and raises StepFailure in any
     batch."""
     a_p = amplitude_from_dbm(m, W_AP, -78.0)
-
-    def modes(j):
-        return ModeSet4WM.initial(omegas[j], W_AP, 1e-6, a_p)
+    ok, _, k, wt = _grid(m, omegas, W_AP)
+    assert ok.all()
 
     def build(rows):
-        fns, thetas = zip(*[cme._rhs_4wm(
-            m, modes(j), 0.0, 1e12 if j == stiff else FIT["gamma"], True)
-            for j in rows])
-
-        def rhs(x, y):
-            return np.column_stack([f(x, y[:, b]) for b, f in enumerate(fns)])
-
-        y0 = np.column_stack([modes(j).amplitudes for j in rows])
-        freqs = np.column_stack([modes(j).frequencies for j in rows])
-        return lambda: cme._propagate(m, rhs, np.column_stack(thetas), y0,
-                                      freqs, 1e-8, 2)
+        table = cme._table_4wm(k[:, rows], wt[:, rows], m.tan_delta, 0.0,
+                               FIT["gamma"], True)
+        y0 = cme._initial(6, np.full(len(rows), 1e-6), a_p)
+        y0[1, rows == stiff] *= 3e6
+        return table, y0, cme._ladder_4wm(omegas[rows], W_AP)
 
     return build
+
+
+def _run(m, built):
+    """The trajectory of a ``_stiff_build`` table, as ``_spectrum`` runs
+    it."""
+    return cme._propagate(m, *built, STIFF_RTOL, 2)
 
 
 class TestBatches:
@@ -845,24 +868,25 @@ class TestBatches:
         assert 0.0 < stats["min_step"] < medium_035.N
 
     def test_stiff_row_is_a_gap_of_its_own(self, medium_035):
-        """A batch with one stiff row (the absurd Kerr coupling of
-        test_kernels) raises StepFailure; it splits into rows 0-2, which
+        """A batch with one stiff row (its pump 3e6 times too strong, see
+        ``_stiff_build``) raises StepFailure; it splits into rows 0-2, which
         fail again and split, and rows 3-4, below the crossover, so every
         row runs alone, as a batch of one: the stiff row alone is a gap
         and every other row is its own run's value."""
         omegas = 2 * math.pi * np.linspace(6e9, 9e9, 5)
         build = _stiff_build(medium_035, omegas, 2)
         with pytest.raises(StepFailure):
-            build(range(5))()
+            _run(medium_035, build(np.arange(5)))
         values, failed, runs = cme._spectrum(
-            "gain", omegas.size, {}, build,
+            "gain", medium_035, STIFF_RTOL, omegas.size, {}, build,
             lambda traj: (cme._gain_db_from(traj),))
         assert cme._gaps(omegas, failed) == [
             (2, float(omegas[2]), STEP_UNDERFLOW)]
         assert [r["rows"] for r in runs] == [1, 1, 1, 1]
         assert np.isnan(values[2, 0])
         for j in (0, 1, 3, 4):
-            assert values[j, 0] == cme._gain_db_from(build([j])())
+            assert values[j, 0] == cme._gain_db_from(
+                _run(medium_035, build(np.array([j]))))
 
     def test_failed_batch_splits_in_halves(self, medium_035):
         """On 12 rows with one stiff row only the half, and then the
@@ -872,7 +896,7 @@ class TestBatches:
         omegas = 2 * math.pi * np.linspace(5e9, 10e9, 12)
         build = _stiff_build(medium_035, omegas, 8)
         values, failed, runs = cme._spectrum(
-            "gain", omegas.size, {}, build,
+            "gain", medium_035, STIFF_RTOL, omegas.size, {}, build,
             lambda traj: (cme._gain_db_from(traj),))
         assert cme._gaps(omegas, failed) == [
             (8, float(omegas[8]), STEP_UNDERFLOW)]
@@ -880,8 +904,8 @@ class TestBatches:
         batches = [[0, 1, 2, 3, 4, 5], [6], [7], [9, 10, 11]]
         assert [r["rows"] for r in runs] == [len(b) for b in batches]
         for rows in batches:
-            assert (values[rows, 0]
-                    == cme._gain_db_from(build(rows)())).all(), rows
+            assert (values[rows, 0] == cme._gain_db_from(
+                _run(medium_035, build(np.array(rows))))).all(), rows
 
     def test_errors_are_failed_rows(self, medium_035):
         """The rows ``errors`` names come back in the failed map, NaN, and
@@ -889,7 +913,7 @@ class TestBatches:
         omegas = 2 * math.pi * np.linspace(6e9, 9e9, 5)
         error = NegativeIdler("named before integrating")
         values, failed, runs = cme._spectrum(
-            "gain", omegas.size, {1: error},
+            "gain", medium_035, STIFF_RTOL, omegas.size, {1: error},
             _stiff_build(medium_035, omegas, None),
             lambda traj: (cme._gain_db_from(traj),))
         assert failed == {1: error}

@@ -10,8 +10,8 @@ from scipy.integrate import DOP853, solve_ivp
 
 from twpasim import ModeSet3WM, ModeSet4WM, amplitude_from_dbm
 from twpasim import _kernels, cme
-from twpasim.cme import _MAX_STEPS, _rhs_3wm, _rhs_4wm
-from twpasim.phasematch import _grid
+from twpasim.cme import _MAX_STEPS
+from twpasim.phasematch import _grid, _point
 from twpasim.errors import StepFailure
 
 
@@ -20,9 +20,9 @@ def _standard_setup(medium):
     a_s = amplitude_from_dbm(medium, 2 * math.pi * 7.6e9, -130.0, 1.55)
     modes = ModeSet4WM.initial(2 * math.pi * 7.6e9, 2 * math.pi * 9.2e9,
                                a_s, a_p)
-    rhs, _ = _rhs_4wm(medium, modes, beta=0.104388, gamma=0.122339,
-                      pump_depletion=True)
-    return modes.amplitudes, rhs
+    k, wt = _point(medium, modes.omega_s, modes.omega_ap, 6)
+    table = cme._table_4wm(k, wt, medium.tan_delta, 0.104388, 0.122339, True)
+    return modes.amplitudes, cme._TableRhs(table, ())
 
 
 def _upconversion_setup(medium):
@@ -31,7 +31,11 @@ def _upconversion_setup(medium):
     a_s = amplitude_from_dbm(medium, 2 * math.pi * 6e9, -130.0, 1.55)
     modes = ModeSet3WM.initial(2 * math.pi * 6e9, 2 * math.pi * 12.2e9,
                                a_s, a_p)
-    return modes.amplitudes, _rhs_3wm(medium, modes, beta=0.104388)[0]
+    ok, _, k, wt, _ = cme._grid_3wm(medium, modes.omega_s, modes.omega_ip)
+    assert ok.all()
+    table = cme._table_3wm(k[:, 0].tolist(), wt[:, 0].tolist(),
+                           medium.tan_delta, 0.104388)
+    return modes.amplitudes, cme._TableRhs(table, ())
 
 
 def _batch_setup(medium, system):
@@ -47,14 +51,13 @@ def _batch_setup(medium, system):
                                True)
     else:
         w_p, p_dbm, n_modes = 2 * math.pi * 12.2e9, -74.0, 5
-        w = np.array(np.broadcast_arrays(*cme._frequencies_3wm(omegas, w_p)))
-        k = cme.wavevector(medium, w, guard=cme.PLASMA_GUARD_3WM)
-        table = cme._table_3wm(k, cme.omega_tilde(medium, w),
-                               medium.tan_delta, 0.104388)
+        ok, _, k, wt, _ = cme._grid_3wm(medium, omegas, w_p)
+        assert ok.all()
+        table = cme._table_3wm(k, wt, medium.tan_delta, 0.104388)
     y0 = cme._initial(n_modes, amplitude_from_dbm(medium, omegas, -130.0,
                                                   1.55),
                       amplitude_from_dbm(medium, w_p, p_dbm, 1.55))
-    return y0, cme._batch_rhs(table, omegas.shape)[0]
+    return y0, cme._TableRhs(table, omegas.shape)
 
 
 @pytest.mark.parametrize("setup", [
@@ -121,8 +124,9 @@ def test_stiff_run_underflows_within_a_thousand_calls(medium_035):
     a = amplitude_from_dbm(medium_035, 2 * math.pi * 9.2e9, -78.0)
     modes = ModeSet4WM.initial(2 * math.pi * 7.6e9, 2 * math.pi * 9.2e9,
                                1e-6, a)
-    rhs, _ = _rhs_4wm(medium_035, modes, beta=0.0, gamma=1e12,
-                      pump_depletion=True)
+    k, wt = _point(medium_035, modes.omega_s, modes.omega_ap, 6)
+    rhs = cme._TableRhs(cme._table_4wm(k, wt, medium_035.tan_delta, 0.0,
+                                       1e12, True), ())
     calls = 0
 
     def counting(x, y):
