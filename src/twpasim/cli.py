@@ -25,7 +25,7 @@ import math
 import os
 import sys
 import time
-from itertools import chain
+from itertools import chain, compress
 
 import numpy as np
 
@@ -394,23 +394,56 @@ _TASK_FN = {
 _ROWS_SLOT = "<rows>"
 
 
+def _json_tokens(values: tuple, precision: int) -> list:
+    """``json.dumps(float(f"%.{precision}g" % v))`` for each of ``values``:
+    one ``%``-format rounds them all and one call of json's C encoder
+    writes the rounded floats (``float.__repr__``, ``NaN``, ``Infinity``)."""
+    rounded = map(float, ((f"%.{precision}g " * len(values)) % values).split())
+    return json.dumps(list(rounded))[1:-1].split(", ")
+
+
 def _json_rows(values: tuple, ncols: int, precision: int) -> str:
     """A flattened table of floats as ``json.dumps(indent=1)`` writes the
     ``rows`` value of an artifact, each float first rounded to
-    ``precision`` significant digits (NaN and inf stay as they are).
+    ``precision`` significant digits: a value's token is
+    ``json.dumps(float(f"%.{precision}g" % v))``, and NaN and inf stay as
+    they are.
 
-    The whole table is rounded by one ``%``-format and rendered by one
-    call of json's C encoder, which writes floats with ``float.__repr__``,
-    ``NaN`` and ``Infinity`` as the indenting encoder does; one more
-    ``%``-format lays the tokens out with that encoder's separators.
+    The table is one ``str.format`` of a template laid out with the
+    encoder's separators.  Where ``2 <= precision <= 15`` and ``v`` is zero
+    or a normal double with ``|v| < 0.5 * 10**(precision - 1)``, the
+    template's field is ``{:.precision}``, which writes that token itself:
+    both formats round ``v`` to the same ``precision`` digits; a decimal of
+    at most 15 digits is the one shortest string that reads back as its
+    nearest double, so ``float.__repr__`` prints exactly those digits; and
+    the format's ``None`` type lays them out as ``repr`` does, with ``.0``
+    on an integer and an ``e-05`` exponent below 1e-4, for any rounded
+    value below ``10**(precision - 1)``, which a value below half of it
+    cannot round up to.  Every other value (NaN, inf, subnormals, larger
+    magnitudes, and all values at precision 1, where the format writes
+    zero as ``0e+00``, 16 and 17) takes its token from
+    :func:`_json_tokens`, one pass for all of them, and the token, which
+    holds no brace, stands in the template as it is; a table without a
+    ``{:.precision}`` field is its template.
     """
     if not values:
         return "[]"
-    rounded = map(float, ((f"%.{precision}g " * len(values)) % values).split())
-    tokens = json.dumps(list(rounded))[1:-1].split(", ")
     row = ",\n   ".join(["%s"] * ncols)
     rows = "\n  ],\n  [\n   ".join([row] * (len(values) // ncols))
-    return f"[\n  [\n   {rows}\n  ]\n ]" % tuple(tokens)
+    layout = f"[\n  [\n   {rows}\n  ]\n ]"
+    exact = np.zeros(len(values), bool)
+    if 2 <= precision <= 15:
+        size = np.abs(np.fromiter(values, np.float64, len(values)))
+        exact = ((size < 0.5 * 10.0 ** (precision - 1))
+                 & ((size >= sys.float_info.min) | (size == 0)))
+    if not exact.any():
+        return layout % tuple(_json_tokens(values, precision))
+    fields = [f"{{:.{precision}}}"] * len(values)
+    loose = np.flatnonzero(~exact).tolist()
+    for j, token in zip(loose, _json_tokens(tuple(values[j] for j in loose),
+                                            precision)):
+        fields[j] = token
+    return (layout % tuple(fields)).format(*compress(values, exact.tolist()))
 
 
 def run(cfg: dict, out_path=None, out_format=None) -> str:
@@ -423,7 +456,13 @@ def run(cfg: dict, out_path=None, out_format=None) -> str:
     ``f"{v:.{precision}g}"``, and the JSON document is
     ``json.dumps(doc, indent=1, sort_keys=True, allow_nan=True)`` with each
     finite row value replaced by ``float(f"{v:.{precision}g}")``
-    (``tests/test_cli.py`` keeps that rule as its oracle).
+    (``tests/test_cli.py`` keeps that rule as its oracle).  A JSON row
+    value's token is therefore ``json.dumps(float(f"%.{precision}g" % v))``;
+    the table is one ``str.format`` that writes it as
+    ``format(v, f".{precision}")`` wherever that is provably the same
+    string, a zero or normal ``|v| < 0.5 * 10**(precision - 1)`` at a
+    precision of 2 to 15, and renders every other token in one pass
+    (:func:`_json_rows`).
     """
     task = cfg["task"]
     t0 = time.perf_counter()

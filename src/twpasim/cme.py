@@ -508,7 +508,9 @@ def _spectrum(task: str, m: MediumParams, rtol: float, n: int, errors,
     values, arrays over its batch.  Returns ``(values, failed,
     solver_stats)``: NaN rows for the failed ones, and ``failed`` maps
     each such row to its ``TwpaError``, the rows ``errors`` names
-    included.
+    included.  At ``info`` the log times each batch's ``build`` ("set up
+    a batch"), logs each split and times the whole grid; a table built
+    before the call, as ``saturation_curve``'s, is not in the set-up time.
     """
     # imported here so that a bare `import twpasim` does not load logging
     # (the CLI, which reads TWPASIM_LOG, has loaded it already)
@@ -528,8 +530,8 @@ def _spectrum(task: str, m: MediumParams, rtol: float, n: int, errors,
         t1 = time.perf_counter()
         table, y0, frequencies = build(rows)
         if rows.size > 1:
-            log.info("%s: built the coupling table of %d rows in %.3f s",
-                     task, rows.size, time.perf_counter() - t1)
+            log.info("%s: set up a batch of %d rows in %.3f s", task,
+                     rows.size, time.perf_counter() - t1)
         try:
             traj = _propagate(m, table, y0, frequencies, rtol, 2)
         except StepFailure as exc:

@@ -537,6 +537,32 @@ class TestWriter:
             for fmt in ("csv", "json"):
                 self.assert_written_as_per_value(cfg, out / f"t.{fmt}", fmt)
 
+    @pytest.mark.parametrize("precision", [1, 2, 12, 15, 16, 17])
+    def test_token_rule_edges_match_per_value_rendering(self, tmp_path,
+                                                        precision):
+        """The values where a JSON token changes from ``format(v, ".p")``
+        to the ``%g`` and ``float.__repr__`` rendering, and the values
+        either side of them, as Python floats and NumPy float64, each also
+        negated."""
+        half = 0.5 * 10.0 ** (precision - 1)
+        normal = sys.float_info.min
+        nines = "9." + "9" * precision  # one more nine than is kept
+        edges = [half, math.nextafter(half, 0), math.nextafter(half, math.inf),
+                 10.0 ** (precision - 1), 10.0 ** precision, 1e15, 1e16,
+                 # round up across a power of ten: to 10**(p-1), 1 and 1e-4
+                 float(f"{nines}e{precision - 2}"), float(f"{nines}e-1"),
+                 float(f"{nines}e-5"),
+                 normal, math.nextafter(normal, 0), 5e-324,
+                 # their 16- and 17-digit roundings are not their repr
+                 9.00000000000001, 0.1,
+                 0.0, math.nan, math.inf]
+        rows = [[v, -v, np.float64(v), np.float64(-v)] for v in edges]
+        cfg = validate(f"task = cell-params\nprecision = {precision}\n")
+        with mock.patch.dict(cli._TASK_FN, {"cell-params": lambda cfg: (
+                ["a", "b", "c", "d"], rows, {})}):
+            self.assert_written_as_per_value(cfg, tmp_path / "t.json",
+                                             "json")
+
 
 class TestLogging:
     def test_info_times_each_layer_and_leaves_the_artifact(
@@ -567,6 +593,28 @@ class TestLogging:
                         r"wrote .*info\.json in \d+\.\d{3} s"):
             assert any(re.fullmatch(pattern, m)
                        for m in messages["info"]), pattern
+
+    def test_batch_set_up_time_says_what_it_times(self, tmp_path,
+                                                  monkeypatch, caplog):
+        """The per-batch line times the batch's set-up, which for a
+        saturation sweep is its initial state alone: its one coupling
+        table is built before the sweep."""
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text("task = saturation\nflux = 0.35\n"
+                            "pump_freq_hz = 9.2e9\npump_power_dbm = -78\n"
+                            "signal_freq_hz = 7.6e9\n"
+                            "signal_power_points = 3\nsolver_rtol = 1e-8\n")
+        monkeypatch.setenv("TWPASIM_LOG", "info")
+        try:
+            assert main(["saturation", "--config", str(cfg_path), "--out",
+                         str(tmp_path / "s.csv")]) == 0
+        finally:
+            logging.getLogger("twpasim").setLevel(logging.WARNING)
+        messages = [r.getMessage() for r in caplog.records
+                    if r.name.startswith("twpasim")]
+        assert any(re.fullmatch(r"saturation: set up a batch of 3 rows in "
+                                r"\d+\.\d{3} s", m) for m in messages)
+        assert not any("coupling table" in m for m in messages)
 
 
 class TestColdStart:

@@ -951,7 +951,7 @@ class TestBatches:
             gain_spectrum(medium_035, ToneConfig(W_AP, -78.0),
                           2 * math.pi * np.linspace(4e9, 12e9, 5), **FIT)
         messages = [r.getMessage() for r in caplog.records]
-        assert any(re.fullmatch(r"gain: built the coupling table of 5 rows "
+        assert any(re.fullmatch(r"gain: set up a batch of 5 rows "
                                 r"in \d+\.\d{3} s", m) for m in messages)
         assert any(re.fullmatch(r"gain: integrated 5 rows \(runs: 1, "
                                 r"steps: \d+\) in \d+\.\d{3} s", m)
