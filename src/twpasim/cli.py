@@ -13,6 +13,10 @@ verbosity; at ``info`` the log on stderr gives the seconds spent parsing
 the config, setting up the device, running the task (device setup
 included), formatting and writing the artifact, which itself does not
 change.
+
+Each task (``_TASK_FN``) returns ``(columns, table, metadata)``: the column
+names, a 2-D float64 array with one column per name and one row per grid
+point, and the JSON ``metadata`` dict; :func:`run` writes that table.
 """
 
 from __future__ import annotations
@@ -25,15 +29,14 @@ import math
 import os
 import sys
 import time
-from itertools import chain, compress
 
 import numpy as np
 
 from . import __version__
 from . import constants
-from .cme import (RTOL_RANGE, gain_spectrum, isolation_spectrum,
+from .cme import (RTOL_RANGE, _gaps, gain_spectrum, isolation_spectrum,
                   saturation_curve)
-from .errors import ConfigError, TwpaError, describe
+from .errors import ConfigError, TwpaError
 from .medium import (MediumParams, band_error, in_band, linear_transmission_db,
                      loss_wavevector, wavevector)
 from .noisecal import fit_output_line, read_noise_records
@@ -249,15 +252,17 @@ _CELL_COLUMNS = ["flux_phi0", "phi_star_rad", "alpha_tilde", "beta_tilde",
 
 def _task_cell_params(cfg: dict):
     coeffs, _, _, _ = _device(cfg)
-    return _CELL_COLUMNS, [_cell_row(cfg["flux"], coeffs.flux, coeffs)], {}
+    return (_CELL_COLUMNS,
+            np.array([_cell_row(cfg["flux"], coeffs.flux, coeffs)]), {})
 
 
 def _task_flux_sweep(cfg: dict):
     spec = _spec(cfg)
     grid = np.linspace(cfg["flux_min"], cfg["flux_max"], cfg["flux_points"])
     coeffs = flux_sweep(spec, grid, cfg["consistent_derivatives"])
-    rows = [_cell_row(f, c.flux, c) for f, c in zip(grid, coeffs)]
-    return _CELL_COLUMNS, rows, {}
+    return (_CELL_COLUMNS,
+            np.array([_cell_row(f, c.flux, c) for f, c in zip(grid, coeffs)]),
+            {})
 
 
 def _gap_metadata(gaps) -> dict:
@@ -274,8 +279,8 @@ def _solver_metadata(runs) -> dict:
     return {"runs": len(runs), **{k: sum(r[k] for r in runs) for k in keys}}
 
 
-def _grid_rows(omegas, *columns) -> list:
-    return np.column_stack((omegas / (2 * math.pi),) + columns).tolist()
+def _grid_rows(omegas, *columns) -> np.ndarray:
+    return np.column_stack((omegas / (2 * math.pi),) + columns)
 
 
 def _task_dispersion(cfg: dict):
@@ -287,8 +292,8 @@ def _task_dispersion(cfg: dict):
     values[ok] = np.column_stack([wavevector(medium, w),
                                   loss_wavevector(medium, w),
                                   linear_transmission_db(medium, w)])
-    gaps = [(j, float(omegas[j]), describe(band_error(medium, omegas[j])))
-            for j in np.flatnonzero(~ok)]
+    gaps = _gaps(omegas, {j: band_error(medium, omegas[j])
+                          for j in np.flatnonzero(~ok)})
     cols = ["freq_hz", "k_rad_per_cell", "loss_k_per_cell",
             "transmission_db"]
     return cols, _grid_rows(omegas, values), _gap_metadata(gaps)
@@ -299,7 +304,7 @@ def _breakdown(cfg: dict, medium, beta, gamma, pump, omegas):
     pass, and its gaps."""
     values, errors = breakdown_grid(medium, beta, gamma, omegas, pump.freq,
                                     pump.power_dbm, cfg["amp_scale"])
-    return values, [(j, float(omegas[j]), describe(exc)) for j, exc in errors]
+    return values, _gaps(omegas, dict(errors))
 
 
 def _task_phase_mismatch(cfg: dict):
@@ -355,25 +360,23 @@ def _task_saturation(cfg: dict):
                            powers, beta=beta, gamma=gamma,
                            amp_scale=cfg["amp_scale"],
                            rtol=cfg["solver_rtol"])
-    rows = [[p, g] for p, g in zip(res.power_dbm, res.gain_db)]
     meta = {"small_signal_gain_db": res.small_signal_gain_db,
             "compression_1db_dbm": res.compression_1db_dbm,
             "solver": _solver_metadata(res.solver_stats)}
-    return ["signal_power_dbm", "gain_db"], rows, meta
+    return (["signal_power_dbm", "gain_db"],
+            np.column_stack((res.power_dbm, res.gain_db)), meta)
 
 
 def _task_noise_fit(cfg: dict):
     data = read_noise_records(cfg["noise_data_path"])
     fit = fit_output_line(data, cfg["bandwidth_hz"])
     m = fit.model
-    rows = []
-    for i in range(m.omega.size):
-        photons = m.n_out[i] / (constants.HBAR * m.omega[i])
-        rows.append([m.omega[i] / (2 * math.pi), m.g_out[i], m.n_out[i],
-                     photons, fit.g_stderr[i], fit.n_stderr[i]])
+    table = np.column_stack((m.omega / (2 * math.pi), m.g_out, m.n_out,
+                             m.n_out / (constants.HBAR * m.omega),
+                             fit.g_stderr, fit.n_stderr))
     cols = ["freq_hz", "g_out", "n_out_w_per_hz", "n_out_photons",
             "g_stderr", "n_stderr"]
-    return cols, rows, {"bandwidth_hz": cfg["bandwidth_hz"]}
+    return cols, table, {"bandwidth_hz": cfg["bandwidth_hz"]}
 
 
 _TASK_FN = {
@@ -398,14 +401,16 @@ def _json_tokens(values: tuple, precision: int) -> list:
     """``json.dumps(float(f"%.{precision}g" % v))`` for each of ``values``:
     one ``%``-format rounds them all and one call of json's C encoder
     writes the rounded floats (``float.__repr__``, ``NaN``, ``Infinity``)."""
+    if not values:
+        return []
     rounded = map(float, ((f"%.{precision}g " * len(values)) % values).split())
     return json.dumps(list(rounded))[1:-1].split(", ")
 
 
-def _json_rows(values: tuple, ncols: int, precision: int) -> str:
-    """A flattened table of floats as ``json.dumps(indent=1)`` writes the
-    ``rows`` value of an artifact, each float first rounded to
-    ``precision`` significant digits: a value's token is
+def _json_rows(table: np.ndarray, precision: int) -> str:
+    """A 2-D float table as ``json.dumps(indent=1)`` writes the ``rows``
+    value of an artifact, each float first rounded to ``precision``
+    significant digits: a value's token is
     ``json.dumps(float(f"%.{precision}g" % v))``, and NaN and inf stay as
     they are.
 
@@ -426,24 +431,21 @@ def _json_rows(values: tuple, ncols: int, precision: int) -> str:
     holds no brace, stands in the template as it is; a table without a
     ``{:.precision}`` field is its template.
     """
-    if not values:
+    if not table.size:
         return "[]"
+    nrows, ncols = table.shape
     row = ",\n   ".join(["%s"] * ncols)
-    rows = "\n  ],\n  [\n   ".join([row] * (len(values) // ncols))
+    rows = "\n  ],\n  [\n   ".join([row] * nrows)
     layout = f"[\n  [\n   {rows}\n  ]\n ]"
-    exact = np.zeros(len(values), bool)
-    if 2 <= precision <= 15:
-        size = np.abs(np.fromiter(values, np.float64, len(values)))
-        exact = ((size < 0.5 * 10.0 ** (precision - 1))
-                 & ((size >= sys.float_info.min) | (size == 0)))
-    if not exact.any():
-        return layout % tuple(_json_tokens(values, precision))
-    fields = [f"{{:.{precision}}}"] * len(values)
-    loose = np.flatnonzero(~exact).tolist()
-    for j, token in zip(loose, _json_tokens(tuple(values[j] for j in loose),
-                                            precision)):
-        fields[j] = token
-    return (layout % tuple(fields)).format(*compress(values, exact.tolist()))
+    values = table.ravel()
+    size = np.abs(values)
+    exact = ((2 <= precision <= 15)
+             & (size < 0.5 * 10.0 ** (precision - 1))
+             & ((size >= sys.float_info.min) | (size == 0)))
+    fields = np.empty(values.size, object)
+    fields.fill(f"{{:.{precision}}}")  # np.full of an object is slower
+    fields[~exact] = _json_tokens(tuple(values[~exact].tolist()), precision)
+    return (layout % tuple(fields.tolist())).format(*values[exact].tolist())
 
 
 def run(cfg: dict, out_path=None, out_format=None) -> str:
@@ -456,28 +458,24 @@ def run(cfg: dict, out_path=None, out_format=None) -> str:
     ``f"{v:.{precision}g}"``, and the JSON document is
     ``json.dumps(doc, indent=1, sort_keys=True, allow_nan=True)`` with each
     finite row value replaced by ``float(f"{v:.{precision}g}")``
-    (``tests/test_cli.py`` keeps that rule as its oracle).  A JSON row
-    value's token is therefore ``json.dumps(float(f"%.{precision}g" % v))``;
-    the table is one ``str.format`` that writes it as
-    ``format(v, f".{precision}")`` wherever that is provably the same
-    string, a zero or normal ``|v| < 0.5 * 10**(precision - 1)`` at a
-    precision of 2 to 15, and renders every other token in one pass
-    (:func:`_json_rows`).
+    (``tests/test_cli.py`` keeps that rule as its oracle), so a JSON row
+    value's token is ``json.dumps(float(f"%.{precision}g" % v))``;
+    :func:`_json_rows` says how one ``str.format`` writes it.
     """
     task = cfg["task"]
     t0 = time.perf_counter()
-    cols, rows, meta = _TASK_FN[task](cfg)
+    cols, table, meta = _TASK_FN[task](cfg)
     t1 = time.perf_counter()
     log.info("ran task %s in %.3f s", task, t1 - t0)
     fmt = out_format or cfg["format"]
     path = out_path or cfg["out_path"] or f"{task}.{fmt}"
     prec = cfg["precision"]
-    # every row value is a float (Python or NumPy float64)
-    values = tuple(chain.from_iterable(rows))
+    table = np.reshape(np.asarray(table, dtype=float), (-1, len(cols)))
 
     if fmt == "csv":
         row = ",".join([f"%.{prec}g"] * len(cols)) + "\n"
-        payload = ",".join(cols) + "\n" + (row * len(rows)) % values
+        payload = (",".join(cols) + "\n"
+                   + (row * len(table)) % tuple(table.ravel().tolist()))
     else:
         doc = {
             "task": task,
@@ -496,10 +494,10 @@ def run(cfg: dict, out_path=None, out_format=None) -> str:
         }
         text = json.dumps(doc, indent=1, sort_keys=True, allow_nan=True)
         head, _, tail = text.rpartition(json.dumps(_ROWS_SLOT))
-        payload = head + _json_rows(values, len(cols), prec) + tail + "\n"
+        payload = head + _json_rows(table, prec) + tail + "\n"
 
     t2 = time.perf_counter()
-    log.info("formatted %d rows as %s in %.3f s", len(rows), fmt, t2 - t1)
+    log.info("formatted %d rows as %s in %.3f s", len(table), fmt, t2 - t1)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(payload)
     log.info("wrote %s in %.3f s", path, time.perf_counter() - t2)

@@ -159,15 +159,12 @@ def amplitude_from_dbm(m: MediumParams, omega: float, power_dbm: float,
                              f"{amp:g}, which is not finite and positive")
         return amp
     power = np.asarray(power_dbm, dtype=float)
-    if power.ndim:
-        # Python's float power, element by element: NumPy's differs from
-        # it in the last bit for about one power in twenty
-        p_watt = np.reshape([_watts(p) for p in power.ravel().tolist()],
-                            power.shape)
-        root = np.sqrt(2.0 * m.Z * p_watt)
-    else:
-        root = math.sqrt(2.0 * m.Z * _watts(float(power)))
-    amp = amp_scale * (2.0 * math.pi / PHI0) * root / omega
+    # Python's float power, element by element: NumPy's differs from it in
+    # the last bit for about one power in twenty
+    p_watt = np.reshape([_watts(p) for p in power.ravel().tolist()],
+                        power.shape)
+    amp = (amp_scale * (2.0 * math.pi / PHI0) * np.sqrt(2.0 * m.Z * p_watt)
+           / omega)
     amps = np.ravel(amp)
     bad = ~((amps > 0) & (amps < math.inf))
     if bad.any():

@@ -460,6 +460,34 @@ _FLOAT = st.one_of(st.floats(), st.sampled_from(_SPECIAL),
 _VALUE = st.one_of(_FLOAT, _FLOAT.map(np.float64))
 
 
+# one config of each task; the gap grids give NaN rows
+_TASK_CASES = [
+    ("cell-params", "flux = 0.19"),
+    ("flux-sweep", "flux_points = 5\nprecision = 17"),
+    ("dispersion", "flux = 0.35\nsignal_freq_min_hz = 60e9\n"
+                   "signal_freq_max_hz = 70e9\nsignal_points = 3"),
+    # gap grids: at 38 and 39 GHz the signal plus pump mode is above
+    # the plasma cutoff, and above 18.4 GHz the idler is negative
+    ("phase-mismatch", "flux = 0.35\npump_freq_hz = 30e9\n"
+                       "pump_power_dbm = -78\n"
+                       "signal_freq_min_hz = 35e9\n"
+                       "signal_freq_max_hz = 39e9\nsignal_points = 5"),
+    ("gain", "flux = 0.35\npump_freq_hz = 9.2e9\npump_power_dbm = -78\n"
+             "signal_freq_min_hz = 17e9\nsignal_freq_max_hz = 20e9\n"
+             "signal_points = 3\nsolver_rtol = 1e-8\nprecision = 5"),
+    ("isolation", "flux = 0.35\niso_pump_freq_hz = 12.2e9\n"
+                  "iso_pump_power_dbm = -74\nsignal_points = 2\n"
+                  "solver_rtol = 1e-8"),
+    ("saturation", "flux = 0.35\npump_freq_hz = 9.2e9\n"
+                   "pump_power_dbm = -78\nsignal_freq_hz = 7.6e9\n"
+                   "signal_power_points = 2\nsolver_rtol = 1e-8"),
+    ("noise-fit", f"noise_data_path = {NOISE_RECORDS}\n"
+                  f"bandwidth_hz = 1e6\nprecision = 1"),
+]
+_TASK_IDS = ["cell-params", "flux-sweep", "dispersion", "phase-mismatch-gaps",
+             "gain-gaps", "isolation", "saturation", "noise-fit"]
+
+
 @st.composite
 def _tables(draw):
     ncols = draw(st.integers(1, 6))
@@ -479,30 +507,7 @@ class TestWriter:
             _per_value_artifact(cfg, cols, rows, meta, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("task, lines", [
-        ("cell-params", "flux = 0.19"),
-        ("flux-sweep", "flux_points = 5\nprecision = 17"),
-        ("dispersion", "flux = 0.35\nsignal_freq_min_hz = 60e9\n"
-                       "signal_freq_max_hz = 70e9\nsignal_points = 3"),
-        # gap grids: at 38 and 39 GHz the signal plus pump mode is above
-        # the plasma cutoff, and above 18.4 GHz the idler is negative
-        ("phase-mismatch", "flux = 0.35\npump_freq_hz = 30e9\n"
-                           "pump_power_dbm = -78\n"
-                           "signal_freq_min_hz = 35e9\n"
-                           "signal_freq_max_hz = 39e9\nsignal_points = 5"),
-        ("gain", "flux = 0.35\npump_freq_hz = 9.2e9\npump_power_dbm = -78\n"
-                 "signal_freq_min_hz = 17e9\nsignal_freq_max_hz = 20e9\n"
-                 "signal_points = 3\nsolver_rtol = 1e-8\nprecision = 5"),
-        ("isolation", "flux = 0.35\niso_pump_freq_hz = 12.2e9\n"
-                      "iso_pump_power_dbm = -74\nsignal_points = 2\n"
-                      "solver_rtol = 1e-8"),
-        ("saturation", "flux = 0.35\npump_freq_hz = 9.2e9\n"
-                       "pump_power_dbm = -78\nsignal_freq_hz = 7.6e9\n"
-                       "signal_power_points = 2\nsolver_rtol = 1e-8"),
-        ("noise-fit", f"noise_data_path = {NOISE_RECORDS}\n"
-                      f"bandwidth_hz = 1e6\nprecision = 1"),
-    ], ids=["cell-params", "flux-sweep", "dispersion", "phase-mismatch-gaps",
-            "gain-gaps", "isolation", "saturation", "noise-fit"])
+    @pytest.mark.parametrize("task, lines", _TASK_CASES, ids=_TASK_IDS)
     def test_every_task_matches_per_value_rendering(self, tmp_path, task,
                                                     lines, fmt):
         cfg = validate(f"task = {task}\n{lines}\n")
@@ -510,6 +515,21 @@ class TestWriter:
         if task == "phase-mismatch" and fmt == "json":
             doc = json.loads((tmp_path / "a.json").read_text())
             assert len(doc["metadata"]["gaps"]) == 2
+
+    @pytest.mark.parametrize("task, lines", _TASK_CASES, ids=_TASK_IDS)
+    def test_every_task_returns_a_float_table(self, task, lines):
+        """A task's table is one float64 array, a row per grid point and
+        a column per name."""
+        cfg = validate(f"task = {task}\n{lines}\n")
+        cols, table, _ = cli._TASK_FN[task](cfg)
+        rows = {"cell-params": 1, "flux-sweep": 5, "dispersion": 3,
+                "phase-mismatch": 5, "gain": 3, "isolation": 2,
+                "saturation": 2, "noise-fit": 3}[task]
+        assert type(table) is np.ndarray and table.dtype == np.float64
+        assert table.shape == (rows, len(cols))
+
+    def test_no_values_give_no_tokens(self):
+        assert cli._json_tokens((), 12) == []
 
     def test_config_string_equal_to_the_rows_slot(self, tmp_path,
                                                   monkeypatch):

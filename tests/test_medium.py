@@ -88,6 +88,22 @@ class TestArrays:
                                    [amplitude_from_dbm(m, x, -78.0)
                                     for x in w], rtol=0, atol=0)
 
+    def test_power_grids_match_points(self, medium_035):
+        """A power grid at one frequency (the saturation sweep's form) and
+        a frequency x power grid give each point's float bit for bit."""
+        m = medium_035
+        w = 2 * math.pi * np.linspace(2e9, 16.5e9, 41)
+        p = np.linspace(-150.0, -20.0, 53)
+        np.testing.assert_allclose(
+            amplitude_from_dbm(m, w[7].item(), p, 1.55),
+            [amplitude_from_dbm(m, w[7].item(), x, 1.55) for x in p.tolist()],
+            rtol=0, atol=0)
+        grid = amplitude_from_dbm(m, w[:, None], p[None, :], 1.55)
+        assert grid.shape == (w.size, p.size)
+        np.testing.assert_allclose(
+            grid, [[amplitude_from_dbm(m, x, y, 1.55) for y in p.tolist()]
+                   for x in w.tolist()], rtol=0, atol=0)
+
     def test_band_mask_and_first_error(self, medium_035):
         m = medium_035  # plasma guard at 67.075 GHz
         w = 2 * math.pi * np.array([5e9, 70e9, -1e9, 80e9])
