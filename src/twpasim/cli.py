@@ -29,6 +29,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import astuple
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .medium import (MediumParams, band_error, in_band, linear_transmission_db,
                      loss_wavevector, wavevector)
 from .noisecal import fit_output_line, read_noise_records
 from .phasematch import ToneConfig, breakdown_grid
-from .unitcell import SnailSpec, cell_coefficients, equilibrium_phase, flux_sweep
+from .unitcell import SnailSpec, _sweep, cell_coefficients, equilibrium_phase
 
 log = logging.getLogger("twpasim")
 
@@ -239,10 +240,11 @@ def _signal_grid(cfg: dict) -> np.ndarray:
                                        cfg["signal_points"])
 
 
-def _cell_row(flux, fp, c):
-    return [flux, fp.phi_star, c.alpha, c.beta_t, c.gamma_t, c.L,
-            c.omega0 / (2 * math.pi), c.omegaJ / (2 * math.pi), c.Z,
-            c.g3, c.g4, c.beta, c.gamma]
+def _cell_table(flux, phi_star, c) -> np.ndarray:
+    """Rows of flux, phase and ``CellCoefficients``' fields after ``flux``
+    (floats for one row, or a column each), omega0 and omegaJ in Hz."""
+    hz = [w / (2 * math.pi) for w in c[4:6]]
+    return np.column_stack((flux, phi_star, *c[:4], *hz, *c[6:]))
 
 
 _CELL_COLUMNS = ["flux_phi0", "phi_star_rad", "alpha_tilde", "beta_tilde",
@@ -252,17 +254,15 @@ _CELL_COLUMNS = ["flux_phi0", "phi_star_rad", "alpha_tilde", "beta_tilde",
 
 def _task_cell_params(cfg: dict):
     coeffs, _, _, _ = _device(cfg)
-    return (_CELL_COLUMNS,
-            np.array([_cell_row(cfg["flux"], coeffs.flux, coeffs)]), {})
+    return (_CELL_COLUMNS, _cell_table(cfg["flux"], coeffs.flux.phi_star,
+                                       astuple(coeffs)[1:]), {})
 
 
 def _task_flux_sweep(cfg: dict):
-    spec = _spec(cfg)
     grid = np.linspace(cfg["flux_min"], cfg["flux_max"], cfg["flux_points"])
-    coeffs = flux_sweep(spec, grid, cfg["consistent_derivatives"])
-    return (_CELL_COLUMNS,
-            np.array([_cell_row(f, c.flux, c) for f, c in zip(grid, coeffs)]),
-            {})
+    flux, _, phi_star, columns = _sweep(_spec(cfg), grid,
+                                        cfg["consistent_derivatives"])
+    return _CELL_COLUMNS, _cell_table(flux, phi_star, columns), {}
 
 
 def _gap_metadata(gaps) -> dict:

@@ -24,7 +24,7 @@ from .unitcell import CellCoefficients, SnailSpec
 PLASMA_GUARD = 0.98
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MediumParams:
     """Linear line parameters: ``omega0``/``omegaJ`` [rad/s], ``Z`` [Ohm],
     loss tangent and cell count."""
@@ -141,8 +141,12 @@ def amplitude_from_dbm(m: MediumParams, omega: float, power_dbm: float,
     that does): gains are ratios to it.
     """
     one = isinstance(omega, (float, int))
-    omegas = [omega] if one else np.ravel(omega).tolist()
-    bad = [w for w in omegas if not 0.0 < w < math.inf]
+    if one:
+        bad = [] if 0.0 < omega < math.inf else [omega]
+    else:
+        w = np.ravel(omega)
+        out = ~((w > 0.0) & (w < math.inf))
+        bad = [w[out.argmax()].item()] if out.any() else []
     if bad:
         raise ValueError(f"omega {bad[0]:g} rad/s is not finite and "
                          "positive")

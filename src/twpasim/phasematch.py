@@ -35,7 +35,7 @@ EPSILON_DK = 1e-4  # rad/cell; below this the perturbative formulas are invalid
 _AUX_NAMES = ("2ap", "s+ap", "i+ap")  # the auxiliary modes, in check order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ToneConfig:
     """One traveling tone: angular frequency [rad/s], port power [dBm],
     and propagation direction ('forward' or 'backward')."""
@@ -53,7 +53,7 @@ class ToneConfig:
             raise ValueError("direction must be 'forward' or 'backward'")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhaseMismatchBreakdown:
     dk_dispersion: float
     dk_kerr: float
@@ -61,7 +61,7 @@ class PhaseMismatchBreakdown:
     dk_total: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DynamicEtas:
     """Kerr-like phase rates from the dynamic processes [rad/cell].
 
@@ -226,19 +226,18 @@ def eta_mode_dynamic(beta: float, k_ap: float, k_m: float, k_up: float,
             / (4.0 * wt_m * wt_up * dk_up))
 
 
-def _dynamic_etas(beta: float, k, wt, pump_amp: float,
-                  epsilon_dk: float) -> DynamicEtas:
+def _dynamic_etas(beta: float, k, wt, pump_amp: float, epsilon_dk: float):
+    """``((eta_ap, eta_s, eta_i), valid)`` of :func:`dynamic_etas`."""
     if beta == 0.0 or pump_amp == 0.0:
         # every rate is identically zero; the denominators never enter
-        return DynamicEtas(0.0, 0.0, 0.0, valid=True)
+        return (0.0, 0.0, 0.0), True
     dk = _aux_mismatch(k)
     small = _small(dk, epsilon_dk)
     if any(small):
         r = small.index(True)
         raise _small_denominator(r, dk[r], epsilon_dk)
     eta = _dynamic(beta, k, wt, dk, pump_amp * pump_amp)
-    valid = all(abs(d) > 10.0 * abs(e) for d, e in zip(dk, eta))
-    return DynamicEtas(*eta, valid=valid)
+    return eta, all(abs(d) > 10.0 * abs(e) for d, e in zip(dk, eta))
 
 
 def dynamic_etas(m: MediumParams, beta: float, omega_s: float, omega_ap: float,
@@ -254,7 +253,8 @@ def dynamic_etas(m: MediumParams, beta: float, omega_s: float, omega_ap: float,
     if not pump_amp >= 0:
         raise ValueError(f"pump_amp must be >= 0, got {pump_amp}")
     k, wt = _point(m, omega_s, omega_ap, 6)
-    return _dynamic_etas(beta, k, wt, pump_amp, epsilon_dk)
+    eta, valid = _dynamic_etas(beta, k, wt, pump_amp, epsilon_dk)
+    return DynamicEtas(*eta, valid=valid)
 
 
 def _attenuate(m: MediumParams, a0, k_ap):
@@ -273,6 +273,16 @@ def attenuated_pump_amplitude(m: MediumParams, pump: ToneConfig,
     return float(_attenuate(m, a0, wavevector(m, pump.freq)))
 
 
+def _dk_point(m, beta, gamma, omega_s, omega_ap, power_dbm, amp_scale, eps):
+    """:func:`dk_total`'s four components and errors at one point, on
+    floats: the matched-pump objective calls it with no tone objects."""
+    a0 = amplitude_from_dbm(m, omega_ap, power_dbm, amp_scale)
+    k, wt = _point(m, omega_s, omega_ap, 6)
+    amp = float(_attenuate(m, a0, k[0]))
+    eta, _ = _dynamic_etas(beta, k, wt, amp, eps)
+    return _components(gamma, k, wt, amp, eta)
+
+
 def dk_total(m: MediumParams, beta: float, gamma: float, signal: ToneConfig,
              pump: ToneConfig, amp_scale: float = 1.0,
              epsilon_dk: float = EPSILON_DK) -> PhaseMismatchBreakdown:
@@ -289,12 +299,9 @@ def dk_total(m: MediumParams, beta: float, gamma: float, signal: ToneConfig,
     SmallDenominator.  :func:`breakdown_grid` is the same arithmetic over
     a grid.
     """
-    a0 = amplitude_from_dbm(m, pump.freq, pump.power_dbm, amp_scale)
-    k, wt = _point(m, signal.freq, pump.freq, 6)
-    amp = float(_attenuate(m, a0, k[0]))
-    de = _dynamic_etas(beta, k, wt, amp, epsilon_dk)
-    return PhaseMismatchBreakdown(*_components(
-        gamma, k, wt, amp, (de.eta_ap_dyn, de.eta_s_dyn, de.eta_i_dyn)))
+    return PhaseMismatchBreakdown(*_dk_point(
+        m, beta, gamma, signal.freq, pump.freq, pump.power_dbm, amp_scale,
+        epsilon_dk))
 
 
 def breakdown_grid(m: MediumParams, beta: float, gamma: float, omega_s,
@@ -412,12 +419,15 @@ def find_matched_pump(m: MediumParams, beta: float, gamma: float,
     Returns ``(omega_ap, dk_at_min)``.  A grid of ``grid_points`` pump
     frequencies spanning the band, evaluated in one pass by
     :func:`breakdown_grid`, then Brent's bounded minimization of
-    |:func:`dk_total`| between the best grid point's neighbours (R. P.
+    ``dk_total**2`` between the best grid point's neighbours (R. P.
     Brent, *Algorithms for Minimization without Derivatives*, 1973,
     ch. 5), to ``1e-9`` of the band width; a refinement point where
-    ``dk_total`` raises counts as infinitely bad.  Grid points whose
-    mismatch formulas are invalid (plasma guard, small denominators,
-    negative idler) are skipped.
+    ``dk_total`` raises counts as infinitely bad.  The square has the
+    minimizer of |dk_total| but not its kink at zero, where parabolic
+    steps fail, so a search takes about half the calls and its result
+    moves only within Brent's tolerance, ``sqrt(eps) |x| + xatol / 3``.
+    Grid points whose mismatch formulas are invalid (plasma guard, small
+    denominators, negative idler) are skipped.
 
     Raises
     ------
@@ -436,11 +446,12 @@ def find_matched_pump(m: MediumParams, beta: float, gamma: float,
     signal = ToneConfig(freq=omega_s, power_dbm=-200.0)
 
     def objective(omega_ap: float) -> float:
-        pump = ToneConfig(freq=omega_ap, power_dbm=pump_power_dbm)
         try:
-            return abs(dk_total(m, beta, gamma, signal, pump, amp_scale).dk_total)
+            dk = _dk_point(m, beta, gamma, signal.freq, omega_ap,
+                           pump_power_dbm, amp_scale, EPSILON_DK)[3]
         except TwpaError:
             return math.inf
+        return dk * dk
 
     grid = np.linspace(lo, hi, grid_points)
     values, errors = breakdown_grid(m, beta, gamma, omega_s, grid,
@@ -453,6 +464,7 @@ def find_matched_pump(m: MediumParams, beta: float, gamma: float,
     a = float(grid[max(ibest - 1, 0)])
     b = float(grid[min(ibest + 1, grid_points - 1)])
     omega_best, best = _bounded_brent(objective, a, b, (hi - lo) * 1e-9)
+    best = math.sqrt(best)
     if not best <= vals[ibest]:
         omega_best, best = grid[ibest], vals[ibest]
     if best > threshold:

@@ -31,7 +31,7 @@ from .errors import NonConvergence, NonPositiveInductance, NotFound
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SnailSpec:
     """Physical parameters of one unit cell and the cell count.
 
@@ -71,7 +71,7 @@ class SnailSpec:
             raise ValueError("tan_delta must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FluxPoint:
     """Equilibrium phase at one external flux.
 
@@ -84,7 +84,7 @@ class FluxPoint:
     phi_star: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellCoefficients:
     """Expansion coefficients and derived line parameters at one flux.
 
@@ -181,6 +181,38 @@ def equilibrium_phase(spec: SnailSpec, phi_ext: float) -> FluxPoint:
     return _flux_point(spec.r, phi_ext, phi)
 
 
+def _expansion(r: float, phi_star, phi_ext_rad, consistent_derivatives):
+    """``(alpha, beta_t, gamma_t)`` at equilibrium phases ``phi_star`` and
+    fluxes ``phi_ext_rad`` [rad]: floats, or arrays as in :func:`_line`."""
+    xp = np if isinstance(phi_star, np.ndarray) else math
+    arg = (phi_star - phi_ext_rad) / 3.0
+    inner = xp.cos(arg) / 3.0 if consistent_derivatives else xp.cos(arg)
+    alpha = r * xp.cos(phi_star) + inner
+    beta_t = 0.5 * (r * xp.sin(phi_star) + xp.sin(arg) / 9.0)
+    gamma_t = (r * xp.cos(phi_star) + xp.cos(arg) / 27.0) / 6.0
+    return alpha, beta_t, gamma_t
+
+
+def _line(spec: SnailSpec, alpha, beta_t, gamma_t):
+    """``(L, omega0, omegaJ, Z, g3, g4, beta, gamma)`` for ``alpha > 0``:
+    floats, or arrays of the same operations in the same order.  NumPy's
+    sqrt, sin and cos match the math module's bits, but its array square is
+    ``omega0 * omega0``, so ``omega0**2`` is Python's, element by element."""
+    xp = np if isinstance(alpha, np.ndarray) else math
+    L = PHI0 / (_TWO_PI * spec.I0 * alpha)
+    omega0 = 1.0 / xp.sqrt(L * spec.Cg)
+    omegaJ = 1.0 / xp.sqrt(L * spec.CJ)
+    Z = xp.sqrt(L / spec.Cg)
+    Ec = E_CHARGE**2 / (2.0 * spec.Cg)
+    g3 = (beta_t / (3.0 * alpha)) * xp.sqrt(Ec * HBAR * omega0) / HBAR
+    g4 = (gamma_t / (2.0 * alpha)) * Ec / HBAR
+    omega0_sq = (omega0**2 if xp is math
+                 else np.array([w**2 for w in omega0.tolist()]))
+    beta = 6.0 * g3 * xp.sqrt(R_Q / (math.pi * omega0_sq * Z))
+    gamma = 8.0 * g4 * R_Q / (math.pi * omega0 * Z)
+    return L, omega0, omegaJ, Z, g3, g4, beta, gamma
+
+
 def cell_coefficients(spec: SnailSpec, fp: FluxPoint,
                       consistent_derivatives: bool = False) -> CellCoefficients:
     """Expansion coefficients and line parameters at a flux point.
@@ -189,67 +221,59 @@ def cell_coefficients(spec: SnailSpec, fp: FluxPoint,
     is ``alpha = r cos(phi*) + cos((phi* - phi_ext)/3)``; with the flag set
     the second cosine carries the 1/3 factor of the true first derivative
     of the loop current, matching the 1/9 and 1/27 factors of ``beta_t``
-    and ``gamma_t``.
+    and ``gamma_t``.  The formulas are the ones :func:`flux_sweep` runs in
+    one array pass over its grid, on floats, with the same bits.
 
     Raises
     ------
     NonPositiveInductance
         If ``alpha <= 0`` at this flux.
     """
-    r = spec.r
-    ps = fp.phi_star
-    arg = (ps - fp.phi_ext_rad) / 3.0
-
-    inner = math.cos(arg) / 3.0 if consistent_derivatives else math.cos(arg)
-    alpha = r * math.cos(ps) + inner
-    beta_t = 0.5 * (r * math.sin(ps) + math.sin(arg) / 9.0)
-    gamma_t = (r * math.cos(ps) + math.cos(arg) / 27.0) / 6.0
-
+    alpha, beta_t, gamma_t = _expansion(spec.r, fp.phi_star, fp.phi_ext_rad,
+                                        consistent_derivatives)
     if alpha <= 0.0:
         raise NonPositiveInductance(
             f"alpha={alpha:.6g} <= 0 at phi_ext={fp.phi_ext} Phi0")
+    return CellCoefficients(fp, alpha, beta_t, gamma_t,
+                            *_line(spec, alpha, beta_t, gamma_t))
 
-    L = PHI0 / (_TWO_PI * spec.I0 * alpha)
-    omega0 = 1.0 / math.sqrt(L * spec.Cg)
-    omegaJ = 1.0 / math.sqrt(L * spec.CJ)
-    Z = math.sqrt(L / spec.Cg)
 
-    Ec = E_CHARGE**2 / (2.0 * spec.Cg)
-    g3 = (beta_t / (3.0 * alpha)) * math.sqrt(Ec * HBAR * omega0) / HBAR
-    g4 = (gamma_t / (2.0 * alpha)) * Ec / HBAR
-
-    beta = 6.0 * g3 * math.sqrt(R_Q / (math.pi * omega0**2 * Z))
-    gamma = 8.0 * g4 * R_Q / (math.pi * omega0 * Z)
-
-    return CellCoefficients(flux=fp, alpha=alpha, beta_t=beta_t,
-                            gamma_t=gamma_t, L=L, omega0=omega0,
-                            omegaJ=omegaJ, Z=Z, g3=g3, g4=g4,
-                            beta=beta, gamma=gamma)
+def _sweep(spec: SnailSpec, flux_grid, consistent_derivatives: bool):
+    """:func:`flux_sweep` as arrays: ``(flux, phi_ext_rad, phi_star,
+    columns)``, ``columns`` in CellCoefficients' field order after flux."""
+    flux = np.ravel(np.asarray(flux_grid, dtype=float))
+    if flux.size == 0:
+        raise ValueError("flux grid is empty")
+    if not np.isfinite(flux).all():
+        raise ValueError("flux grid contains non-finite values")
+    rad = _TWO_PI * flux
+    phi = _branch_phases(spec.r, rad)
+    expansion = _expansion(spec.r, phi, rad, consistent_derivatives)
+    bad = ~(expansion[0] > 0.0)  # alpha is NaN past the fold
+    if bad.any():  # the first bad flux raises the one-point error
+        i = int(bad.argmax())
+        f = flux[i].item()
+        try:
+            cell_coefficients(spec, _flux_point(spec.r, f, phi[i].item()),
+                              consistent_derivatives)
+        except (NonConvergence, NonPositiveInductance) as exc:
+            raise type(exc)(f"flux grid index {i} ({f} Phi0): {exc}") from exc
+    return flux, rad, phi, expansion + _line(spec, *expansion)
 
 
 def flux_sweep(spec: SnailSpec, flux_grid,
                consistent_derivatives: bool = False) -> list[CellCoefficients]:
     """Cell coefficients at each flux of ``flux_grid`` [Phi0], in order.
 
-    All equilibrium phases are solved in one array pass, each equal to what
-    :func:`equilibrium_phase` gives at that flux.  Errors carry the index of
-    the offending grid point.
+    The equilibrium phases, then the coefficient formulas, run in one array
+    pass each, with the bits of :func:`equilibrium_phase` and
+    :func:`cell_coefficients` at each flux (:func:`_line` says how).  The
+    first bad flux raises their error, with its grid index.
     """
-    grid = [float(f) for f in np.atleast_1d(flux_grid)]
-    if len(grid) == 0:
-        raise ValueError("flux grid is empty")
-    if not all(math.isfinite(f) for f in grid):
-        raise ValueError("flux grid contains non-finite values")
-
-    phis = _branch_phases(spec.r, _TWO_PI * np.array(grid)).tolist()
-    out = []
-    for i, (f, phi) in enumerate(zip(grid, phis)):
-        try:
-            fp = _flux_point(spec.r, f, phi)
-            out.append(cell_coefficients(spec, fp, consistent_derivatives))
-        except (NonConvergence, NonPositiveInductance) as exc:
-            raise type(exc)(f"flux grid index {i} ({f} Phi0): {exc}") from exc
-    return out
+    flux, rad, phi, columns = _sweep(spec, flux_grid, consistent_derivatives)
+    points = map(FluxPoint, flux.tolist(), rad.tolist(), phi.tolist())
+    return list(map(CellCoefficients, points,
+                    *(c.tolist() for c in columns)))
 
 
 def kerr_free_flux(spec: SnailSpec) -> float:

@@ -224,23 +224,67 @@ class TestFindMatchedPump:
         assert dk < 1e-6
 
     # find_matched_pump with the device couplings at -78 dBm over
-    # (f_s + 0.5 GHz, 16 GHz), recorded when every grid point was a
-    # separate dk_total call
-    PINNED = [(0.25, 4.0e9, 38602639206.136284),
-              (0.35, 6.0e9, 49094718425.28586),
-              (0.40, 7.5e9, 56327464679.60012),
-              (0.45, 5.0e9, 40927766814.68323)]
+    # (f_s + 0.5 GHz, 16 GHz): (flux, f_s, omega_ap, omega_ap_abs), the
+    # search of dk_total**2, and beside it the earlier search of
+    # |dk_total|, recorded when every grid point was a separate dk_total
+    # call
+    PINNED = [(0.25, 4.0e9, 38602639349.6058, 38602639206.136284),
+              (0.35, 6.0e9, 49094717985.75541, 49094718425.28586),
+              (0.40, 7.5e9, 56327464277.177086, 56327464679.60012),
+              (0.45, 5.0e9, 40927766736.998245, 40927766814.68323)]
+    # each case keeps the name it had before the re-record
+    PINNED_IDS = [f"{flux}-{f_s}-{abs_}" for flux, f_s, _, abs_ in PINNED]
 
-    @pytest.mark.parametrize("flux, f_s, omega_ap", PINNED)
-    def test_pinned_matched_pumps(self, device_spec, flux, f_s, omega_ap):
-        c = cell_coefficients(device_spec,
-                              equilibrium_phase(device_spec, flux))
-        m = MediumParams.from_cell(device_spec, c)
+    @staticmethod
+    def _search(spec, flux, f_s):
+        c = cell_coefficients(spec, equilibrium_phase(spec, flux))
+        m = MediumParams.from_cell(spec, c)
         w, dk = find_matched_pump(m, c.beta, c.gamma, 2 * math.pi * f_s,
                                   -78.0, (2 * math.pi * (f_s + 0.5e9),
                                           2 * math.pi * 16e9))
+        return m, c, w, dk
+
+    @pytest.mark.parametrize("flux, f_s, omega_ap, omega_ap_abs", PINNED,
+                             ids=PINNED_IDS)
+    def test_pinned_matched_pumps(self, device_spec, flux, f_s, omega_ap,
+                                  omega_ap_abs):
+        _, _, w, dk = self._search(device_spec, flux, f_s)
         assert w == pytest.approx(omega_ap, rel=1e-9)
+        # the square moves the result only within Brent's tolerance,
+        # sqrt(eps) |x| + xatol / 3, about 1.5e-8 |x|
+        assert abs(w - omega_ap_abs) < 2e-8 * omega_ap_abs
         assert dk < 1e-9
+
+    @pytest.mark.parametrize("flux, f_s, omega_ap, omega_ap_abs", PINNED,
+                             ids=PINNED_IDS)
+    def test_dk_total_changes_sign_at_the_match(self, device_spec, flux, f_s,
+                                                omega_ap, omega_ap_abs):
+        m, c, w, _ = self._search(device_spec, flux, f_s)
+        dk = [dk_total(m, c.beta, c.gamma, ToneConfig(2 * math.pi * f_s,
+                                                      -200.0),
+                       ToneConfig(w * (1.0 + side), -78.0)).dk_total
+              for side in (-3e-8, 3e-8)]
+        assert dk[0] * dk[1] < 0.0
+
+    @pytest.mark.parametrize("flux, f_s, omega_ap, omega_ap_abs", PINNED,
+                             ids=PINNED_IDS)
+    def test_search_takes_at_most_ten_objective_calls(
+            self, device_spec, monkeypatch, flux, f_s, omega_ap,
+            omega_ap_abs):
+        # the smooth square keeps Brent on parabolic steps; |dk_total|
+        # took 13-21 calls
+        import twpasim.phasematch as pm
+
+        calls = []
+        dk_point = pm._dk_point
+
+        def counting(*args):
+            calls.append(args)
+            return dk_point(*args)
+
+        monkeypatch.setattr(pm, "_dk_point", counting)
+        self._search(device_spec, flux, f_s)
+        assert 0 < len(calls) <= 10
 
     @pytest.mark.parametrize("grid_points", [1, 0])
     def test_grid_of_fewer_than_two_points_rejected(self, medium_035,
@@ -290,7 +334,7 @@ class TestFindMatchedPump:
         def broken(*args, **kwargs):
             raise TypeError("bug in the objective")
 
-        monkeypatch.setattr(pm, "dk_total", broken)
+        monkeypatch.setattr(pm, "_dk_point", broken)
         with pytest.raises(TypeError, match="bug in the objective"):
             find_matched_pump(medium_035, self.FIT["beta"],
                               self.FIT["gamma"], W_S, -78.0, self.BAND,
@@ -325,12 +369,12 @@ class TestBoundedBrent:
         assert (x, fun) == (float(res.x), float(res.fun))
         return x, fun
 
-    @pytest.mark.parametrize("flux, f_s, omega_ap", TestFindMatchedPump.PINNED)
+    @pytest.mark.parametrize("flux, f_s, omega_ap, omega_ap_abs",
+                             TestFindMatchedPump.PINNED,
+                             ids=TestFindMatchedPump.PINNED_IDS)
     def test_pinned_matched_pump_refinements(self, device_spec, monkeypatch,
-                                             flux, f_s, omega_ap):
-        c = cell_coefficients(device_spec,
-                              equilibrium_phase(device_spec, flux))
-        m = MediumParams.from_cell(device_spec, c)
+                                             flux, f_s, omega_ap,
+                                             omega_ap_abs):
         searches = []
 
         def recording(f, a, b, xatol):
@@ -338,10 +382,11 @@ class TestBoundedBrent:
             return searches[-1]
 
         monkeypatch.setattr("twpasim.phasematch._bounded_brent", recording)
-        w, dk = find_matched_pump(m, c.beta, c.gamma, 2 * math.pi * f_s,
-                                  -78.0, (2 * math.pi * (f_s + 0.5e9),
-                                          2 * math.pi * 16e9))
-        assert searches == [(w, dk)]
+        _, _, w, dk = TestFindMatchedPump._search(device_spec, flux, f_s)
+        # the search minimizes dk_total**2 and returns |dk_total|
+        [(x, fun)] = searches
+        assert x == w
+        assert math.sqrt(fun) == dk
 
     @settings(max_examples=60, deadline=None)
     @given(a=st.floats(-100.0, 100.0), width=st.floats(1e-3, 100.0),

@@ -1,11 +1,14 @@
+import dataclasses
 import math
+import pickle
+from copy import deepcopy
 
 import numpy as np
 import pytest
 
-from twpasim import (CellCoefficients, FluxPoint, SnailSpec,
-                     cell_coefficients, equilibrium_phase, flux_sweep,
-                     kerr_free_flux)
+from twpasim import (CellCoefficients, FluxPoint, SnailSpec, ToneConfig,
+                     cell_coefficients, dk_total, dynamic_etas,
+                     equilibrium_phase, flux_sweep, kerr_free_flux)
 from twpasim.errors import NonConvergence, NonPositiveInductance, NotFound
 
 
@@ -279,15 +282,22 @@ class TestFluxSweep:
         assert abs(out[1].beta_t) > 1e-3
         assert abs(out[2].beta_t) > 1e-3
 
+    # fluxes of linspace(-0.5, 0.5, 100001) where NumPy's omega0 * omega0,
+    # which is what it computes for omega0**2 on an array, is not Python's
+    # float power (with this platform's C library) and moves beta
+    SQUARE_FLUXES = [-0.49734, -0.46099, 0.0373, 0.11329, 0.20299, 0.31974]
+
     def test_matches_pointwise_calls(self, device_spec):
-        # bit for bit, flux 0 included: one solve serves both
-        grid = np.linspace(-0.5, 0.5, 501)
+        # bit for bit, flux 0 included: one solve and one set of formulas
+        # serve both
+        grid = np.append(np.linspace(-0.5, 0.5, 501), self.SQUARE_FLUXES)
         swept = flux_sweep(device_spec, grid)
         for f, c in zip(grid.tolist(), swept):
             single = cell_coefficients(device_spec,
                                        equilibrium_phase(device_spec, f))
             assert c == single
             assert c.flux.phi_star.hex() == single.flux.phi_star.hex()
+            assert c.beta.hex() == single.beta.hex()
 
     def test_error_carries_grid_index(self):
         # r > 1/3 folds the equilibrium branch just past half flux
@@ -298,3 +308,39 @@ class TestFluxSweep:
     def test_empty_grid_rejected(self, device_spec):
         with pytest.raises(ValueError):
             flux_sweep(device_spec, [])
+
+
+class TestValueClasses:
+    """The frozen value classes hold their fields in slots: no instance
+    dict, still frozen, hashable, replace-able and picklable."""
+
+    @pytest.fixture
+    def instances(self, device_spec, medium_035, cell_035):
+        signal = ToneConfig(2 * math.pi * 7e9, -200.0)
+        pump = ToneConfig(2 * math.pi * 9.2e9, -78.0)
+        return [device_spec, cell_035.flux, cell_035, medium_035, pump,
+                dk_total(medium_035, 0.1, 0.1, signal, pump),
+                dynamic_etas(medium_035, 0.1, signal.freq, pump.freq, 0.5)]
+
+    def test_all_seven_are_slotted(self, instances):
+        assert sorted(type(v).__name__ for v in instances) == sorted([
+            "SnailSpec", "FluxPoint", "CellCoefficients", "MediumParams",
+            "ToneConfig", "PhaseMismatchBreakdown", "DynamicEtas"])
+        for value in instances:
+            assert not hasattr(value, "__dict__")
+            assert type(value).__slots__
+
+    def test_frozen_hashable_and_replaceable(self, instances):
+        for value in instances:
+            name = dataclasses.fields(value)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, getattr(value, name))
+            assert hash(value) == hash(dataclasses.replace(value))
+            assert dataclasses.replace(value) == value
+
+    def test_pickle_and_deepcopy_round_trip(self, instances):
+        for value in instances:
+            for copy in (pickle.loads(pickle.dumps(value)),
+                         deepcopy(value)):
+                assert type(copy) is type(value)
+                assert copy == value
