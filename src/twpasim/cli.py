@@ -88,6 +88,12 @@ _SCHEMA = {
     "precision": (int, 12),
 }
 
+# SnailSpec's fields and their keys; every task but noise-fit builds one
+_SPEC_KEYS = {"I0": "critical_current_a", "r": "asymmetry_ratio",
+              "Cg": "ground_capacitance_f", "CJ": "junction_capacitance_f",
+              "N": "cells", "tan_delta": "tan_delta"}
+_DEVICE_TASKS = frozenset(TASKS) - {"noise-fit"}
+
 _TASK_REQUIRED = {
     "gain": ("pump_freq_hz", "pump_power_dbm"),
     "phase-mismatch": ("pump_freq_hz", "pump_power_dbm"),
@@ -122,8 +128,7 @@ def validate(config_text: str) -> dict:
             diags.append((lineno, f"expected 'key = value', got {raw!r}"))
             continue
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = key.strip(), value.strip()
         if key not in _SCHEMA:
             diags.append((lineno, f"unknown key '{key}'"))
             continue
@@ -138,10 +143,7 @@ def validate(config_text: str) -> dict:
         if key in seen:
             text, lineno = seen[key]
             try:
-                if typ is bool:
-                    values[key] = _parse_bool(text)
-                else:
-                    values[key] = typ(text)
+                values[key] = (_parse_bool if typ is bool else typ)(text)
             except ValueError:
                 diags.append((lineno, f"cannot parse '{key}' value "
                                       f"{text!r} as {typ.__name__}"))
@@ -201,6 +203,15 @@ def validate(config_text: str) -> dict:
                 and values.get(lo, -math.inf) >= values.get(hi, math.inf)):
             line = max(seen.get(k, ("", 0))[1] for k in (lo, hi))
             diags.append((line, f"{lo} must be below {hi} when {n} > 1"))
+    # SnailSpec's own checks, once every device key has parsed clean
+    bad = {line for line, _ in diags}
+    if values.get("task") in _DEVICE_TASKS and all(
+            k in values and seen.get(k, ("", -1))[1] not in bad
+            for k in _SPEC_KEYS.values()):
+        try:
+            _spec(values)
+        except ValueError as exc:
+            diags.append((0, f"invalid device: {exc}"))
 
     if diags:
         raise ConfigError(sorted(diags))
@@ -212,12 +223,7 @@ def validate(config_text: str) -> dict:
 
 
 def _spec(cfg: dict) -> SnailSpec:
-    return SnailSpec(I0=cfg["critical_current_a"],
-                     r=cfg["asymmetry_ratio"],
-                     Cg=cfg["ground_capacitance_f"],
-                     CJ=cfg["junction_capacitance_f"],
-                     N=cfg["cells"],
-                     tan_delta=cfg["tan_delta"])
+    return SnailSpec(**{field: cfg[key] for field, key in _SPEC_KEYS.items()})
 
 
 def _device(cfg: dict):
@@ -337,8 +343,7 @@ def _task_gain(cfg: dict):
 def _task_isolation(cfg: dict):
     _, medium, beta, _ = _device(cfg)
     pump = ToneConfig(freq=2 * math.pi * cfg["iso_pump_freq_hz"],
-                      power_dbm=cfg["iso_pump_power_dbm"],
-                      direction="backward")
+                      power_dbm=cfg["iso_pump_power_dbm"])
     omegas = _signal_grid(cfg)
     spec = isolation_spectrum(medium, pump, omegas, cfg["signal_power_dbm"],
                               beta=beta, amp_scale=cfg["amp_scale"],
@@ -509,19 +514,20 @@ def _error_exit(code: int, kind: str, payload) -> int:
     return code
 
 
+_PARSER = argparse.ArgumentParser(prog="twpasim", description=__doc__)
+_PARSER.add_argument("task", choices=TASKS)
+_PARSER.add_argument("--config", required=True)
+_PARSER.add_argument("--out", default=None)
+_PARSER.add_argument("--format", choices=("csv", "json"), default=None)
+
+
 def main(argv=None) -> int:
     level = os.environ.get("TWPASIM_LOG", "warning").upper()
     logging.basicConfig(format="%(name)s %(levelname)s %(message)s")
     # on the package logger, so the setting holds even where the root
     # logger was configured before (an embedding program, pytest)
     log.setLevel(getattr(logging, level, logging.WARNING))
-
-    parser = argparse.ArgumentParser(prog="twpasim", description=__doc__)
-    parser.add_argument("task", choices=TASKS)
-    parser.add_argument("--config", required=True)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--format", choices=("csv", "json"), default=None)
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         with open(args.config, "r", encoding="utf-8") as fh:

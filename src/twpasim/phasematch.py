@@ -37,20 +37,16 @@ _AUX_NAMES = ("2ap", "s+ap", "i+ap")  # the auxiliary modes, in check order
 
 @dataclass(frozen=True, slots=True)
 class ToneConfig:
-    """One traveling tone: angular frequency [rad/s], port power [dBm],
-    and propagation direction ('forward' or 'backward')."""
+    """One traveling tone: angular frequency [rad/s] and port power [dBm]."""
 
     freq: float
     power_dbm: float
-    direction: str = "forward"
 
     def __post_init__(self):
         if not (self.freq > 0 and math.isfinite(self.freq)):
             raise ValueError("freq must be positive and finite")
         if not math.isfinite(self.power_dbm):
             raise ValueError("power_dbm must be finite")
-        if self.direction not in ("forward", "backward"):
-            raise ValueError("direction must be 'forward' or 'backward'")
 
 
 @dataclass(frozen=True, slots=True)
@@ -275,7 +271,7 @@ def attenuated_pump_amplitude(m: MediumParams, pump: ToneConfig,
 
 def _dk_point(m, beta, gamma, omega_s, omega_ap, power_dbm, amp_scale, eps):
     """:func:`dk_total`'s four components and errors at one point, on
-    floats: the matched-pump objective calls it with no tone objects."""
+    floats: the matched-pump root solve calls it with no tone objects."""
     a0 = amplitude_from_dbm(m, omega_ap, power_dbm, amp_scale)
     k, wt = _point(m, omega_s, omega_ap, 6)
     amp = float(_attenuate(m, a0, k[0]))
@@ -339,101 +335,54 @@ def breakdown_grid(m: MediumParams, beta: float, gamma: float, omega_s,
     return values, sorted(errors.items())
 
 
-def _bounded_brent(f, a: float, b: float, xatol: float, maxfun: int = 500):
-    """Minimize ``f`` on ``[a, b]`` by Brent's bounded method (R. P. Brent,
-    *Algorithms for Minimization without Derivatives*, 1973, ch. 5):
-    golden-section steps, parabolic where the fit is acceptable.
-
-    A transcription of ``scipy.optimize.minimize_scalar(method="bounded")``
-    on Python floats: the same calls of ``f`` in the same order, so the
-    same ``(x, f(x))``.  Stops when the bracket is within
-    ``sqrt(eps) |x| + xatol / 3`` of ``x`` or after ``maxfun`` calls.
+def _illinois(f, a: float, fa: float, b: float, fb: float, xtol: float,
+              maxfun: int = 60):
+    """Zero of ``f`` between ``a < b``, where ``fa = f(a)`` and ``fb = f(b)``
+    have opposite signs, by regula falsi with the Illinois modification
+    (M. Dowell and P. Jarratt, BIT 11, 168, 1971): each call is at the
+    secant zero of the two ends, inside the bracket, and replaces the end
+    of its sign; an end kept twice in a row has its value halved.  Stops
+    at an exact zero, a bracket at most ``xtol`` wide or ``maxfun`` calls,
+    and returns ``(x, f(x))`` at the end of smaller ``|f|``.
     """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    # xf is the best point so far, nfc the second best, fulc the previous nfc
-    fulc = a + golden_mean * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = f(xf)
-    num = 1
-    ffulc = fnfc = fx
-    while True:
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if not abs(xf - xm) > tol2 - 0.5 * (b - a):
-            break
-        parabolic = False
-        if abs(e) > tol1:  # try a parabola through the three points
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            parabolic = (abs(p) < abs(0.5 * q * r)
-                         and q * (a - xf) < p < q * (b - xf))
-        if parabolic:
-            rat = p / q
-            x = xf + rat
-            if x - a < tol2 or b - x < tol2:
-                rat = -tol1 if xm < xf else tol1
-        else:  # golden section into the larger part of the bracket
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
-        fu = f(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
+    ga, gb, side = fa, fb, 0  # the secant's end values; the end last moved
+    while b - a > xtol and maxfun > 0:
+        maxfun -= 1
+        x = a + (b - a) * (ga / (ga - gb))
+        fx = f(x)
+        if fx == 0.0:
+            return x, fx
+        if (fx < 0.0) == (fa < 0.0):
+            a, fa, ga, gb = x, fx, fx, (0.5 * gb if side < 0 else gb)
+            side = -1
         else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        if num >= maxfun:
-            break
-    return xf, fx
+            b, fb, gb, ga = x, fx, fx, (0.5 * ga if side > 0 else ga)
+            side = 1
+    return (a, fa) if abs(fa) <= abs(fb) else (b, fb)
 
 
 def find_matched_pump(m: MediumParams, beta: float, gamma: float,
                       omega_s: float, pump_power_dbm: float,
                       search_band, amp_scale: float = 1.0,
                       threshold: float = 1e-3, grid_points: int = 241):
-    """Pump frequency in ``search_band`` [rad/s] minimizing |dk_total|.
+    """Pump frequency in ``search_band`` [rad/s] where dk_total is zero.
 
-    Returns ``(omega_ap, dk_at_min)``.  A grid of ``grid_points`` pump
-    frequencies spanning the band, evaluated in one pass by
-    :func:`breakdown_grid`, then Brent's bounded minimization of
-    ``dk_total**2`` between the best grid point's neighbours (R. P.
-    Brent, *Algorithms for Minimization without Derivatives*, 1973,
-    ch. 5), to ``1e-9`` of the band width; a refinement point where
-    ``dk_total`` raises counts as infinitely bad.  The square has the
-    minimizer of |dk_total| but not its kink at zero, where parabolic
-    steps fail, so a search takes about half the calls and its result
-    moves only within Brent's tolerance, ``sqrt(eps) |x| + xatol / 3``.
-    Grid points whose mismatch formulas are invalid (plasma guard, small
-    denominators, negative idler) are skipped.
+    Returns ``(omega_ap, |dk_total|)``.  :func:`breakdown_grid` evaluates
+    ``grid_points`` pumps spanning the band in one pass, skipping those
+    whose mismatch formulas are invalid (plasma guard, small denominators,
+    negative idler).  Where dk_total changes sign between the grid point
+    of least |dk_total| and a neighbour (the one of smaller |dk_total| if
+    both do), :func:`_illinois` solves for its zero there, from the two
+    grid values, to ``1e-9`` of the band width.  That grid point itself is
+    the answer when its dk_total is exactly zero, when neither neighbour
+    brackets a sign change, when dk_total raises a TwpaError inside the
+    bracket, or when the solve ends above the point's |dk_total|.
 
     Raises
     ------
     ValueError
         If the band is not ``0 < lo < hi`` with ``hi`` finite, or
-        ``grid_points`` is below 2 (one point cannot bracket a minimum).
+        ``grid_points`` is below 2 (one point cannot bracket a zero).
     NotFound
         If no valid point exists or the best |dk_total| exceeds
         ``threshold`` [rad/cell].
@@ -445,28 +394,33 @@ def find_matched_pump(m: MediumParams, beta: float, gamma: float,
         raise ValueError("grid_points must be >= 2")
     signal = ToneConfig(freq=omega_s, power_dbm=-200.0)
 
-    def objective(omega_ap: float) -> float:
-        try:
-            dk = _dk_point(m, beta, gamma, signal.freq, omega_ap,
-                           pump_power_dbm, amp_scale, EPSILON_DK)[3]
-        except TwpaError:
-            return math.inf
-        return dk * dk
+    def dk(omega_ap: float) -> float:
+        return _dk_point(m, beta, gamma, signal.freq, omega_ap,
+                         pump_power_dbm, amp_scale, EPSILON_DK)[3]
 
     grid = np.linspace(lo, hi, grid_points)
     values, errors = breakdown_grid(m, beta, gamma, omega_s, grid,
                                     pump_power_dbm, amp_scale)
-    vals = np.abs(values[:, 3])
+    dk_grid = values[:, 3]
+    vals = np.abs(dk_grid)
     vals[[j for j, _ in errors]] = math.inf
     if not np.any(np.isfinite(vals)):
         raise NotFound("no valid pump frequency in the search band")
     ibest = int(np.argmin(vals))
-    a = float(grid[max(ibest - 1, 0)])
-    b = float(grid[min(ibest + 1, grid_points - 1)])
-    omega_best, best = _bounded_brent(objective, a, b, (hi - lo) * 1e-9)
-    best = math.sqrt(best)
-    if not best <= vals[ibest]:
-        omega_best, best = grid[ibest], vals[ibest]
+    omega_best, best = grid[ibest], vals[ibest]
+    # a failing point's NaN never changes sign
+    sides = [j for j in (ibest - 1, ibest + 1) if 0 <= j < grid_points
+             and dk_grid[j] * dk_grid[ibest] < 0.0]
+    if sides:
+        a, b = sorted((ibest, min(sides, key=vals.__getitem__)))
+        try:
+            omega, dk_root = _illinois(dk, float(grid[a]), float(dk_grid[a]),
+                                       float(grid[b]), float(dk_grid[b]),
+                                       (hi - lo) * 1e-9)
+        except TwpaError:  # the best grid point stands
+            omega, dk_root = omega_best, best
+        if abs(dk_root) <= best:
+            omega_best, best = omega, abs(dk_root)
     if best > threshold:
         raise NotFound(
             f"best |dk_total| = {best:.3g} rad/cell exceeds threshold "

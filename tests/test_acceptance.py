@@ -276,7 +276,7 @@ def test_criterion_08_three_wave_conservation(linear_dispersion_medium,
     worst_null = 0.0
     for flux in (0.0, 0.5):
         coeffs, md = medium_at(device_spec, flux)
-        spec = isolation_spectrum(md, ToneConfig(w_ip, -76.0, "backward"),
+        spec = isolation_spectrum(md, ToneConfig(w_ip, -76.0),
                                   [w_s], beta=coeffs.beta, rtol=1e-11)
         loss = linear_transmission_db(md, w_s)
         worst_null = max(worst_null, abs(spec.gain_db[0] - loss))

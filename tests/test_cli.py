@@ -158,6 +158,42 @@ class TestValidate:
         for ok in ("1", "17"):
             validate(f"task = cell-params\nprecision = {ok}\n")
 
+    @pytest.mark.parametrize("line, message", [
+        ("asymmetry_ratio = 1.5", "r must be in (0, 1)"),
+        ("tan_delta = -1", "tan_delta must be >= 0"),
+        ("critical_current_a = -1", "I0 must be positive"),
+        ("junction_capacitance_f = 0", "capacitances must be positive"),
+    ])
+    @pytest.mark.parametrize("task", sorted(set(TASKS) - {"noise-fit"}))
+    def test_device_outside_snailspec_domain_rejected(self, task, line,
+                                                      message):
+        """Every task that builds a device reports SnailSpec's own
+        message as a config error, not as a run-time exit 3."""
+        text = (f"task = {task}\npump_freq_hz = 9.2e9\n"
+                f"pump_power_dbm = -78\niso_pump_freq_hz = 12.2e9\n"
+                f"iso_pump_power_dbm = -74\nsignal_freq_hz = 7e9\n{line}\n")
+        with pytest.raises(ConfigError) as exc:
+            validate(text)
+        assert exc.value.diagnostics == [(0, f"invalid device: {message}")]
+
+    @pytest.mark.parametrize("line, message", [
+        ("critical_current_a = nan", "'critical_current_a' must be finite, "
+                                     "got nan"),
+        ("cells = 0", "'cells' must be >= 1"),
+        ("asymmetry_ratio = half", "cannot parse 'asymmetry_ratio' value "
+                                   "'half' as float"),
+    ])
+    def test_device_key_error_reported_once(self, line, message):
+        """A device key that fails its own check is not built into a
+        SnailSpec as well."""
+        with pytest.raises(ConfigError) as exc:
+            validate(f"task = cell-params\n{line}\n")
+        assert exc.value.diagnostics == [(2, message)]
+
+    def test_noise_fit_builds_no_device(self):
+        validate(f"task = noise-fit\nnoise_data_path = {NOISE_RECORDS}\n"
+                 "bandwidth_hz = 1e6\nasymmetry_ratio = 1.5\n")
+
     @settings(max_examples=300, deadline=None, database=None)
     @given(st.lists(st.one_of(
         st.text(),
@@ -821,6 +857,39 @@ class TestMainExitCodes:
         assert doc == {"error": "config", "detail": [
             [GAIN_CFG.count("\n") + 1, "'precision' must lie in [1, 17]"]]}
         assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["asymmetry_ratio = 1.5",
+                                      "tan_delta = -1",
+                                      "critical_current_a = -1"])
+    def test_device_outside_snailspec_domain_exit_two(self, tmp_path,
+                                                      capsys, line):
+        out = tmp_path / "o.csv"
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(f"task = cell-params\n{line}\nout_path = {out}\n")
+        assert main(["cell-params", "--config", str(cfg_path)]) == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc["error"] == "config"
+        assert doc["detail"][0][1].startswith("invalid device: ")
+        assert not out.exists()
+
+    def test_calls_in_a_row_share_one_parser(self, tmp_path, capsys):
+        """The argument parser is built once, at import: a rejected
+        argument list, then two tasks in different formats, each parse
+        on their own."""
+        with pytest.raises(SystemExit) as exc:
+            main(["no-such-task", "--config", "c.cfg"])
+        assert exc.value.code == 2
+        runs = [("cell-params", "json", "flux = 0.19\n"),
+                ("dispersion", "csv", "signal_points = 3\n")]
+        for task, fmt, lines in runs:
+            cfg_path = tmp_path / f"{task}.cfg"
+            cfg_path.write_text(f"task = {task}\n{lines}")
+            out = tmp_path / f"{task}.{fmt}"
+            assert main([task, "--config", str(cfg_path), "--format", fmt,
+                         "--out", str(out)]) == 0, capsys.readouterr().err
+        json.loads((tmp_path / "cell-params.json").read_text())
+        assert len((tmp_path / "dispersion.csv").read_text()
+                   .strip().split("\n")) == 1 + 3
 
     def test_missing_config_exit_two(self):
         assert main(["gain", "--config", "/does/not/exist.cfg"]) == 2

@@ -234,7 +234,7 @@ class TestEndpointSampling:
             saturation_curve(medium_035, pump, W_S, [-130.0, -120.0], **FIT)
         else:
             isolation_spectrum(medium_035,
-                               ToneConfig(self.W_IP, -74.0, "backward"),
+                               ToneConfig(self.W_IP, -74.0),
                                self.GRID, beta=FIT["beta"],
                                amp_scale=FIT["amp_scale"])
         assert sample_counts == [2, 2]
@@ -257,7 +257,7 @@ class TestEndpointSampling:
                 saturation_curve(medium_035, pump, W_S, grid / 1e9, **FIT)
             else:
                 isolation_spectrum(medium_035,
-                                   ToneConfig(self.W_IP, -74.0, "backward"),
+                                   ToneConfig(self.W_IP, -74.0),
                                    grid, beta=FIT["beta"],
                                    amp_scale=FIT["amp_scale"])
         assert calls == []
@@ -304,7 +304,7 @@ class TestPerPointFailures:
         monkeypatch.setattr(cme._kernels, "integrate", self._broken)
         with pytest.raises(TypeError, match="bug in the integrator"):
             isolation_spectrum(medium_035,
-                               ToneConfig(self.W_IP, -74.0, "backward"),
+                               ToneConfig(self.W_IP, -74.0),
                                [W_S], beta=FIT["beta"])
 
     @pytest.mark.parametrize("task", ["gain", "isolation"])
@@ -322,7 +322,7 @@ class TestPerPointFailures:
                               **FIT)
             else:
                 isolation_spectrum(medium_035,
-                                   ToneConfig(self.W_IP, -74.0, "backward"),
+                                   ToneConfig(self.W_IP, -74.0),
                                    grid, beta=FIT["beta"])
 
     def test_zero_amp_scale_raises(self, medium_035):
@@ -339,7 +339,7 @@ class TestPerPointFailures:
                           rtol=1e-3, **FIT)
         with pytest.raises(ValueError, match="rtol"):
             isolation_spectrum(medium_035,
-                               ToneConfig(self.W_IP, -74.0, "backward"),
+                               ToneConfig(self.W_IP, -74.0),
                                [W_S], beta=FIT["beta"], rtol=1e-3)
 
 
@@ -448,7 +448,7 @@ class TestThreeWaveMixing:
 
     def test_fraction_bookkeeping_lossless(self, linear_dispersion_medium):
         spec = isolation_spectrum(linear_dispersion_medium,
-                                  ToneConfig(self.W_IP, -75.0, "backward"),
+                                  ToneConfig(self.W_IP, -75.0),
                                   [self.W_PROBE], beta=0.05, amp_scale=1.5)
         transmitted = 10 ** (spec.gain_db[0] / 10)
         assert transmitted + spec.upconverted_fraction[0] == \
@@ -460,7 +460,7 @@ class TestThreeWaveMixing:
         m = linear_dispersion_medium
         depths, fracs = [], []
         for p in np.linspace(-82, -73, 10):
-            spec = isolation_spectrum(m, ToneConfig(self.W_IP, p, "backward"),
+            spec = isolation_spectrum(m, ToneConfig(self.W_IP, p),
                                       [self.W_PROBE], beta=0.05,
                                       amp_scale=1.5)
             depths.append(-spec.gain_db[0])
@@ -473,7 +473,7 @@ class TestThreeWaveMixing:
         """The pump pair (ip, 2ip) does not feel the signal chain and the
         chain is linear given the pump, so transmission and upconverted
         fraction do not depend on the signal power."""
-        pump = ToneConfig(2 * math.pi * 12.2e9, -74.0, "backward")
+        pump = ToneConfig(2 * math.pi * 12.2e9, -74.0)
         grid = 2 * math.pi * np.linspace(4e9, 9e9, 11)
         ref, *others = [isolation_spectrum(medium_035, pump, grid, p,
                                            beta=cell_035.beta)
@@ -509,7 +509,7 @@ class TestThreeWaveMixing:
         both name the first mode past the guard."""
         w_s, w_ip = 2 * math.pi * f_s, 2 * math.pi * f_ip
         spec = isolation_spectrum(medium_035,
-                                  ToneConfig(w_ip, -74.0, "backward"), [w_s],
+                                  ToneConfig(w_ip, -74.0), [w_s],
                                   beta=FIT["beta"])
         ms = ModeSet3WM.initial(w_s, w_ip, 1e-6, 0.1)
         with pytest.raises(AbovePlasmaCutoff) as raised:
@@ -802,7 +802,7 @@ class TestBatches:
                                        np.linspace(-150.0, -85.0, 14), **FIT)
                 return res.gain_db, res.solver_stats
             spec = isolation_spectrum(
-                medium_035, ToneConfig(W_IP, -74.0, "backward"),
+                medium_035, ToneConfig(W_IP, -74.0),
                 2 * math.pi * np.linspace(4e9, 9e9, 16), beta=FIT["beta"],
                 amp_scale=FIT["amp_scale"])
             return (np.concatenate([spec.gain_db, spec.upconverted_fraction]),
@@ -842,7 +842,7 @@ class TestBatches:
                 FIT["beta"], FIT["gamma"], n_samples=2) for p in powers]
         else:
             spec = isolation_spectrum(
-                m, ToneConfig(W_IP, -74.0, "backward"), w_s, beta=FIT["beta"],
+                m, ToneConfig(W_IP, -74.0), w_s, beta=FIT["beta"],
                 amp_scale=FIT["amp_scale"])
             a_ip = amplitude_from_dbm(m, W_IP, -74.0, FIT["amp_scale"])
             a_s = amplitude_from_dbm(m, w_s, -130.0, FIT["amp_scale"])

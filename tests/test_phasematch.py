@@ -11,7 +11,7 @@ from twpasim import (MediumParams, ToneConfig, amplitude_from_dbm,
 from twpasim.errors import (AbovePlasmaCutoff, NegativeIdler, NotFound,
                             SmallDenominator, TwpaError, describe)
 from twpasim.medium import in_band, omega_tilde
-from twpasim.phasematch import (EPSILON_DK, _bounded_brent, _frequencies,
+from twpasim.phasematch import (EPSILON_DK, _frequencies, _illinois,
                                 _point, _point_error,
                                 attenuated_pump_amplitude,
                                 breakdown_grid, eta_mode_dynamic,
@@ -224,16 +224,20 @@ class TestFindMatchedPump:
         assert dk < 1e-6
 
     # find_matched_pump with the device couplings at -78 dBm over
-    # (f_s + 0.5 GHz, 16 GHz): (flux, f_s, omega_ap, omega_ap_abs), the
-    # search of dk_total**2, and beside it the earlier search of
-    # |dk_total|, recorded when every grid point was a separate dk_total
-    # call
-    PINNED = [(0.25, 4.0e9, 38602639349.6058, 38602639206.136284),
-              (0.35, 6.0e9, 49094717985.75541, 49094718425.28586),
-              (0.40, 7.5e9, 56327464277.177086, 56327464679.60012),
-              (0.45, 5.0e9, 40927766736.998245, 40927766814.68323)]
-    # each case keeps the name it had before the re-record
-    PINNED_IDS = [f"{flux}-{f_s}-{abs_}" for flux, f_s, _, abs_ in PINNED]
+    # (f_s + 0.5 GHz, 16 GHz): (flux, f_s, omega_ap, omega_ap_sq,
+    # omega_ap_abs), the root of dk_total, and beside it the two earlier
+    # searches, Brent's bounded minimization of dk_total**2 and, before it,
+    # of |dk_total| when every grid point was a separate dk_total call
+    PINNED = [(0.25, 4.0e9, 38602639061.33201, 38602639349.6058,
+               38602639206.136284),
+              (0.35, 6.0e9, 49094718224.44433, 49094717985.75541,
+               49094718425.28586),
+              (0.40, 7.5e9, 56327464274.47044, 56327464277.177086,
+               56327464679.60012),
+              (0.45, 5.0e9, 40927766742.52479, 40927766736.998245,
+               40927766814.68323)]
+    # each case keeps the name it had before the re-records
+    PINNED_IDS = [f"{case[0]}-{case[1]}-{case[-1]}" for case in PINNED]
 
     @staticmethod
     def _search(spec, flux, f_s):
@@ -244,21 +248,24 @@ class TestFindMatchedPump:
                                           2 * math.pi * 16e9))
         return m, c, w, dk
 
-    @pytest.mark.parametrize("flux, f_s, omega_ap, omega_ap_abs", PINNED,
-                             ids=PINNED_IDS)
+    @pytest.mark.parametrize("flux, f_s, omega_ap, omega_ap_sq, omega_ap_abs",
+                             PINNED, ids=PINNED_IDS)
     def test_pinned_matched_pumps(self, device_spec, flux, f_s, omega_ap,
-                                  omega_ap_abs):
+                                  omega_ap_sq, omega_ap_abs):
         _, _, w, dk = self._search(device_spec, flux, f_s)
         assert w == pytest.approx(omega_ap, rel=1e-9)
-        # the square moves the result only within Brent's tolerance,
-        # sqrt(eps) |x| + xatol / 3, about 1.5e-8 |x|
-        assert abs(w - omega_ap_abs) < 2e-8 * omega_ap_abs
-        assert dk < 1e-9
+        # the minimizations stopped within Brent's tolerance of the root,
+        # sqrt(eps) |x| + xatol / 3, about 1.5e-8 |x|; they are within
+        # 7.5e-9 |x| of it
+        for earlier in (omega_ap_sq, omega_ap_abs):
+            assert abs(w - earlier) < 1e-8 * earlier
+        assert dk < 1e-15
 
-    @pytest.mark.parametrize("flux, f_s, omega_ap, omega_ap_abs", PINNED,
-                             ids=PINNED_IDS)
+    @pytest.mark.parametrize("flux, f_s, omega_ap, omega_ap_sq, omega_ap_abs",
+                             PINNED, ids=PINNED_IDS)
     def test_dk_total_changes_sign_at_the_match(self, device_spec, flux, f_s,
-                                                omega_ap, omega_ap_abs):
+                                                omega_ap, omega_ap_sq,
+                                                omega_ap_abs):
         m, c, w, _ = self._search(device_spec, flux, f_s)
         dk = [dk_total(m, c.beta, c.gamma, ToneConfig(2 * math.pi * f_s,
                                                       -200.0),
@@ -266,13 +273,8 @@ class TestFindMatchedPump:
               for side in (-3e-8, 3e-8)]
         assert dk[0] * dk[1] < 0.0
 
-    @pytest.mark.parametrize("flux, f_s, omega_ap, omega_ap_abs", PINNED,
-                             ids=PINNED_IDS)
-    def test_search_takes_at_most_ten_objective_calls(
-            self, device_spec, monkeypatch, flux, f_s, omega_ap,
-            omega_ap_abs):
-        # the smooth square keeps Brent on parabolic steps; |dk_total|
-        # took 13-21 calls
+    @staticmethod
+    def _count_dk_point(monkeypatch):
         import twpasim.phasematch as pm
 
         calls = []
@@ -283,13 +285,23 @@ class TestFindMatchedPump:
             return dk_point(*args)
 
         monkeypatch.setattr(pm, "_dk_point", counting)
+        return calls
+
+    @pytest.mark.parametrize("flux, f_s, omega_ap, omega_ap_sq, omega_ap_abs",
+                             PINNED, ids=PINNED_IDS)
+    def test_search_takes_at_most_ten_objective_calls(
+            self, device_spec, monkeypatch, flux, f_s, omega_ap,
+            omega_ap_sq, omega_ap_abs):
+        # 5-6 here; Brent's minimization of dk_total**2 took 8, of
+        # |dk_total| 13-21
+        calls = self._count_dk_point(monkeypatch)
         self._search(device_spec, flux, f_s)
         assert 0 < len(calls) <= 10
 
     @pytest.mark.parametrize("grid_points", [1, 0])
     def test_grid_of_fewer_than_two_points_rejected(self, medium_035,
                                                     grid_points):
-        # one point is the band edge, which the refinement cannot leave
+        # one point is the band edge, which cannot bracket a zero
         with pytest.raises(ValueError, match="grid_points must be >= 2"):
             find_matched_pump(medium_035, 0.0, 0.0, W_S, -78.0, self.BAND,
                               grid_points=grid_points)
@@ -300,35 +312,92 @@ class TestFindMatchedPump:
         with pytest.raises(ValueError, match="search band"):
             find_matched_pump(medium_035, 0.0, 0.0, W_S, -78.0, band)
 
+    # beta = gamma = 0: dk_total = dk_dispersion, below -4e-3 rad/cell and
+    # without a sign change over the band
+    NO_ZERO_BAND = (2 * math.pi * 11e9, 2 * math.pi * 12e9)
+
     def test_not_found_when_threshold_tight(self, medium_zero_flux):
-        # beta = gamma = 0: |dk_total| = |dk_dispersion| > 0 off degeneracy
         with pytest.raises(NotFound):
             find_matched_pump(medium_zero_flux, 0.0, 0.0, W_S, -78.0,
-                              (2 * math.pi * 11e9, 2 * math.pi * 12e9),
-                              threshold=1e-9)
+                              self.NO_ZERO_BAND, threshold=1e-9)
+
+    def test_no_sign_change_returns_the_best_grid_point(
+            self, medium_zero_flux, monkeypatch):
+        calls = self._count_dk_point(monkeypatch)
+        grid = np.linspace(*self.NO_ZERO_BAND, 241)
+        values, _ = breakdown_grid(medium_zero_flux, 0.0, 0.0, W_S, grid,
+                                   -78.0)
+        ibest = int(np.argmin(np.abs(values[:, 3])))
+        w, dk = find_matched_pump(medium_zero_flux, 0.0, 0.0, W_S, -78.0,
+                                  self.NO_ZERO_BAND, threshold=1e-2)
+        assert (w, dk) == (float(grid[ibest]), abs(float(values[ibest, 3])))
+        assert calls == []
+        # the same band under the default threshold of 1e-3 rad/cell
+        with pytest.raises(NotFound, match="exceeds threshold"):
+            find_matched_pump(medium_zero_flux, 0.0, 0.0, W_S, -78.0,
+                              self.NO_ZERO_BAND)
+
+    def test_exact_zero_on_the_grid_is_the_answer(self, medium_035,
+                                                  monkeypatch):
+        import twpasim.phasematch as pm
+
+        def grid_with_a_zero(m, beta, gamma, omega_s, omega_ap, *args):
+            values, errors = breakdown_grid(m, beta, gamma, omega_s,
+                                            omega_ap, *args)
+            values[17, 3] = 0.0
+            return values, errors
+
+        monkeypatch.setattr(pm, "breakdown_grid", grid_with_a_zero)
+        calls = self._count_dk_point(monkeypatch)
+        w, dk = find_matched_pump(medium_035, self.FIT["beta"],
+                                  self.FIT["gamma"], W_S, -78.0, self.BAND,
+                                  amp_scale=self.FIT["amp_scale"])
+        assert (w, dk) == (float(np.linspace(*self.BAND, 241)[17]), 0.0)
+        assert calls == []
+
+    def _grid_best(self, medium, grid_points):
+        grid = np.linspace(*self.BAND, grid_points)
+        values, _ = breakdown_grid(medium, self.FIT["beta"],
+                                   self.FIT["gamma"], W_S, grid, -78.0,
+                                   self.FIT["amp_scale"])
+        ibest = int(np.argmin(np.abs(values[:, 3])))
+        return float(grid[ibest]), abs(float(values[ibest, 3]))
 
     def test_grid_point_kept_when_refinement_ends_worse(self, medium_035,
                                                         monkeypatch):
-        """A refinement that ends above the best grid point's |dk_total|
+        """A root solve that ends above the best grid point's |dk_total|
         is discarded: the grid point and its |dk_total| come back."""
         kw = dict(amp_scale=self.FIT["amp_scale"], grid_points=61)
-        grid = np.linspace(*self.BAND, kw["grid_points"])
-        values, _ = breakdown_grid(medium_035, self.FIT["beta"],
-                                   self.FIT["gamma"], W_S, grid, -78.0,
-                                   self.FIT["amp_scale"])
-        vals = np.abs(values[:, 3])
-        ibest = int(np.argmin(vals))
-        monkeypatch.setattr(
-            "twpasim.phasematch._bounded_brent",
-            lambda f, a, b, xatol: (a, 2.0 * vals[ibest] + 1e-3))
+        best = self._grid_best(medium_035, kw["grid_points"])
+        solves = []
+
+        def worse(f, a, fa, b, fb, xtol):
+            solves.append((a, b))
+            return a, 2.0 * best[1] + 1e-3
+
+        monkeypatch.setattr("twpasim.phasematch._illinois", worse)
         w, dk = find_matched_pump(medium_035, self.FIT["beta"],
                                   self.FIT["gamma"], W_S, -78.0, self.BAND,
                                   **kw)
-        assert (w, dk) == (float(grid[ibest]), float(vals[ibest]))
+        assert len(solves) == 1
+        assert (w, dk) == best
+
+    def test_domain_error_in_the_bracket_returns_the_grid_point(
+            self, medium_035, monkeypatch):
+        import twpasim.phasematch as pm
+
+        def small(*args):
+            raise SmallDenominator("inside the bracket")
+
+        monkeypatch.setattr(pm, "_dk_point", small)
+        assert find_matched_pump(
+            medium_035, self.FIT["beta"], self.FIT["gamma"], W_S, -78.0,
+            self.BAND, amp_scale=self.FIT["amp_scale"]) == self._grid_best(
+                medium_035, 241)
 
     def test_programming_error_propagates(self, medium_035, monkeypatch):
-        """Only domain errors mark a grid point invalid; a TypeError in
-        the objective is a bug and must not become an inf."""
+        """Only domain errors end the root solve; a TypeError in dk_total
+        is a bug and must not fall back to the grid point."""
         import twpasim.phasematch as pm
 
         def broken(*args, **kwargs):
@@ -341,92 +410,113 @@ class TestFindMatchedPump:
                               amp_scale=self.FIT["amp_scale"])
 
 
-class TestBoundedBrent:
-    """The pure-Python bounded minimizer against its oracle, scipy's
-    ``minimize_scalar(method="bounded")``: the same calls of the objective
-    in the same order, so the same ``x`` and ``fun``, bit for bit."""
+class TestIllinois:
+    """The bracketed root solve against its oracle, scipy's ``brentq`` on
+    the same bracket: the same zero to within the tolerance, every call
+    inside the bracket, and never more calls than the cap."""
 
     @staticmethod
-    def _compare(f, a, b, xatol, maxfun=500):
-        from scipy.optimize import minimize_scalar
+    def _compare(f, a, b, xtol, maxfun=60):
+        from scipy.optimize import brentq
 
-        ours, theirs = [], []
+        calls = []
 
-        def spy(calls):
-            def g(x):
-                calls.append(x)
-                return f(x)
-            return g
+        def spy(x):
+            calls.append(x)
+            return f(x)
 
-        x, fun = _bounded_brent(spy(ours), a, b, xatol, maxfun)
-        # inf - inf in scipy's NumPy-scalar parabola is a quiet NaN here
-        with np.errstate(invalid="ignore"):
-            res = minimize_scalar(spy(theirs), bounds=(a, b),
-                                  method="bounded",
-                                  options={"xatol": xatol, "maxiter": maxfun})
-        assert ours == theirs
-        assert len(ours) == res.nfev
-        assert (x, fun) == (float(res.x), float(res.fun))
-        return x, fun
+        x, fx = _illinois(spy, a, f(a), b, f(b), xtol, maxfun)
+        assert all(a <= c <= b for c in calls)
+        assert len(calls) <= maxfun
+        assert fx == f(x)
+        # brentq stops within 1e-3 xtol + 4 eps |root| of the zero
+        root = brentq(f, a, b, xtol=1e-3 * xtol)
+        if len(calls) < maxfun:  # it stopped on the tolerance
+            assert abs(x - root) <= 1.001 * xtol + 1e-15 * abs(root)
+        return x, calls
 
-    @pytest.mark.parametrize("flux, f_s, omega_ap, omega_ap_abs",
+    @pytest.mark.parametrize("flux, f_s, omega_ap, omega_ap_sq, omega_ap_abs",
                              TestFindMatchedPump.PINNED,
                              ids=TestFindMatchedPump.PINNED_IDS)
-    def test_pinned_matched_pump_refinements(self, device_spec, monkeypatch,
-                                             flux, f_s, omega_ap,
-                                             omega_ap_abs):
-        searches = []
+    def test_pinned_matched_pump_roots(self, device_spec, monkeypatch,
+                                       flux, f_s, omega_ap, omega_ap_sq,
+                                       omega_ap_abs):
+        solves = []
 
-        def recording(f, a, b, xatol):
-            searches.append(self._compare(f, a, b, xatol))
-            return searches[-1]
+        def recording(f, a, fa, b, fb, xtol):
+            # the ends are neighbouring grid points, their values from
+            # the grid pass
+            assert (fa, fb) == (f(a), f(b)) and fa * fb < 0.0
+            assert b - a == pytest.approx(xtol * 1e9 / 240, rel=1e-9)
+            x, calls = self._compare(f, a, b, xtol)
+            solves.append((x, len(calls)))
+            return x, f(x)
 
-        monkeypatch.setattr("twpasim.phasematch._bounded_brent", recording)
-        _, _, w, dk = TestFindMatchedPump._search(device_spec, flux, f_s)
-        # the search minimizes dk_total**2 and returns |dk_total|
-        [(x, fun)] = searches
-        assert x == w
-        assert math.sqrt(fun) == dk
+        monkeypatch.setattr("twpasim.phasematch._illinois", recording)
+        _, _, w, _ = TestFindMatchedPump._search(device_spec, flux, f_s)
+        [(x, n)] = solves
+        assert w == x and n <= 10
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(a=st.floats(-100.0, 100.0), width=st.floats(1e-3, 100.0),
-           centre=st.floats(-0.5, 1.5), curvature=st.floats(1e-2, 1e2),
-           wiggle=st.floats(0.0, 1.0), freq=st.floats(0.1, 10.0),
-           log_xatol=st.floats(-12.0, -1.0))
-    def test_smooth_objectives(self, a, width, centre, curvature, wiggle,
-                               freq, log_xatol):
+           centre=st.floats(0.001, 0.999), cubic=st.floats(0.0, 1e3),
+           wiggle=st.floats(0.0, 0.9), freq=st.floats(0.1, 50.0),
+           convex=st.floats(0.0, 20.0), sign=st.sampled_from([1.0, -1.0]),
+           log_xtol=st.floats(-9.0, -1.0))
+    def test_smooth_objectives(self, a, width, centre, cubic, wiggle, freq,
+                               convex, sign, log_xtol):
+        # strictly monotonic in u = (x - x0) / width, so the zero x0 is
+        # the only one in the bracket; `convex` bends it, where plain
+        # regula falsi would keep one end for ever
         b = a + width
         x0 = a + centre * width
 
         def f(x):
-            return curvature * (x - x0) ** 2 + wiggle * math.sin(freq * x)
+            u = (x - x0) / width
+            return sign * (u + cubic * u**3 + wiggle * math.sin(freq * u)
+                           / freq + math.expm1(convex * u) / max(convex, 1))
 
-        self._compare(f, a, b, width * 10.0 ** log_xatol)
+        _, calls = self._compare(f, a, b, width * 10.0 ** log_xtol)
+        assert len(calls) < 60
 
     @settings(max_examples=60, deadline=None)
-    @given(centre=st.floats(-0.5, 1.5), step=st.floats(1e-3, 0.5),
-           log_xatol=st.floats(-12.0, -1.0), maxfun=st.integers(1, 40))
-    def test_stepped_objectives_and_call_budgets(self, centre, step,
-                                                 log_xatol, maxfun):
-        # plateaus tie the objective values the bracket updates compare
+    @given(centre=st.floats(0.001, 0.999), low=st.floats(-10.0, -1e-3),
+           high=st.floats(1e-3, 10.0), log_xtol=st.floats(-9.0, -1.0),
+           maxfun=st.integers(1, 60))
+    def test_stepped_objectives_and_call_budgets(self, centre, low, high,
+                                                 log_xtol, maxfun):
+        # a jump from `low` to `high` at `centre`: the zero crossing
+        # without a zero, which brentq also returns
         def f(x):
-            return math.floor(abs(x - centre) / step) * step
+            return low if x < centre else high
 
-        self._compare(f, 0.0, 1.0, 10.0 ** log_xatol, maxfun)
+        self._compare(f, 0.0, 1.0, 10.0 ** log_xtol, maxfun)
 
-    @pytest.mark.parametrize("cut", [0.1, 0.45, 0.7, 0.95])
-    def test_infinite_on_part_of_the_bracket(self, cut):
-        # as find_matched_pump's objective where dk_total raises
+    @pytest.mark.parametrize("call", [1, 2, 3, 4])
+    def test_error_inside_the_bracket_propagates(self, call):
+        # find_matched_pump turns a TwpaError into its grid point
+        def g(x):
+            return math.expm1(5.0 * (x - 0.3))
+
+        calls = []
+
         def f(x):
-            return math.inf if x < cut else abs(x - 0.5)
+            calls.append(x)
+            if len(calls) == call:
+                raise SmallDenominator("inside the bracket")
+            return g(x)
 
-        x, fun = self._compare(f, 0.0, 1.0, 1e-9)
-        assert x >= cut and fun < math.inf
+        with pytest.raises(SmallDenominator, match="inside the bracket"):
+            _illinois(f, 0.0, g(0.0), 1.0, g(1.0), 1e-12)
+        assert len(calls) == call and 0.0 < calls[-1] < 1.0
 
     @pytest.mark.parametrize("slope", [1.0, -1.0])
-    def test_minimum_at_a_bracket_edge(self, slope):
-        x, _ = self._compare(lambda x: slope * x, 2.0, 3.0, 1e-9)
-        assert x == pytest.approx(2.0 if slope > 0 else 3.0, abs=1e-7)
+    def test_zero_at_a_bracket_edge(self, slope):
+        # a zero on an end: the secant lands on it and stops
+        edge = 2.0 if slope > 0 else 3.0
+        x, calls = self._compare(lambda x: slope * (x - edge), 2.0, 3.0,
+                                 1e-9)
+        assert x == edge and calls == [edge]
 
 
 # (signal, pump) frequencies in GHz for medium_035, whose plasma guard is
