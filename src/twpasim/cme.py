@@ -13,11 +13,13 @@ cell index x:
   and doubly-upconverted signal, with the second-order couplings only.
 
 The derivation of every coupling coefficient from the wave equation of
-the line is spelled out in ``docs/cme_reduction.md``.  Each system has
-one owner here: ``_table_4wm`` / ``_table_3wm`` compute its coefficients
-as named values and write the system once, as a coupling table
-(``_Table``), for one point (floats) or a batch of points (arrays), in
-the rotating frame ``u = y exp(-i theta x)`` whose rates balance every
+the line is spelled out in ``docs/cme_reduction.md``.  Each mixing
+process is written once, as a function giving its monomials
+(``_harmonic``, ``_upconversion``; the Kerr rates are
+``phasematch._kerr_rates``), and each system has one owner,
+``_table_4wm`` / ``_table_3wm``, which writes it from them as a coupling
+table (``_Table``), for one point (floats) or a batch of points (arrays),
+in the rotating frame ``u = y exp(-i theta x)`` whose rates balance every
 mixing term, so that it has no phase factors.  Every table reaches the
 stepper through ``_propagate``, which turns it into its one evaluator,
 ``_TableRhs``: ``rhs(x, u) -> du/dx`` for one point or a batch, which
@@ -26,9 +28,8 @@ stepper through ``_propagate``, which turns it into its one evaluator,
 the evaluator's stack, and a conjugate, a gather, the factor products
 and one slot sum, a real product with a matrix of ones, write ``du/dx``
 straight into the stepper's stage.  ``_propagate`` returns the lab-frame
-``y``.  The six-mode ladder, band checks and mismatches come from
-``phasematch`` (``_point`` for one point, ``_grid`` for a grid), the
-five-mode ones from ``_grid_3wm``, for one point or a grid alike.
+``y``.  The ladders and band checks come from ``phasematch._ladder``
+(``_grid``, ``_grid_3wm``; ``_point`` for one six-mode point).
 The spectra integrate a grid of at least ``_BATCH_MIN`` in-band points
 as one batch, and one point at a time, each a batch of one, below that
 size; a batch that fails splits in halves until each failing point is
@@ -50,10 +51,11 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, StepFailure, describe
-from .medium import (MediumParams, _wavevector, amplitude_from_dbm,
-                     band_error, in_band, omega_tilde, wavevector)
+from .medium import (MediumParams, amplitude_from_dbm, band_error,
+                     omega_tilde, wavevector)
 from .phasematch import (ToneConfig, _aux_mismatch, _frequencies, _grid,
-                         _mismatch, _point, idler_frequency)
+                         _kerr_rates, _ladder, _mismatch, _point,
+                         idler_frequency)
 
 PLASMA_GUARD_3WM = 0.95  # harder guard: upconversion modes approach omegaJ
 RTOL_RANGE = (1e-12, 1e-6)  # accepted integrator tolerances
@@ -256,6 +258,21 @@ _MODES_4WM = ("s", "ap", "i", "2ap", "s+ap", "i+ap")
 _MODES_3WM = ("s", "ip", "2ip", "s+ip", "s+2ip")
 
 
+def _harmonic(beta: float, k_p, k_2p, wt_p, wt_2p, p: str, h: str) -> list:
+    """Harmonic generation ``p + p -> h``: p's backaction, h's source."""
+    return [(p, beta * (k_p - k_2p) * k_2p / (2.0 * wt_p), f"{p}* {h}"),
+            (h, beta * k_p**3 / (2.0 * k_2p * wt_2p), f"{p} {p}")]
+
+
+def _upconversion(beta: float, k_p, k_m, k_u, wt_m, wt_u, m: str, u: str,
+                  p: str) -> list:
+    """Upconversion ``m + p -> u``: m's backaction, then u's source."""
+    return [(m, beta * (k_p - k_u) * k_p * k_u / (2.0 * k_m * wt_m),
+             f"{u} {p}*"),
+            (u, beta * (k_m + k_p) * k_p * k_m / (2.0 * k_u * wt_u),
+             f"{m} {p}")]
+
+
 def _table_4wm(k, wt, tan_delta: float, beta: float, gamma: float,
                pump_depletion: bool) -> _Table:
     """The six-mode system (``docs/cme_reduction.md``) from the
@@ -264,72 +281,54 @@ def _table_4wm(k, wt, tan_delta: float, beta: float, gamma: float,
     kap, ks, ki, k2, ksu, kiu = k
     tap, ts, ti, t2, tsu, tiu = wt
     beta, gamma = float(beta), float(gamma)
-
-    cs_k = 6.0 * gamma * ks / (8.0 * ts)
     cs_pair = 3.0 * gamma / (8.0 * ts * ks) * (2.0 * kap - ki) * kap**2 * ki
-    cs_up = beta * (kap - ksu) * kap * ksu / (2.0 * ks * ts)
-    cap_shg = beta * (kap - k2) * k2 / (2.0 * tap)
-    cap_kerr = 3.0 * gamma * kap / (8.0 * tap)
     cap_dep = (6.0 * gamma / (8.0 * tap) * ks * ki * (ks + ki - kap)
                if pump_depletion else 0.0)
-    ci_k = 6.0 * gamma * ki / (8.0 * ti)
     ci_pair = 3.0 * gamma / (8.0 * ti * ki) * (2.0 * kap - ks) * kap**2 * ks
+    _, iu_src = _upconversion(beta, kap, ki, kiu, ti, tiu, "i", "i+ap", "ap")
+    # the one override: the idler's backaction keeps the literal reduced
+    # form, without the symmetric form's 1/(2 k_i) (docs/model.md's
+    # idler-channel caveat; ROADMAP.md, "One coupling per process")
     ci_up = beta * (kap - kiu) * kiu * kap / ti
-    c2_src = beta * kap**3 / (2.0 * k2 * t2)
-    c2_kerr = 3.0 * gamma * k2 / (8.0 * t2)
-    csu_src = beta * (ks + kap) * kap * ks / (2.0 * ksu * tsu)
-    csu_kerr = 6.0 * gamma * ksu / (8.0 * tsu)
-    ciu_src = beta * (kap + ki) * kap * ki / (2.0 * kiu * tiu)
-    ciu_kerr = 6.0 * gamma * kiu / (8.0 * tiu)
     # the s+ap and i+ap phases run opposite to their auxiliary mismatches
     d_2ap, d_su, d_iu = _aux_mismatch(k)
     theta = _frame(_F4, (_mismatch(k), -d_su, d_2ap, -d_iu))
-    # cross-Kerr in k_ap^2 |A_ap|^2 and k_2ap^2 |A_2ap|^2; the pump and
-    # its harmonic weight their own power half as much
+    # cross-Kerr in k_ap^2 |A_ap|^2 and k_2ap^2 |A_2ap|^2 at phasematch's
+    # rates; the pump and its harmonic weight their own power half as much
+    rap, rs, ri, r2, rsu, riu = _kerr_rates(gamma, k, wt)
     jkap_sq, jk2_sq = 1j * kap**2, 1j * k2**2
     loss = [-kj * tan_delta / 2.0 for kj in (ks, kap, ki, k2, ksu, kiu)]
-    kp = (cs_k, cap_kerr, ci_k, 2.0 * c2_kerr, csu_kerr, ciu_kerr)
-    kh = (cs_k, 2.0 * cap_kerr, ci_k, c2_kerr, csu_kerr, ciu_kerr)
+    kp = (rs, 0.5 * rap, ri, r2, rsu, riu)
+    kh = (rs, rap, ri, 0.5 * r2, rsu, riu)
     return _Table(_MODES_4WM, [
         *[(m, c - 1j * r, m) for m, c, r in zip(_MODES_4WM, loss, theta)],
         *[(m, c * jkap_sq, f"ap ap* {m}") for m, c in zip(_MODES_4WM, kp)],
         *[(m, c * jk2_sq, f"2ap 2ap* {m}") for m, c in zip(_MODES_4WM, kh)],
+        *_harmonic(beta, kap, k2, tap, t2, "ap", "2ap"),
         ("s", 1j * cs_pair, "ap ap i*"),
-        ("s", cs_up, "s+ap ap*"),
-        ("ap", cap_shg, "ap* 2ap"),
         ("ap", 1j * cap_dep, "s i ap*"),
         ("i", 1j * ci_pair, "ap ap s*"),
+        *_upconversion(beta, kap, ks, ksu, ts, tsu, "s", "s+ap", "ap"),
         ("i", ci_up, "i+ap ap*"),
-        ("2ap", c2_src, "ap ap"),
-        ("s+ap", csu_src, "s ap"),
-        ("i+ap", ciu_src, "i ap"),
+        iu_src,
     ], theta)
 
 
 def _table_3wm(k, wt, tan_delta: float, beta: float) -> _Table:
     """The five-mode upconversion system from the wavevectors and plasma
-    factors of [s, ip, 2ip, s+ip, s+2ip], floats or rows of arrays."""
+    factors of [s, ip, 2ip, s+ip, s+2ip], floats or rows of arrays:
+    second-order couplings only, no Kerr terms."""
     ks, kip, k2, ksu, ksu2 = k
     ts, tip, t2, tsu, tsu2 = wt
     beta = float(beta)
-
-    cs_up = beta * (kip - ksu) * kip * ksu / (2.0 * ks * ts)
-    cip_shg = beta * (kip - k2) * k2 / (2.0 * tip)
-    c2_src = beta * kip**3 / (2.0 * k2 * t2)
-    csu_src = beta * (ks + kip) * kip * ks / (2.0 * ksu * tsu)
-    csu_up = beta * (kip - ksu2) * kip * ksu2 / (2.0 * ksu * tsu)
-    csu2_src = beta * (ksu + kip) * kip * ksu / (2.0 * ksu2 * tsu2)
     theta = _frame(_F3, (2.0 * kip - k2, ksu - kip - ks, ksu2 - kip - ksu))
-    # second-order couplings only: no Kerr terms
     return _Table(_MODES_3WM, [
         *[(m, -kj * tan_delta / 2.0 - 1j * r, m)
           for m, kj, r in zip(_MODES_3WM, k, theta)],
-        ("s", cs_up, "s+ip ip*"),
-        ("ip", cip_shg, "ip* 2ip"),
-        ("2ip", c2_src, "ip ip"),
-        ("s+ip", csu_src, "s ip"),
-        ("s+ip", csu_up, "s+2ip ip*"),
-        ("s+2ip", csu2_src, "s+ip ip"),
+        *_upconversion(beta, kip, ks, ksu, ts, tsu, "s", "s+ip", "ip"),
+        *_harmonic(beta, kip, k2, tip, t2, "ip", "2ip"),
+        *_upconversion(beta, kip, ksu, ksu2, tsu, tsu2, "s+ip", "s+2ip",
+                       "ip"),
     ], theta)
 
 
@@ -402,23 +401,12 @@ def _frequencies_3wm(omega_s, omega_ip):
 
 
 def _grid_3wm(m: MediumParams, omega_s, omega_ip):
-    """The five modes of a grid of points, or of one point, broadcast
-    together: the counterpart of :func:`phasematch._grid`.
-
-    Returns ``(ok, errors, k, wt, w)``: ``ok`` marks the points where every
-    mode sits below ``PLASMA_GUARD_3WM * omegaJ``, ``errors`` maps every
-    other point's index to its error, at its first mode outside the band,
-    and ``k``, ``wt`` and ``w`` hold the wavevectors, plasma factors and
-    frequencies of the ``ok`` points, one row per mode.
-    """
-    w = np.array(np.broadcast_arrays(*_frequencies_3wm(
-        np.asarray(omega_s, float), np.asarray(omega_ip, float))))
-    w = w.reshape(len(w), -1)
-    ok = in_band(m, w, PLASMA_GUARD_3WM).all(axis=0)
-    errors = {j: band_error(m, w[:, j], PLASMA_GUARD_3WM)
-              for j in np.flatnonzero(~ok).tolist()}
-    w = w[:, ok]
-    return ok, errors, _wavevector(m, w), omega_tilde(m, w), w
+    """The five modes of a point or a grid as :func:`phasematch._ladder`
+    gives them, below ``PLASMA_GUARD_3WM * omegaJ``."""
+    return _ladder(m, _frequencies_3wm(np.asarray(omega_s, float),
+                                       np.asarray(omega_ip, float)),
+                   PLASMA_GUARD_3WM,
+                   lambda w: band_error(m, w, PLASMA_GUARD_3WM))
 
 
 def _validate_rtol(rtol: float) -> None:
@@ -476,8 +464,7 @@ def integrate_3wm(m: MediumParams, modes: ModeSet3WM, beta: float,
     ok, errors, k, wt, _ = _grid_3wm(m, modes.omega_s, modes.omega_ip)
     if not ok[0]:
         raise errors[0]
-    table = _table_3wm(k[:, 0].tolist(), wt[:, 0].tolist(), m.tan_delta,
-                       beta)
+    table = _table_3wm(k[:, 0].tolist(), wt[:, 0].tolist(), m.tan_delta, beta)
     return _propagate(m, table, modes.amplitudes, modes.frequencies, rtol,
                       n_samples)
 

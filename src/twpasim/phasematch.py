@@ -28,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeIdler, NotFound, SmallDenominator, TwpaError
-from .medium import (MediumParams, _wavevector, amplitude_from_dbm,
-                     band_error, in_band, omega_tilde, wavevector)
+from .medium import (PLASMA_GUARD, MediumParams, _wavevector,
+                     amplitude_from_dbm, band_error, in_band, omega_tilde,
+                     wavevector)
 
 EPSILON_DK = 1e-4  # rad/cell; below this the perturbative formulas are invalid
 _AUX_NAMES = ("2ap", "s+ap", "i+ap")  # the auxiliary modes, in check order
@@ -112,23 +113,27 @@ def _point(m: MediumParams, omega_s: float, omega_ap: float, n_modes: int):
     return [_wavevector(m, x) for x in w], [omega_tilde(m, x) for x in w]
 
 
-def _grid(m: MediumParams, omega_s, omega_ap):
-    """The six modes of a grid of points, broadcast together.
-
-    Returns ``(ok, errors, k, wt)``: ``ok`` marks the points where every
-    mode is inside the dispersion band and the idler is positive,
-    ``errors`` maps every other point's index to its error, and ``k`` and
-    ``wt`` hold the wavevectors and plasma factors of the ``ok`` points,
-    one row per mode.
-    """
-    w = np.array(np.broadcast_arrays(*_frequencies(
-        np.asarray(omega_s, float), np.asarray(omega_ap, float))))
+def _ladder(m: MediumParams, frequencies, guard: float, error):
+    """The modes ``frequencies`` (floats or arrays, broadcast together) of
+    a point or a grid as ``(ok, errors, k, wt, w)``: ``ok`` marks the
+    points whose every mode is below ``guard * omegaJ``, ``errors`` maps
+    each other point's index to ``error(its column of frequencies)``, and
+    ``k``, ``wt`` and ``w`` hold the ``ok`` points' wavevectors, plasma
+    factors and frequencies, one row per mode."""
+    w = np.array(np.broadcast_arrays(*frequencies))
     w = w.reshape(len(w), -1)
-    ok = in_band(m, w).all(axis=0)
-    errors = {j: _point_error(m, w[:, j])
-              for j in np.flatnonzero(~ok).tolist()}
+    ok = in_band(m, w, guard).all(axis=0)
+    errors = {j: error(w[:, j]) for j in np.flatnonzero(~ok).tolist()}
     w = w[:, ok]
-    return ok, errors, wavevector(m, w), omega_tilde(m, w)
+    return ok, errors, _wavevector(m, w), omega_tilde(m, w), w
+
+
+def _grid(m: MediumParams, omega_s, omega_ap):
+    """The six modes of a grid of points as :func:`_ladder`'s ``(ok,
+    errors, k, wt)``, each failing point with :func:`dk_total`'s error."""
+    return _ladder(m, _frequencies(np.asarray(omega_s, float),
+                                   np.asarray(omega_ap, float)),
+                   PLASMA_GUARD, lambda w: _point_error(m, w))[:4]
 
 
 # The arithmetic below takes the wavevectors ``k`` and plasma factors
@@ -142,11 +147,18 @@ def _mismatch(x):
     return 2.0 * x[0] - x[1] - x[2]
 
 
+def _kerr_rates(gamma: float, k, wt) -> list:
+    """Cross-Kerr rate per unit ``k_p^2 |A_p|^2`` of a pump p on each
+    mode m, ``6 gamma k_m / (8 wt_m)``; a pump's rate on itself is half
+    of its own entry."""
+    return [6.0 * gamma * km / (8.0 * wm) for km, wm in zip(k, wt)]
+
+
 def _kerr(gamma: float, k, wt, a2):
     """Kerr phase rates (eta_ap, eta_s, eta_i); see :func:`kerr_etas`."""
-    return ((3.0 * gamma / (8.0 * wt[0]) * k[0]**3 * a2,)
-            + tuple(6.0 * gamma / (8.0 * wt[j]) * k[0]**2 * k[j] * a2
-                    for j in (1, 2)))
+    rate_ap, rate_s, rate_i = _kerr_rates(gamma, k[:3], wt[:3])
+    k_sq = k[0]**2
+    return 0.5 * rate_ap * k_sq * a2, rate_s * k_sq * a2, rate_i * k_sq * a2
 
 
 def _aux_mismatch(k):
@@ -326,9 +338,9 @@ def breakdown_grid(m: MediumParams, beta: float, gamma: float, omega_s,
         r = int(small[:, j].argmax())
         errors[int(rows[j])] = _small_denominator(r, dk[r, j], epsilon_dk)
     use = live & ~bad
-    eta_dyn = np.zeros_like(dk)
-    eta_dyn[:, use] = _dynamic(beta, k[:, use], wt[:, use], dk[:, use],
-                               amp[use] * amp[use])
+    # every in-band point at once, a harmless denominator where unused
+    eta_dyn = np.where(use, _dynamic(beta, k, wt, np.where(use, dk, 1.0),
+                                     amp * amp), 0.0)
     values = np.full((ok.size, 4), np.nan)
     values[rows[~bad]] = np.column_stack(
         _components(gamma, k, wt, amp, eta_dyn))[~bad]

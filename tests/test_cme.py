@@ -14,7 +14,7 @@ from twpasim import (MediumParams, ModeSet3WM, ModeSet4WM, ToneConfig,
 from twpasim import cme
 from twpasim.errors import (AbovePlasmaCutoff, DomainError, NegativeIdler,
                             StepFailure, describe)
-from twpasim.phasematch import _grid, _point, breakdown_grid
+from twpasim.phasematch import _grid, _point, breakdown_grid, kerr_etas
 
 W_AP = 2 * math.pi * 9.2e9
 W_S = 2 * math.pi * 7.6e9
@@ -537,14 +537,35 @@ def _terms(table):
             for mode, _, factors in table.monomials]
 
 
-class TestTables:
-    """A table is only its monomials: loss and rotation, then the pump's
-    and the harmonic's cross-Kerr on every mode, then the mixing terms,
-    the order the evaluator has always summed them in."""
+def _per_mode(table):
+    """Each mode's monomial factors, named as in :func:`_terms`, in the
+    order of the mode's slots."""
+    terms = _terms(table)
+    return {name: [f for mode, f in terms if mode == name]
+            for name in table.names}
 
-    MIXING_4WM = [("s", "ap ap i*"), ("s", "s+ap ap*"), ("ap", "ap* 2ap"),
-                  ("ap", "s i ap*"), ("i", "ap ap s*"), ("i", "i+ap ap*"),
-                  ("2ap", "ap ap"), ("s+ap", "s ap"), ("i+ap", "i ap")]
+
+def _coefficients(table):
+    """A table's coefficients by ``(mode, "factors")``."""
+    return {term: c for term, (_, c, _) in zip(_terms(table),
+                                               table.monomials)}
+
+
+class TestTables:
+    """A table is only its monomials.  Each mode lists its own in a fixed
+    order: loss and rotation, the pump's and the harmonic's cross-Kerr,
+    then its mixing terms.  That order lays out the evaluator's slots and
+    so fixes the bits of each mode's slot sum; the order of monomials
+    across modes does not enter it."""
+
+    PER_MODE_4WM = {
+        "s": ["s", "ap ap* s", "2ap 2ap* s", "ap ap i*", "s+ap ap*"],
+        "ap": ["ap", "ap ap* ap", "2ap 2ap* ap", "ap* 2ap", "s i ap*"],
+        "i": ["i", "ap ap* i", "2ap 2ap* i", "ap ap s*", "i+ap ap*"],
+        "2ap": ["2ap", "ap ap* 2ap", "2ap 2ap* 2ap", "ap ap"],
+        "s+ap": ["s+ap", "ap ap* s+ap", "2ap 2ap* s+ap", "s ap"],
+        "i+ap": ["i+ap", "ap ap* i+ap", "2ap 2ap* i+ap", "i ap"],
+    }
 
     def table_4wm(self, m, beta, pump_depletion=True):
         k, wt = _point(m, W_S, W_AP, 6)
@@ -552,41 +573,75 @@ class TestTables:
                               pump_depletion)
 
     def test_4wm_terms(self, medium_035):
-        modes = cme._MODES_4WM
-        terms = _terms(self.table_4wm(medium_035, FIT["beta"]))
-        assert terms == ([(m, m) for m in modes]
-                         + [(m, f"ap ap* {m}") for m in modes]
-                         + [(m, f"2ap 2ap* {m}") for m in modes]
-                         + self.MIXING_4WM)
-        assert len(terms) == 6 + 12 + 9
+        table = self.table_4wm(medium_035, FIT["beta"])
+        assert _per_mode(table) == self.PER_MODE_4WM
+        assert len(table.monomials) == 6 + 12 + 9
+
+    @staticmethod
+    def dropped(full, part):
+        """The terms of ``full`` that ``part`` lacks, mode by mode, after
+        checking that ``part`` keeps the others in ``full``'s order."""
+        gone = [(m, f) for m, fs in _per_mode(full).items() for f in fs
+                if f not in _per_mode(part)[m]]
+        assert _per_mode(part) == {
+            m: [f for f in fs if (m, f) not in gone]
+            for m, fs in _per_mode(full).items()}
+        return gone
 
     def test_4wm_without_beta_or_depletion(self, medium_035):
         """The terms that vanish on every point are dropped: ``beta = 0``
-        removes the six second-order terms, no pump depletion one more."""
-        full = _terms(self.table_4wm(medium_035, FIT["beta"]))
-        no_beta = _terms(self.table_4wm(medium_035, 0.0))
-        assert len(no_beta) == 21
-        assert [t for t in full if t not in no_beta] == [
+        removes the six second-order terms, no pump depletion one more;
+        every mode keeps the others in order."""
+        full = self.table_4wm(medium_035, FIT["beta"])
+        no_beta = self.table_4wm(medium_035, 0.0)
+        assert len(no_beta.monomials) == 21
+        assert self.dropped(full, no_beta) == [
             ("s", "s+ap ap*"), ("ap", "ap* 2ap"), ("i", "i+ap ap*"),
             ("2ap", "ap ap"), ("s+ap", "s ap"), ("i+ap", "i ap")]
-        stiff = _terms(self.table_4wm(medium_035, FIT["beta"], False))
-        assert [t for t in full if t not in stiff] == [("ap", "s i ap*")]
+        stiff = self.table_4wm(medium_035, FIT["beta"], False)
+        assert len(stiff.monomials) == 26
+        assert self.dropped(full, stiff) == [("ap", "s i ap*")]
 
-    def table_3wm(self, m):
-        ok, _, k, wt, _ = cme._grid_3wm(m, W_S, W_IP)
+    def table_3wm(self, m, omega_ip=W_IP):
+        ok, _, k, wt, _ = cme._grid_3wm(m, W_S, omega_ip)
         assert ok.all()
         return cme._table_3wm(k[:, 0].tolist(), wt[:, 0].tolist(),
                               m.tan_delta, FIT["beta"])
 
     def test_3wm_terms(self, medium_035):
         table = self.table_3wm(medium_035)
-        modes = cme._MODES_3WM
         assert len(table.monomials) == 5 + 6
-        assert _terms(table) == [(m, m) for m in modes] + [
-            ("s", "s+ip ip*"), ("ip", "ip* 2ip"), ("2ip", "ip ip"),
-            ("s+ip", "s ip"), ("s+ip", "s+2ip ip*"), ("s+2ip", "s+ip ip")]
+        assert _per_mode(table) == {
+            "s": ["s", "s+ip ip*"], "ip": ["ip", "ip* 2ip"],
+            "2ip": ["2ip", "ip ip"], "s+ip": ["s+ip", "s ip", "s+2ip ip*"],
+            "s+2ip": ["s+2ip", "s+ip ip"]}
         # second-order couplings only: no three-factor (Kerr) term
         assert max(len(f) for _, _, f in table.monomials) == 2
+
+    def test_kerr_terms_are_the_analytic_kerr_rates(self, medium_035):
+        """The six-mode table's pump cross-Kerr coefficients are
+        ``phasematch``'s Kerr phase rates per unit ``|A_ap|^2``."""
+        amp = 0.37
+        etas = kerr_etas(medium_035, FIT["gamma"], W_S, W_AP, amp)
+        c = _coefficients(self.table_4wm(medium_035, FIT["beta"]))
+        for m, eta in zip(("s", "i", "ap"), etas):
+            coef = c[m, f"ap ap* {m}"]
+            assert coef.real == 0.0
+            assert coef.imag * amp**2 == pytest.approx(eta, rel=1e-15)
+
+    def test_shared_processes_match_across_systems(self, medium_035):
+        """With the five-mode pump at the six-mode pump's frequency, the
+        two systems' signal upconversion and second harmonic are the same
+        monomials, bit for bit."""
+        c3 = _coefficients(self.table_3wm(medium_035, W_AP))
+        c4 = _coefficients(self.table_4wm(medium_035, FIT["beta"]))
+        shared = {("s", "s+ip ip*"): ("s", "s+ap ap*"),
+                  ("s+ip", "s ip"): ("s+ap", "s ap"),
+                  ("ip", "ip* 2ip"): ("ap", "ap* 2ap"),
+                  ("2ip", "ip ip"): ("2ap", "ap ap")}
+        for t3, t4 in shared.items():
+            assert c3[t3] == c4[t4], (t3, c3[t3], c4[t4])
+            assert c3[t3] != 0.0
 
     def test_rotation_terms_carry_loss_and_rates(self, medium_035):
         """The one-factor term of mode m is ``-k_m'' - i theta_m``."""
