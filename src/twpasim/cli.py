@@ -14,7 +14,7 @@ the config, setting up the device, running the task (device setup
 included), formatting and writing the artifact, which itself does not
 change.
 
-Each task (``_TASK_FN``) returns ``(columns, table, metadata)``: the column
+Each task (``_TASKS``) returns ``(columns, table, metadata)``: the column
 names, a 2-D float64 array with one column per name and one row per grid
 point, and the JSON ``metadata`` dict; :func:`run` writes that table.
 """
@@ -22,7 +22,6 @@ point, and the JSON ``metadata`` dict; :func:`run` writes that table.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import math
@@ -46,61 +45,77 @@ from .unitcell import SnailSpec, _sweep, cell_coefficients, equilibrium_phase
 
 log = logging.getLogger("twpasim")
 
-TASKS = ("cell-params", "dispersion", "phase-mismatch", "gain", "isolation",
-         "saturation", "noise-fit", "flux-sweep")
 
-# key -> (type, default); REQUIRED means no default, presence enforced
-# per task by _TASK_REQUIRED.
-_REQUIRED = object()
+def _positive(key, value):
+    if value <= 0:
+        return f"'{key}' must be positive, got {value!r}"
+
+
+def _count(key, value):
+    if value < 1:
+        return f"'{key}' must be >= 1"
+
+
+def _within(lo, hi):
+    def check(key, value):
+        if not lo <= value <= hi:
+            return f"'{key}' must lie in [{lo:g}, {hi:g}]"
+    return check
+
+
+def _format(key, value):
+    if value not in ("csv", "json"):
+        return f"format must be csv or json, got {value!r}"
+
+
+def _task(key, value):
+    if value not in _TASKS:
+        return f"unknown task '{value}'; expected one of {', '.join(TASKS)}"
+
+
+# key -> (type, default, check): check(key, value) gives the diagnostic of a
+# value that a config sets, or None, once a float is finite; task is required
 _SCHEMA = {
-    "task": (str, _REQUIRED),
-    "critical_current_a": (float, 2.2e-6),
-    "asymmetry_ratio": (float, 0.07),
-    "ground_capacitance_f": (float, 250e-15),
-    "junction_capacitance_f": (float, 35e-15),
-    "cells": (int, 700),
-    "tan_delta": (float, 2.9e-3),
-    "flux": (float, 0.0),
-    "consistent_derivatives": (bool, False),
-    "amp_scale": (float, 1.0),
-    "beta_override": (float, None),
-    "gamma_override": (float, None),
-    "pump_freq_hz": (float, None),
-    "pump_power_dbm": (float, None),
-    "iso_pump_freq_hz": (float, None),
-    "iso_pump_power_dbm": (float, None),
-    "signal_freq_min_hz": (float, 4e9),
-    "signal_freq_max_hz": (float, 8e9),
-    "signal_points": (int, 101),
-    "signal_freq_hz": (float, None),
-    "signal_power_dbm": (float, -130.0),
-    "signal_power_min_dbm": (float, -150.0),
-    "signal_power_max_dbm": (float, -85.0),
-    "signal_power_points": (int, 27),
-    "flux_min": (float, 0.0),
-    "flux_max": (float, 0.5),
-    "flux_points": (int, 51),
-    "noise_data_path": (str, None),
-    "bandwidth_hz": (float, None),
-    "solver_rtol": (float, 1e-10),
-    "out_path": (str, None),
-    "format": (str, "csv"),
-    "precision": (int, 12),
+    "task": (str, None, _task),
+    "critical_current_a": (float, 2.2e-6, None),
+    "asymmetry_ratio": (float, 0.07, None),
+    "ground_capacitance_f": (float, 250e-15, None),
+    "junction_capacitance_f": (float, 35e-15, None),
+    "cells": (int, 700, _count),
+    "tan_delta": (float, 2.9e-3, None),
+    "flux": (float, 0.0, None),
+    "consistent_derivatives": (bool, False, None),
+    "amp_scale": (float, 1.0, _positive),
+    "beta_override": (float, None, None),
+    "gamma_override": (float, None, None),
+    "pump_freq_hz": (float, None, _positive),
+    "pump_power_dbm": (float, None, None),
+    "iso_pump_freq_hz": (float, None, _positive),
+    "iso_pump_power_dbm": (float, None, None),
+    "signal_freq_min_hz": (float, 4e9, _positive),
+    "signal_freq_max_hz": (float, 8e9, _positive),
+    "signal_points": (int, 101, _count),
+    "signal_freq_hz": (float, None, _positive),
+    "signal_power_dbm": (float, -130.0, None),
+    "signal_power_min_dbm": (float, -150.0, None),
+    "signal_power_max_dbm": (float, -85.0, None),
+    "signal_power_points": (int, 27, _count),
+    "flux_min": (float, 0.0, None),
+    "flux_max": (float, 0.5, None),
+    "flux_points": (int, 51, _count),
+    "noise_data_path": (str, None, None),
+    "bandwidth_hz": (float, None, _positive),
+    "solver_rtol": (float, 1e-10, _within(*RTOL_RANGE)),
+    "out_path": (str, None, None),
+    "format": (str, "csv", _format),
+    # 17 significant digits round-trip any double; more print noise
+    "precision": (int, 12, _within(1, 17)),
 }
 
 # SnailSpec's fields and their keys; every task but noise-fit builds one
 _SPEC_KEYS = {"I0": "critical_current_a", "r": "asymmetry_ratio",
               "Cg": "ground_capacitance_f", "CJ": "junction_capacitance_f",
               "N": "cells", "tan_delta": "tan_delta"}
-_DEVICE_TASKS = frozenset(TASKS) - {"noise-fit"}
-
-_TASK_REQUIRED = {
-    "gain": ("pump_freq_hz", "pump_power_dbm"),
-    "phase-mismatch": ("pump_freq_hz", "pump_power_dbm"),
-    "saturation": ("pump_freq_hz", "pump_power_dbm", "signal_freq_hz"),
-    "isolation": ("iso_pump_freq_hz", "iso_pump_power_dbm"),
-    "noise-fit": ("noise_data_path", "bandwidth_hz"),
-}
 
 
 def _parse_bool(text: str) -> bool:
@@ -139,79 +154,49 @@ def validate(config_text: str) -> dict:
         seen[key] = (value, lineno)
 
     values = {}
-    for key, (typ, default) in _SCHEMA.items():
-        if key in seen:
-            text, lineno = seen[key]
-            try:
-                values[key] = (_parse_bool if typ is bool else typ)(text)
-            except ValueError:
-                diags.append((lineno, f"cannot parse '{key}' value "
-                                      f"{text!r} as {typ.__name__}"))
-        elif default is _REQUIRED:
-            diags.append((0, f"missing required key '{key}'"
-                          if key != "task" else "missing task"))
-        else:
+    for key, (typ, default, check) in _SCHEMA.items():
+        if key not in seen:
             values[key] = default
-
-    if "task" in values:
-        task = values["task"]
-        if task not in TASKS:
-            diags.append((seen.get("task", ("", 0))[1],
-                          f"unknown task '{task}'; expected one of "
-                          f"{', '.join(TASKS)}"))
-        else:
-            for req in _TASK_REQUIRED.get(task, ()):
-                if values.get(req) is None:
-                    diags.append((0, f"task '{task}' requires key '{req}'"))
-        if task == "noise-fit" and values.get("noise_data_path"):
-            if not os.path.exists(values["noise_data_path"]):
-                diags.append((seen.get("noise_data_path", ("", 0))[1],
-                              f"noise_data_path does not exist: "
-                              f"{values['noise_data_path']}"))
-
-    rtol_lo, rtol_hi = RTOL_RANGE
-    for key, value in values.items():
-        if key not in seen or _SCHEMA[key][0] is not float:
             continue
-        line = seen[key][1]
-        if not math.isfinite(value):
-            diags.append((line, f"'{key}' must be finite, got {value!r}"))
-        elif (key.endswith("_hz") or key == "amp_scale") and value <= 0:
-            diags.append((line, f"'{key}' must be positive, got {value!r}"))
-        elif key == "solver_rtol" and not rtol_lo <= value <= rtol_hi:
-            diags.append((line, f"'solver_rtol' must lie in "
-                                f"[{rtol_lo:g}, {rtol_hi:g}]"))
-    if values.get("format") not in ("csv", "json"):
-        diags.append((seen.get("format", ("", 0))[1],
-                      f"format must be csv or json, got "
-                      f"{values.get('format')!r}"))
-    for key in ("signal_points", "signal_power_points", "flux_points",
-                "cells"):
-        if key in values and values[key] is not None and values[key] < 1:
-            diags.append((seen.get(key, ("", 0))[1],
-                          f"'{key}' must be >= 1"))
-    # 17 significant digits round-trip any double; more print noise
-    if "precision" in values and not 1 <= values["precision"] <= 17:
-        diags.append((seen["precision"][1],
-                      "'precision' must lie in [1, 17]"))
-    # the spectra and saturation_curve take strictly increasing grids
-    for tasks, n, lo, hi in ((("gain", "isolation"), "signal_points",
-                              "signal_freq_min_hz", "signal_freq_max_hz"),
-                             (("saturation",), "signal_power_points",
-                              "signal_power_min_dbm", "signal_power_max_dbm")):
-        if (values.get("task") in tasks and values.get(n, 0) > 1
-                and values.get(lo, -math.inf) >= values.get(hi, math.inf)):
-            line = max(seen.get(k, ("", 0))[1] for k in (lo, hi))
-            diags.append((line, f"{lo} must be below {hi} when {n} > 1"))
-    # SnailSpec's own checks, once every device key has parsed clean
-    bad = {line for line, _ in diags}
-    if values.get("task") in _DEVICE_TASKS and all(
-            k in values and seen.get(k, ("", -1))[1] not in bad
-            for k in _SPEC_KEYS.values()):
+        text, lineno = seen[key]
         try:
-            _spec(values)
-        except ValueError as exc:
-            diags.append((0, f"invalid device: {exc}"))
+            value = values[key] = (_parse_bool if typ is bool else typ)(text)
+        except ValueError:
+            diags.append((lineno, f"cannot parse '{key}' value "
+                                  f"{text!r} as {typ.__name__}"))
+            continue
+        if typ is float and not math.isfinite(value):
+            diags.append((lineno, f"'{key}' must be finite, got {value!r}"))
+        elif check is not None and (message := check(key, value)):
+            diags.append((lineno, message))
+
+    task = values["task"]
+    if task is None:
+        diags.append((0, "missing task"))
+    elif task in _TASKS:
+        _, required, grid, device = _TASKS[task]
+        for req in required:
+            if values.get(req) is None:
+                diags.append((0, f"task '{task}' requires key '{req}'"))
+        if (task == "noise-fit" and values.get("noise_data_path")
+                and not os.path.exists(values["noise_data_path"])):
+            diags.append((seen["noise_data_path"][1],
+                          f"noise_data_path does not exist: "
+                          f"{values['noise_data_path']}"))
+        if grid is not None:
+            lo, hi, n = grid
+            if (values.get(n, 0) > 1
+                    and values.get(lo, -math.inf) >= values.get(hi, math.inf)):
+                line = max(seen.get(k, ("", 0))[1] for k in (lo, hi))
+                diags.append((line, f"{lo} must be below {hi} when {n} > 1"))
+        # SnailSpec's own checks, once every device key has parsed clean
+        bad = {line for line, _ in diags}
+        if device and all(k in values and seen.get(k, ("", -1))[1] not in bad
+                          for k in _SPEC_KEYS.values()):
+            try:
+                _spec(values)
+            except ValueError as exc:
+                diags.append((0, f"invalid device: {exc}"))
 
     if diags:
         raise ConfigError(sorted(diags))
@@ -305,6 +290,12 @@ def _task_dispersion(cfg: dict):
     return cols, _grid_rows(omegas, values), _gap_metadata(gaps)
 
 
+def _tone(cfg: dict, prefix: str) -> ToneConfig:
+    """A tone from ``<prefix>_freq_hz`` and ``<prefix>_power_dbm``."""
+    return ToneConfig(freq=2 * math.pi * cfg[f"{prefix}_freq_hz"],
+                      power_dbm=cfg[f"{prefix}_power_dbm"])
+
+
 def _breakdown(cfg: dict, medium, beta, gamma, pump, omegas):
     """The phase-mismatch breakdown of a weak signal over omegas, in one
     pass, and its gaps."""
@@ -315,8 +306,7 @@ def _breakdown(cfg: dict, medium, beta, gamma, pump, omegas):
 
 def _task_phase_mismatch(cfg: dict):
     _, medium, beta, gamma = _device(cfg)
-    pump = ToneConfig(freq=2 * math.pi * cfg["pump_freq_hz"],
-                      power_dbm=cfg["pump_power_dbm"])
+    pump = _tone(cfg, "pump")
     omegas = _signal_grid(cfg)
     values, gaps = _breakdown(cfg, medium, beta, gamma, pump, omegas)
     cols = ["freq_hz", "dk_dispersion_rad_per_cell", "dk_kerr_rad_per_cell",
@@ -326,8 +316,7 @@ def _task_phase_mismatch(cfg: dict):
 
 def _task_gain(cfg: dict):
     _, medium, beta, gamma = _device(cfg)
-    pump = ToneConfig(freq=2 * math.pi * cfg["pump_freq_hz"],
-                      power_dbm=cfg["pump_power_dbm"])
+    pump = _tone(cfg, "pump")
     omegas = _signal_grid(cfg)
     spec = gain_spectrum(medium, pump, omegas, cfg["signal_power_dbm"],
                          beta=beta, gamma=gamma, amp_scale=cfg["amp_scale"],
@@ -342,8 +331,7 @@ def _task_gain(cfg: dict):
 
 def _task_isolation(cfg: dict):
     _, medium, beta, _ = _device(cfg)
-    pump = ToneConfig(freq=2 * math.pi * cfg["iso_pump_freq_hz"],
-                      power_dbm=cfg["iso_pump_power_dbm"])
+    pump = _tone(cfg, "iso_pump")
     omegas = _signal_grid(cfg)
     spec = isolation_spectrum(medium, pump, omegas, cfg["signal_power_dbm"],
                               beta=beta, amp_scale=cfg["amp_scale"],
@@ -356,8 +344,7 @@ def _task_isolation(cfg: dict):
 
 def _task_saturation(cfg: dict):
     _, medium, beta, gamma = _device(cfg)
-    pump = ToneConfig(freq=2 * math.pi * cfg["pump_freq_hz"],
-                      power_dbm=cfg["pump_power_dbm"])
+    pump = _tone(cfg, "pump")
     powers = np.linspace(cfg["signal_power_min_dbm"],
                          cfg["signal_power_max_dbm"],
                          cfg["signal_power_points"])
@@ -384,16 +371,26 @@ def _task_noise_fit(cfg: dict):
     return cols, table, {"bandwidth_hz": cfg["bandwidth_hz"]}
 
 
-_TASK_FN = {
-    "cell-params": _task_cell_params,
-    "flux-sweep": _task_flux_sweep,
-    "dispersion": _task_dispersion,
-    "phase-mismatch": _task_phase_mismatch,
-    "gain": _task_gain,
-    "isolation": _task_isolation,
-    "saturation": _task_saturation,
-    "noise-fit": _task_noise_fit,
+_PUMP = ("pump_freq_hz", "pump_power_dbm")
+_SIGNAL_GRID = ("signal_freq_min_hz", "signal_freq_max_hz", "signal_points")
+
+# task -> (function, required keys, (min, max, points) keys of the grid its
+# library call takes strictly increasing or None, builds a device)
+_TASKS = {
+    "cell-params": (_task_cell_params, (), None, True),
+    "dispersion": (_task_dispersion, (), None, True),
+    "phase-mismatch": (_task_phase_mismatch, _PUMP, None, True),
+    "gain": (_task_gain, _PUMP, _SIGNAL_GRID, True),
+    "isolation": (_task_isolation, ("iso_pump_freq_hz", "iso_pump_power_dbm"),
+                  _SIGNAL_GRID, True),
+    "saturation": (_task_saturation, (*_PUMP, "signal_freq_hz"),
+                   ("signal_power_min_dbm", "signal_power_max_dbm",
+                    "signal_power_points"), True),
+    "noise-fit": (_task_noise_fit, ("noise_data_path", "bandwidth_hz"), None,
+                  False),
+    "flux-sweep": (_task_flux_sweep, (), None, True),
 }
+TASKS = tuple(_TASKS)  # in order: argparse's choices, unknown-task message
 
 
 # stands in for the rows while the rest of a JSON artifact is encoded; with
@@ -469,7 +466,7 @@ def run(cfg: dict, out_path=None, out_format=None) -> str:
     """
     task = cfg["task"]
     t0 = time.perf_counter()
-    cols, table, meta = _TASK_FN[task](cfg)
+    cols, table, meta = _TASKS[task][0](cfg)
     t1 = time.perf_counter()
     log.info("ran task %s in %.3f s", task, t1 - t0)
     fmt = out_format or cfg["format"]
@@ -482,6 +479,7 @@ def run(cfg: dict, out_path=None, out_format=None) -> str:
         payload = (",".join(cols) + "\n"
                    + (row * len(table)) % tuple(table.ravel().tolist()))
     else:
+        import hashlib  # only here: it loads OpenSSL, a CSV run needs none
         doc = {
             "task": task,
             "version": __version__,
@@ -522,11 +520,12 @@ _PARSER.add_argument("--format", choices=("csv", "json"), default=None)
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("TWPASIM_LOG", "warning").upper()
+    # a level name; any other value (BASIC_FORMAT names a string) is warning
+    level = getattr(logging, os.environ.get("TWPASIM_LOG", "").upper(), None)
     logging.basicConfig(format="%(name)s %(levelname)s %(message)s")
     # on the package logger, so the setting holds even where the root
     # logger was configured before (an embedding program, pytest)
-    log.setLevel(getattr(logging, level, logging.WARNING))
+    log.setLevel(level if isinstance(level, int) else logging.WARNING)
     args = _PARSER.parse_args(argv)
 
     try:

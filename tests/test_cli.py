@@ -190,6 +190,30 @@ class TestValidate:
             validate(f"task = cell-params\n{line}\n")
         assert exc.value.diagnostics == [(2, message)]
 
+    @pytest.mark.parametrize("text, diagnostics", [
+        ("task = cell-params\nformat = xml\n",
+         [(2, "format must be csv or json, got 'xml'")]),
+        *[(f"task = cell-params\n{key} = 0\n", [(2, f"'{key}' must be >= 1")])
+          for key in ("signal_points", "flux_points", "signal_power_points")],
+        ("task = bogus\n",
+         [(1, "unknown task 'bogus'; expected one of cell-params, "
+              "dispersion, phase-mismatch, gain, isolation, saturation, "
+              "noise-fit, flux-sweep")]),
+        ("task = gain\n", [(0, "task 'gain' requires key 'pump_freq_hz'"),
+                           (0, "task 'gain' requires key 'pump_power_dbm'")]),
+        ("task = noise-fit\nnoise_data_path = /nope.csv\nbandwidth_hz = 1e6\n",
+         [(2, "noise_data_path does not exist: /nope.csv")]),
+        ("task = cell-params\njust words\n",
+         [(2, "expected 'key = value', got 'just words'")]),
+        ("", [(0, "missing task")]),
+    ], ids=["format", "signal-points", "flux-points", "signal-power-points",
+            "unknown-task", "gain-pump", "noise-path", "no-equals",
+            "no-task"])
+    def test_config_gives_exactly_these_diagnostics(self, text, diagnostics):
+        with pytest.raises(ConfigError) as exc:
+            validate(text)
+        assert exc.value.diagnostics == diagnostics
+
     def test_noise_fit_builds_no_device(self):
         validate(f"task = noise-fit\nnoise_data_path = {NOISE_RECORDS}\n"
                  "bandwidth_hz = 1e6\nasymmetry_ratio = 1.5\n")
@@ -537,7 +561,7 @@ class TestWriter:
     gives (``_per_value_artifact``)."""
 
     def assert_written_as_per_value(self, cfg, path, fmt):
-        cols, rows, meta = cli._TASK_FN[cfg["task"]](cfg)
+        cols, rows, meta = cli._TASKS[cfg["task"]][0](cfg)
         run(cfg, out_path=str(path), out_format=fmt)
         assert path.read_text(encoding="utf-8") == \
             _per_value_artifact(cfg, cols, rows, meta, fmt)
@@ -557,7 +581,7 @@ class TestWriter:
         """A task's table is one float64 array, a row per grid point and
         a column per name."""
         cfg = validate(f"task = {task}\n{lines}\n")
-        cols, table, _ = cli._TASK_FN[task](cfg)
+        cols, table, _ = cli._TASKS[task][0](cfg)
         rows = {"cell-params": 1, "flux-sweep": 5, "dispersion": 3,
                 "phase-mismatch": 5, "gain": 3, "isolation": 2,
                 "saturation": 2, "noise-fit": 3}[task]
@@ -574,7 +598,7 @@ class TestWriter:
         monkeypatch.chdir(tmp_path)
         cfg = validate(f"task = cell-params\nout_path = {cli._ROWS_SLOT}\n"
                        f"format = json\n")
-        cols, rows, meta = cli._TASK_FN["cell-params"](cfg)
+        cols, rows, meta = cli._TASKS["cell-params"][0](cfg)
         path = Path(run(cfg))
         text = path.read_text(encoding="utf-8")
         assert text == _per_value_artifact(cfg, cols, rows, meta, "json")
@@ -588,8 +612,8 @@ class TestWriter:
         cfg = validate(f"task = cell-params\nprecision = {precision}\n")
         out = tmp_path_factory.getbasetemp() / "writer"
         out.mkdir(exist_ok=True)
-        with mock.patch.dict(cli._TASK_FN,
-                             {"cell-params": lambda cfg: (cols, rows, {})}):
+        with mock.patch.dict(cli._TASKS, {"cell-params": (
+                lambda cfg: (cols, rows, {}), (), None, True)}):
             for fmt in ("csv", "json"):
                 self.assert_written_as_per_value(cfg, out / f"t.{fmt}", fmt)
 
@@ -614,8 +638,8 @@ class TestWriter:
                  0.0, math.nan, math.inf]
         rows = [[v, -v, np.float64(v), np.float64(-v)] for v in edges]
         cfg = validate(f"task = cell-params\nprecision = {precision}\n")
-        with mock.patch.dict(cli._TASK_FN, {"cell-params": lambda cfg: (
-                ["a", "b", "c", "d"], rows, {})}):
+        with mock.patch.dict(cli._TASKS, {"cell-params": (lambda cfg: (
+                ["a", "b", "c", "d"], rows, {}), (), None, True)}):
             self.assert_written_as_per_value(cfg, tmp_path / "t.json",
                                              "json")
 
@@ -650,6 +674,19 @@ class TestLogging:
             assert any(re.fullmatch(pattern, m)
                        for m in messages["info"]), pattern
 
+    @pytest.mark.parametrize("value", ["basic_format", "_styles", "loud"])
+    def test_a_value_that_names_no_level_logs_at_warning(self, tmp_path,
+                                                        monkeypatch, value):
+        """``logging.BASIC_FORMAT`` is a format string and ``_STYLES`` a
+        dict, not levels: the run goes on at warning."""
+        out = tmp_path / "o.csv"
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(f"task = cell-params\nout_path = {out}\n")
+        monkeypatch.setenv("TWPASIM_LOG", value)
+        assert main(["cell-params", "--config", str(cfg_path)]) == 0
+        assert logging.getLogger("twpasim").level == logging.WARNING
+        assert out.read_text().count("\n") == 2
+
     def test_batch_set_up_time_says_what_it_times(self, tmp_path,
                                                   monkeypatch, caplog):
         """The per-batch line times the batch's set-up, which for a
@@ -676,7 +713,8 @@ class TestLogging:
 class TestColdStart:
     def test_cli_run_loads_no_scipy(self, tmp_path):
         """A fresh interpreter that imports the package and runs a gain
-        task never loads scipy: the package needs numpy only."""
+        task never loads scipy: the package needs numpy only.  A CSV
+        artifact hashes nothing, so hashlib and OpenSSL stay unloaded."""
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text("task = gain\nflux = 0.35\npump_freq_hz = 9.2e9\n"
                             "pump_power_dbm = -78\nsignal_points = 2\n"
@@ -686,7 +724,8 @@ class TestColdStart:
             "import twpasim, twpasim.cli\n"
             "assert twpasim.cli.main(['gain', '--config', sys.argv[1]]) == 0\n"
             "print(sorted(m for m in sys.modules\n"
-            "             if m == 'scipy' or m.startswith('scipy.')))\n")
+            "             if m == 'scipy' or m.startswith('scipy.')\n"
+            "             or m in ('hashlib', '_hashlib')))\n")
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         proc = subprocess.run([sys.executable, "-c", script, str(cfg_path)],
@@ -893,3 +932,14 @@ class TestMainExitCodes:
 
     def test_missing_config_exit_two(self):
         assert main(["gain", "--config", "/does/not/exist.cfg"]) == 2
+
+
+def test_readme_names_every_key_and_task():
+    """README's "Config keys" section names every key of the schema, and
+    its ``task`` row lists the tasks in the CLI's order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config keys", 1)[1].split("\n### ", 1)[0]
+    assert set(_SCHEMA) <= set(re.findall(r"`([a-z_]+)`", section))
+    row = next(line for line in section.splitlines()
+               if line.startswith("| `task` |"))
+    assert re.findall(r"`([a-z-]+)`", row.split("|")[3]) == list(TASKS)

@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from twpasim.cli import run, validate
+from twpasim.cli import TASKS, run, validate
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 CONFIGS = sorted((REPO / "configs").glob("*.cfg"))
@@ -27,3 +27,12 @@ def test_example_config_runs(path, tmp_path, monkeypatch):
     header = lines[0].split(",")
     body = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     assert body.shape[1] == len(header)
+
+
+def test_every_task_ships_one_example(monkeypatch):
+    """CI reruns each ``*_example.cfg`` under its own task: every task has
+    exactly one."""
+    monkeypatch.chdir(REPO)
+    tasks = [validate(path.read_text())["task"]
+             for path in (REPO / "configs").glob("*_example.cfg")]
+    assert sorted(tasks) == sorted(TASKS)
