@@ -25,10 +25,11 @@ stepper through ``_propagate``, which turns it into its one evaluator,
 ``_TableRhs``: ``rhs(x, u) -> du/dx`` for one point or a batch, which
 :func:`twpasim._kernels.integrate` steps in place (raising
 ``StepFailure``): the stepper writes each stage's ``u`` straight into
-the evaluator's stack, and a conjugate, a gather, the factor products
-and one slot sum, a real product with a matrix of ones, write ``du/dx``
-straight into the stepper's stage.  ``_propagate`` returns the lab-frame
-``y``.  The ladders and band checks come from ``phasematch._ladder``
+the evaluator's stack ``[u, conj u, 1]``, and a conjugate, a gather of
+the factors, their products with the coefficients, held once in a fixed
+array, and one slot sum, a real product with a matrix of ones, write
+``du/dx`` straight into the stepper's stage.  ``_propagate`` returns the
+lab-frame ``y``.  The ladders and band checks come from ``phasematch._ladder``
 (``_grid``, ``_grid_3wm``; ``_point`` for one six-mode point).
 The spectra integrate a grid of at least ``_BATCH_MIN`` in-band points
 as one batch, and one point at a time, each a batch of one, below that
@@ -339,41 +340,37 @@ class _TableRhs(_kernels.InPlace):
     floats that every column shares.  The stepper evaluates it in place
     (:class:`twpasim._kernels.InPlace`).
 
-    Each coefficient is a row of the stack ``[u, conj u, 1, 0,
-    coefficients]``, whose first two blocks are the stepper's ``state``.
     The monomials sit in slots of shape ``(K, n)``, K the most monomials
     any mode has: slot ``(k, m)`` holds the k-th monomial of mode m, in
-    table order, as a column of ``gather``, indices into the stack: its
-    coefficient, its factors, then the 1 as padding.  A slot that mode m
-    leaves unused gathers the 0 and the 1, an exact zero.  An evaluation
-    conjugates its slot in place, gathers all factors at once, multiplies
-    them from the left and sums each mode's slots by one real product
-    with a ``(2, K)`` matrix of ones, each into a buffer of its own: its
-    rows are the stepper's ``out[0]`` and the scratch ``out[1]``."""
+    table order.  Its coefficient is ``coef[k, m]``, written once, and its
+    factors a column of ``gather``, indices into the stack ``[u, conj u,
+    1]``, whose first two blocks are the stepper's ``state``, padded with
+    the 1.  A slot that mode m leaves unused has coefficient 0 and gathers
+    only the 1, an exact zero.  An evaluation conjugates its slot in
+    place, gathers all factors at once, multiplies ``coef`` by them from
+    the left and sums each mode's slots by one real product with a ``(2,
+    K)`` matrix of ones, each into a buffer of its own: its rows are the
+    stepper's ``out[0]`` and the scratch ``out[1]``."""
 
     def __init__(self, t: _Table, shape: tuple):
         n = len(t.names)
-        modes, coeffs, factors = zip(*t.monomials)
-        one, width = 2 * n, 1 + max(map(len, factors))
-        zero = one + 1
-        slots = max(map(modes.count, range(n)))
-        stack = np.empty((zero + 1 + len(coeffs),) + shape,
-                         dtype=np.complex128)
+        modes, _, factors = zip(*t.monomials)
+        one, slots = 2 * n, max(map(modes.count, range(n)))
+        stack = np.empty((one + 1,) + shape, dtype=np.complex128)
         stack[one] = 1.0
-        stack[zero] = 0.0
-        stack[zero + 1:] = [np.broadcast_to(c, shape) for c in coeffs]
-        gather = np.full((width, slots, n), one)
-        gather[0] = zero
+        coef = np.zeros((slots, n) + shape, dtype=np.complex128)
+        gather = np.full((max(map(len, factors)), slots, n), one)
         filled = [0] * n
-        for j, (mode, f) in enumerate(zip(modes, factors)):
-            gather[:len(f) + 1, filled[mode], mode] = (zero + 1 + j,) + f
+        for mode, c, f in t.monomials:
+            coef[filled[mode], mode] = c
+            gather[:len(f), filled[mode], mode] = f
             filled[mode] += 1
         conj = stack[n:one]
         gathered = np.empty(gather.shape + shape, dtype=np.complex128)
-        products = np.empty(gather.shape[1:] + shape, dtype=np.complex128)
+        products = np.empty_like(coef)
         terms = products.view(np.float64).reshape(slots, -1)
         ones = np.ones((2, slots))
-        first, second, *rest = gathered
+        first, *rest = gathered
         dot, multiply, conjugate = np.dot, np.multiply, np.conjugate
         take = stack.take
 
@@ -383,7 +380,7 @@ class _TableRhs(_kernels.InPlace):
             # "clip" writes straight into `gathered`, where the default
             # "raise" buffers it (every index is in range by construction)
             take(gather, 0, gathered, "clip")
-            multiply(first, second, products)
+            multiply(coef, first, products)
             for f in rest:
                 multiply(products, f, products)
             # BLAS's matrix product sums a column the same way wherever it
@@ -391,7 +388,7 @@ class _TableRhs(_kernels.InPlace):
             dot(ones, terms, out)
 
         super().__init__(stack[:one].reshape((2, n) + shape), into)
-        self.stack, self.gather = stack, gather
+        self.stack, self.coef, self.gather = stack, coef, gather
 
 
 def _frequencies_3wm(omega_s, omega_ip):

@@ -691,15 +691,55 @@ class TestTables:
                 assert (abs(got[(mode,) + col] - total[mode])
                         <= 1e-15 * scale[mode]), (mode, col)
 
+    @pytest.mark.parametrize("system", ["4wm", "3wm"])
+    def test_float_table_on_a_batch_is_the_repeated_array_table(
+            self, medium_035, system):
+        """One point's float table run on a batch, as ``saturation_curve``
+        runs it, gives the bytes of the array table built from that point
+        repeated over the batch: the same evaluation and the same run."""
+        m, size = medium_035, 5
+        if system == "4wm":
+            k, wt = _point(m, W_S, W_AP, 6)
+
+            def table(k, wt):
+                return cme._table_4wm(k, wt, m.tan_delta, FIT["beta"],
+                                      FIT["gamma"], True)
+            w_p = W_AP
+        else:
+            _, _, k, wt, _ = cme._grid_3wm(m, W_S, W_IP)
+            k, wt = k[:, 0].tolist(), wt[:, 0].tolist()
+
+            def table(k, wt):
+                return cme._table_3wm(k, wt, m.tan_delta, FIT["beta"])
+            w_p = W_IP
+        n = len(k)
+        floats = table(k, wt)
+        arrays = table(np.repeat(np.array(k)[:, None], size, axis=1),
+                       np.repeat(np.array(wt)[:, None], size, axis=1))
+        rng = np.random.default_rng(36)
+        u = (rng.normal(size=(n, size)) + 1j * rng.normal(size=(n, size)))
+        assert (cme._TableRhs(floats, (size,))(0.0, u).tobytes()
+                == cme._TableRhs(arrays, (size,))(0.0, u).tobytes())
+        a_p = amplitude_from_dbm(m, w_p, -76.0, FIT["amp_scale"])
+        a_s = amplitude_from_dbm(m, W_S, np.linspace(-130.0, -90.0, size),
+                                 FIT["amp_scale"])
+        y0 = cme._initial(n, a_s, a_p)
+        runs = [cme._propagate(m, t, y0, None, 1e-10, 2)
+                for t in (floats, arrays)]
+        assert runs[0].solver_stats == runs[1].solver_stats
+        assert runs[0].amplitudes.tobytes() == runs[1].amplitudes.tobytes()
+
     @pytest.mark.parametrize("variant", ["4wm", "4wm-beta0",
                                          "4wm-no-depletion", "3wm"])
     @pytest.mark.parametrize("shape", [(), (3,)], ids=["point", "batch"])
     def test_gather_stays_inside_the_stack(self, medium_035, variant, shape):
         """The evaluator gathers with ``mode="clip"``, which would clamp an
         index past the stack to its last row without a word: every index
-        of every table variant must address a row of the stack.  Every
-        monomial fills exactly one slot, the next free one of its mode in
-        table order, and every other slot gathers the 0 and the 1."""
+        of every table variant must address a row of the stack ``[u, conj
+        u, 1]``.  Every monomial fills exactly one slot, the next free one
+        of its mode in table order: its coefficient in ``coef``, its
+        factors padded with the 1 in ``gather``.  Every other slot has a
+        coefficient of exactly 0 and gathers only the 1."""
         m = medium_035
         table = {"4wm": lambda: self.table_4wm(m, FIT["beta"]),
                  "4wm-beta0": lambda: self.table_4wm(m, 0.0),
@@ -707,25 +747,30 @@ class TestTables:
                                                             False),
                  "3wm": lambda: self.table_3wm(m)}[variant]()
         rhs = cme._TableRhs(table, shape)
-        stack, gather = rhs.stack, rhs.gather
+        stack, coef, gather = rhs.stack, rhs.coef, rhs.gather
         n, count = len(table.names), len(table.monomials)
-        one, zero = 2 * n, 2 * n + 1
-        assert stack.shape[1:] == shape
-        assert (stack[one] == 1.0).all() and (stack[zero] == 0.0).all()
+        one = 2 * n
+        assert stack.shape == (one + 1,) + shape
+        assert (stack[one] == 1.0).all()
         width, slots, modes = gather.shape
         assert modes == n
+        assert width == max(len(f) for _, _, f in table.monomials)
+        assert coef.shape == (slots, n) + shape
         unused = {(k, mode) for k in range(slots) for mode in range(n)}
-        for j, (mode, _, factors) in enumerate(table.monomials):
+        for mode, c, factors in table.monomials:
             k = min(k for k, m_ in unused if m_ == mode)
             unused.remove((k, mode))
-            pad = (one,) * (width - 1 - len(factors))
-            assert tuple(gather[:, k, mode]) == (zero + 1 + j, *factors, *pad)
+            assert coef[k, mode].tobytes() == np.broadcast_to(
+                np.complex128(c), shape).tobytes()
+            pad = (one,) * (width - len(factors))
+            assert tuple(gather[:, k, mode]) == (*factors, *pad)
         assert len(unused) == slots * n - count
         for k, mode in unused:
-            assert tuple(gather[:, k, mode]) == (zero,) + (one,) * (width - 1)
+            assert coef[k, mode].tobytes() == np.zeros(
+                shape, np.complex128).tobytes()
+            assert tuple(gather[:, k, mode]) == (one,) * width
         assert 0 <= gather.min()
         assert gather.max() < len(stack)
-
 
 def _batch_gain(m, system, omegas):
     """Gain and upconverted fraction (NaN for the six-mode system) of every
