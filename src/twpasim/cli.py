@@ -216,7 +216,7 @@ def _device(cfg: dict):
     spec = _spec(cfg)
     fp = equilibrium_phase(spec, cfg["flux"])
     coeffs = cell_coefficients(spec, fp, cfg["consistent_derivatives"])
-    medium = MediumParams.from_cell(spec, coeffs)
+    medium = MediumParams.from_cell(spec, coeffs, cfg["amp_scale"])
     beta = cfg["beta_override"] if cfg["beta_override"] is not None \
         else coeffs.beta
     gamma = cfg["gamma_override"] if cfg["gamma_override"] is not None \
@@ -296,11 +296,11 @@ def _tone(cfg: dict, prefix: str) -> ToneConfig:
                       power_dbm=cfg[f"{prefix}_power_dbm"])
 
 
-def _breakdown(cfg: dict, medium, beta, gamma, pump, omegas):
+def _breakdown(medium, beta, gamma, pump, omegas):
     """The phase-mismatch breakdown of a weak signal over omegas, in one
     pass, and its gaps."""
     values, errors = breakdown_grid(medium, beta, gamma, omegas, pump.freq,
-                                    pump.power_dbm, cfg["amp_scale"])
+                                    pump.power_dbm)
     return values, _gaps(omegas, dict(errors))
 
 
@@ -308,7 +308,7 @@ def _task_phase_mismatch(cfg: dict):
     _, medium, beta, gamma = _device(cfg)
     pump = _tone(cfg, "pump")
     omegas = _signal_grid(cfg)
-    values, gaps = _breakdown(cfg, medium, beta, gamma, pump, omegas)
+    values, gaps = _breakdown(medium, beta, gamma, pump, omegas)
     cols = ["freq_hz", "dk_dispersion_rad_per_cell", "dk_kerr_rad_per_cell",
             "dk_dynamic_rad_per_cell", "dk_total_rad_per_cell"]
     return cols, _grid_rows(omegas, values), _gap_metadata(gaps)
@@ -319,9 +319,8 @@ def _task_gain(cfg: dict):
     pump = _tone(cfg, "pump")
     omegas = _signal_grid(cfg)
     spec = gain_spectrum(medium, pump, omegas, cfg["signal_power_dbm"],
-                         beta=beta, gamma=gamma, amp_scale=cfg["amp_scale"],
-                         rtol=cfg["solver_rtol"])
-    dk, _ = _breakdown(cfg, medium, beta, gamma, pump, omegas)
+                         beta=beta, gamma=gamma, rtol=cfg["solver_rtol"])
+    dk, _ = _breakdown(medium, beta, gamma, pump, omegas)
     # the gaps listed are the gain column's
     return (["freq_hz", "gain_db", "dk_total_rad_per_cell"],
             _grid_rows(omegas, spec.gain_db, dk[:, 3]),
@@ -334,8 +333,7 @@ def _task_isolation(cfg: dict):
     pump = _tone(cfg, "iso_pump")
     omegas = _signal_grid(cfg)
     spec = isolation_spectrum(medium, pump, omegas, cfg["signal_power_dbm"],
-                              beta=beta, amp_scale=cfg["amp_scale"],
-                              rtol=cfg["solver_rtol"])
+                              beta=beta, rtol=cfg["solver_rtol"])
     return (["freq_hz", "isolation_db", "upconverted_fraction"],
             _grid_rows(omegas, spec.gain_db, spec.upconverted_fraction),
             {**_gap_metadata(spec.gaps),
@@ -350,7 +348,6 @@ def _task_saturation(cfg: dict):
                          cfg["signal_power_points"])
     res = saturation_curve(medium, pump, 2 * math.pi * cfg["signal_freq_hz"],
                            powers, beta=beta, gamma=gamma,
-                           amp_scale=cfg["amp_scale"],
                            rtol=cfg["solver_rtol"])
     meta = {"small_signal_gain_db": res.small_signal_gain_db,
             "compression_1db_dbm": res.compression_1db_dbm,

@@ -174,8 +174,9 @@ class Trajectory:
         return np.unwrap(np.angle(self.amplitudes), axis=0)
 
     def photon_flux(self) -> np.ndarray:
-        """k * (1 - w^2/wJ^2) * |A|^2 per mode and sample."""
-        k = wavevector(self.medium, self.frequencies, guard=1.0)
+        """k * (1 - w^2/wJ^2) * |A|^2 per mode and sample; a mode at or
+        above the plasma guard raises ``AbovePlasmaCutoff``."""
+        k = wavevector(self.medium, self.frequencies)
         wt = omega_tilde(self.medium, self.frequencies)
         return k * wt * np.abs(self.amplitudes) ** 2
 
@@ -552,8 +553,7 @@ def _initial(n_modes: int, a_s, a_p: float) -> np.ndarray:
 
 def gain_spectrum(m: MediumParams, pump: ToneConfig, signal_omegas,
                   signal_power_dbm: float = -130.0, beta: float = 0.0,
-                  gamma: float = 0.0, amp_scale: float = 1.0,
-                  rtol: float = 1e-10) -> GainSpectrum:
+                  gamma: float = 0.0, rtol: float = 1e-10) -> GainSpectrum:
     """Small-signal gain, with pump depletion, over a signal frequency
     grid [rad/s]; each point integrates straight to x = N, a grid of at
     least ``_BATCH_MIN`` in-band points as one batch.  A point that fails
@@ -566,8 +566,8 @@ def gain_spectrum(m: MediumParams, pump: ToneConfig, signal_omegas,
     before any point is integrated."""
     omegas = _increasing(signal_omegas, "frequency")
     _validate_rtol(rtol)
-    a_p = amplitude_from_dbm(m, pump.freq, pump.power_dbm, amp_scale)
-    a_s = amplitude_from_dbm(m, omegas, signal_power_dbm, amp_scale)
+    a_p = amplitude_from_dbm(m, pump.freq, pump.power_dbm)
+    a_s = amplitude_from_dbm(m, omegas, signal_power_dbm)
     ok, errors, k, wt = _grid(m, omegas, pump.freq)
     col = np.cumsum(ok) - 1  # an in-band row's column of k and wt
 
@@ -579,7 +579,7 @@ def gain_spectrum(m: MediumParams, pump: ToneConfig, signal_omegas,
 
     gain, failed, runs = _spectrum("gain", m, rtol, omegas.size, errors,
                                    build, lambda traj: (_gain_db_from(traj),))
-    meta = {"pump": pump, "amp_scale": amp_scale, "beta": beta,
+    meta = {"pump": pump, "amp_scale": m.amp_scale, "beta": beta,
             "gamma": gamma, "signal_power_dbm": signal_power_dbm}
     return GainSpectrum(omega=omegas, gain_db=gain[:, 0], metadata=meta,
                         gaps=_gaps(omegas, failed), solver_stats=runs)
@@ -596,8 +596,7 @@ class SaturationResult:
 
 def saturation_curve(m: MediumParams, pump: ToneConfig, omega_s: float,
                      power_grid_dbm, beta: float = 0.0, gamma: float = 0.0,
-                     amp_scale: float = 1.0, rtol: float = 1e-10
-                     ) -> SaturationResult:
+                     rtol: float = 1e-10) -> SaturationResult:
     """Gain versus signal power with full pump depletion; each power
     integrates straight to x = N, a grid of at least ``_BATCH_MIN``
     powers as one batch.  Reports the 1 dB compression input power
@@ -612,10 +611,10 @@ def saturation_curve(m: MediumParams, pump: ToneConfig, omega_s: float,
     if not powers.size:
         raise ValueError("power grid must not be empty")
     _validate_rtol(rtol)
-    a_p = amplitude_from_dbm(m, pump.freq, pump.power_dbm, amp_scale)
+    a_p = amplitude_from_dbm(m, pump.freq, pump.power_dbm)
     # the point's error, pump guard first
     k, wt = _point(m, omega_s, pump.freq, 6)
-    a_s = amplitude_from_dbm(m, omega_s, powers, amp_scale)
+    a_s = amplitude_from_dbm(m, omega_s, powers)
     # one point: float coefficients, shared by every batch
     table = _table_4wm(k, wt, m.tan_delta, beta, gamma, True)
 
@@ -643,8 +642,7 @@ def saturation_curve(m: MediumParams, pump: ToneConfig, omega_s: float,
 
 def isolation_spectrum(m: MediumParams, ip_pump: ToneConfig, signal_omegas,
                        signal_power_dbm: float = -130.0, beta: float = 0.0,
-                       amp_scale: float = 1.0, rtol: float = 1e-10
-                       ) -> GainSpectrum:
+                       rtol: float = 1e-10) -> GainSpectrum:
     """Upconversion (isolation) spectrum for the co-moving backward pair.
 
     Returns transmission in dB (negative = isolation) and the photon
@@ -659,8 +657,8 @@ def isolation_spectrum(m: MediumParams, ip_pump: ToneConfig, signal_omegas,
     before any point is integrated."""
     omegas = _increasing(signal_omegas, "frequency")
     _validate_rtol(rtol)
-    a_p = amplitude_from_dbm(m, ip_pump.freq, ip_pump.power_dbm, amp_scale)
-    a_s = amplitude_from_dbm(m, omegas, signal_power_dbm, amp_scale)
+    a_p = amplitude_from_dbm(m, ip_pump.freq, ip_pump.power_dbm)
+    a_s = amplitude_from_dbm(m, omegas, signal_power_dbm)
     ok, errors, k, wt, w = _grid_3wm(m, omegas, ip_pump.freq)
     col = np.cumsum(ok) - 1  # an in-band row's column of k, wt and w
 
@@ -675,7 +673,7 @@ def isolation_spectrum(m: MediumParams, ip_pump: ToneConfig, signal_omegas,
 
     values, failed, runs = _spectrum("isolation", m, rtol, omegas.size,
                                      errors, build, finish, width=2)
-    meta = {"pump": ip_pump, "amp_scale": amp_scale, "beta": beta,
+    meta = {"pump": ip_pump, "amp_scale": m.amp_scale, "beta": beta,
             "signal_power_dbm": signal_power_dbm}
     return GainSpectrum(omega=omegas, gain_db=values[:, 0], metadata=meta,
                         upconverted_fraction=values[:, 1],

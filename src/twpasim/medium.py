@@ -27,13 +27,15 @@ PLASMA_GUARD = 0.98
 @dataclass(frozen=True, slots=True)
 class MediumParams:
     """Linear line parameters: ``omega0``/``omegaJ`` [rad/s], ``Z`` [Ohm],
-    loss tangent and cell count."""
+    loss tangent, cell count and ``amp_scale``, the finite, positive
+    calibration that every :func:`amplitude_from_dbm` on the line applies."""
 
     omega0: float
     omegaJ: float
     Z: float
     tan_delta: float
     N: int
+    amp_scale: float = 1.0
 
     def __post_init__(self):
         if not (0 < self.omega0 < self.omegaJ):
@@ -42,11 +44,15 @@ class MediumParams:
             raise ValueError("tan_delta must be >= 0")
         if self.N < 1:
             raise ValueError("N must be >= 1")
+        if not 0.0 < self.amp_scale < math.inf:
+            raise ValueError(f"amp_scale {self.amp_scale:g} is not finite "
+                             "and positive")
 
     @classmethod
-    def from_cell(cls, spec: SnailSpec, coeffs: CellCoefficients) -> "MediumParams":
+    def from_cell(cls, spec: SnailSpec, coeffs: CellCoefficients,
+                  amp_scale: float = 1.0) -> "MediumParams":
         return cls(omega0=coeffs.omega0, omegaJ=coeffs.omegaJ, Z=coeffs.Z,
-                   tan_delta=spec.tan_delta, N=spec.N)
+                   tan_delta=spec.tan_delta, N=spec.N, amp_scale=amp_scale)
 
 
 def in_band(m: MediumParams, omega, guard: float = PLASMA_GUARD):
@@ -70,9 +76,9 @@ def band_error(m: MediumParams, omega, guard: float = PLASMA_GUARD):
         f"{guard * m.omegaJ / (2 * math.pi) / 1e9:.3f} GHz")
 
 
-def wavevector(m: MediumParams, omega: float, guard: float = PLASMA_GUARD) -> float:
+def wavevector(m: MediumParams, omega: float) -> float:
     """Wavevector [rad/cell] at angular frequency ``omega`` [rad/s]."""
-    error = band_error(m, omega, guard)
+    error = band_error(m, omega)
     if error is not None:
         raise error
     k = _wavevector(m, omega)
@@ -98,20 +104,18 @@ def omega_tilde(m: MediumParams, omega: float) -> float:
     return 1.0 - x * x
 
 
-def loss_wavevector(m: MediumParams, omega: float,
-                    guard: float = PLASMA_GUARD) -> float:
+def loss_wavevector(m: MediumParams, omega: float) -> float:
     """Imaginary wavevector ``k'' = k * tan_delta / 2`` [1/cell]."""
-    return wavevector(m, omega, guard) * m.tan_delta / 2.0
+    return wavevector(m, omega) * m.tan_delta / 2.0
 
 
-def linear_transmission_db(m: MediumParams, omega: float,
-                           guard: float = PLASMA_GUARD) -> float:
+def linear_transmission_db(m: MediumParams, omega: float) -> float:
     """Amplitude transmission over the full line, in dB (<= 0).
 
     The amplitude decays as exp(-k'' x), so the line transmits
     ``20 log10(exp(-k'' N))`` dB.
     """
-    kpp = loss_wavevector(m, omega, guard)
+    kpp = loss_wavevector(m, omega)
     return -20.0 * kpp * m.N / math.log(10.0)
 
 
@@ -123,22 +127,24 @@ def _watts(power_dbm: float) -> float:
         return math.inf
 
 
-def amplitude_from_dbm(m: MediumParams, omega: float, power_dbm: float,
-                       amp_scale: float = 1.0) -> float:
+def amplitude_from_dbm(m: MediumParams, omega: float,
+                       power_dbm: float) -> float:
     """Dimensionless traveling-wave amplitude for a given port power.
 
     A tone of power ``P`` on a line of impedance ``Z`` has node-flux wave
     amplitude ``sqrt(2 Z P) / omega`` [Wb]; dividing by the reduced flux
     quantum ``PHI0 / 2 pi`` converts it to the phase units used by the
-    coupled-mode equations.  ``amp_scale`` is a single dimensionless
-    calibration factor applied to every converted amplitude.  Frequencies
-    and powers may be arrays, broadcast together; each amplitude is the
-    float that its own frequency and power give.
+    coupled-mode equations, and the line's ``m.amp_scale`` multiplies every
+    converted amplitude.  Frequencies and powers may be arrays, broadcast
+    together; each amplitude is the float that its own frequency and power
+    give.
 
-    Raises ``ValueError`` naming the frequency or ``amp_scale`` when it is
-    not finite and positive, and naming the power when the amplitude
-    underflows to zero or overflows to infinity (for arrays, at the first
-    that does): gains are ratios to it.
+    Raises ``ValueError`` naming the frequency when it is not finite and
+    positive, and naming the power when the amplitude underflows to zero
+    or overflows to infinity (for arrays, at the first that does): gains
+    are ratios to it.  That is a plain ``ValueError``, never a grid gap: a
+    spectrum raises it before any point is integrated, and the CLI exits
+    with status 3.
     """
     one = isinstance(omega, (float, int))
     if one:
@@ -150,13 +156,10 @@ def amplitude_from_dbm(m: MediumParams, omega: float, power_dbm: float,
     if bad:
         raise ValueError(f"omega {bad[0]:g} rad/s is not finite and "
                          "positive")
-    if not 0.0 < amp_scale < math.inf:
-        raise ValueError(f"amp_scale {amp_scale:g} is not finite and "
-                         "positive")
     if one and isinstance(power_dbm, (float, int)):
         # one number each: the arithmetic and the check below, on floats
         power = float(power_dbm)
-        amp = (amp_scale * (2.0 * math.pi / PHI0)
+        amp = (m.amp_scale * (2.0 * math.pi / PHI0)
                * math.sqrt(2.0 * m.Z * _watts(power)) / omega)
         if not 0.0 < amp < math.inf:
             raise ValueError(f"power {power:g} dBm gives the amplitude "
@@ -167,8 +170,8 @@ def amplitude_from_dbm(m: MediumParams, omega: float, power_dbm: float,
     # the last bit for about one power in twenty
     p_watt = np.reshape([_watts(p) for p in power.ravel().tolist()],
                         power.shape)
-    amp = (amp_scale * (2.0 * math.pi / PHI0) * np.sqrt(2.0 * m.Z * p_watt)
-           / omega)
+    amp = (m.amp_scale * (2.0 * math.pi / PHI0)
+           * np.sqrt(2.0 * m.Z * p_watt) / omega)
     amps = np.ravel(amp)
     bad = ~((amps > 0) & (amps < math.inf))
     if bad.any():
@@ -180,9 +183,9 @@ def amplitude_from_dbm(m: MediumParams, omega: float, power_dbm: float,
     return amp
 
 
-def power_dbm_from_amplitude(m: MediumParams, omega: float, amplitude: float,
-                             amp_scale: float = 1.0) -> float:
+def power_dbm_from_amplitude(m: MediumParams, omega: float,
+                             amplitude: float) -> float:
     """Inverse of :func:`amplitude_from_dbm` (amplitude in phase units)."""
-    flux_amp = (amplitude / amp_scale) * PHI0 / (2.0 * math.pi)
+    flux_amp = (amplitude / m.amp_scale) * PHI0 / (2.0 * math.pi)
     p_watt = (omega * flux_amp) ** 2 / (2.0 * m.Z)
     return 10.0 * math.log10(p_watt / 1e-3)

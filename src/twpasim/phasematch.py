@@ -269,22 +269,21 @@ def _attenuate(m: MediumParams, a0, k_ap):
     return a0 * np.exp(-k_ap * m.tan_delta * m.N / 4.0)
 
 
-def attenuated_pump_amplitude(m: MediumParams, pump: ToneConfig,
-                              amp_scale: float = 1.0) -> float:
+def attenuated_pump_amplitude(m: MediumParams, pump: ToneConfig) -> float:
     """Pump amplitude with the line-averaged dielectric attenuation.
 
     The analytic mismatch formulas use a position-independent pump
     amplitude ``A0 * exp(-k_ap tan_delta N / 4)``; the coupled-mode
     integrator applies the exact per-cell loss instead.
     """
-    a0 = amplitude_from_dbm(m, pump.freq, pump.power_dbm, amp_scale)
+    a0 = amplitude_from_dbm(m, pump.freq, pump.power_dbm)
     return float(_attenuate(m, a0, wavevector(m, pump.freq)))
 
 
-def _dk_point(m, beta, gamma, omega_s, omega_ap, power_dbm, amp_scale, eps):
+def _dk_point(m, beta, gamma, omega_s, omega_ap, power_dbm, eps):
     """:func:`dk_total`'s four components and errors at one point, on
     floats: the matched-pump root solve calls it with no tone objects."""
-    a0 = amplitude_from_dbm(m, omega_ap, power_dbm, amp_scale)
+    a0 = amplitude_from_dbm(m, omega_ap, power_dbm)
     k, wt = _point(m, omega_s, omega_ap, 6)
     amp = float(_attenuate(m, a0, k[0]))
     eta, _ = _dynamic_etas(beta, k, wt, amp, eps)
@@ -292,7 +291,7 @@ def _dk_point(m, beta, gamma, omega_s, omega_ap, power_dbm, amp_scale, eps):
 
 
 def dk_total(m: MediumParams, beta: float, gamma: float, signal: ToneConfig,
-             pump: ToneConfig, amp_scale: float = 1.0,
+             pump: ToneConfig,
              epsilon_dk: float = EPSILON_DK) -> PhaseMismatchBreakdown:
     """Three-component mismatch for a (signal, pump) pair.
 
@@ -308,12 +307,11 @@ def dk_total(m: MediumParams, beta: float, gamma: float, signal: ToneConfig,
     a grid.
     """
     return PhaseMismatchBreakdown(*_dk_point(
-        m, beta, gamma, signal.freq, pump.freq, pump.power_dbm, amp_scale,
-        epsilon_dk))
+        m, beta, gamma, signal.freq, pump.freq, pump.power_dbm, epsilon_dk))
 
 
 def breakdown_grid(m: MediumParams, beta: float, gamma: float, omega_s,
-                   omega_ap, pump_power_dbm: float, amp_scale: float = 1.0,
+                   omega_ap, pump_power_dbm: float,
                    epsilon_dk: float = EPSILON_DK):
     """:func:`dk_total` over a grid of signal and pump frequencies [rad/s],
     broadcast together, in one array pass.
@@ -325,7 +323,7 @@ def breakdown_grid(m: MediumParams, beta: float, gamma: float, omega_s,
     in grid order.  A pump amplitude that is not finite and positive
     raises ``ValueError``, as it does from :func:`dk_total`.
     """
-    a0 = amplitude_from_dbm(m, omega_ap, pump_power_dbm, amp_scale)
+    a0 = amplitude_from_dbm(m, omega_ap, pump_power_dbm)
     ok, errors, k, wt = _grid(m, omega_s, omega_ap)
     rows = np.flatnonzero(ok)
     amp = _attenuate(m, np.broadcast_to(a0, ok.shape)[ok], k[0])
@@ -375,8 +373,8 @@ def _illinois(f, a: float, fa: float, b: float, fb: float, xtol: float,
 
 def find_matched_pump(m: MediumParams, beta: float, gamma: float,
                       omega_s: float, pump_power_dbm: float,
-                      search_band, amp_scale: float = 1.0,
-                      threshold: float = 1e-3, grid_points: int = 241):
+                      search_band, threshold: float = 1e-3,
+                      grid_points: int = 241):
     """Pump frequency in ``search_band`` [rad/s] where dk_total is zero.
 
     Returns ``(omega_ap, |dk_total|)``.  :func:`breakdown_grid` evaluates
@@ -408,11 +406,11 @@ def find_matched_pump(m: MediumParams, beta: float, gamma: float,
 
     def dk(omega_ap: float) -> float:
         return _dk_point(m, beta, gamma, signal.freq, omega_ap,
-                         pump_power_dbm, amp_scale, EPSILON_DK)[3]
+                         pump_power_dbm, EPSILON_DK)[3]
 
     grid = np.linspace(lo, hi, grid_points)
     values, errors = breakdown_grid(m, beta, gamma, omega_s, grid,
-                                    pump_power_dbm, amp_scale)
+                                    pump_power_dbm)
     dk_grid = values[:, 3]
     vals = np.abs(dk_grid)
     vals[[j for j, _ in errors]] = math.inf

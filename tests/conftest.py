@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,12 @@ def cell_035(device_spec):
 @pytest.fixture(scope="session")
 def medium_035(device_spec, cell_035):
     return MediumParams.from_cell(device_spec, cell_035)
+
+
+@pytest.fixture(scope="session")
+def medium_fit(medium_035):
+    """The flux-0.35 line with the paper's fitted amplitude calibration."""
+    return dataclasses.replace(medium_035, amp_scale=1.55)
 
 
 @pytest.fixture(scope="session")

@@ -53,6 +53,11 @@ def medium_at(spec, flux):
     return c, MediumParams.from_cell(spec, c)
 
 
+def fitted(m, **changes):
+    """The line ``m`` with the fitted amplitude calibration."""
+    return dataclasses.replace(m, amp_scale=AMP_SCALE_FIT, **changes)
+
+
 def test_criterion_01_unit_cell_nulls():
     t0 = time.perf_counter()
     worst = 0.0
@@ -87,7 +92,8 @@ def test_criterion_03_manley_rowe(linear_dispersion_medium):
     t0 = time.perf_counter()
     m = linear_dispersion_medium
     ws = 2 * math.pi * 9.05e9
-    a_p = amplitude_from_dbm(m, W_AP, -78.0, amp_scale=3.0)
+    a_p = amplitude_from_dbm(dataclasses.replace(m, amp_scale=3.0), W_AP,
+                             -78.0)
     a_s = amplitude_from_dbm(m, ws, -120.0)
     modes = ModeSet4WM.initial(ws, W_AP, a_s, a_p)
     traj = integrate_4wm(m, modes, beta=0.0, gamma=0.05, rtol=1e-11)
@@ -118,11 +124,11 @@ def _contiguous_band(freqs, gain, i_peak):
 
 def test_criterion_04_gain_shape(medium_035):
     t0 = time.perf_counter()
-    m = medium_035
+    m = fitted(medium_035)
     pump = ToneConfig(W_AP, -78.0)
     grid = 2 * math.pi * np.linspace(2.0e9, 16.5e9, 200)
     spec = gain_spectrum(m, pump, grid, beta=BETA_FIT, gamma=GAMMA_FIT,
-                         amp_scale=AMP_SCALE_FIT, rtol=1e-9)
+                         rtol=1e-9)
     g = spec.gain_db
     assert not spec.gaps
     f_ghz = grid / (2 * math.pi) / 1e9
@@ -145,8 +151,7 @@ def test_criterion_04_gain_shape(medium_035):
 
     # mismatch decomposition on the same grid
     dk = np.array([dk_total(m, BETA_FIT, GAMMA_FIT,
-                            ToneConfig(w, -130.0), pump,
-                            amp_scale=AMP_SCALE_FIT).dk_total
+                            ToneConfig(w, -130.0), pump).dk_total
                    for w in grid])
     crossings = []
     for i in range(len(grid) - 1):
@@ -242,9 +247,8 @@ def test_criterion_07_saturation(medium_035):
     t0 = time.perf_counter()
     pump = ToneConfig(W_AP, -78.0)
     powers = np.arange(-150.0, -84.0, 2.5)
-    res = saturation_curve(medium_035, pump, 2 * math.pi * 7.6e9, powers,
-                           beta=BETA_FIT, gamma=GAMMA_FIT,
-                           amp_scale=AMP_SCALE_FIT, rtol=1e-9)
+    res = saturation_curve(fitted(medium_035), pump, 2 * math.pi * 7.6e9,
+                           powers, beta=BETA_FIT, gamma=GAMMA_FIT, rtol=1e-9)
     flat = abs(res.gain_db[1] - res.gain_db[0])
     comp = res.compression_1db_dbm
     knee_ok = comp is not None and comp < pump.power_dbm
@@ -264,7 +268,8 @@ def test_criterion_08_three_wave_conservation(linear_dispersion_medium,
     m = linear_dispersion_medium
     w_ip = 2 * math.pi * 12e9
     w_s = 2 * math.pi * 5e9
-    a_p = amplitude_from_dbm(m, w_ip, -75.0, amp_scale=1.5)
+    a_p = amplitude_from_dbm(dataclasses.replace(m, amp_scale=1.5), w_ip,
+                             -75.0)
     modes = ModeSet3WM.initial(w_s, w_ip, 1e-5, a_p)
     traj = integrate_3wm(m, modes, beta=0.05, rtol=1e-11)
     n = traj.photon_flux()
@@ -434,12 +439,12 @@ def oracle_3wm(m, beta, ws, wip):
     return rhs
 
 
-def _rk4_oracle_gain(m, beta, gamma, amp_scale, ws, wap, p_pump_dbm,
-                     p_sig_dbm, steps=100_000):
+def _rk4_oracle_gain(m, beta, gamma, ws, wap, p_pump_dbm, p_sig_dbm,
+                     steps=100_000):
     """Fixed-step classical RK4 on an independently transcribed system."""
     rhs = oracle_4wm(m, beta, gamma, ws, wap)
-    a_p = amplitude_from_dbm(m, wap, p_pump_dbm, amp_scale)
-    a_s = amplitude_from_dbm(m, ws, p_sig_dbm, amp_scale)
+    a_p = amplitude_from_dbm(m, wap, p_pump_dbm)
+    a_s = amplitude_from_dbm(m, ws, p_sig_dbm)
     y = (complex(a_s), complex(a_p), 0j, 0j, 0j, 0j)
     h = m.N / steps
     x = 0.0
@@ -456,13 +461,13 @@ def _rk4_oracle_gain(m, beta, gamma, amp_scale, ws, wap, p_pump_dbm,
 
 def test_criterion_11_solver_convergence(medium_035):
     t0 = time.perf_counter()
+    m = fitted(medium_035)
     ws = 2 * math.pi * 7.6e9
-    adaptive = gain_spectrum(medium_035, ToneConfig(W_AP, -78.0), [ws],
+    adaptive = gain_spectrum(m, ToneConfig(W_AP, -78.0), [ws],
                              beta=BETA_FIT, gamma=GAMMA_FIT,
-                             amp_scale=AMP_SCALE_FIT,
                              rtol=1e-10).gain_db[0]
-    oracle = _rk4_oracle_gain(medium_035, BETA_FIT, GAMMA_FIT,
-                              AMP_SCALE_FIT, ws, W_AP, -78.0, -130.0)
+    oracle = _rk4_oracle_gain(m, BETA_FIT, GAMMA_FIT, ws, W_AP, -78.0,
+                              -130.0)
     err = abs(adaptive - oracle)
     ok = err <= 1e-4
     report(11, "solver convergence", ok,
@@ -481,9 +486,9 @@ def _system(m, system):
     if system.startswith("4wm"):
         depletion = system != "4wm-no-depletion"
         ws, wap = 2 * math.pi * 7.6e9, W_AP
-        scale = amplitude_from_dbm(m, wap, -78.0, AMP_SCALE_FIT)
+        scale = amplitude_from_dbm(m, wap, -78.0)
         modes = ModeSet4WM.initial(
-            ws, wap, amplitude_from_dbm(m, ws, -130.0, AMP_SCALE_FIT), scale)
+            ws, wap, amplitude_from_dbm(m, ws, -130.0), scale)
         k, wt = _point(m, ws, wap, 6)
         table = cme._table_4wm(k, wt, m.tan_delta, beta, GAMMA_FIT,
                                depletion)
@@ -491,9 +496,9 @@ def _system(m, system):
                                 pump_depletion=depletion)
     else:
         ws, wip = 2 * math.pi * 6e9, W_IP
-        scale = amplitude_from_dbm(m, wip, -74.0, AMP_SCALE_FIT)
+        scale = amplitude_from_dbm(m, wip, -74.0)
         modes = ModeSet3WM.initial(
-            ws, wip, amplitude_from_dbm(m, ws, -130.0, AMP_SCALE_FIT), scale)
+            ws, wip, amplitude_from_dbm(m, ws, -130.0), scale)
         _, _, k, wt, _ = cme._grid_3wm(m, ws, wip)
         table = cme._table_3wm(k[:, 0].tolist(), wt[:, 0].tolist(),
                                m.tan_delta, beta)
@@ -512,7 +517,7 @@ def test_rhs_matches_transcribed_oracle(medium_035, system):
     ``exp(i theta x) (rhs(x, u) + i theta u)``; a monomial that the rates
     theta do not balance keeps a phase in x and fails here.  Each state is
     also evaluated at a NumPy position, as ``solve_ivp`` passes it."""
-    m = medium_035
+    m = fitted(medium_035)
     (rhs, theta), oracle, modes, scale = _system(m, system)
     n = modes.amplitudes.size
     rng = np.random.default_rng(20240)
@@ -534,7 +539,7 @@ def test_trajectory_matches_lab_frame_oracle(medium_035, system):
     the tolerances ``cme`` uses: every sample agrees in amplitude and
     phase, so the rotating frame and its way back to the lab leave the
     trajectory as it was."""
-    m = medium_035
+    m = fitted(medium_035)
     _, oracle, modes, _ = _system(m, system)
     if system == "4wm":
         traj = integrate_4wm(m, modes, BETA_FIT, GAMMA_FIT)
@@ -555,7 +560,7 @@ def test_upconversion_two_mode_closed_form(pump_dbm):
     zeroed, the pump stays constant and s <-> s+ip is a two-mode frequency
     converter: |A_s(x)/A_s(0)|^2 = 1 - (kappa/g)^2 sin^2(g x), with
     kappa^2 = -cs_up * csu_src * |A_ip|^2 and g^2 = kappa^2 + (db/2)^2."""
-    _, m = medium_at(device(tan_delta=0.0), 0.35)
+    m = fitted(medium_at(device(tan_delta=0.0), 0.35)[1])
     ws, wip = 2 * math.pi * 6e9, 2 * math.pi * 10e9
     oracle = oracle_3wm(m, BETA_FIT, ws, wip)
     keep = np.array([1.0, 1.0, 0.0, 1.0, 0.0])
@@ -563,8 +568,8 @@ def test_upconversion_two_mode_closed_form(pump_dbm):
     def rhs(x, y):
         return keep * np.array(oracle(x, tuple(y)))
 
-    a_ip = amplitude_from_dbm(m, wip, pump_dbm, AMP_SCALE_FIT)
-    a_s = amplitude_from_dbm(m, ws, -130.0, AMP_SCALE_FIT)
+    a_ip = amplitude_from_dbm(m, wip, pump_dbm)
+    a_s = amplitude_from_dbm(m, ws, -130.0)
     x = np.linspace(0.0, m.N, 257)
     rtol = 1e-11
     y = _kernels.integrate(
@@ -594,10 +599,10 @@ def test_parametric_gain_closed_form(medium_035, f_s, pump_dbm):
     g^2 = cs_pair ci_pair |A_p|^4 - (Delta/2)^2 (coefficients named as
     in cme._table_4wm).  Here g^2 < 0, so cosh and sinh turn into cos and
     sin: the mismatch only just outweighs the pair coupling."""
-    m = dataclasses.replace(medium_035, tan_delta=0.0)
+    m = fitted(medium_035, tan_delta=0.0)
     ws = 2 * math.pi * f_s
-    a_p = amplitude_from_dbm(m, W_AP, pump_dbm, AMP_SCALE_FIT)
-    a_s = amplitude_from_dbm(m, ws, -130.0, AMP_SCALE_FIT)
+    a_p = amplitude_from_dbm(m, W_AP, pump_dbm)
+    a_s = amplitude_from_dbm(m, ws, -130.0)
     modes = ModeSet4WM.initial(ws, W_AP, a_s, a_p)
     traj = integrate_4wm(m, modes, beta=0.0, gamma=GAMMA_FIT, rtol=1e-11,
                          pump_depletion=False)

@@ -1,6 +1,7 @@
 import logging
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,8 +22,7 @@ W_S = 2 * math.pi * 7.6e9
 
 
 def lossless(m):
-    return MediumParams(omega0=m.omega0, omegaJ=m.omegaJ, Z=m.Z,
-                        tan_delta=0.0, N=m.N)
+    return replace(m, tan_delta=0.0)
 
 
 class TestModeSets:
@@ -97,7 +97,7 @@ class TestFourWaveMixing:
         """With beta = 0 and no loss the pair couplings move photons as
         dn_s = dn_i = -dn_ap/2 in the k*wt*|A|^2 bookkeeping."""
         m = linear_dispersion_medium
-        a_p = amplitude_from_dbm(m, W_AP, -78.0, amp_scale=2.8)
+        a_p = amplitude_from_dbm(replace(m, amp_scale=2.8), W_AP, -78.0)
         a_s = amplitude_from_dbm(m, 2 * math.pi * 9.05e9, -120.0)
         ms = ModeSet4WM.initial(2 * math.pi * 9.05e9, W_AP, a_s, a_p)
         traj = integrate_4wm(m, ms, beta=0.0, gamma=0.05, rtol=1e-11)
@@ -121,7 +121,7 @@ class TestFourWaveMixing:
         has at least doubled."""
         m = linear_dispersion_medium
         ws = 2 * math.pi * f_s
-        a_p = amplitude_from_dbm(m, W_AP, p_dbm, amp_scale=2.8)
+        a_p = amplitude_from_dbm(replace(m, amp_scale=2.8), W_AP, p_dbm)
         a_s = amplitude_from_dbm(m, ws, -120.0)
         ms = ModeSet4WM.initial(ws, W_AP, a_s, a_p)
         traj = integrate_4wm(m, ms, beta=0.0, gamma=gamma, rtol=1e-11,
@@ -136,7 +136,7 @@ class TestFourWaveMixing:
 
     def test_energy_audit_lossless(self, linear_dispersion_medium):
         m = linear_dispersion_medium
-        a_p = amplitude_from_dbm(m, W_AP, -78.0, amp_scale=2.8)
+        a_p = amplitude_from_dbm(replace(m, amp_scale=2.8), W_AP, -78.0)
         ms = ModeSet4WM.initial(2 * math.pi * 9.05e9, W_AP, 1e-5, a_p)
         traj = integrate_4wm(m, ms, beta=0.0, gamma=0.05, rtol=1e-11)
         n = traj.photon_flux()
@@ -154,50 +154,49 @@ class TestFourWaveMixing:
             integrate_4wm(medium_035, ms, 0.02, 0.01, n_samples=1)
 
 
-FIT = dict(beta=0.104388, gamma=0.122339, amp_scale=1.55)
+# the fitted couplings; the fitted amp_scale is the medium_fit line's
+FIT = dict(beta=0.104388, gamma=0.122339)
 
 
 class TestGainSpectrum:
-    def test_pump_off_equals_linear_loss(self, medium_035):
+    def test_pump_off_equals_linear_loss(self, medium_fit):
         grid = 2 * math.pi * np.linspace(4e9, 8e9, 5)
-        spec = gain_spectrum(medium_035, ToneConfig(W_AP, -300.0), grid,
-                             beta=FIT["beta"], gamma=FIT["gamma"],
-                             amp_scale=FIT["amp_scale"])
+        spec = gain_spectrum(medium_fit, ToneConfig(W_AP, -300.0), grid,
+                             beta=FIT["beta"], gamma=FIT["gamma"])
         for w, g in zip(grid, spec.gain_db):
-            assert g == pytest.approx(linear_transmission_db(medium_035, w),
+            assert g == pytest.approx(linear_transmission_db(medium_fit, w),
                                       abs=1e-6)
 
-    def test_symmetric_under_signal_idler_exchange(self, medium_035):
+    def test_symmetric_under_signal_idler_exchange(self, medium_fit):
         # beta = 0 isolates the pair coupling, whose s and i equations are
         # exact mirrors; the upconversion channels are deliberately
         # asymmetric (idler coefficient kept in its reduced literal form)
         # and break this symmetry at strong drive
-        m = lossless(medium_035)
+        m = lossless(medium_fit)
         pump = ToneConfig(W_AP, -78.0)
         ws = 2 * math.pi * 7.0e9
         wi = 2 * W_AP - ws
         spec = gain_spectrum(m, pump, np.sort([ws, wi]), beta=0.0,
-                             gamma=FIT["gamma"], amp_scale=FIT["amp_scale"],
-                             rtol=1e-11)
+                             gamma=FIT["gamma"], rtol=1e-11)
         assert abs(spec.gain_db[0]) > 0.5  # non-trivial amplification
         assert spec.gain_db[0] == pytest.approx(spec.gain_db[1], abs=0.1)
 
-    def test_tolerance_halving_changes_little(self, medium_035):
+    def test_tolerance_halving_changes_little(self, medium_fit):
         pump = ToneConfig(W_AP, -78.0)
-        g1 = gain_spectrum(medium_035, pump, [W_S], rtol=2e-10,
+        g1 = gain_spectrum(medium_fit, pump, [W_S], rtol=2e-10,
                            **FIT).gain_db[0]
-        g2 = gain_spectrum(medium_035, pump, [W_S], rtol=1e-10,
+        g2 = gain_spectrum(medium_fit, pump, [W_S], rtol=1e-10,
                            **FIT).gain_db[0]
         assert abs(g1 - g2) < 0.01
 
-    def test_lossless_reference_convention(self, medium_035):
+    def test_lossless_reference_convention(self, medium_fit):
         """Gain referenced to a lossless line exceeds the pumped/unpumped
         ratio by exactly the linear loss."""
-        pump_on = gain_spectrum(medium_035, ToneConfig(W_AP, -78.0), [W_S],
+        pump_on = gain_spectrum(medium_fit, ToneConfig(W_AP, -78.0), [W_S],
                                 **FIT).gain_db[0]
-        pump_off = gain_spectrum(medium_035, ToneConfig(W_AP, -300.0), [W_S],
+        pump_off = gain_spectrum(medium_fit, ToneConfig(W_AP, -300.0), [W_S],
                                  **FIT).gain_db[0]
-        loss = linear_transmission_db(medium_035, W_S)
+        loss = linear_transmission_db(medium_fit, W_S)
         assert pump_on - (pump_on - pump_off) == pytest.approx(loss, abs=1e-6)
 
     def test_gaps_recorded_not_raised(self, medium_035):
@@ -206,6 +205,32 @@ class TestGainSpectrum:
         spec = gain_spectrum(medium_035, ToneConfig(2 * math.pi * 33e9,
                                                     -78.0), grid)
         assert len(spec.gaps) == len(grid)
+
+    def test_metadata_records_the_line_amp_scale(self, medium_035,
+                                                 medium_fit):
+        spec = gain_spectrum(medium_fit, ToneConfig(W_AP, -300.0), [W_S])
+        assert spec.metadata["amp_scale"] == 1.55
+        spec = isolation_spectrum(medium_035, ToneConfig(W_AP, -300.0),
+                                  [W_S])
+        assert spec.metadata["amp_scale"] == 1.0
+
+    @pytest.mark.parametrize("omega", [[2.0, 1.0], [1.0, 1.0]],
+                             ids=["decreasing", "repeated"])
+    def test_non_increasing_omega_rejected(self, omega):
+        with pytest.raises(ValueError, match="^frequency grid must be "
+                                             "strictly increasing$"):
+            cme.GainSpectrum(omega=omega, gain_db=[0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_infinite_gain_rejected(self, bad):
+        with pytest.raises(ValueError, match="^gain must be finite"):
+            cme.GainSpectrum(omega=[1.0, 2.0, 3.0], gain_db=[0.0, bad, 1.0])
+
+    def test_nan_gap_rows_accepted(self):
+        spec = cme.GainSpectrum(omega=[1.0, 2.0, 3.0],
+                                gain_db=[0.5, math.nan, 1.0])
+        assert spec.omega.dtype == spec.gain_db.dtype == np.float64
+        np.testing.assert_array_equal(spec.gain_db, [0.5, math.nan, 1.0])
 
 
 class TestEndpointSampling:
@@ -217,7 +242,7 @@ class TestEndpointSampling:
     W_IP = 2 * math.pi * 12.2e9
 
     @pytest.mark.parametrize("task", ["gain", "saturation", "isolation"])
-    def test_spectra_ask_for_two_samples(self, medium_035, monkeypatch,
+    def test_spectra_ask_for_two_samples(self, medium_fit, monkeypatch,
                                          task):
         integrate = cme._kernels.integrate
         sample_counts = []
@@ -229,20 +254,18 @@ class TestEndpointSampling:
         monkeypatch.setattr(cme._kernels, "integrate", recording)
         pump = ToneConfig(W_AP, -78.0)
         if task == "gain":
-            gain_spectrum(medium_035, pump, self.GRID, **FIT)
+            gain_spectrum(medium_fit, pump, self.GRID, **FIT)
         elif task == "saturation":
-            saturation_curve(medium_035, pump, W_S, [-130.0, -120.0], **FIT)
+            saturation_curve(medium_fit, pump, W_S, [-130.0, -120.0], **FIT)
         else:
-            isolation_spectrum(medium_035,
-                               ToneConfig(self.W_IP, -74.0),
-                               self.GRID, beta=FIT["beta"],
-                               amp_scale=FIT["amp_scale"])
+            isolation_spectrum(medium_fit, ToneConfig(self.W_IP, -74.0),
+                               self.GRID, beta=FIT["beta"])
         assert sample_counts == [2, 2]
 
     @pytest.mark.parametrize("task", ["gain", "saturation", "isolation"])
     @pytest.mark.parametrize("grid", [GRID[::-1], GRID[:1].repeat(3)],
                              ids=["decreasing", "repeated"])
-    def test_grid_checked_before_integrating(self, medium_035, monkeypatch,
+    def test_grid_checked_before_integrating(self, medium_fit, monkeypatch,
                                              task, grid):
         """A grid that is not strictly increasing is rejected before the
         stepper runs even once."""
@@ -252,34 +275,31 @@ class TestEndpointSampling:
         pump = ToneConfig(W_AP, -78.0)
         with pytest.raises(ValueError, match="grid must be strictly"):
             if task == "gain":
-                gain_spectrum(medium_035, pump, grid, **FIT)
+                gain_spectrum(medium_fit, pump, grid, **FIT)
             elif task == "saturation":
-                saturation_curve(medium_035, pump, W_S, grid / 1e9, **FIT)
+                saturation_curve(medium_fit, pump, W_S, grid / 1e9, **FIT)
             else:
-                isolation_spectrum(medium_035,
-                                   ToneConfig(self.W_IP, -74.0),
-                                   grid, beta=FIT["beta"],
-                                   amp_scale=FIT["amp_scale"])
+                isolation_spectrum(medium_fit, ToneConfig(self.W_IP, -74.0),
+                                   grid, beta=FIT["beta"])
         assert calls == []
 
-    def test_4wm_endpoint_matches_dense_run(self, medium_035):
-        a_p = amplitude_from_dbm(medium_035, W_AP, -78.0, FIT["amp_scale"])
-        a_s = amplitude_from_dbm(medium_035, W_S, -130.0, FIT["amp_scale"])
+    def test_4wm_endpoint_matches_dense_run(self, medium_fit):
+        a_p = amplitude_from_dbm(medium_fit, W_AP, -78.0)
+        a_s = amplitude_from_dbm(medium_fit, W_S, -130.0)
         ms = ModeSet4WM.initial(W_S, W_AP, a_s, a_p)
         gains = [cme._gain_db_from(integrate_4wm(
-            medium_035, ms, FIT["beta"], FIT["gamma"], n_samples=n))
+            medium_fit, ms, FIT["beta"], FIT["gamma"], n_samples=n))
             for n in (2, 257)]
         assert abs(gains[1]) > 10.0  # the point amplifies
         assert gains[0] == pytest.approx(gains[1], abs=1e-8)
 
-    def test_3wm_endpoint_matches_dense_run(self, medium_035):
+    def test_3wm_endpoint_matches_dense_run(self, medium_fit):
         w_s = 2 * math.pi * 6.0e9
-        a_p = amplitude_from_dbm(medium_035, self.W_IP, -74.0,
-                                 FIT["amp_scale"])
-        a_s = amplitude_from_dbm(medium_035, w_s, -130.0, FIT["amp_scale"])
+        a_p = amplitude_from_dbm(medium_fit, self.W_IP, -74.0)
+        a_s = amplitude_from_dbm(medium_fit, w_s, -130.0)
         ms = ModeSet3WM.initial(w_s, self.W_IP, a_s, a_p)
         gains = [cme._gain_db_from(integrate_3wm(
-            medium_035, ms, FIT["beta"], n_samples=n)) for n in (2, 257)]
+            medium_fit, ms, FIT["beta"], n_samples=n)) for n in (2, 257)]
         assert gains[0] == pytest.approx(gains[1], abs=1e-8)
 
 
@@ -293,11 +313,11 @@ class TestPerPointFailures:
     def _broken(*args, **kwargs):
         raise TypeError("bug in the integrator call")
 
-    def test_gain_programming_error_propagates(self, medium_035,
+    def test_gain_programming_error_propagates(self, medium_fit,
                                                monkeypatch):
         monkeypatch.setattr(cme._kernels, "integrate", self._broken)
         with pytest.raises(TypeError, match="bug in the integrator"):
-            gain_spectrum(medium_035, ToneConfig(W_AP, -78.0), [W_S], **FIT)
+            gain_spectrum(medium_fit, ToneConfig(W_AP, -78.0), [W_S], **FIT)
 
     def test_isolation_programming_error_propagates(self, medium_035,
                                                     monkeypatch):
@@ -309,8 +329,8 @@ class TestPerPointFailures:
 
     @pytest.mark.parametrize("task", ["gain", "isolation"])
     @pytest.mark.parametrize("f_lo", [0.0, -1e9])
-    def test_non_positive_signal_frequency_raises(self, medium_035, task,
-                                                  f_lo):
+    def test_non_positive_signal_frequency_raises(self, medium_035,
+                                                  medium_fit, task, f_lo):
         """A signal grid reaching 0 Hz or below is rejected by the
         amplitude conversion, naming the frequency, before any point is
         integrated."""
@@ -318,24 +338,23 @@ class TestPerPointFailures:
         with pytest.raises(ValueError, match="^omega .* rad/s is not "
                                              "finite and positive$"):
             if task == "gain":
-                gain_spectrum(medium_035, ToneConfig(W_AP, -78.0), grid,
+                gain_spectrum(medium_fit, ToneConfig(W_AP, -78.0), grid,
                               **FIT)
             else:
                 isolation_spectrum(medium_035,
                                    ToneConfig(self.W_IP, -74.0),
                                    grid, beta=FIT["beta"])
 
-    def test_zero_amp_scale_raises(self, medium_035):
+    def test_zero_amp_scale_raises(self, device_spec, cell_035):
         """``amp_scale = 0`` is named as such, not as a pump power whose
-        amplitude is 0, before any point is integrated."""
-        fit = dict(FIT, amp_scale=0.0)
+        amplitude is 0: the line is rejected before any spectrum runs."""
         with pytest.raises(ValueError, match="^amp_scale 0 is not finite "
                                              "and positive$"):
-            gain_spectrum(medium_035, ToneConfig(W_AP, -78.0), [W_S], **fit)
+            MediumParams.from_cell(device_spec, cell_035, amp_scale=0.0)
 
-    def test_out_of_range_rtol_raises(self, medium_035):
+    def test_out_of_range_rtol_raises(self, medium_035, medium_fit):
         with pytest.raises(ValueError, match="rtol"):
-            gain_spectrum(medium_035, ToneConfig(W_AP, -78.0), [W_S],
+            gain_spectrum(medium_fit, ToneConfig(W_AP, -78.0), [W_S],
                           rtol=1e-3, **FIT)
         with pytest.raises(ValueError, match="rtol"):
             isolation_spectrum(medium_035,
@@ -358,27 +377,26 @@ class TestGuardOrder:
         # pump and idler inside, signal above the guard: the signal
         (40.0, 68.0, AbovePlasmaCutoff),
     ])
-    def test_gain_saturation_and_grid_agree(self, medium_035, f_ap, f_s,
+    def test_gain_saturation_and_grid_agree(self, medium_fit, f_ap, f_s,
                                             error):
         pump = ToneConfig(f_ap * self.GHZ, -78.0)
         w_s = f_s * self.GHZ
-        _, grid_errors = breakdown_grid(medium_035, FIT["beta"],
-                                        FIT["gamma"], w_s, pump.freq, -78.0,
-                                        FIT["amp_scale"])
+        _, grid_errors = breakdown_grid(medium_fit, FIT["beta"],
+                                        FIT["gamma"], w_s, pump.freq, -78.0)
         [(_, expected)] = grid_errors
         assert isinstance(expected, error)
-        spec = gain_spectrum(medium_035, pump, [w_s], **FIT)
+        spec = gain_spectrum(medium_fit, pump, [w_s], **FIT)
         assert [g[2] for g in spec.gaps] == [describe(expected)]
         with pytest.raises(error) as raised:
-            saturation_curve(medium_035, pump, w_s, [-130.0], **FIT)
+            saturation_curve(medium_fit, pump, w_s, [-130.0], **FIT)
         assert describe(raised.value) == describe(expected)
 
 
 class TestSaturation:
-    def test_small_signal_flat_and_knee_monotone(self, medium_035):
+    def test_small_signal_flat_and_knee_monotone(self, medium_fit):
         pump = ToneConfig(W_AP, -78.0)
         powers = np.arange(-150.0, -84.0, 2.5)
-        res = saturation_curve(medium_035, pump, W_S, powers, **FIT)
+        res = saturation_curve(medium_fit, pump, W_S, powers, **FIT)
         # asymptotic small-signal limit
         assert abs(res.gain_db[1] - res.gain_db[0]) < 0.05
         assert res.compression_1db_dbm is not None
@@ -420,7 +438,7 @@ class TestThreeWaveMixing:
 
     def test_signal_family_conservation(self, linear_dispersion_medium):
         m = linear_dispersion_medium
-        a = amplitude_from_dbm(m, self.W_IP, -75.0, amp_scale=1.5)
+        a = amplitude_from_dbm(replace(m, amp_scale=1.5), self.W_IP, -75.0)
         ms = ModeSet3WM.initial(self.W_PROBE, self.W_IP, 1e-5, a)
         traj = integrate_3wm(m, ms, beta=0.05, rtol=1e-11)
         n = traj.photon_flux()
@@ -438,7 +456,7 @@ class TestThreeWaveMixing:
         pump power and coupling."""
         m = linear_dispersion_medium
         ws = 2 * math.pi * f_s
-        a_p = amplitude_from_dbm(m, self.W_IP, p_dbm, amp_scale=1.5)
+        a_p = amplitude_from_dbm(replace(m, amp_scale=1.5), self.W_IP, p_dbm)
         a_s = amplitude_from_dbm(m, ws, -120.0)
         ms = ModeSet3WM.initial(ws, self.W_IP, a_s, a_p)
         traj = integrate_3wm(m, ms, beta=beta, rtol=1e-11, n_samples=2)
@@ -447,9 +465,10 @@ class TestThreeWaveMixing:
         assert abs(family[-1] - family[0]) / family[0] <= 1e-6
 
     def test_fraction_bookkeeping_lossless(self, linear_dispersion_medium):
-        spec = isolation_spectrum(linear_dispersion_medium,
+        spec = isolation_spectrum(replace(linear_dispersion_medium,
+                                          amp_scale=1.5),
                                   ToneConfig(self.W_IP, -75.0),
-                                  [self.W_PROBE], beta=0.05, amp_scale=1.5)
+                                  [self.W_PROBE], beta=0.05)
         transmitted = 10 ** (spec.gain_db[0] / 10)
         assert transmitted + spec.upconverted_fraction[0] == \
             pytest.approx(1.0, abs=1e-3)
@@ -457,12 +476,11 @@ class TestThreeWaveMixing:
     def test_isolation_tracks_upconversion(self, linear_dispersion_medium):
         """Across a pump power sweep, deeper isolation must coincide with a
         larger upconverted photon fraction."""
-        m = linear_dispersion_medium
+        m = replace(linear_dispersion_medium, amp_scale=1.5)
         depths, fracs = [], []
         for p in np.linspace(-82, -73, 10):
             spec = isolation_spectrum(m, ToneConfig(self.W_IP, p),
-                                      [self.W_PROBE], beta=0.05,
-                                      amp_scale=1.5)
+                                      [self.W_PROBE], beta=0.05)
             depths.append(-spec.gain_db[0])
             fracs.append(spec.upconverted_fraction[0])
         rho = spearmanr(depths, fracs).statistic
@@ -693,11 +711,11 @@ class TestTables:
 
     @pytest.mark.parametrize("system", ["4wm", "3wm"])
     def test_float_table_on_a_batch_is_the_repeated_array_table(
-            self, medium_035, system):
+            self, medium_fit, system):
         """One point's float table run on a batch, as ``saturation_curve``
         runs it, gives the bytes of the array table built from that point
         repeated over the batch: the same evaluation and the same run."""
-        m, size = medium_035, 5
+        m, size = medium_fit, 5
         if system == "4wm":
             k, wt = _point(m, W_S, W_AP, 6)
 
@@ -720,9 +738,8 @@ class TestTables:
         u = (rng.normal(size=(n, size)) + 1j * rng.normal(size=(n, size)))
         assert (cme._TableRhs(floats, (size,))(0.0, u).tobytes()
                 == cme._TableRhs(arrays, (size,))(0.0, u).tobytes())
-        a_p = amplitude_from_dbm(m, w_p, -76.0, FIT["amp_scale"])
-        a_s = amplitude_from_dbm(m, W_S, np.linspace(-130.0, -90.0, size),
-                                 FIT["amp_scale"])
+        a_p = amplitude_from_dbm(m, w_p, -76.0)
+        a_s = amplitude_from_dbm(m, W_S, np.linspace(-130.0, -90.0, size))
         y0 = cme._initial(n, a_s, a_p)
         runs = [cme._propagate(m, t, y0, None, 1e-10, 2)
                 for t in (floats, arrays)]
@@ -783,14 +800,14 @@ def _batch_gain(m, system, omegas):
                                True)
         n_modes = 6
         frequencies = cme._ladder_4wm(omegas, W_AP)
-        a_p = amplitude_from_dbm(m, W_AP, -78.0, FIT["amp_scale"])
+        a_p = amplitude_from_dbm(m, W_AP, -78.0)
     else:
         ok, _, k, wt, frequencies = cme._grid_3wm(m, omegas, W_IP)
         assert ok.all()
         table = cme._table_3wm(k, wt, m.tan_delta, FIT["beta"])
         n_modes = 5
-        a_p = amplitude_from_dbm(m, W_IP, -74.0, FIT["amp_scale"])
-    a_s = amplitude_from_dbm(m, omegas, -130.0, FIT["amp_scale"])
+        a_p = amplitude_from_dbm(m, W_IP, -74.0)
+    a_s = amplitude_from_dbm(m, omegas, -130.0)
     traj = cme._propagate(m, table, cme._initial(n_modes, a_s, a_p),
                           frequencies, 1e-10, 2)
     n = traj.photon_flux()
@@ -845,43 +862,43 @@ class TestBatches:
     @pytest.mark.parametrize("system", ["4wm", "3wm"])
     @settings(max_examples=6, deadline=None, database=None)
     @given(data=st.data())
-    def test_row_order_does_not_matter(self, medium_035, system, data):
+    def test_row_order_does_not_matter(self, medium_fit, system, data):
         """A permuted batch gives the same rows, bit for bit."""
         f_s = data.draw(st.lists(st.floats(3.0e9, 12.0e9), min_size=2,
                                  max_size=9, unique=True))
         perm = np.array(data.draw(st.permutations(range(len(f_s)))))
         omegas = 2 * math.pi * np.array(f_s)
-        rows = _batch_gain(medium_035, system, omegas)
-        permuted = _batch_gain(medium_035, system, omegas[perm])
+        rows = _batch_gain(medium_fit, system, omegas)
+        permuted = _batch_gain(medium_fit, system, omegas[perm])
         assert permuted.tobytes() == rows[perm].tobytes()
 
     @pytest.mark.parametrize("system", ["4wm", "3wm"])
     @pytest.mark.parametrize("size", [*range(3, 10), 16])
-    def test_row_order_does_not_matter_at_any_size(self, medium_035, system,
+    def test_row_order_does_not_matter_at_any_size(self, medium_fit, system,
                                                    size):
         """The test above, deterministic, at every batch size from 3 to 9
         and at 16: the grid in its order, reversed and rotated gives the
         same rows, bit for bit.  A sum that rounds a column by its place
         in the batch can break at one size only."""
         omegas = 2 * math.pi * np.linspace(3.0e9, 12.0e9, size)
-        rows = _batch_gain(medium_035, system, omegas)
+        rows = _batch_gain(medium_fit, system, omegas)
         order = np.arange(size)
         for perm in (order[::-1], np.roll(order, size // 2)):
-            permuted = _batch_gain(medium_035, system, omegas[perm])
+            permuted = _batch_gain(medium_fit, system, omegas[perm])
             assert permuted.tobytes() == rows[perm].tobytes()
 
     @settings(max_examples=4, deadline=None, database=None)
     @given(f_lo=st.floats(3.0e9, 6.0e9), f_hi=st.floats(9.0e9, 12.0e9),
            points=st.integers(8, 14), split=st.integers(4, 8))
-    def test_batch_size_moves_rows_within_the_gate(self, medium_035, f_lo,
+    def test_batch_size_moves_rows_within_the_gate(self, medium_fit, f_lo,
                                                    f_hi, points, split):
         """The grid as one batch and as two batches, of its first
         ``split`` rows and of the rest."""
         assume(points - split >= cme._BATCH_MIN)
         pump = ToneConfig(W_AP, -78.0)
         grid = 2 * math.pi * np.linspace(f_lo, f_hi, points)
-        whole = gain_spectrum(medium_035, pump, grid, **FIT)
-        parts = [gain_spectrum(medium_035, pump, g, **FIT)
+        whole = gain_spectrum(medium_fit, pump, grid, **FIT)
+        parts = [gain_spectrum(medium_fit, pump, g, **FIT)
                  for g in (grid[:split], grid[split:])]
         assert [len(s.solver_stats) for s in [whole, *parts]] == [1, 1, 1]
         np.testing.assert_allclose(
@@ -889,22 +906,21 @@ class TestBatches:
             rtol=0, atol=self.GATE_DB)
 
     @pytest.mark.parametrize("task", ["gain", "saturation", "isolation"])
-    def test_batch_agrees_with_rows(self, medium_035, monkeypatch, task):
+    def test_batch_agrees_with_rows(self, medium_fit, monkeypatch, task):
         pump = ToneConfig(W_AP, -78.0)
         grid = 2 * math.pi * np.linspace(2e9, 16.5e9, 16)
 
         def run():
             if task == "gain":
-                spec = gain_spectrum(medium_035, pump, grid, **FIT)
+                spec = gain_spectrum(medium_fit, pump, grid, **FIT)
                 return spec.gain_db, spec.solver_stats
             if task == "saturation":
-                res = saturation_curve(medium_035, pump, W_S,
+                res = saturation_curve(medium_fit, pump, W_S,
                                        np.linspace(-150.0, -85.0, 14), **FIT)
                 return res.gain_db, res.solver_stats
             spec = isolation_spectrum(
-                medium_035, ToneConfig(W_IP, -74.0),
-                2 * math.pi * np.linspace(4e9, 9e9, 16), beta=FIT["beta"],
-                amp_scale=FIT["amp_scale"])
+                medium_fit, ToneConfig(W_IP, -74.0),
+                2 * math.pi * np.linspace(4e9, 9e9, 16), beta=FIT["beta"])
             return (np.concatenate([spec.gain_db, spec.upconverted_fraction]),
                     spec.solver_stats)
 
@@ -918,17 +934,17 @@ class TestBatches:
         np.testing.assert_allclose(batched, rows, rtol=0, atol=self.GATE_DB)
 
     @pytest.mark.parametrize("task", ["gain", "saturation", "isolation"])
-    def test_rows_below_the_crossover_match_single_points(self, medium_035,
+    def test_rows_below_the_crossover_match_single_points(self, medium_fit,
                                                           task):
         """On a 2-point grid each row runs alone, as a batch of one, and
         agrees with the single-point integrator at its point, step for
         step."""
-        m = medium_035
+        m = medium_fit
         w_s = 2 * math.pi * np.array([6.0e9, 7.6e9])
-        a_p = amplitude_from_dbm(m, W_AP, -78.0, FIT["amp_scale"])
+        a_p = amplitude_from_dbm(m, W_AP, -78.0)
         if task == "gain":
             spec = gain_spectrum(m, ToneConfig(W_AP, -78.0), w_s, **FIT)
-            a_s = amplitude_from_dbm(m, w_s, -130.0, FIT["amp_scale"])
+            a_s = amplitude_from_dbm(m, w_s, -130.0)
             singles = [integrate_4wm(
                 m, ModeSet4WM.initial(w, W_AP, a, a_p), FIT["beta"],
                 FIT["gamma"], n_samples=2) for w, a in zip(w_s, a_s)]
@@ -938,14 +954,13 @@ class TestBatches:
                                     **FIT)
             singles = [integrate_4wm(
                 m, ModeSet4WM.initial(W_S, W_AP, amplitude_from_dbm(
-                    m, W_S, p, FIT["amp_scale"]), a_p),
+                    m, W_S, p), a_p),
                 FIT["beta"], FIT["gamma"], n_samples=2) for p in powers]
         else:
             spec = isolation_spectrum(
-                m, ToneConfig(W_IP, -74.0), w_s, beta=FIT["beta"],
-                amp_scale=FIT["amp_scale"])
-            a_ip = amplitude_from_dbm(m, W_IP, -74.0, FIT["amp_scale"])
-            a_s = amplitude_from_dbm(m, w_s, -130.0, FIT["amp_scale"])
+                m, ToneConfig(W_IP, -74.0), w_s, beta=FIT["beta"])
+            a_ip = amplitude_from_dbm(m, W_IP, -74.0)
+            a_s = amplitude_from_dbm(m, w_s, -130.0)
             singles = [integrate_3wm(
                 m, ModeSet3WM.initial(w, W_IP, a, a_ip), FIT["beta"],
                 n_samples=2) for w, a in zip(w_s, a_s)]
@@ -957,15 +972,15 @@ class TestBatches:
             for key in ("accepted", "rejected"):
                 assert stats[key] == single.solver_stats[key], key
 
-    def test_solver_stats_count_the_run(self, medium_035):
-        spec = gain_spectrum(medium_035, ToneConfig(W_AP, -78.0),
+    def test_solver_stats_count_the_run(self, medium_fit):
+        spec = gain_spectrum(medium_fit, ToneConfig(W_AP, -78.0),
                              2 * math.pi * np.linspace(4e9, 12e9, 9), **FIT)
         [stats] = spec.solver_stats
         assert stats["rows"] == 9
         assert stats["accepted"] > 0 and stats["rejected"] >= 0
         assert stats["rhs_calls"] == 1 + 12 * (stats["accepted"]
                                                + stats["rejected"])
-        assert 0.0 < stats["min_step"] < medium_035.N
+        assert 0.0 < stats["min_step"] < medium_fit.N
 
     def test_stiff_row_is_a_gap_of_its_own(self, medium_035):
         """A batch with one stiff row (its pump 3e6 times too strong, see
@@ -1032,23 +1047,23 @@ class TestBatches:
         assert np.isnan(spec.gain_db).all()
         assert spec.solver_stats == []
 
-    def test_rejected_points_are_gaps_before_the_batch(self, medium_035):
+    def test_rejected_points_are_gaps_before_the_batch(self, medium_fit):
         """Points outside the model are gaps with the error they raise
         alone, and the rest still integrate as one batch."""
         grid = 2 * math.pi * np.linspace(14e9, 20e9, 7)
-        spec = gain_spectrum(medium_035, ToneConfig(W_AP, -78.0), grid,
+        spec = gain_spectrum(medium_fit, ToneConfig(W_AP, -78.0), grid,
                              **FIT)
-        _, errors = breakdown_grid(medium_035, FIT["beta"], FIT["gamma"],
-                                   grid, W_AP, -78.0, FIT["amp_scale"])
+        _, errors = breakdown_grid(medium_fit, FIT["beta"], FIT["gamma"],
+                                   grid, W_AP, -78.0)
         assert [g[0] for g in spec.gaps] == [j for j, _ in errors] != []
         assert [g[2] for g in spec.gaps] == [describe(e) for _, e in errors]
         assert [s["rows"] for s in spec.solver_stats] == [
             grid.size - len(errors)]
 
-    def test_info_log_times_tables_and_integration(self, medium_035,
+    def test_info_log_times_tables_and_integration(self, medium_fit,
                                                    caplog):
         with caplog.at_level(logging.INFO, logger="twpasim.cme"):
-            gain_spectrum(medium_035, ToneConfig(W_AP, -78.0),
+            gain_spectrum(medium_fit, ToneConfig(W_AP, -78.0),
                           2 * math.pi * np.linspace(4e9, 12e9, 5), **FIT)
         messages = [r.getMessage() for r in caplog.records]
         assert any(re.fullmatch(r"gain: set up a batch of 5 rows "

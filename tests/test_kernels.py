@@ -16,8 +16,8 @@ from twpasim.errors import StepFailure
 
 
 def _standard_setup(medium):
-    a_p = amplitude_from_dbm(medium, 2 * math.pi * 9.2e9, -78.0, 1.55)
-    a_s = amplitude_from_dbm(medium, 2 * math.pi * 7.6e9, -130.0, 1.55)
+    a_p = amplitude_from_dbm(medium, 2 * math.pi * 9.2e9, -78.0)
+    a_s = amplitude_from_dbm(medium, 2 * math.pi * 7.6e9, -130.0)
     modes = ModeSet4WM.initial(2 * math.pi * 7.6e9, 2 * math.pi * 9.2e9,
                                a_s, a_p)
     k, wt = _point(medium, modes.omega_s, modes.omega_ap, 6)
@@ -27,8 +27,8 @@ def _standard_setup(medium):
 
 def _upconversion_setup(medium):
     """Backward 12.2 GHz pump at -74 dBm upconverting a 6 GHz signal."""
-    a_p = amplitude_from_dbm(medium, 2 * math.pi * 12.2e9, -74.0, 1.55)
-    a_s = amplitude_from_dbm(medium, 2 * math.pi * 6e9, -130.0, 1.55)
+    a_p = amplitude_from_dbm(medium, 2 * math.pi * 12.2e9, -74.0)
+    a_s = amplitude_from_dbm(medium, 2 * math.pi * 6e9, -130.0)
     modes = ModeSet3WM.initial(2 * math.pi * 6e9, 2 * math.pi * 12.2e9,
                                a_s, a_p)
     ok, _, k, wt, _ = cme._grid_3wm(medium, modes.omega_s, modes.omega_ip)
@@ -54,9 +54,8 @@ def _batch_setup(medium, system):
         ok, _, k, wt, _ = cme._grid_3wm(medium, omegas, w_p)
         assert ok.all()
         table = cme._table_3wm(k, wt, medium.tan_delta, 0.104388)
-    y0 = cme._initial(n_modes, amplitude_from_dbm(medium, omegas, -130.0,
-                                                  1.55),
-                      amplitude_from_dbm(medium, w_p, p_dbm, 1.55))
+    y0 = cme._initial(n_modes, amplitude_from_dbm(medium, omegas, -130.0),
+                      amplitude_from_dbm(medium, w_p, p_dbm))
     return y0, cme._TableRhs(table, omegas.shape)
 
 
@@ -64,12 +63,12 @@ def _batch_setup(medium, system):
     _standard_setup, _upconversion_setup,
     lambda m: _batch_setup(m, "4wm"), lambda m: _batch_setup(m, "3wm")],
     ids=["4wm", "3wm", "4wm-batch", "3wm-batch"])
-def test_in_place_and_plain_callable_agree(medium_035, setup):
+def test_in_place_and_plain_callable_agree(medium_fit, setup):
     """The stepper evaluates a coupling table in place, in buffers the two
     share, and wraps any other callable once; the same table behind a
     plain ``rhs(x, y)`` gives the same samples, bit for bit, and the same
     statistics."""
-    y0, rhs = setup(medium_035)
+    y0, rhs = setup(medium_fit)
     assert isinstance(rhs, _kernels.InPlace)
     x_eval = np.linspace(0.0, 700.0, 5)
     atol = 1e-10 * np.abs(y0).max(axis=0) * 1e-6
@@ -86,9 +85,9 @@ def test_in_place_and_plain_callable_agree(medium_035, setup):
 
 @pytest.mark.parametrize("setup", [_standard_setup, _upconversion_setup],
                          ids=["4wm", "3wm"])
-def test_agrees_with_scipy_reference(medium_035, setup):
+def test_agrees_with_scipy_reference(medium_fit, setup):
     """The same right-hand side integrated by scipy's DOP853."""
-    y0, rhs = setup(medium_035)
+    y0, rhs = setup(medium_fit)
     ref = solve_ivp(rhs, (0.0, 700.0), y0, method="DOP853", rtol=1e-11,
                     atol=1e-11 * abs(y0).max() * 1e-6)
     x_eval = np.array([0.0, 700.0])
@@ -97,8 +96,8 @@ def test_agrees_with_scipy_reference(medium_035, setup):
     np.testing.assert_allclose(mine[-1], ref.y[:, -1], rtol=1e-7)
 
 
-def test_step_budget_exhaustion_is_reported(medium_035):
-    y0, rhs = _standard_setup(medium_035)
+def test_step_budget_exhaustion_is_reported(medium_fit):
+    y0, rhs = _standard_setup(medium_fit)
     x_eval = np.linspace(0.0, 700.0, 65)
     with pytest.raises(StepFailure, match="^step budget of 10 exhausted$"):
         _kernels.integrate(rhs, y0, x_eval, 1e-10, 1e-20, 10)
@@ -144,8 +143,8 @@ def test_stiff_run_underflows_within_a_thousand_calls(medium_035):
                            1e-8 * abs(y0).max() * 1e-6, _MAX_STEPS)
 
 
-def test_trajectory_endpoints_and_sampling(medium_035):
-    y0, rhs = _standard_setup(medium_035)
+def test_trajectory_endpoints_and_sampling(medium_fit):
+    y0, rhs = _standard_setup(medium_fit)
     x_eval = np.linspace(0.0, 700.0, 129)
     y = _kernels.integrate(rhs, y0, x_eval, 1e-10, 1e-20, 2_000_000)
     assert y.shape == (129, 6)
@@ -186,11 +185,11 @@ def test_augmented_tableau_matches_scipy_dop853():
 
 @pytest.mark.parametrize("setup", [_standard_setup, _upconversion_setup],
                          ids=["4wm", "3wm"])
-def test_rhs_may_return_a_list_or_an_array(medium_035, setup):
+def test_rhs_may_return_a_list_or_an_array(medium_fit, setup):
     """The stepper copies whatever sequence rhs returns into its stage
     buffer, so a list and an ndarray of the same numbers give the same
     samples to the bit."""
-    y0, rhs = setup(medium_035)
+    y0, rhs = setup(medium_fit)
     x_eval = np.linspace(0.0, 700.0, 5)
     atol = 1e-10 * abs(y0).max() * 1e-6
     runs = [_kernels.integrate(wrap, y0, x_eval, 1e-10, atol, 2_000_000)
@@ -199,10 +198,10 @@ def test_rhs_may_return_a_list_or_an_array(medium_035, setup):
     np.testing.assert_array_equal(runs[0], runs[1])
 
 
-def test_caller_state_is_never_written(medium_035):
+def test_caller_state_is_never_written(medium_fit):
     """The stepper keeps its state in its own buffer: y0 keeps its values
     through a whole run."""
-    y0, rhs = _standard_setup(medium_035)
+    y0, rhs = _standard_setup(medium_fit)
     before = y0.copy()
     _kernels.integrate(rhs, y0, np.array([0.0, 700.0]), 1e-10, 1e-20,
                        2_000_000)
@@ -224,11 +223,11 @@ def test_non_finite_state_is_a_step_underflow():
     np.testing.assert_allclose(y, np.exp(-reached)[:, None] * y0, rtol=1e-8)
 
 
-def test_last_stage_is_reused_as_first_stage(medium_035):
+def test_last_stage_is_reused_as_first_stage(medium_fit):
     """First same as last: no (x, y) is evaluated twice, neither across an
     accepted step nor on the retry after a rejection, so a run costs one
     evaluation plus twelve per attempted step."""
-    y0, rhs = _standard_setup(medium_035)
+    y0, rhs = _standard_setup(medium_fit)
     calls = []
 
     def recording(x, y):
@@ -283,11 +282,11 @@ def test_batch_atol_is_per_column():
 
 @pytest.mark.parametrize("setup", [_standard_setup, _upconversion_setup],
                          ids=["4wm", "3wm"])
-def test_one_state_is_a_batch_of_one(medium_035, setup):
+def test_one_state_is_a_batch_of_one(medium_fit, setup):
     """A state of shape (n,) and the same state as an (n, 1) column go
     through the same products: the same samples, bit for bit, and the
     same statistics."""
-    y0, rhs = setup(medium_035)
+    y0, rhs = setup(medium_fit)
     x_eval = np.linspace(0.0, 700.0, 5)
     atol = 1e-10 * abs(y0).max() * 1e-6
     alone, column = {}, {}

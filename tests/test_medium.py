@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -88,20 +89,20 @@ class TestArrays:
                                    [amplitude_from_dbm(m, x, -78.0)
                                     for x in w], rtol=0, atol=0)
 
-    def test_power_grids_match_points(self, medium_035):
+    def test_power_grids_match_points(self, medium_fit):
         """A power grid at one frequency (the saturation sweep's form) and
         a frequency x power grid give each point's float bit for bit."""
-        m = medium_035
+        m = medium_fit
         w = 2 * math.pi * np.linspace(2e9, 16.5e9, 41)
         p = np.linspace(-150.0, -20.0, 53)
         np.testing.assert_allclose(
-            amplitude_from_dbm(m, w[7].item(), p, 1.55),
-            [amplitude_from_dbm(m, w[7].item(), x, 1.55) for x in p.tolist()],
+            amplitude_from_dbm(m, w[7].item(), p),
+            [amplitude_from_dbm(m, w[7].item(), x) for x in p.tolist()],
             rtol=0, atol=0)
-        grid = amplitude_from_dbm(m, w[:, None], p[None, :], 1.55)
+        grid = amplitude_from_dbm(m, w[:, None], p[None, :])
         assert grid.shape == (w.size, p.size)
         np.testing.assert_allclose(
-            grid, [[amplitude_from_dbm(m, x, y, 1.55) for y in p.tolist()]
+            grid, [[amplitude_from_dbm(m, x, y) for y in p.tolist()]
                    for x in w.tolist()], rtol=0, atol=0)
 
     def test_band_mask_and_first_error(self, medium_035):
@@ -174,21 +175,35 @@ class TestAmplitudeConversion:
             assert power_dbm_from_amplitude(m, w, a) == \
                 pytest.approx(dbm, abs=1e-10)
 
+    def test_round_trip_at_the_fitted_amp_scale(self, medium_zero_flux):
+        """Both directions read the line's calibration, so the inverse
+        holds at the paper's ``amp_scale = 1.55`` too."""
+        m = dataclasses.replace(medium_zero_flux, amp_scale=1.55)
+        w = 2 * math.pi * 9.2e9
+        for dbm in [-130.0, -78.0, -50.0]:
+            a = amplitude_from_dbm(m, w, dbm)
+            assert a == pytest.approx(
+                1.55 * amplitude_from_dbm(medium_zero_flux, w, dbm),
+                rel=1e-15)
+            assert power_dbm_from_amplitude(m, w, a) == \
+                pytest.approx(dbm, abs=1e-10)
+
     def test_amp_scale_is_multiplicative(self, medium_zero_flux):
         m = medium_zero_flux
         w = 2 * math.pi * 9.2e9
-        a1 = amplitude_from_dbm(m, w, -78.0, amp_scale=1.0)
-        a2 = amplitude_from_dbm(m, w, -78.0, amp_scale=2.5)
+        a1 = amplitude_from_dbm(dataclasses.replace(m, amp_scale=1.0), w,
+                                -78.0)
+        a2 = amplitude_from_dbm(dataclasses.replace(m, amp_scale=2.5), w,
+                                -78.0)
         assert a2 == pytest.approx(2.5 * a1, rel=1e-15)
 
     @pytest.mark.parametrize("scale", [0.0, -1.55, math.inf, math.nan])
     def test_bad_amp_scale_rejected_before_the_power(self, medium_zero_flux,
                                                      scale):
-        # the power would underflow too, but amp_scale is named first
+        # the line itself is rejected, before any power is converted
         with pytest.raises(ValueError, match=f"^amp_scale {scale:g} is not "
                                              "finite and positive$"):
-            amplitude_from_dbm(medium_zero_flux, 2 * math.pi * 7e9, -4000.0,
-                               amp_scale=scale)
+            dataclasses.replace(medium_zero_flux, amp_scale=scale)
 
     def test_six_db_doubles_amplitude(self, medium_zero_flux):
         m = medium_zero_flux
@@ -213,9 +228,10 @@ class TestAmplitudeConversion:
         m = medium_zero_flux
         w = 2 * math.pi * 7.6e9
         powers = np.linspace(-150.0, -85.0, 27)
-        amps = amplitude_from_dbm(m, w, powers, amp_scale=1.55)
+        fit = dataclasses.replace(m, amp_scale=1.55)
+        amps = amplitude_from_dbm(fit, w, powers)
         assert amps.shape == powers.shape
-        assert amps.tolist() == [amplitude_from_dbm(m, w, p, amp_scale=1.55)
+        assert amps.tolist() == [amplitude_from_dbm(fit, w, p)
                                  for p in powers.tolist()]
         assert type(amplitude_from_dbm(m, w, -130.0)) is float
 
@@ -251,3 +267,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             MediumParams(omega0=1e11, omegaJ=2e11, Z=25.0, tan_delta=-0.1,
                          N=700)
+
+    def test_from_cell_carries_amp_scale(self, device_spec, cell_035):
+        m = MediumParams.from_cell(device_spec, cell_035, amp_scale=1.55)
+        assert m.amp_scale == 1.55
+        assert m == dataclasses.replace(
+            MediumParams.from_cell(device_spec, cell_035), amp_scale=1.55)
+        assert MediumParams.from_cell(device_spec, cell_035).amp_scale == 1.0

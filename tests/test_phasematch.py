@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -189,36 +190,33 @@ class TestDkTotal:
 
 class TestFindMatchedPump:
     BAND = (2 * math.pi * 8.5e9, 2 * math.pi * 10.5e9)
-    FIT = dict(beta=0.104388, gamma=0.122339, amp_scale=1.55)
+    # the fitted couplings; the fitted amp_scale is the medium_fit line's
+    FIT = dict(beta=0.104388, gamma=0.122339)
 
     def objective(self, m, w_ap):
         bd = dk_total(m, self.FIT["beta"], self.FIT["gamma"],
-                      ToneConfig(W_S, -200.0), ToneConfig(w_ap, -78.0),
-                      amp_scale=self.FIT["amp_scale"])
+                      ToneConfig(W_S, -200.0), ToneConfig(w_ap, -78.0))
         return abs(bd.dk_total)
 
-    def test_minimizer_beats_band_edges(self, medium_035):
-        w, dk = find_matched_pump(medium_035, self.FIT["beta"],
-                                  self.FIT["gamma"], W_S, -78.0, self.BAND,
-                                  amp_scale=self.FIT["amp_scale"])
-        assert dk <= self.objective(medium_035, self.BAND[0] * 1.0001)
-        assert dk <= self.objective(medium_035, self.BAND[1] * 0.9999)
+    def test_minimizer_beats_band_edges(self, medium_fit):
+        w, dk = find_matched_pump(medium_fit, self.FIT["beta"],
+                                  self.FIT["gamma"], W_S, -78.0, self.BAND)
+        assert dk <= self.objective(medium_fit, self.BAND[0] * 1.0001)
+        assert dk <= self.objective(medium_fit, self.BAND[1] * 0.9999)
 
-    def test_stable_under_grid_refinement(self, medium_035):
-        kw = dict(amp_scale=self.FIT["amp_scale"])
-        w1, _ = find_matched_pump(medium_035, self.FIT["beta"],
+    def test_stable_under_grid_refinement(self, medium_fit):
+        w1, _ = find_matched_pump(medium_fit, self.FIT["beta"],
                                   self.FIT["gamma"], W_S, -78.0, self.BAND,
-                                  grid_points=61, **kw)
-        w2, _ = find_matched_pump(medium_035, self.FIT["beta"],
+                                  grid_points=61)
+        w2, _ = find_matched_pump(medium_fit, self.FIT["beta"],
                                   self.FIT["gamma"], W_S, -78.0, self.BAND,
-                                  grid_points=481, **kw)
+                                  grid_points=481)
         step = (self.BAND[1] - self.BAND[0]) / 60
         assert abs(w1 - w2) < step
 
-    def test_matched_pump_lands_above_signal(self, medium_035):
-        w, dk = find_matched_pump(medium_035, self.FIT["beta"],
-                                  self.FIT["gamma"], W_S, -78.0, self.BAND,
-                                  amp_scale=self.FIT["amp_scale"])
+    def test_matched_pump_lands_above_signal(self, medium_fit):
+        w, dk = find_matched_pump(medium_fit, self.FIT["beta"],
+                                  self.FIT["gamma"], W_S, -78.0, self.BAND)
         f_ghz = w / (2 * math.pi) / 1e9
         assert 9.0 <= f_ghz <= 10.0
         assert dk < 1e-6
@@ -337,7 +335,7 @@ class TestFindMatchedPump:
             find_matched_pump(medium_zero_flux, 0.0, 0.0, W_S, -78.0,
                               self.NO_ZERO_BAND)
 
-    def test_exact_zero_on_the_grid_is_the_answer(self, medium_035,
+    def test_exact_zero_on_the_grid_is_the_answer(self, medium_fit,
                                                   monkeypatch):
         import twpasim.phasematch as pm
 
@@ -349,26 +347,23 @@ class TestFindMatchedPump:
 
         monkeypatch.setattr(pm, "breakdown_grid", grid_with_a_zero)
         calls = self._count_dk_point(monkeypatch)
-        w, dk = find_matched_pump(medium_035, self.FIT["beta"],
-                                  self.FIT["gamma"], W_S, -78.0, self.BAND,
-                                  amp_scale=self.FIT["amp_scale"])
+        w, dk = find_matched_pump(medium_fit, self.FIT["beta"],
+                                  self.FIT["gamma"], W_S, -78.0, self.BAND)
         assert (w, dk) == (float(np.linspace(*self.BAND, 241)[17]), 0.0)
         assert calls == []
 
     def _grid_best(self, medium, grid_points):
         grid = np.linspace(*self.BAND, grid_points)
         values, _ = breakdown_grid(medium, self.FIT["beta"],
-                                   self.FIT["gamma"], W_S, grid, -78.0,
-                                   self.FIT["amp_scale"])
+                                   self.FIT["gamma"], W_S, grid, -78.0)
         ibest = int(np.argmin(np.abs(values[:, 3])))
         return float(grid[ibest]), abs(float(values[ibest, 3]))
 
-    def test_grid_point_kept_when_refinement_ends_worse(self, medium_035,
+    def test_grid_point_kept_when_refinement_ends_worse(self, medium_fit,
                                                         monkeypatch):
         """A root solve that ends above the best grid point's |dk_total|
         is discarded: the grid point and its |dk_total| come back."""
-        kw = dict(amp_scale=self.FIT["amp_scale"], grid_points=61)
-        best = self._grid_best(medium_035, kw["grid_points"])
+        best = self._grid_best(medium_fit, 61)
         solves = []
 
         def worse(f, a, fa, b, fb, xtol):
@@ -376,14 +371,14 @@ class TestFindMatchedPump:
             return a, 2.0 * best[1] + 1e-3
 
         monkeypatch.setattr("twpasim.phasematch._illinois", worse)
-        w, dk = find_matched_pump(medium_035, self.FIT["beta"],
+        w, dk = find_matched_pump(medium_fit, self.FIT["beta"],
                                   self.FIT["gamma"], W_S, -78.0, self.BAND,
-                                  **kw)
+                                  grid_points=61)
         assert len(solves) == 1
         assert (w, dk) == best
 
     def test_domain_error_in_the_bracket_returns_the_grid_point(
-            self, medium_035, monkeypatch):
+            self, medium_fit, monkeypatch):
         import twpasim.phasematch as pm
 
         def small(*args):
@@ -391,11 +386,10 @@ class TestFindMatchedPump:
 
         monkeypatch.setattr(pm, "_dk_point", small)
         assert find_matched_pump(
-            medium_035, self.FIT["beta"], self.FIT["gamma"], W_S, -78.0,
-            self.BAND, amp_scale=self.FIT["amp_scale"]) == self._grid_best(
-                medium_035, 241)
+            medium_fit, self.FIT["beta"], self.FIT["gamma"], W_S, -78.0,
+            self.BAND) == self._grid_best(medium_fit, 241)
 
-    def test_programming_error_propagates(self, medium_035, monkeypatch):
+    def test_programming_error_propagates(self, medium_fit, monkeypatch):
         """Only domain errors end the root solve; a TypeError in dk_total
         is a bug and must not fall back to the grid point."""
         import twpasim.phasematch as pm
@@ -405,9 +399,8 @@ class TestFindMatchedPump:
 
         monkeypatch.setattr(pm, "_dk_point", broken)
         with pytest.raises(TypeError, match="bug in the objective"):
-            find_matched_pump(medium_035, self.FIT["beta"],
-                              self.FIT["gamma"], W_S, -78.0, self.BAND,
-                              amp_scale=self.FIT["amp_scale"])
+            find_matched_pump(medium_fit, self.FIT["beta"],
+                              self.FIT["gamma"], W_S, -78.0, self.BAND)
 
 
 class TestIllinois:
@@ -556,14 +549,13 @@ class TestPoint:
             assert describe(info.value) == describe(expected)
 
 
-def _one_point_rows(m, beta, gamma, omega_s, omega_ap, p_dbm, amp_scale,
-                    epsilon_dk):
+def _one_point_rows(m, beta, gamma, omega_s, omega_ap, p_dbm, epsilon_dk):
     """dk_total at every point of a broadcast grid: (values, gaps)."""
     values, gaps = [], []
     for j, (ws, wp) in enumerate(np.broadcast(omega_s, omega_ap)):
         try:
             bd = dk_total(m, beta, gamma, ToneConfig(ws, -200.0),
-                          ToneConfig(wp, p_dbm), amp_scale, epsilon_dk)
+                          ToneConfig(wp, p_dbm), epsilon_dk)
             values.append([bd.dk_dispersion, bd.dk_kerr, bd.dk_dynamic,
                            bd.dk_total])
         except TwpaError as exc:
@@ -605,8 +597,8 @@ class TestBreakdownGrid:
                                     beta, gamma, p_dbm, amp_scale,
                                     epsilon_dk):
         omega_s, omega_ap = self.grid(*scenario, n, shift)
-        args = (medium_035, beta, gamma, omega_s, omega_ap, p_dbm,
-                amp_scale, epsilon_dk)
+        m = dataclasses.replace(medium_035, amp_scale=amp_scale)
+        args = (m, beta, gamma, omega_s, omega_ap, p_dbm, epsilon_dk)
         values, errors = breakdown_grid(*args)
         expected, gaps = _one_point_rows(*args)
         assert [(j, describe(exc)) for j, exc in errors] == gaps
