@@ -24,17 +24,15 @@ mixing term, so that it has no phase factors.  Every table reaches the
 stepper through ``_propagate``, which turns it into its one evaluator,
 ``_TableRhs``: ``rhs(x, u) -> du/dx`` for one point or a batch, which
 :func:`twpasim._kernels.integrate` steps in place (raising
-``StepFailure``): the stepper writes each stage's ``u`` straight into
-the evaluator's stack ``[u, conj u, 1]``, and a conjugate, a gather of
-the factors, their products with the coefficients, held once in a fixed
-array, and one slot sum, a real product with a matrix of ones, write
-``du/dx`` straight into the stepper's stage.  ``_propagate`` returns the
-lab-frame ``y``.  The ladders and band checks come from ``phasematch._ladder``
-(``_grid``, ``_grid_3wm``; ``_point`` for one six-mode point).
-The spectra integrate a grid of at least ``_BATCH_MIN`` in-band points
-as one batch, and one point at a time, each a batch of one, below that
-size; a batch that fails splits in halves until each failing point is
-alone, its own gap.
+``StepFailure``); ``_propagate`` returns the lab-frame ``y``.
+
+The six modes have one order, [s, ap, i, 2ap, s+ap, i+ap], that of
+``phasematch._frequencies``; ``phasematch._ladder`` gives the ladders
+and band checks (``_grid``, ``_grid_3wm``; ``_point`` for one six-mode
+point).  The three spectra build their rows in one place, ``_rows``,
+and ``_spectrum`` integrates a grid of at least ``_BATCH_MIN`` in-band
+rows as one batch, and one row at a time below that size; a batch that
+fails splits in halves until each failing row is alone, its own gap.
 
 Photon bookkeeping uses the flux ``n_m = k_m * (1 - omega_m^2/omegaJ^2)
 * |A_m|^2``; with this normalization the lossless couplings conserve the
@@ -68,18 +66,13 @@ _BATCH_MIN = 3
 
 
 def _increasing(grid, name: str) -> np.ndarray:
-    """``grid`` as floats; ``ValueError`` naming it unless increasing."""
+    """``grid`` as floats; ``ValueError`` naming it unless 1-D, increasing."""
     values = np.asarray(grid, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"{name} grid must be one-dimensional")
     if np.any(np.diff(values) <= 0):
         raise ValueError(f"{name} grid must be strictly increasing")
     return values
-
-
-def _ladder_4wm(omega_s, omega_ap) -> np.ndarray:
-    """The six mode frequencies [s, ap, i, 2ap, s+ap, i+ap] of a point, or
-    one column per point of a grid."""
-    w_ap, w_s, *rest = _frequencies(omega_s, omega_ap)
-    return np.array(np.broadcast_arrays(w_s, w_ap, *rest))
 
 
 def _amplitudes(amplitudes, n: int, omega_s: float,
@@ -116,7 +109,7 @@ class ModeSet4WM:
 
     @property
     def frequencies(self) -> np.ndarray:
-        return _ladder_4wm(self.omega_s, self.omega_ap)
+        return np.array(_frequencies(self.omega_s, self.omega_ap))
 
     @classmethod
     def initial(cls, omega_s: float, omega_ap: float, a_s: complex,
@@ -191,7 +184,8 @@ class GainSpectrum:
     ``upconverted_fraction`` holds the photon fraction moved out of the
     signal frequency.  ``solver_stats`` lists the ``Trajectory.solver_stats``
     of every completed integration, a batch of rows or a single row, in
-    the order run.
+    the order run.  ``gain_db`` and any ``upconverted_fraction`` have the
+    shape of ``omega``, a 1-D increasing grid.
     """
 
     omega: np.ndarray
@@ -204,6 +198,11 @@ class GainSpectrum:
     def __post_init__(self):
         self.omega = _increasing(self.omega, "frequency")
         self.gain_db = np.asarray(self.gain_db, dtype=float)
+        for name in ("gain_db", "upconverted_fraction"):
+            values = getattr(self, name)
+            if values is not None and np.shape(values) != self.omega.shape:
+                raise ValueError(f"{name} has shape {np.shape(values)}, the "
+                                 f"frequency grid {self.omega.shape}")
         if np.isinf(self.gain_db).any():
             raise ValueError("gain must be finite (or NaN at gap points)")
 
@@ -278,10 +277,10 @@ def _upconversion(beta: float, k_p, k_m, k_u, wt_m, wt_u, m: str, u: str,
 def _table_4wm(k, wt, tan_delta: float, beta: float, gamma: float,
                pump_depletion: bool) -> _Table:
     """The six-mode system (``docs/cme_reduction.md``) from the
-    wavevectors and plasma factors of ``phasematch._frequencies`` order:
-    floats from ``_point`` or rows of arrays from ``_grid``."""
-    kap, ks, ki, k2, ksu, kiu = k
-    tap, ts, ti, t2, tsu, tiu = wt
+    wavevectors and plasma factors of [s, ap, i, 2ap, s+ap, i+ap]: floats
+    from ``_point`` or rows of arrays from ``_grid``."""
+    ks, kap, ki, k2, ksu, kiu = k
+    ts, tap, ti, t2, tsu, tiu = wt
     beta, gamma = float(beta), float(gamma)
     cs_pair = 3.0 * gamma / (8.0 * ts * ks) * (2.0 * kap - ki) * kap**2 * ki
     cap_dep = (6.0 * gamma / (8.0 * tap) * ks * ki * (ks + ki - kap)
@@ -297,9 +296,9 @@ def _table_4wm(k, wt, tan_delta: float, beta: float, gamma: float,
     theta = _frame(_F4, (_mismatch(k), -d_su, d_2ap, -d_iu))
     # cross-Kerr in k_ap^2 |A_ap|^2 and k_2ap^2 |A_2ap|^2 at phasematch's
     # rates; the pump and its harmonic weight their own power half as much
-    rap, rs, ri, r2, rsu, riu = _kerr_rates(gamma, k, wt)
+    rs, rap, ri, r2, rsu, riu = _kerr_rates(gamma, k, wt)
     jkap_sq, jk2_sq = 1j * kap**2, 1j * k2**2
-    loss = [-kj * tan_delta / 2.0 for kj in (ks, kap, ki, k2, ksu, kiu)]
+    loss = [-kj * tan_delta / 2.0 for kj in k]
     kp = (rs, 0.5 * rap, ri, r2, rsu, riu)
     kh = (rs, rap, ri, 0.5 * r2, rsu, riu)
     return _Table(_MODES_4WM, [
@@ -494,8 +493,7 @@ def _spectrum(task: str, m: MediumParams, rtol: float, n: int, errors,
     solver_stats)``: NaN rows for the failed ones, and ``failed`` maps
     each such row to its ``TwpaError``, the rows ``errors`` names
     included.  At ``info`` the log times each batch's ``build`` ("set up
-    a batch"), logs each split and times the whole grid; a table built
-    before the call, as ``saturation_curve``'s, is not in the set-up time.
+    a batch"), logs each split and times the whole grid.
     """
     # imported here so that a bare `import twpasim` does not load logging
     # (the CLI, which reads TWPASIM_LOG, has loaded it already)
@@ -551,6 +549,28 @@ def _initial(n_modes: int, a_s, a_p: float) -> np.ndarray:
     return y0
 
 
+def _rows(task: str, m: MediumParams, pump: ToneConfig, omega_s, power_dbm,
+          ladder, table, couplings: tuple, rtol: float,
+          finish=lambda traj: (_gain_db_from(traj),), width: int = 1):
+    """:func:`_spectrum` over the rows of signals at ``omega_s`` [rad/s]
+    and ``power_dbm``, broadcast together, against ``pump``: the pump's
+    amplitude is checked, then the signals', then ``ladder`` (``_grid`` or
+    ``_grid_3wm``) gives the rows' modes and gaps.  A batch integrates
+    ``table(k, wt, m.tan_delta, *couplings)`` from ``_initial``."""
+    a_p = amplitude_from_dbm(m, pump.freq, pump.power_dbm)
+    a_s = amplitude_from_dbm(m, omega_s, power_dbm)
+    ok, errors, k, wt, w = ladder(m, np.broadcast_to(omega_s, a_s.shape),
+                                  pump.freq)
+    col = np.cumsum(ok) - 1  # an in-band row's column of k, wt and w
+
+    def build(rows):
+        c = col[rows]
+        return (table(k[:, c], wt[:, c], m.tan_delta, *couplings),
+                _initial(len(k), a_s[rows], a_p), w[:, c])
+
+    return _spectrum(task, m, rtol, a_s.size, errors, build, finish, width)
+
+
 def gain_spectrum(m: MediumParams, pump: ToneConfig, signal_omegas,
                   signal_power_dbm: float = -130.0, beta: float = 0.0,
                   gamma: float = 0.0, rtol: float = 1e-10) -> GainSpectrum:
@@ -566,19 +586,8 @@ def gain_spectrum(m: MediumParams, pump: ToneConfig, signal_omegas,
     before any point is integrated."""
     omegas = _increasing(signal_omegas, "frequency")
     _validate_rtol(rtol)
-    a_p = amplitude_from_dbm(m, pump.freq, pump.power_dbm)
-    a_s = amplitude_from_dbm(m, omegas, signal_power_dbm)
-    ok, errors, k, wt = _grid(m, omegas, pump.freq)
-    col = np.cumsum(ok) - 1  # an in-band row's column of k and wt
-
-    def build(rows):
-        table = _table_4wm(k[:, col[rows]], wt[:, col[rows]], m.tan_delta,
-                           beta, gamma, True)
-        return (table, _initial(6, a_s[rows], a_p),
-                _ladder_4wm(omegas[rows], pump.freq))
-
-    gain, failed, runs = _spectrum("gain", m, rtol, omegas.size, errors,
-                                   build, lambda traj: (_gain_db_from(traj),))
+    gain, failed, runs = _rows("gain", m, pump, omegas, signal_power_dbm,
+                               _grid, _table_4wm, (beta, gamma, True), rtol)
     meta = {"pump": pump, "amp_scale": m.amp_scale, "beta": beta,
             "gamma": gamma, "signal_power_dbm": signal_power_dbm}
     return GainSpectrum(omega=omegas, gain_db=gain[:, 0], metadata=meta,
@@ -611,19 +620,11 @@ def saturation_curve(m: MediumParams, pump: ToneConfig, omega_s: float,
     if not powers.size:
         raise ValueError("power grid must not be empty")
     _validate_rtol(rtol)
-    a_p = amplitude_from_dbm(m, pump.freq, pump.power_dbm)
-    # the point's error, pump guard first
-    k, wt = _point(m, omega_s, pump.freq, 6)
-    a_s = amplitude_from_dbm(m, omega_s, powers)
-    # one point: float coefficients, shared by every batch
-    table = _table_4wm(k, wt, m.tan_delta, beta, gamma, True)
-
-    def build(rows):
-        return (table, _initial(6, a_s[rows], a_p),
-                _ladder_4wm(np.full(rows.size, omega_s), pump.freq))
-
-    gain, failed, runs = _spectrum("saturation", m, rtol, powers.size, {},
-                                   build, lambda traj: (_gain_db_from(traj),))
+    # the pump amplitude, then the point (pump guard first), then the powers
+    amplitude_from_dbm(m, pump.freq, pump.power_dbm)
+    _point(m, omega_s, pump.freq, 6)
+    gain, failed, runs = _rows("saturation", m, pump, omega_s, powers, _grid,
+                               _table_4wm, (beta, gamma, True), rtol)
     if failed:
         raise failed[min(failed)]
     gain = gain[:, 0]
@@ -657,22 +658,14 @@ def isolation_spectrum(m: MediumParams, ip_pump: ToneConfig, signal_omegas,
     before any point is integrated."""
     omegas = _increasing(signal_omegas, "frequency")
     _validate_rtol(rtol)
-    a_p = amplitude_from_dbm(m, ip_pump.freq, ip_pump.power_dbm)
-    a_s = amplitude_from_dbm(m, omegas, signal_power_dbm)
-    ok, errors, k, wt, w = _grid_3wm(m, omegas, ip_pump.freq)
-    col = np.cumsum(ok) - 1  # an in-band row's column of k, wt and w
-
-    def build(rows):
-        c = col[rows]
-        return (_table_3wm(k[:, c], wt[:, c], m.tan_delta, beta),
-                _initial(5, a_s[rows], a_p), w[:, c])
 
     def finish(traj):
         n = traj.photon_flux()
         return _gain_db_from(traj), (n[-1, 3] + n[-1, 4]) / n[0, 0]
 
-    values, failed, runs = _spectrum("isolation", m, rtol, omegas.size,
-                                     errors, build, finish, width=2)
+    values, failed, runs = _rows("isolation", m, ip_pump, omegas,
+                                 signal_power_dbm, _grid_3wm, _table_3wm,
+                                 (beta,), rtol, finish, 2)
     meta = {"pump": ip_pump, "amp_scale": m.amp_scale, "beta": beta,
             "signal_power_dbm": signal_power_dbm}
     return GainSpectrum(omega=omegas, gain_db=values[:, 0], metadata=meta,

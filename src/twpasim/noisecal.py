@@ -31,9 +31,9 @@ def source_noise(omega: float, temperature: float) -> float:
     ``(hbar omega / 2) coth(hbar omega / 2 kB T)``; the T -> 0 limit is
     the half-photon vacuum term ``hbar omega / 2``.
     """
-    if omega <= 0:
+    if not omega > 0:
         raise ValueError("omega must be positive")
-    if temperature < 0:
+    if not temperature >= 0:
         raise ValueError("temperature must be >= 0")
     half = HBAR * omega / 2.0
     if temperature == 0.0:
@@ -48,7 +48,7 @@ def source_noise(omega: float, temperature: float) -> float:
 class NoiseMeasurement:
     """Calibration records: arrays of (omega [rad/s], T [K], P [W]) with
     optional least-squares weights (used as given, proportional to the
-    inverse variance)."""
+    inverse variance).  Every value must be finite."""
 
     omega: np.ndarray
     temperature: np.ndarray
@@ -69,6 +69,12 @@ class NoiseMeasurement:
                 raise ValueError("weight length mismatch")
             if np.any(self.weight <= 0):
                 raise ValueError("weights must be positive")
+        for name in ("omega", "temperature", "power", "weight"):
+            values = getattr(self, name)
+            if values is not None and not np.isfinite(values).all():
+                j = int(np.isfinite(values).argmin())
+                raise ValueError(f"{name} of record {j + 1} is "
+                                 f"{values.flat[j]}, not finite")
 
 
 @dataclass

@@ -74,11 +74,10 @@ class DynamicEtas:
 
 
 def _frequencies(omega_s, omega_ap):
-    """The modes of a (signal, pump) point, in check order: pump, signal,
-    idler, then the auxiliary modes ``2 omega_ap``, ``omega_s + omega_ap``
-    and ``omega_i + omega_ap``.  Floats or arrays."""
+    """The modes [s, ap, i, 2ap, s+ap, i+ap] of a (signal, pump) point,
+    the one six-mode order; floats or arrays."""
     omega_i = 2.0 * omega_ap - omega_s
-    return (omega_ap, omega_s, omega_i, 2.0 * omega_ap, omega_s + omega_ap,
+    return (omega_s, omega_ap, omega_i, 2.0 * omega_ap, omega_s + omega_ap,
             omega_i + omega_ap)
 
 
@@ -94,13 +93,13 @@ def _point_error(m: MediumParams, w) -> TwpaError:
     """Why one point's array of mode frequencies is outside the model: the
     pump's plasma guard, then a negative idler, then the other modes'
     guards in order."""
-    error = band_error(m, w[0])
+    error = band_error(m, w[1])
     if error is None:
         try:
-            idler_frequency(w[1], w[0])
+            idler_frequency(w[0], w[1])
         except NegativeIdler as exc:
             return exc
-        error = band_error(m, w[1:])
+        error = band_error(m, np.delete(w, 1))
     return error
 
 
@@ -130,21 +129,21 @@ def _ladder(m: MediumParams, frequencies, guard: float, error):
 
 def _grid(m: MediumParams, omega_s, omega_ap):
     """The six modes of a grid of points as :func:`_ladder`'s ``(ok,
-    errors, k, wt)``, each failing point with :func:`dk_total`'s error."""
+    errors, k, wt, w)``, each failing point with :func:`dk_total`'s error."""
     return _ladder(m, _frequencies(np.asarray(omega_s, float),
                                    np.asarray(omega_ap, float)),
-                   PLASMA_GUARD, lambda w: _point_error(m, w))[:4]
+                   PLASMA_GUARD, lambda w: _point_error(m, w))
 
 
 # The arithmetic below takes the wavevectors ``k`` and plasma factors
-# ``wt`` of the modes in _frequencies order, each a float (one point) or
-# an array (a grid).
+# ``wt`` of the modes [s, ap, i, 2ap, s+ap, i+ap], floats (one point) or
+# arrays (a grid), and gives the phase rates of s, ap and i in that order.
 
 
 def _mismatch(x):
     """The four-wave-mixing combination ``2 x_ap - x_s - x_i`` of values
-    given in the order pump, signal, idler."""
-    return 2.0 * x[0] - x[1] - x[2]
+    given in the order signal, pump, idler."""
+    return 2.0 * x[1] - x[0] - x[2]
 
 
 def _kerr_rates(gamma: float, k, wt) -> list:
@@ -155,17 +154,16 @@ def _kerr_rates(gamma: float, k, wt) -> list:
 
 
 def _kerr(gamma: float, k, wt, a2):
-    """Kerr phase rates (eta_ap, eta_s, eta_i); see :func:`kerr_etas`."""
-    rate_ap, rate_s, rate_i = _kerr_rates(gamma, k[:3], wt[:3])
-    k_sq = k[0]**2
-    return 0.5 * rate_ap * k_sq * a2, rate_s * k_sq * a2, rate_i * k_sq * a2
+    """Kerr phase rates (eta_s, eta_ap, eta_i); see :func:`kerr_etas`."""
+    rate_s, rate_ap, rate_i = _kerr_rates(gamma, k[:3], wt[:3])
+    k_sq = k[1]**2
+    return rate_s * k_sq * a2, 0.5 * rate_ap * k_sq * a2, rate_i * k_sq * a2
 
 
 def _aux_mismatch(k):
     """Mismatches of the auxiliary processes, in _AUX_NAMES order:
     ``2 k_ap - k_2ap`` and ``k_ap + k_m - k_{m+ap}`` for m = s, i."""
-    return ((2.0 * k[0] - k[3],)
-            + tuple(k[0] + k[j] - k[j + 3] for j in (1, 2)))
+    return 2.0 * k[1] - k[3], k[1] + k[0] - k[4], k[1] + k[2] - k[5]
 
 
 def _small(dk, epsilon_dk: float) -> list:
@@ -180,12 +178,12 @@ def _small_denominator(r: int, dk: float, epsilon_dk: float):
 
 
 def _dynamic(beta: float, k, wt, dk, a2):
-    """Dynamic phase rates (eta_ap, eta_s, eta_i), for auxiliary
+    """Dynamic phase rates (eta_s, eta_ap, eta_i), for auxiliary
     mismatches ``dk`` above the small-denominator threshold."""
-    return ((eta_pump_dynamic(beta, k[0], k[3], wt[0], wt[3], dk[0], a2),)
-            + tuple(eta_mode_dynamic(beta, k[0], k[j], k[j + 3], wt[j],
-                                     wt[j + 3], dk[j], a2)
-                    for j in (1, 2)))
+    return (
+        eta_mode_dynamic(beta, k[1], k[0], k[4], wt[0], wt[4], dk[1], a2),
+        eta_pump_dynamic(beta, k[1], k[3], wt[1], wt[3], dk[0], a2),
+        eta_mode_dynamic(beta, k[1], k[2], k[5], wt[2], wt[5], dk[2], a2))
 
 
 def _components(gamma: float, k, wt, amp, eta_dyn):
@@ -215,7 +213,7 @@ def kerr_etas(m: MediumParams, gamma: float, omega_s: float, omega_ap: float,
     if not pump_amp >= 0:
         raise ValueError(f"pump_amp must be >= 0, got {pump_amp}")
     k, wt = _point(m, omega_s, omega_ap, 3)
-    eta_ap, eta_s, eta_i = _kerr(gamma, k, wt, pump_amp * pump_amp)
+    eta_s, eta_ap, eta_i = _kerr(gamma, k, wt, pump_amp * pump_amp)
     return eta_s, eta_i, eta_ap
 
 
@@ -235,7 +233,7 @@ def eta_mode_dynamic(beta: float, k_ap: float, k_m: float, k_up: float,
 
 
 def _dynamic_etas(beta: float, k, wt, pump_amp: float, epsilon_dk: float):
-    """``((eta_ap, eta_s, eta_i), valid)`` of :func:`dynamic_etas`."""
+    """``((eta_s, eta_ap, eta_i), valid)`` of :func:`dynamic_etas`."""
     if beta == 0.0 or pump_amp == 0.0:
         # every rate is identically zero; the denominators never enter
         return (0.0, 0.0, 0.0), True
@@ -245,7 +243,9 @@ def _dynamic_etas(beta: float, k, wt, pump_amp: float, epsilon_dk: float):
         r = small.index(True)
         raise _small_denominator(r, dk[r], epsilon_dk)
     eta = _dynamic(beta, k, wt, dk, pump_amp * pump_amp)
-    return eta, all(abs(d) > 10.0 * abs(e) for d, e in zip(dk, eta))
+    # each rate against its own process's mismatch: ap 2ap, s s+ap, i i+ap
+    return eta, all(abs(d) > 10.0 * abs(eta[j])
+                    for d, j in zip(dk, (1, 0, 2)))
 
 
 def dynamic_etas(m: MediumParams, beta: float, omega_s: float, omega_ap: float,
@@ -262,7 +262,7 @@ def dynamic_etas(m: MediumParams, beta: float, omega_s: float, omega_ap: float,
         raise ValueError(f"pump_amp must be >= 0, got {pump_amp}")
     k, wt = _point(m, omega_s, omega_ap, 6)
     eta, valid = _dynamic_etas(beta, k, wt, pump_amp, epsilon_dk)
-    return DynamicEtas(*eta, valid=valid)
+    return DynamicEtas(eta[1], eta[0], eta[2], valid=valid)
 
 
 def _attenuate(m: MediumParams, a0, k_ap):
@@ -285,7 +285,7 @@ def _dk_point(m, beta, gamma, omega_s, omega_ap, power_dbm, eps):
     floats: the matched-pump root solve calls it with no tone objects."""
     a0 = amplitude_from_dbm(m, omega_ap, power_dbm)
     k, wt = _point(m, omega_s, omega_ap, 6)
-    amp = float(_attenuate(m, a0, k[0]))
+    amp = float(_attenuate(m, a0, k[1]))
     eta, _ = _dynamic_etas(beta, k, wt, amp, eps)
     return _components(gamma, k, wt, amp, eta)
 
@@ -324,9 +324,9 @@ def breakdown_grid(m: MediumParams, beta: float, gamma: float, omega_s,
     raises ``ValueError``, as it does from :func:`dk_total`.
     """
     a0 = amplitude_from_dbm(m, omega_ap, pump_power_dbm)
-    ok, errors, k, wt = _grid(m, omega_s, omega_ap)
+    ok, errors, k, wt, _ = _grid(m, omega_s, omega_ap)
     rows = np.flatnonzero(ok)
-    amp = _attenuate(m, np.broadcast_to(a0, ok.shape)[ok], k[0])
+    amp = _attenuate(m, np.broadcast_to(a0, ok.shape)[ok], k[1])
     dk = np.array(_aux_mismatch(k))
     small = np.array(_small(dk, epsilon_dk))
     # as in _dynamic_etas: without beta or pump every rate is zero

@@ -845,6 +845,23 @@ class TestMainExitCodes:
         doc = json.loads(capsys.readouterr().err.strip())
         assert doc["error"] == "SingularFit"
 
+    def test_nan_noise_record_exit_three(self, tmp_path, capsys):
+        """Records with NaN temperatures are a typed exit 3 naming the
+        first, not a NaN row in the artifact."""
+        data = tmp_path / "records.csv"
+        data.write_text("freq_hz,temp_k,power_w\n4e9,0.04,1e-11\n"
+                        "4e9,nan,2e-11\n4e9,nan,3e-11\n6e9,0.04,1e-11\n"
+                        "6e9,1.0,5e-11\n")
+        out = tmp_path / "o.csv"
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(f"task = noise-fit\nnoise_data_path = {data}\n"
+                            f"bandwidth_hz = 1e6\nout_path = {out}\n")
+        assert main(["noise-fit", "--config", str(cfg_path)]) == 3
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc == {"error": "ValueError",
+                       "detail": "temperature of record 2 is nan, not finite"}
+        assert not out.exists()
+
     def test_stiff_saturation_exit_three(self, tmp_path, capsys):
         """Saturation has no gaps: the stepper's failure is a typed exit 3
         with its message, and no artifact is written."""

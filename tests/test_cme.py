@@ -45,6 +45,16 @@ class TestModeSets:
         with pytest.raises(NegativeIdler):
             ModeSet4WM.initial(2.5 * W_AP, W_AP, 1e-6, 1.0)
 
+    def test_grid_columns_are_the_mode_set_frequencies(self, medium_035):
+        """There is one six-mode order: each column of ``_grid``'s
+        frequencies is the state's ``frequencies``, bit for bit."""
+        omegas = 2 * math.pi * np.linspace(5e9, 8e9, 4)
+        ok, _, _, _, w = _grid(medium_035, omegas, W_AP)
+        assert ok.all()
+        for j, omega_s in enumerate(omegas.tolist()):
+            ms = ModeSet4WM.initial(omega_s, W_AP, 1e-6, 1.0)
+            assert w[:, j].tobytes() == ms.frequencies.tobytes()
+
     # a malformed state is a DomainError, which callers catching
     # ValueError still catch
     @pytest.mark.parametrize("cls,n", [(ModeSet4WM, 6), (ModeSet3WM, 5)],
@@ -232,6 +242,20 @@ class TestGainSpectrum:
         assert spec.omega.dtype == spec.gain_db.dtype == np.float64
         np.testing.assert_array_equal(spec.gain_db, [0.5, math.nan, 1.0])
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"omega": [1.0, 2.0, 3.0], "gain_db": [0.0]},
+         r"gain_db has shape \(1,\), the frequency grid \(3,\)"),
+        ({"omega": [[1.0, 2.0], [3.0, 4.0]], "gain_db": [0.0, 0.0]},
+         "frequency grid must be one-dimensional"),
+        ({"omega": [1.0, 2.0, 3.0], "gain_db": [0.0, 0.0, 0.0],
+          "upconverted_fraction": [0.1, 0.2]},
+         r"upconverted_fraction has shape \(2,\), the frequency grid "
+         r"\(3,\)"),
+    ], ids=["short-gain", "2d-omega", "short-fraction"])
+    def test_values_take_the_shape_of_a_1d_grid(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cme.GainSpectrum(**fields)
+
 
 class TestEndpointSampling:
     """Every spectrum point integrates straight to x = N: it asks the
@@ -390,6 +414,27 @@ class TestGuardOrder:
         with pytest.raises(error) as raised:
             saturation_curve(medium_fit, pump, w_s, [-130.0], **FIT)
         assert describe(raised.value) == describe(expected)
+
+    @pytest.mark.parametrize("f_ap, f_s, error", [
+        (67.5, 140.0, AbovePlasmaCutoff), (9.2, 20.0, NegativeIdler),
+        (40.0, 68.0, AbovePlasmaCutoff)])
+    def test_saturation_checks_the_point_before_the_powers(
+            self, medium_fit, f_ap, f_s, error):
+        """``saturation_curve`` checks the pump amplitude, then the point,
+        then the powers: a point outside the model with an underflowing
+        power raises the point's error, and an underflowing pump power
+        raises its ``ValueError`` before the point's."""
+        pump = ToneConfig(f_ap * self.GHZ, -78.0)
+        w_s = f_s * self.GHZ
+        with pytest.raises(error) as raised:
+            saturation_curve(medium_fit, pump, w_s, [-130.0], **FIT)
+        expected = describe(raised.value)
+        with pytest.raises(error) as raised:
+            saturation_curve(medium_fit, pump, w_s, [-4000.0], **FIT)
+        assert describe(raised.value) == expected
+        with pytest.raises(ValueError, match="^power -4000 dBm"):
+            saturation_curve(medium_fit, replace(pump, power_dbm=-4000.0),
+                             w_s, [4000.0], **FIT)
 
 
 class TestSaturation:
@@ -665,8 +710,7 @@ class TestTables:
         """The one-factor term of mode m is ``-k_m'' - i theta_m``."""
         table = self.table_4wm(medium_035, FIT["beta"])
         k, _ = _point(medium_035, W_S, W_AP, 6)
-        loss = [-kj * medium_035.tan_delta / 2.0
-                for kj in (k[1], k[0], k[2], k[3], k[4], k[5])]
+        loss = [-kj * medium_035.tan_delta / 2.0 for kj in k]
         assert [c for _, c, f in table.monomials if len(f) == 1] == [
             c - 1j * r for c, r in zip(loss, table.theta)]
 
@@ -681,7 +725,7 @@ class TestTables:
         if shape:
             omegas = 2 * math.pi * np.linspace(5e9, 8e9, shape[0])
             if system == "4wm":
-                _, _, k, wt = _grid(m, omegas, W_AP)
+                _, _, k, wt, _ = _grid(m, omegas, W_AP)
                 table = cme._table_4wm(k, wt, m.tan_delta, FIT["beta"],
                                        FIT["gamma"], True)
             else:
@@ -712,9 +756,10 @@ class TestTables:
     @pytest.mark.parametrize("system", ["4wm", "3wm"])
     def test_float_table_on_a_batch_is_the_repeated_array_table(
             self, medium_fit, system):
-        """One point's float table run on a batch, as ``saturation_curve``
-        runs it, gives the bytes of the array table built from that point
-        repeated over the batch: the same evaluation and the same run."""
+        """One point's float table run on a batch gives the bytes of the
+        array table built from that point repeated over the batch, as
+        ``saturation_curve`` builds it: the same evaluation and the same
+        run."""
         m, size = medium_fit, 5
         if system == "4wm":
             k, wt = _point(m, W_S, W_AP, 6)
@@ -794,12 +839,11 @@ def _batch_gain(m, system, omegas):
     signal frequency in ``omegas``, in any order, from one batched run
     built as the spectra build theirs."""
     if system == "4wm":
-        ok, _, k, wt = _grid(m, omegas, W_AP)
+        ok, _, k, wt, frequencies = _grid(m, omegas, W_AP)
         assert ok.all()
         table = cme._table_4wm(k, wt, m.tan_delta, FIT["beta"], FIT["gamma"],
                                True)
         n_modes = 6
-        frequencies = cme._ladder_4wm(omegas, W_AP)
         a_p = amplitude_from_dbm(m, W_AP, -78.0)
     else:
         ok, _, k, wt, frequencies = cme._grid_3wm(m, omegas, W_IP)
@@ -827,7 +871,7 @@ def _stiff_build(m, omegas, stiff):
     test_kernels (``gamma = 1e12``), and raises StepFailure in any
     batch."""
     a_p = amplitude_from_dbm(m, W_AP, -78.0)
-    ok, _, k, wt = _grid(m, omegas, W_AP)
+    ok, _, k, wt, w = _grid(m, omegas, W_AP)
     assert ok.all()
 
     def build(rows):
@@ -835,7 +879,7 @@ def _stiff_build(m, omegas, stiff):
                                FIT["gamma"], True)
         y0 = cme._initial(6, np.full(len(rows), 1e-6), a_p)
         y0[1, rows == stiff] *= 3e6
-        return table, y0, cme._ladder_4wm(omegas[rows], W_AP)
+        return table, y0, w[:, rows]
 
     return build
 

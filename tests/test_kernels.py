@@ -45,7 +45,7 @@ def _batch_setup(medium, system):
     omegas = 2 * math.pi * np.linspace(5e9, 8e9, 4)
     if system == "4wm":
         w_p, p_dbm, n_modes = 2 * math.pi * 9.2e9, -78.0, 6
-        ok, _, k, wt = _grid(medium, omegas, w_p)
+        ok, _, k, wt, _ = _grid(medium, omegas, w_p)
         assert ok.all()
         table = cme._table_4wm(k, wt, medium.tan_delta, 0.104388, 0.122339,
                                True)

@@ -47,6 +47,13 @@ class TestSourceNoise:
         with pytest.raises(ValueError):
             source_noise(W6, -0.1)
 
+    @pytest.mark.parametrize("omega, temperature",
+                             [(W6, math.nan), (math.nan, 0.1)],
+                             ids=["temperature", "omega"])
+    def test_nan_argument_rejected(self, omega, temperature):
+        with pytest.raises(ValueError):
+            source_noise(omega, temperature)
+
 
 def synth_measurement(freqs_hz, temps, g_out, n_out_photons, b_w,
                       noise_frac=0.0, rng=None, weights=False):
@@ -68,6 +75,24 @@ def synth_measurement(freqs_hz, temps, g_out, n_out_photons, b_w,
         omega=np.concatenate(om), temperature=np.concatenate(tt),
         power=np.concatenate(pp),
         weight=np.concatenate(ww) if weights else None)
+
+
+class TestNoiseMeasurement:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["omega", "temperature", "power",
+                                      "weight"])
+    def test_non_finite_value_rejected(self, name, bad):
+        """A record that is not finite is an error naming it, never a NaN
+        row of a fit."""
+        fields = {"omega": [W6] * 3, "temperature": [0.04, 0.3, 1.0],
+                  "power": [1e-11, 2e-11, 3e-11], "weight": [1.0] * 3}
+        fields[name][1] = bad
+        if name == "weight" and bad < 0:
+            message = "weights must be positive"
+        else:
+            message = f"{name} of record 2 is {bad}, not finite"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            NoiseMeasurement(**fields)
 
 
 class TestFitOutputLine:

@@ -133,6 +133,26 @@ class TestDynamicEtas:
         strong = dynamic_etas(medium_035, 0.3, W_S, W_AP, 3.0)
         assert not strong.valid
 
+    def test_validity_pairs_each_rate_with_its_process(self, medium_035):
+        """``valid`` holds while each rate is ten times below the mismatch
+        of the process that drives it: the pump's of 2ap, the signal's of
+        s+ap, the idler's of i+ap.  Over a sweep of pump amplitudes that
+        crosses the limit, the flag is that conjunction at every point."""
+        k = [wavevector(medium_035, w)
+             for w in (W_S, W_AP, 2 * W_AP - W_S, 2 * W_AP, W_S + W_AP,
+                       3 * W_AP - W_S)]
+        dk_2ap, dk_su, dk_iu = (2 * k[1] - k[3], k[1] + k[0] - k[4],
+                                k[1] + k[2] - k[5])
+        flags = []
+        for amp in np.geomspace(0.1, 10.0, 200):
+            eta = dynamic_etas(medium_035, 0.1, W_S, W_AP, amp)
+            expected = (abs(dk_2ap) > 10 * abs(eta.eta_ap_dyn)
+                        and abs(dk_su) > 10 * abs(eta.eta_s_dyn)
+                        and abs(dk_iu) > 10 * abs(eta.eta_i_dyn))
+            assert eta.valid == expected, amp
+            flags.append(expected)
+        assert flags[0] and not flags[-1]
+
 
 class TestDkTotal:
     def test_exact_additivity(self, medium_035):
